@@ -32,24 +32,13 @@ from .featmap import (
     spatial_avg_pool,
     spatial_softmax,
 )
-from .finetune import (
-    AdapterEpisode,
-    FinetuneConfig,
-    LinearAdapter,
-    LossReport,
-    ce_loss_cosine,
-    episodic_loss,
-    finetune_bank,
-    grad_wrt_prototypes,
-    train_adapter,
-)
+from .finetune import FinetuneConfig, LossReport, finetune_bank, grad_wrt_prototypes
 from .metrics import AggregateMetrics, EpisodeMetrics, accuracy, aggregate, auroc
 from .pipeline import ResultsBundle, RunConfig, gradcheck_report, run_eval
 from .procam import ProCamConfig, ProCamResult, background_embedding, cam, mask_iou, procam, procam_for_support
 
 __all__ = [
     "ActivationMap",
-    "AdapterEpisode",
     "AggregateMetrics",
     "EmbeddingVector",
     "Episode",
@@ -59,7 +48,6 @@ __all__ = [
     "FeatureMap",
     "FinetuneConfig",
     "InitStrategy",
-    "LinearAdapter",
     "LossReport",
     "Prediction",
     "ProCamConfig",
@@ -76,10 +64,8 @@ __all__ = [
     "benchmark_config",
     "build_known_prototypes",
     "cam",
-    "ce_loss_cosine",
     "cosine_scores",
     "derive_episode_seed",
-    "episodic_loss",
     "finetune_bank",
     "generate_synthetic",
     "grad_wrt_prototypes",
@@ -95,7 +81,6 @@ __all__ = [
     "sample_episode",
     "spatial_avg_pool",
     "spatial_softmax",
-    "train_adapter",
     "unknownness_score",
 ]
 

@@ -86,6 +86,16 @@ def read_dataset(path) -> FeatureDataset:
             raise TruncatedFileError(f"{path}: item {i} header truncated at byte {offset}")
         label, height, width, channels = _ITEM_HEADER.unpack_from(data, offset)
         offset += _ITEM_HEADER.size
+        # dense labels over at most `count` items cannot exceed count - 1; checking
+        # here keeps the dataset's label index bounded by the file size
+        if label >= count:
+            raise DatasetFormatError(
+                f"{path}: item {i} has label {label}, but {count} items allow at most {count - 1}"
+            )
+        if min(height, width, channels) < 1:
+            raise DatasetFormatError(
+                f"{path}: item {i} has zero-sized shape ({height}, {width}, {channels})"
+            )
         n_values = height * width * channels
         n_bytes = 4 * n_values
         if offset + n_bytes > len(data):
@@ -102,15 +112,30 @@ def read_dataset(path) -> FeatureDataset:
     if offset != len(data):
         raise DatasetFormatError(f"{path}: {len(data) - offset} trailing bytes after {count} items")
 
-    class_names = None
-    sidecar = sidecar_path(path)
-    if sidecar.exists():
-        try:
-            meta = json.loads(sidecar.read_text())
-            class_names = meta.get("class_names")
-        except (json.JSONDecodeError, OSError):
-            class_names = None
-    return FeatureDataset(items, class_names=class_names)
+    class_names = _read_class_names(sidecar_path(path))
+    try:
+        return FeatureDataset(items, class_names=class_names)
+    except ValueError as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from exc
+
+
+def _read_class_names(sidecar: Path) -> list[str] | None:
+    """Class names from the JSON sidecar; None when there is no sidecar or it
+    has no class_names entry."""
+    if not sidecar.exists():
+        return None
+    try:
+        meta = json.loads(sidecar.read_text())
+    except ValueError as exc:
+        raise DatasetFormatError(f"{sidecar}: not valid JSON ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise DatasetFormatError(f"{sidecar}: expected a JSON object, got {type(meta).__name__}")
+    names = meta.get("class_names")
+    if names is not None and not (
+        isinstance(names, list) and all(isinstance(n, str) for n in names)
+    ):
+        raise DatasetFormatError(f"{sidecar}: class_names must be a list of strings")
+    return names
 
 
 def export_heatmap(m: ActivationMap, path) -> None:

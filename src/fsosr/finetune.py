@@ -1,23 +1,20 @@
-"""Cross-entropy losses over cosine scores, their analytic gradients, the
-episodic classifier fine-tuning loop that treats mined background embeddings
-as pseudo-unknowns, and an optional linear embedding adapter trained
-episodically.
+"""Cross-entropy losses over cosine scores, their analytic gradients, and
+the episodic classifier fine-tuning loop that treats mined background
+embeddings as pseudo-unknowns.
 
 No autograd framework is used. Gradients are derived by composing the
 softmax cross-entropy gradient with the cosine-similarity Jacobian
 
     d/dw [ (w.q) / (|w||q|) ] = q / (|w||q|) - (w.q) w / (|w|^3 |q|)
 
-and, for the adapter, the chain rule through the linear map and the
-support-averaging step. Every gradient is checked against central finite
-differences in the test suite and by the gradcheck command.
+and checked against central finite differences in the test suite and by the
+gradcheck command.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -64,17 +61,6 @@ class LossReport:
             "total": self.total,
             "per_epoch_totals": list(self.per_epoch_totals),
         }
-
-
-def _make_report(
-    loss_known: float, loss_background: float, weight: float, trace: tuple[float, ...] = ()
-) -> LossReport:
-    return LossReport(
-        loss_known=float(loss_known),
-        loss_background=float(loss_background),
-        total=float(loss_known + weight * loss_background),
-        per_epoch_totals=trace,
-    )
 
 
 def _row_norms(matrix: np.ndarray, what: str) -> np.ndarray:
@@ -144,21 +130,6 @@ def _batch_ce_and_grad(
     term1 = (dscore / qn[:, None]).T @ embeddings / wn[:, None]
     term2 = ((dscore * scores).sum(axis=0) / wn**2)[:, None] * weights
     return ce, term1 - term2
-
-
-def ce_loss_cosine(
-    bank: PrototypeBank, embedding: EmbeddingVector, label: int, temperature: float = 10.0
-) -> float:
-    """Cross-entropy of the temperature-scaled cosine scores against `label`,
-    which may name a known class or a background row."""
-    if not 0 <= label < bank.num_rows:
-        raise ValueError(f"label {label} outside [0, {bank.num_rows})")
-    queries = embedding.values[None, :]
-    if embedding.dim != bank.dim:
-        raise ValueError(f"embedding dim {embedding.dim} does not match bank dim {bank.dim}")
-    return prototype_batch_loss(
-        bank.all_weights(), queries, np.array([label]), np.array([1.0]), temperature
-    )
 
 
 def grad_wrt_prototypes(
@@ -263,198 +234,11 @@ def finetune_bank(
     trace.append(loss_known + cfg.bkg_loss_weight * loss_background)
 
     new_bank = PrototypeBank(weights[:num_known], weights[num_known:])
-    return new_bank, _make_report(loss_known, loss_background, cfg.bkg_loss_weight, tuple(trace))
-
-
-def episodic_loss(
-    bank: PrototypeBank,
-    known_queries: list[tuple[EmbeddingVector, int]],
-    unknown_queries: list[EmbeddingVector],
-    bkg_loss_weight: float = 0.05,
-    temperature: float = 10.0,
-) -> LossReport:
-    """Mean CE of known queries against their true classes, plus the weighted
-    mean CE of unknown queries against their nearest-background pseudo-label."""
-    if not known_queries:
-        raise ValueError("known_queries must be nonempty")
-    weights = bank.all_weights()
-    known = _stack((emb for emb, _ in known_queries), bank.dim)
-    known_labels = np.array([label for _, label in known_queries], dtype=np.intp)
-    if known_labels.min() < 0 or known_labels.max() >= bank.num_known:
-        raise ValueError(f"known query labels must lie in [0, {bank.num_known})")
-    ones = np.ones(len(known_queries))
-    ce_known, _ = _batch_ce_and_grad(weights, known, known_labels, ones, temperature)
-    loss_known = float(ce_known.mean())
-
-    if not unknown_queries:
-        return _make_report(loss_known, 0.0, bkg_loss_weight)
-    if bank.num_background < 1:
-        raise ValueError("unknown queries need at least one background row")
-    unknown = _stack(unknown_queries, bank.dim)
-    pseudo = _assign_background_labels(weights, bank.num_known, unknown)
-    ce_unknown, _ = _batch_ce_and_grad(
-        weights, unknown, pseudo, np.ones(len(unknown_queries)), temperature
+    report = LossReport(
+        loss_known=loss_known,
+        loss_background=loss_background,
+        total=loss_known + cfg.bkg_loss_weight * loss_background,
+        per_epoch_totals=tuple(trace),
     )
-    return _make_report(loss_known, float(ce_unknown.mean()), bkg_loss_weight)
+    return new_bank, report
 
-
-@dataclass
-class LinearAdapter:
-    """Learnable d x d map applied to raw embeddings before classification,
-    standing in for trainable embedding parameters. Starts at identity."""
-
-    matrix: np.ndarray
-    enabled: bool = True
-
-    @classmethod
-    def identity(cls, dim: int) -> "LinearAdapter":
-        return cls(matrix=np.eye(dim), enabled=True)
-
-    def apply(self, embedding: EmbeddingVector) -> EmbeddingVector:
-        return EmbeddingVector(self.matrix @ embedding.values)
-
-
-@dataclass(frozen=True)
-class AdapterEpisode:
-    """One raw-embedding episode for adapter training. background_rows are
-    fixed classifier rows used for the unknown-query loss term; they do not
-    pass through the adapter."""
-
-    supports: tuple[tuple[EmbeddingVector, int], ...]
-    known_queries: tuple[tuple[EmbeddingVector, int], ...]
-    unknown_queries: tuple[EmbeddingVector, ...] = ()
-    background_rows: np.ndarray | None = None
-
-
-def _class_means(
-    supports: tuple[tuple[EmbeddingVector, int], ...], dim: int
-) -> tuple[np.ndarray, int]:
-    labels = sorted({label for _, label in supports})
-    n_way = len(labels)
-    if labels != list(range(n_way)):
-        raise ValueError(f"support labels must be dense in [0, N), got {labels}")
-    sums = np.zeros((n_way, dim))
-    counts = np.zeros(n_way)
-    for emb, label in supports:
-        sums[label] += emb.values
-        counts[label] += 1
-    return sums / counts[:, None], n_way
-
-
-def adapter_episode_loss(
-    matrix: np.ndarray,
-    episode: AdapterEpisode,
-    bkg_loss_weight: float = 0.05,
-    temperature: float = 10.0,
-) -> LossReport:
-    """Episodic loss with every embedding mapped through the adapter matrix and
-    known prototypes rebuilt from the adapted supports."""
-    if not episode.supports or not episode.known_queries:
-        raise ValueError("adapter episode needs supports and known queries")
-    dim = episode.supports[0][0].dim
-    means, _ = _class_means(episode.supports, dim)
-    known_rows = means @ matrix.T
-    if episode.background_rows is not None and len(episode.background_rows) > 0:
-        bank = PrototypeBank(known_rows, np.asarray(episode.background_rows, dtype=np.float64))
-    else:
-        bank = PrototypeBank(known_rows)
-    known = [
-        (EmbeddingVector(matrix @ emb.values), label) for emb, label in episode.known_queries
-    ]
-    unknown = [EmbeddingVector(matrix @ emb.values) for emb in episode.unknown_queries]
-    return episodic_loss(bank, known, unknown, bkg_loss_weight, temperature)
-
-
-def adapter_loss_and_grad(
-    matrix: np.ndarray,
-    episode: AdapterEpisode,
-    bkg_loss_weight: float = 0.05,
-    temperature: float = 10.0,
-) -> tuple[LossReport, np.ndarray]:
-    """Episodic loss plus its exact gradient with respect to the adapter.
-
-    Both the known prototypes (adapted class means) and the query embeddings
-    are functions of the matrix, so each query term contributes through the
-    query path and through every known row; background rows are constants.
-    """
-    if not episode.supports or not episode.known_queries:
-        raise ValueError("adapter episode needs supports and known queries")
-    dim = episode.supports[0][0].dim
-    if matrix.shape != (dim, dim):
-        raise ValueError(f"adapter matrix must be {dim} x {dim}, got {matrix.shape}")
-    means, n_way = _class_means(episode.supports, dim)
-    known_rows = means @ matrix.T
-    if episode.background_rows is not None and len(episode.background_rows) > 0:
-        bkg_rows = np.array(episode.background_rows, dtype=np.float64)
-    else:
-        bkg_rows = np.zeros((0, dim))
-    weights = np.concatenate([known_rows, bkg_rows], axis=0)
-    wn = _row_norms(weights, "prototype row")
-
-    n_known_q = len(episode.known_queries)
-    n_unknown_q = len(episode.unknown_queries)
-    grad = np.zeros((dim, dim))
-    ce_known_sum = 0.0
-    ce_unknown_sum = 0.0
-
-    def accumulate(raw: np.ndarray, label: int, weight: float) -> float:
-        q = matrix @ raw
-        qn = float(np.linalg.norm(q))
-        if qn <= EPS_NORM:
-            raise ValueError("adapted query embedding has zero norm")
-        s = (weights @ q) / (wn * qn)
-        logits = temperature * s
-        shifted = logits - logits.max()
-        exp = np.exp(shifted)
-        probs = exp / exp.sum()
-        ce = float(np.log(exp.sum()) - shifted[label])
-        dscore = temperature * probs
-        dscore[label] -= temperature
-        dscore *= weight
-        # query path: dL/dq, then dq/dA = outer(., raw)
-        g_q = (dscore / wn) @ weights / qn - float(dscore @ s) * q / qn**2
-        grad_local = np.outer(g_q, raw)
-        # prototype path: dL/dw_c for adapted rows, then dw_c/dA = outer(., mean_c)
-        d_known = dscore[:n_way]
-        g_w = (d_known / (wn[:n_way] * qn))[:, None] * q[None, :] - (
-            d_known * s[:n_way] / wn[:n_way] ** 2
-        )[:, None] * known_rows
-        grad_local += g_w.T @ means
-        nonlocal grad
-        grad = grad + grad_local
-        return ce
-
-    for emb, label in episode.known_queries:
-        if not 0 <= label < n_way:
-            raise ValueError(f"known query label {label} outside [0, {n_way})")
-        ce_known_sum += accumulate(emb.values, label, 1.0 / n_known_q)
-    for emb in episode.unknown_queries:
-        if bkg_rows.shape[0] < 1:
-            raise ValueError("unknown queries need at least one background row")
-        q = matrix @ emb.values
-        sims = (bkg_rows @ q) / (np.linalg.norm(bkg_rows, axis=1) * np.linalg.norm(q))
-        pseudo = n_way + int(np.argmax(sims))
-        ce_unknown_sum += accumulate(emb.values, pseudo, bkg_loss_weight / n_unknown_q)
-
-    loss_known = ce_known_sum / n_known_q
-    loss_background = ce_unknown_sum / n_unknown_q if n_unknown_q else 0.0
-    return _make_report(loss_known, loss_background, bkg_loss_weight), grad
-
-
-def train_adapter(
-    adapter: LinearAdapter,
-    episodes: Iterable[AdapterEpisode] | Iterator[AdapterEpisode],
-    cfg: FinetuneConfig,
-    num_steps: int,
-) -> LinearAdapter:
-    """One SGD step per episode on the adapter matrix, num_steps episodes total
-    (fewer if the stream runs out). num_steps = 0 returns the adapter as-is."""
-    if not adapter.enabled:
-        raise ValueError("adapter is disabled")
-    if num_steps < 0:
-        raise ValueError("num_steps must be >= 0")
-    matrix = np.array(adapter.matrix, dtype=np.float64, copy=True)
-    for episode in islice(iter(episodes), num_steps):
-        _, grad = adapter_loss_and_grad(matrix, episode, cfg.bkg_loss_weight, cfg.temperature)
-        matrix -= cfg.learning_rate * grad
-    return LinearAdapter(matrix=matrix, enabled=True)

@@ -27,15 +27,7 @@ from .classifier import (
 from .dataset_io import read_dataset
 from .episode import EpisodeSpec, FeatureDataset, derive_episode_seed, sample_episode
 from .featmap import NORM_KINDS, NORM_MINMAX, EmbeddingVector, spatial_avg_pool
-from .finetune import (
-    AdapterEpisode,
-    FinetuneConfig,
-    adapter_episode_loss,
-    adapter_loss_and_grad,
-    finetune_bank,
-    grad_wrt_prototypes,
-    prototype_batch_loss,
-)
+from .finetune import FinetuneConfig, finetune_bank, grad_wrt_prototypes, prototype_batch_loss
 from .metrics import EpisodeMetrics, accuracy, aggregate, auroc
 from .procam import ProCamConfig, procam_for_support
 
@@ -376,31 +368,17 @@ def _random_prototype_case(rng: np.random.Generator, shape: tuple[int, int, int]
     return bank, batch
 
 
-def _random_adapter_case(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, AdapterEpisode]:
-    n_way, k_shot = 3, 2
-    supports = tuple(
-        (EmbeddingVector(rng.normal(size=dim)), c) for c in range(n_way) for _ in range(k_shot)
-    )
-    known = tuple(
-        (EmbeddingVector(rng.normal(size=dim)), int(rng.integers(0, n_way))) for _ in range(4)
-    )
-    unknown = tuple(EmbeddingVector(rng.normal(size=dim)) for _ in range(3))
-    bkg_rows = rng.normal(size=(2, dim))
-    matrix = np.eye(dim) + 0.1 * rng.normal(size=(dim, dim))
-    return matrix, AdapterEpisode(supports, known, unknown, bkg_rows)
-
-
 def gradcheck_report(
     seed: int = 0,
     trials: int = 20,
     prototype_shapes: Sequence[tuple[int, int, int]] = DEFAULT_PROTOTYPE_SHAPES,
-    adapter_dim: int = 8,
     temperature: float = 10.0,
     perturb: float = 0.0,
 ) -> dict:
-    """Randomized finite-difference checks of both analytic gradients.
+    """Randomized finite-difference check of the analytic prototype gradient,
+    the one finetune_bank steps along.
 
-    `perturb` adds a constant offset to the analytic gradients; it exists so a
+    `perturb` adds a constant offset to the analytic gradient; it exists so a
     broken gradient demonstrably fails the check.
     """
     rng = np.random.default_rng(seed)
@@ -419,33 +397,22 @@ def gradcheck_report(
         ).reshape(bank.num_rows, bank.dim)
         proto_err = max(proto_err, max_relative_error(analytic, numeric))
 
-    adapter_err = 0.0
-    for _ in range(trials):
-        matrix, episode = _random_adapter_case(rng, adapter_dim)
-        _, analytic = adapter_loss_and_grad(matrix, episode, 0.05, temperature)
-        analytic = analytic + perturb
-        numeric = finite_difference(
-            lambda a: adapter_episode_loss(a.reshape(adapter_dim, adapter_dim), episode, 0.05, temperature).total,
-            matrix.reshape(-1),
-        ).reshape(adapter_dim, adapter_dim)
-        adapter_err = max(adapter_err, max_relative_error(analytic, numeric))
-
     return {
         "prototype_gradient": proto_err,
-        "adapter_gradient": adapter_err,
         "threshold": GRADCHECK_THRESHOLD,
-        "passed": proto_err < GRADCHECK_THRESHOLD and adapter_err < GRADCHECK_THRESHOLD,
+        "passed": proto_err < GRADCHECK_THRESHOLD,
     }
 
 
 def gradcheck_command(
     seed: int = 0, trials: int = 20, perturb: float = 0.0, printer: Callable[[str], None] = print
 ) -> int:
-    """Run the gradient checks, print one line per component, return a shell
-    exit code (0 pass, 1 fail)."""
+    """Run the gradient check, print one result line, return a shell exit code
+    (0 pass, 1 fail)."""
     report = gradcheck_report(seed=seed, trials=trials, perturb=perturb)
-    for component in ("prototype_gradient", "adapter_gradient"):
-        err = report[component]
-        verdict = "PASS" if err < report["threshold"] else "FAIL"
-        printer(f"{component}: max relative error {err:.3e} (threshold {report['threshold']:.0e}) {verdict}")
+    verdict = "PASS" if report["passed"] else "FAIL"
+    printer(
+        f"prototype_gradient: max relative error {report['prototype_gradient']:.3e} "
+        f"(threshold {report['threshold']:.0e}) {verdict}"
+    )
     return 0 if report["passed"] else 1

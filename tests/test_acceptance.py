@@ -30,17 +30,10 @@ def _verdict(name, passed, elapsed, detail=""):
 
 def test_criterion_1_gradient_correctness():
     start = time.time()
-    report = gradcheck_report(seed=2024, trials=20, prototype_shapes=DEFAULT_PROTOTYPE_SHAPES, adapter_dim=8)
+    report = gradcheck_report(seed=2024, trials=20, prototype_shapes=DEFAULT_PROTOTYPE_SHAPES)
     elapsed = time.time() - start
-    detail = (
-        f"prototype max rel err {report['prototype_gradient']:.2e}, "
-        f"adapter max rel err {report['adapter_gradient']:.2e}"
-    )
-    ok = (
-        report["prototype_gradient"] < GRADCHECK_THRESHOLD
-        and report["adapter_gradient"] < GRADCHECK_THRESHOLD
-        and elapsed < 10.0
-    )
+    detail = f"prototype max rel err {report['prototype_gradient']:.2e}"
+    ok = report["prototype_gradient"] < GRADCHECK_THRESHOLD and elapsed < 10.0
     _verdict("criterion 1: gradient correctness", ok, elapsed, detail)
 
 

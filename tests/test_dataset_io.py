@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsosr.dataset_io import (
     FORMAT_VERSION,
@@ -115,6 +117,67 @@ class TestFormatErrors:
         path.write_bytes(bytes(blob))
         with pytest.raises(NonFiniteValueError):
             read_dataset(path)
+
+
+    def test_label_beyond_item_count(self, tmp_path):
+        path = self._write_valid(tmp_path)
+        blob = bytearray(path.read_bytes())
+        second_item = 10 + (10 + 4 * 3 * 4 * 5)
+        struct.pack_into("<I", blob, second_item, 10**6)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DatasetFormatError, match="item 1 has label 1000000") as err:
+            read_dataset(path)
+        assert len(str(err.value)) < 1024
+
+    def test_zero_sized_dimension(self, tmp_path):
+        path = self._write_valid(tmp_path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<H", blob, 10 + 4, 0)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DatasetFormatError, match="zero-sized"):
+            read_dataset(path)
+
+    def test_sidecar_class_name_count(self, tmp_path):
+        path = self._write_valid(tmp_path)
+        sidecar_path(path).write_text(json.dumps({"class_names": ["a", "b", "c"]}))
+        with pytest.raises(DatasetFormatError, match="3 class names for 2 classes"):
+            read_dataset(path)
+
+    def test_sidecar_not_an_object(self, tmp_path):
+        path = self._write_valid(tmp_path)
+        sidecar_path(path).write_text("[1, 2]")
+        with pytest.raises(DatasetFormatError, match="JSON object"):
+            read_dataset(path)
+
+    def test_sidecar_not_json(self, tmp_path):
+        path = self._write_valid(tmp_path)
+        sidecar_path(path).write_text("{not json")
+        with pytest.raises(DatasetFormatError, match="not valid JSON"):
+            read_dataset(path)
+
+
+@pytest.fixture(scope="module")
+def small_fsof(tmp_path_factory):
+    """A valid four-item file: (path, bytes)."""
+    path = tmp_path_factory.mktemp("fuzz") / "data.fsof"
+    write_dataset(random_dataset(n_items=4, num_classes=2, h=2, w=2, d=3), path)
+    return path, path.read_bytes()
+
+
+@settings(max_examples=200, deadline=1000)
+@given(data=st.data())
+def test_corrupted_file_loads_or_raises_format_error(small_fsof, data):
+    path, blob = small_fsof
+    corrupt = bytearray(blob)
+    edits = st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 255))
+    for pos, byte in data.draw(st.lists(edits, max_size=6)):
+        corrupt[pos] = byte
+    cut = data.draw(st.none() | st.integers(0, len(blob) - 1))
+    path.write_bytes(bytes(corrupt[:cut]))
+    try:
+        read_dataset(path)
+    except DatasetFormatError:
+        pass
 
 
 class TestHeatmapExport:

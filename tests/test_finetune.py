@@ -3,19 +3,7 @@ import pytest
 
 from fsosr.classifier import PrototypeBank
 from fsosr.featmap import EmbeddingVector
-from fsosr.finetune import (
-    AdapterEpisode,
-    FinetuneConfig,
-    LinearAdapter,
-    adapter_episode_loss,
-    adapter_loss_and_grad,
-    ce_loss_cosine,
-    episodic_loss,
-    finetune_bank,
-    grad_wrt_prototypes,
-    train_adapter,
-)
-from fsosr.finetune import prototype_batch_loss
+from fsosr.finetune import FinetuneConfig, finetune_bank, grad_wrt_prototypes, prototype_batch_loss
 from fsosr.pipeline import finite_difference, max_relative_error
 
 
@@ -27,45 +15,47 @@ def _cos(w, q):
     return float(np.dot(w, q) / (np.linalg.norm(w) * np.linalg.norm(q)))
 
 
+def ce_of_one(rows, q, label, temperature=10.0):
+    """Cross-entropy of one query against one row label."""
+    return prototype_batch_loss(
+        np.asarray(rows, dtype=float), np.asarray(q, dtype=float)[None, :],
+        np.array([label]), np.array([1.0]), temperature,
+    )
+
+
 class TestCeLossCosine:
+    """The cross-entropy over temperature-scaled cosine scores that the
+    prototype gradient differentiates."""
+
     def test_symmetric_two_classes_is_ln2(self):
         # both prototypes at the same angle from the query
-        bank = PrototypeBank(np.array([[1.0, 1.0], [1.0, -1.0]]))
-        loss = ce_loss_cosine(bank, emb([1.0, 0.0]), 0, temperature=3.7)
+        loss = ce_of_one([[1.0, 1.0], [1.0, -1.0]], [1.0, 0.0], 0, temperature=3.7)
         assert loss == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_saturation_limit(self):
-        bank = PrototypeBank(np.array([[1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]]))
-        loss = ce_loss_cosine(bank, emb([1.0, 0.0]), 0, temperature=500.0)
+        loss = ce_of_one([[1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]], [1.0, 0.0], 0, temperature=500.0)
         assert loss < 1e-10
 
     def test_scalar_oracle(self):
         rng = np.random.default_rng(0)
-        known = rng.normal(size=(3, 6))
-        background = rng.normal(size=(2, 6))
+        rows = rng.normal(size=(5, 6))
         q = rng.normal(size=6)
-        bank = PrototypeBank(known, background)
         temperature = 10.0
         for label in range(5):
-            sims = [_cos(w, q) for w in np.vstack([known, background])]
+            sims = [_cos(w, q) for w in rows]
             z = temperature * np.array(sims)
             expected = float(np.log(np.exp(z - z.max()).sum()) - (z[label] - z.max()))
-            got = ce_loss_cosine(bank, EmbeddingVector(q), label, temperature)
+            got = ce_of_one(rows, q, label, temperature)
             assert got == pytest.approx(expected, abs=1e-10)
 
     def test_nonnegative_and_rescale_invariant(self):
         rng = np.random.default_rng(1)
         known = rng.normal(size=(4, 5))
         q = rng.normal(size=5)
-        base = ce_loss_cosine(PrototypeBank(known), EmbeddingVector(q), 2)
+        base = ce_of_one(known, q, 2)
         assert base >= 0.0
-        scaled = ce_loss_cosine(PrototypeBank(known * 7.5), EmbeddingVector(q * 0.01), 2)
+        scaled = ce_of_one(known * 7.5, q * 0.01, 2)
         assert scaled == pytest.approx(base, abs=1e-9)
-
-    def test_label_range_checked(self):
-        bank = PrototypeBank(np.eye(2))
-        with pytest.raises(ValueError, match="label"):
-            ce_loss_cosine(bank, emb([1.0, 0.0]), 2)
 
 
 class TestGradWrtPrototypes:
@@ -258,17 +248,21 @@ class TestFinetuneBank:
 
 
 class TestEpisodicLoss:
-    def test_no_unknowns(self):
-        bank = PrototypeBank(np.eye(2), np.array([[1.0, 1.0]]))
-        report = episodic_loss(bank, [(emb([1.0, 0.1]), 0)], [], bkg_loss_weight=0.5)
-        assert report.loss_background == 0.0
-        assert report.total == report.loss_known
+    """With a zero learning rate the rows never move, so finetune_bank's report
+    is the episodic loss of the supports (known) and backgrounds (unknown,
+    pseudo-labeled with their nearest background row)."""
+
+    def _loss(self, bank, supports, backgrounds, bkg_loss_weight, temperature):
+        cfg = FinetuneConfig(
+            epochs=1, learning_rate=0.0, bkg_loss_weight=bkg_loss_weight, temperature=temperature
+        )
+        return finetune_bank(bank, supports, backgrounds, cfg)[1]
 
     def test_saturated_unknown_selects_nearest_background(self):
         known = np.array([[1.0, 0.0, 0.0]])
         background = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         bank = PrototypeBank(known, background)
-        report = episodic_loss(
+        report = self._loss(
             bank, [(emb([1.0, 0.0, 0.0]), 0)], [emb([0.0, 0.0, 2.0])],
             bkg_loss_weight=1.0, temperature=500.0,
         )
@@ -283,7 +277,7 @@ class TestEpisodicLoss:
         kq = [(EmbeddingVector(rng.normal(size=6)), int(rng.integers(0, 4))) for _ in range(7)]
         uq = [EmbeddingVector(rng.normal(size=6)) for _ in range(5)]
         temperature, lam = 10.0, 0.05
-        report = episodic_loss(bank, kq, uq, lam, temperature)
+        report = self._loss(bank, kq, uq, lam, temperature)
         rows = np.vstack([known, background])
 
         def ce(q, label):
@@ -300,65 +294,3 @@ class TestEpisodicLoss:
         assert report.loss_known == pytest.approx(l1, abs=1e-10)
         assert report.loss_background == pytest.approx(l2, abs=1e-10)
         assert report.total == pytest.approx(l1 + lam * l2, abs=1e-10)
-
-    def test_unknowns_need_background_rows(self):
-        bank = PrototypeBank(np.eye(2))
-        with pytest.raises(ValueError, match="background row"):
-            episodic_loss(bank, [(emb([1.0, 0.0]), 0)], [emb([0.0, 1.0])])
-
-
-def _toy_adapter_episode(rng, dim=8):
-    supports = tuple(
-        (EmbeddingVector(rng.normal(size=dim)), c) for c in range(3) for _ in range(2)
-    )
-    known = tuple((EmbeddingVector(rng.normal(size=dim)), int(rng.integers(0, 3))) for _ in range(5))
-    unknown = tuple(EmbeddingVector(rng.normal(size=dim)) for _ in range(3))
-    return AdapterEpisode(supports, known, unknown, rng.normal(size=(2, dim)))
-
-
-class TestAdapter:
-    def test_zero_steps_returns_same_matrix(self):
-        adapter = LinearAdapter.identity(4)
-        rng = np.random.default_rng(11)
-        out = train_adapter(adapter, [_toy_adapter_episode(rng, 4)], FinetuneConfig(), 0)
-        np.testing.assert_array_equal(out.matrix, np.eye(4))
-
-    def test_identity_adapter_reproduces_raw_losses(self):
-        rng = np.random.default_rng(12)
-        episode = _toy_adapter_episode(rng)
-        report = adapter_episode_loss(np.eye(8), episode, 0.05, 10.0)
-        means = np.stack(
-            [np.mean([e.values for e, lab in episode.supports if lab == c], axis=0) for c in range(3)]
-        )
-        bank = PrototypeBank(means, episode.background_rows)
-        raw = episodic_loss(bank, list(episode.known_queries), list(episode.unknown_queries), 0.05, 10.0)
-        assert report.total == pytest.approx(raw.total, abs=1e-12)
-        # training with lr = 0 keeps the identity
-        out = train_adapter(LinearAdapter.identity(8), [episode], FinetuneConfig(learning_rate=0.0), 1)
-        np.testing.assert_array_equal(out.matrix, np.eye(8))
-
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(13)
-        for _ in range(3):
-            episode = _toy_adapter_episode(rng)
-            matrix = np.eye(8) + 0.1 * rng.normal(size=(8, 8))
-            _, analytic = adapter_loss_and_grad(matrix, episode, 0.05, 10.0)
-            numeric = finite_difference(
-                lambda a: adapter_episode_loss(a.reshape(8, 8), episode, 0.05, 10.0).total,
-                matrix.reshape(-1),
-            ).reshape(8, 8)
-            assert max_relative_error(analytic, numeric) < 1e-4
-
-    def test_training_step_applies_gradient(self):
-        rng = np.random.default_rng(14)
-        episode = _toy_adapter_episode(rng)
-        cfg = FinetuneConfig(learning_rate=0.01)
-        adapter = LinearAdapter.identity(8)
-        _, grad = adapter_loss_and_grad(np.eye(8), episode, cfg.bkg_loss_weight, cfg.temperature)
-        out = train_adapter(adapter, [episode], cfg, 1)
-        np.testing.assert_allclose(out.matrix, np.eye(8) - 0.01 * grad, atol=1e-12)
-
-    def test_disabled_adapter_rejected(self):
-        adapter = LinearAdapter(np.eye(3), enabled=False)
-        with pytest.raises(ValueError, match="disabled"):
-            train_adapter(adapter, [], FinetuneConfig(), 1)
