@@ -1,5 +1,6 @@
 """Prototype classifier bank: known-class rows built from support averages,
-background rows seeded by one of three strategies, and cosine scoring."""
+background rows seeded by one of three strategies, and batched cosine
+scoring, the one cosine-similarity routine that fine-tuning also uses."""
 
 from __future__ import annotations
 
@@ -112,27 +113,6 @@ class InitStrategy:
             raise ValueError(f"unknown init kind {self.kind!r}, expected one of {INIT_KINDS}")
 
 
-@dataclass(frozen=True)
-class ScoreVector:
-    """Cosine similarities of one query against every bank row."""
-
-    known_scores: np.ndarray
-    background_scores: np.ndarray
-
-    def all_scores(self) -> np.ndarray:
-        return np.concatenate([self.known_scores, self.background_scores])
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Verdict for one query: a known class index or a background row index,
-    plus a continuous unknownness score (higher means more likely unknown)."""
-
-    is_unknown: bool
-    index: int
-    unknownness: float
-
-
 def build_known_prototypes(
     support: list[tuple[EmbeddingVector, int]], n_way: int, k_shot: int
 ) -> PrototypeBank:
@@ -222,50 +202,45 @@ def init_background(
     return bank.with_background(rows)
 
 
-def cosine_scores(bank: PrototypeBank, query: EmbeddingVector) -> ScoreVector:
-    """Cosine similarity of the query against every known and background row."""
-    q = query.values
-    if q.shape[0] != bank.dim:
-        raise ValueError(f"query dim {q.shape[0]} does not match bank dim {bank.dim}")
-    qn = float(np.linalg.norm(q))
-    if qn <= EPS_NORM:
-        raise ValueError("query embedding has zero norm")
-    weights = bank.all_weights()
-    norms = np.linalg.norm(weights, axis=1)
-    bad = np.flatnonzero(norms <= EPS_NORM)
-    if bad.size:
-        raise ValueError(f"prototype row {int(bad[0])} has zero norm")
-    scores = np.clip((weights @ q) / (norms * qn), -1.0, 1.0)
-    return ScoreVector(scores[: bank.num_known], scores[bank.num_known :])
-
-
-def unknownness_score(scores: ScoreVector, kind: str = SCORE_MARGIN) -> float:
-    """Continuous score for ranking queries by how unknown they look.
-
-    margin: best background similarity minus best known similarity, monotone in
-    the decision boundary the joint argmax induces. neg_max_known: negated best
-    known similarity. A bank without background rows always falls back to the
-    latter, since no margin exists.
-    """
-    if kind not in SCORE_KINDS:
-        raise ValueError(f"unknown score kind {kind!r}, expected one of {SCORE_KINDS}")
-    best_known = float(scores.known_scores.max())
-    if kind == SCORE_NEG_MAX_KNOWN or scores.background_scores.size == 0:
-        return -best_known
-    return float(scores.background_scores.max()) - best_known
+def cosine_matrix(
+    weights: np.ndarray, queries: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unclipped cosine similarities, queries x rows, plus the row norms of
+    the weights and of the queries. A row whose norm is zero or not finite is
+    an error that names it."""
+    norms = []
+    for matrix, what in ((weights, "prototype row"), (queries, "query")):
+        n = np.linalg.norm(matrix, axis=1)
+        bad = np.flatnonzero(~((n > EPS_NORM) & np.isfinite(n)))
+        if bad.size:
+            kind = "zero" if n[bad[0]] <= EPS_NORM else "non-finite"
+            raise ValueError(f"{what} {int(bad[0])} has {kind} norm")
+        norms.append(n)
+    wn, qn = norms
+    return (queries / qn[:, None]) @ (weights / wn[:, None]).T, wn, qn
 
 
 def predict(
-    bank: PrototypeBank, query: EmbeddingVector, score_kind: str = SCORE_MARGIN
-) -> Prediction:
-    """Argmax over all rows; landing on a background row means unknown.
+    bank: PrototypeBank, queries: np.ndarray, score_kind: str = SCORE_MARGIN
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score every row of the (n x dim) query matrix against the bank.
 
-    Ties break toward the lowest row index. With no background rows the verdict
-    is always a known class.
+    Returns the joint argmax row of each query (a row >= bank.num_known is a
+    background row, so the query is judged unknown; ties break toward the
+    lowest row) and its unknownness, higher meaning more likely unknown.
+    margin: best background similarity minus best known similarity, monotone in
+    the decision boundary the joint argmax induces. neg_max_known: negated best
+    known similarity. A bank without background rows always uses the latter,
+    since no margin exists, and never judges a query unknown.
     """
-    scores = cosine_scores(bank, query)
-    best = int(np.argmax(scores.all_scores()))
-    unknownness = unknownness_score(scores, score_kind)
-    if best >= bank.num_known:
-        return Prediction(True, best - bank.num_known, unknownness)
-    return Prediction(False, best, unknownness)
+    if score_kind not in SCORE_KINDS:
+        raise ValueError(f"unknown score kind {score_kind!r}, expected one of {SCORE_KINDS}")
+    if queries.ndim != 2 or queries.shape[1] != bank.dim:
+        raise ValueError(f"queries need shape n x {bank.dim}, got {queries.shape}")
+    scores, _, _ = cosine_matrix(bank.all_weights(), queries)
+    best_known = scores[:, : bank.num_known].max(axis=1)
+    if score_kind == SCORE_NEG_MAX_KNOWN or bank.num_background == 0:
+        unknownness = -best_known
+    else:
+        unknownness = scores[:, bank.num_known :].max(axis=1) - best_known
+    return np.argmax(scores, axis=1), unknownness

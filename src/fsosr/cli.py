@@ -136,7 +136,7 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stem = f"item{args.item:04d}"
-    export_heatmap(minmax_norm(cam(fmap, weight)), out / f"{stem}_cam.pgm")
+    export_heatmap(minmax_norm(cam(fmap.values, weight.values)), out / f"{stem}_cam.pgm")
     export_heatmap(result.final_mask, out / f"{stem}_mask.pgm")
     assert result.per_iteration_masks is not None
     for i, mask in enumerate(result.per_iteration_masks):

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .episode import FeatureDataset
-from .featmap import ActivationMap, FeatureMap
+from .featmap import FeatureMap
 
 MAGIC = b"FSOF"
 FORMAT_VERSION = 1
@@ -138,12 +138,15 @@ def _read_class_names(sidecar: Path) -> list[str] | None:
     return names
 
 
-def export_heatmap(m: ActivationMap, path) -> None:
-    """Write the map as a binary grayscale PGM (P5), pixel = round(value*255)
-    half-up. The caller must hand in values already normalized to [0, 1]."""
-    vals = m.values
-    if float(vals.min()) < 0.0 or float(vals.max()) > 1.0:
+def export_heatmap(m, path) -> None:
+    """Write an (H, W) map as a binary grayscale PGM (P5), pixel =
+    round(value*255) half-up. The caller must hand in values already
+    normalized to [0, 1]."""
+    vals = np.asarray(m, dtype=np.float64)
+    if vals.ndim != 2:
+        raise ValueError(f"heatmap needs an H x W map, got shape {vals.shape}")
+    if not (float(vals.min()) >= 0.0 and float(vals.max()) <= 1.0):
         raise ValueError("heatmap values must lie in [0, 1]; normalize the map first")
     pixels = np.floor(vals * 255.0 + 0.5).astype(np.uint8)
-    header = f"P5\n{m.width} {m.height}\n255\n".encode("ascii")
+    header = f"P5\n{vals.shape[1]} {vals.shape[0]}\n255\n".encode("ascii")
     Path(path).write_bytes(header + pixels.tobytes())

@@ -4,6 +4,7 @@ feature-map generator with ground-truth foreground masks for desk-scale runs."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -63,9 +64,12 @@ class FeatureDataset:
                 raise ValueError(f"item {i} has negative label {label}")
             index.setdefault(int(label), []).append(i)
         num_classes = max(index) + 1
-        missing = [c for c in range(num_classes) if c not in index]
-        if missing:
-            raise ValueError(f"labels must be dense in [0, {num_classes}), missing {missing}")
+        if len(index) < num_classes:
+            first = list(islice((c for c in range(num_classes) if c not in index), 5))
+            raise ValueError(
+                f"labels must be dense in [0, {num_classes}), "
+                f"{num_classes - len(index)} missing, first {first}"
+            )
         if class_names is not None and len(class_names) != num_classes:
             raise ValueError(
                 f"got {len(class_names)} class names for {num_classes} classes"

@@ -1,5 +1,7 @@
 """Grid data types and the pooling / normalization primitives the rest of the
-engine is built on. Everything here is pure and operates in double precision."""
+engine is built on. Everything here is pure and operates in double precision;
+normalization and masking act on plain arrays over their trailing axes, so
+one call covers a whole stack of maps."""
 
 from __future__ import annotations
 
@@ -54,36 +56,6 @@ class FeatureMap:
         return f"FeatureMap(height={self.height}, width={self.width}, channels={self.channels})"
 
 
-class ActivationMap:
-    """An H x W scalar map (raw activation, normalized mask, or aggregate)."""
-
-    __slots__ = ("_values",)
-
-    def __init__(self, values) -> None:
-        arr = _finite_f64(values, "ActivationMap")
-        if arr.ndim != 2:
-            raise ValueError(f"ActivationMap needs an H x W array, got shape {arr.shape}")
-        if min(arr.shape) < 1:
-            raise ValueError(f"ActivationMap dimensions must all be >= 1, got shape {arr.shape}")
-        arr.flags.writeable = False
-        self._values = arr
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._values
-
-    @property
-    def height(self) -> int:
-        return self._values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self._values.shape[1]
-
-    def __repr__(self) -> str:
-        return f"ActivationMap(height={self.height}, width={self.width})"
-
-
 class EmbeddingVector:
     """A length-d embedding, the pooled representation of one image."""
 
@@ -113,42 +85,41 @@ def spatial_avg_pool(f: FeatureMap) -> EmbeddingVector:
     return EmbeddingVector(f.values.mean(axis=(0, 1)))
 
 
-def minmax_norm(m: ActivationMap) -> ActivationMap:
-    """Affine rescale of a map into [0, 1].
+def minmax_norm(m: np.ndarray) -> np.ndarray:
+    """Affine rescale of each map over the trailing (H, W) axes into [0, 1].
 
     A map whose range is below EPS_NORM carries no localization signal and maps
-    to all zeros, which makes a subsequent mask application a no-op.
+    to all zeros, which makes a subsequent mask application a no-op. The rule
+    holds per map, so one flat map in a stack leaves the others untouched.
     """
-    lo = float(m.values.min())
-    hi = float(m.values.max())
-    if hi - lo < EPS_NORM:
-        return ActivationMap(np.zeros_like(m.values))
-    return ActivationMap((m.values - lo) / (hi - lo))
+    lo = m.min(axis=(-2, -1), keepdims=True)
+    span = m.max(axis=(-2, -1), keepdims=True) - lo
+    flat = span < EPS_NORM
+    return np.where(flat, 0.0, (m - lo) / np.where(flat, 1.0, span))
 
 
-def spatial_softmax(m: ActivationMap, peak_rescale: bool = False) -> ActivationMap:
-    """Softmax over all spatial cells, stabilized by max subtraction.
+def spatial_softmax(m: np.ndarray, peak_rescale: bool = False) -> np.ndarray:
+    """Softmax of each map over its trailing (H, W) cells, stabilized by max
+    subtraction.
 
     The plain output sums to 1 over the grid, so on large grids every value is
-    tiny. With peak_rescale the map is divided by its maximum so the strongest
+    tiny. With peak_rescale each map is divided by its maximum so the strongest
     cell is exactly 1, which keeps (1 - mask) suppression meaningful.
     """
-    shifted = m.values - m.values.max()
-    e = np.exp(shifted)
-    out = e / e.sum()
+    e = np.exp(m - m.max(axis=(-2, -1), keepdims=True))
+    out = e / e.sum(axis=(-2, -1), keepdims=True)
     if peak_rescale:
-        out = out / out.max()
-    return ActivationMap(out)
+        out = out / out.max(axis=(-2, -1), keepdims=True)
+    return out
 
 
-def mask_apply(f: FeatureMap, m: ActivationMap) -> FeatureMap:
-    """Suppress every channel of f by (1 - mask) at each location."""
-    if (f.height, f.width) != (m.height, m.width):
+def mask_apply(f: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Suppress every channel of f (..., H, W, d) by (1 - mask) at each
+    location of the matching (..., H, W) masks."""
+    if f.shape[:-1] != m.shape:
         raise ValueError(
-            f"mask shape ({m.height}, {m.width}) does not match "
-            f"feature map ({f.height}, {f.width})"
+            f"mask shape {m.shape} does not match feature map {f.shape[:-1]}"
         )
-    vals = m.values
-    if float(vals.min()) < 0.0 or float(vals.max()) > 1.0:
+    if float(m.min()) < 0.0 or float(m.max()) > 1.0:
         raise ValueError("mask values must lie in [0, 1]")
-    return FeatureMap(f.values * (1.0 - vals)[:, :, None])
+    return f * (1.0 - m)[..., None]

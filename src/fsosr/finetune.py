@@ -18,8 +18,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .classifier import PrototypeBank
-from .featmap import EPS_NORM, EmbeddingVector
+from .classifier import PrototypeBank, cosine_matrix
+from .featmap import EmbeddingVector
 
 
 @dataclass(frozen=True)
@@ -63,22 +63,6 @@ class LossReport:
         }
 
 
-def _row_norms(matrix: np.ndarray, what: str) -> np.ndarray:
-    norms = np.linalg.norm(matrix, axis=1)
-    bad = np.flatnonzero(norms <= EPS_NORM)
-    if bad.size:
-        raise ValueError(f"{what} {int(bad[0])} has zero norm")
-    return norms
-
-
-def _cosine_matrix(weights: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unclipped cosine similarities, queries x rows, plus both norm vectors."""
-    wn = _row_norms(weights, "prototype row")
-    qn = _row_norms(queries, "embedding")
-    scores = (queries / qn[:, None]) @ (weights / wn[:, None]).T
-    return scores, wn, qn
-
-
 def _stack(embeddings: Iterable[EmbeddingVector], dim: int) -> np.ndarray:
     rows = []
     for i, emb in enumerate(embeddings):
@@ -98,7 +82,7 @@ def prototype_batch_loss(
     """Weighted sum of per-item cross-entropies over cosine scores. This is the
     scalar the analytic prototype gradient differentiates; gradcheck probes it
     with finite differences."""
-    scores, _, _ = _cosine_matrix(weights, embeddings)
+    scores, _, _ = cosine_matrix(weights, embeddings)
     logits = temperature * scores
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1))
@@ -115,7 +99,7 @@ def _batch_ce_and_grad(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-item cross-entropies (unweighted) and the gradient of the weighted
     sum with respect to every prototype row."""
-    scores, wn, qn = _cosine_matrix(weights, embeddings)
+    scores, wn, qn = cosine_matrix(weights, embeddings)
     logits = temperature * scores
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
@@ -159,7 +143,7 @@ def _assign_background_labels(
     """Pseudo-label each embedding with its most similar background row,
     offset into the joint index range."""
     bkg = weights[num_known:]
-    scores, _, _ = _cosine_matrix(bkg, embeddings)
+    scores, _, _ = cosine_matrix(bkg, embeddings)
     return num_known + np.argmax(scores, axis=1)
 
 

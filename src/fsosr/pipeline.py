@@ -201,61 +201,73 @@ def validate_dataset_for_config(ds: FeatureDataset, cfg: RunConfig) -> None:
         )
 
 
+def _pooled(fmaps) -> np.ndarray:
+    """The pooled embeddings of feature maps as an (n x d) matrix."""
+    return np.stack([spatial_avg_pool(f).values for f in fmaps])
+
+
 def evaluate_episode(
     ds: FeatureDataset, cfg: RunConfig, index: int, global_strategy: InitStrategy | None = None
 ) -> dict:
     """Run the full pipeline for episode `index` and return a plain record:
     sample, build known prototypes, mine backgrounds, init and fine-tune the
-    background rows, then score every query."""
+    background rows, then score the known and the unknown queries, each group
+    as one matrix. Any failure is re-raised as a RuntimeError naming the
+    episode index and sample seed, chained to the original exception."""
     sample_seed = derive_episode_seed(cfg.master_seed, index, stream=0)
-    episode = sample_episode(ds, cfg.episode_spec(sample_seed))
-    support_emb = [(spatial_avg_pool(f), c) for f, c in episode.support]
-    bank = build_known_prototypes(support_emb, cfg.n_way, cfg.k_shot)
+    try:
+        episode = sample_episode(ds, cfg.episode_spec(sample_seed))
+        support_emb = [(spatial_avg_pool(f), c) for f, c in episode.support]
+        bank = build_known_prototypes(support_emb, cfg.n_way, cfg.k_shot)
 
-    loss_report = None
-    if cfg.use_background_classes:
-        needs_mining = cfg.use_procam_finetune or cfg.init_kind == INIT_AVG
-        bg_embeddings = None
-        if needs_mining:
-            pairs = procam_for_support(list(episode.support), bank, cfg.procam_config())
-            bg_embeddings = [bg for _, bg in pairs]
-        if cfg.init_kind == INIT_GLOBAL:
-            strategy = global_strategy or InitStrategy(
-                INIT_GLOBAL, seed=derive_episode_seed(cfg.master_seed, 0, stream=1)
-            )
-        else:
-            strategy = InitStrategy(
-                cfg.init_kind, seed=derive_episode_seed(cfg.master_seed, index, stream=1)
-            )
-        bank = init_background(bank, strategy, cfg.num_background, bg_embeddings)
-        if cfg.use_procam_finetune:
-            bank, loss_report = finetune_bank(bank, support_emb, bg_embeddings, cfg.finetune_config())
-            if strategy.kind == INIT_GLOBAL:
-                strategy.persisted_weights = np.array(bank.background_weights)
+        loss_report = None
+        if cfg.use_background_classes:
+            needs_mining = cfg.use_procam_finetune or cfg.init_kind == INIT_AVG
+            bg_embeddings = None
+            if needs_mining:
+                pairs = procam_for_support(list(episode.support), bank, cfg.procam_config())
+                bg_embeddings = [bg for _, bg in pairs]
+            if cfg.init_kind == INIT_GLOBAL:
+                strategy = global_strategy or InitStrategy(
+                    INIT_GLOBAL, seed=derive_episode_seed(cfg.master_seed, 0, stream=1)
+                )
+            else:
+                strategy = InitStrategy(
+                    cfg.init_kind, seed=derive_episode_seed(cfg.master_seed, index, stream=1)
+                )
+            bank = init_background(bank, strategy, cfg.num_background, bg_embeddings)
+            if cfg.use_procam_finetune:
+                bank, loss_report = finetune_bank(
+                    bank, support_emb, bg_embeddings, cfg.finetune_config()
+                )
+                if strategy.kind == INIT_GLOBAL:
+                    strategy.persisted_weights = np.array(bank.background_weights)
 
-    score_kind = cfg.score_kind if cfg.use_background_classes else SCORE_NEG_MAX_KNOWN
-    acc_pairs: list[tuple[int | None, int]] = []
-    known_scores: list[float] = []
-    unknown_scores: list[float] = []
-    for fmap, truth in episode.known_queries:
-        pred = predict(bank, spatial_avg_pool(fmap), score_kind)
-        acc_pairs.append((None if pred.is_unknown else pred.index, truth))
-        known_scores.append(pred.unknownness)
-    for fmap in episode.unknown_queries:
-        unknown_scores.append(predict(bank, spatial_avg_pool(fmap), score_kind).unknownness)
-
-    return {
-        "episode": index,
-        "seed": sample_seed,
-        "accuracy": accuracy(acc_pairs),
-        "auroc": auroc(known_scores, unknown_scores),
-        "n_known": len(known_scores),
-        "n_unknown": len(unknown_scores),
-        "known_scores": known_scores,
-        "unknown_scores": unknown_scores,
-        "bank": bank.to_dict() if cfg.dump_last_bank else None,
-        "loss": loss_report.to_dict() if cfg.dump_last_bank and loss_report else None,
-    }
+        score_kind = cfg.score_kind if cfg.use_background_classes else SCORE_NEG_MAX_KNOWN
+        rows, known_scores = predict(
+            bank, _pooled(f for f, _ in episode.known_queries), score_kind
+        )
+        _, unknown_scores = predict(bank, _pooled(episode.unknown_queries), score_kind)
+        acc_pairs = [
+            (None if row >= bank.num_known else int(row), truth)
+            for row, (_, truth) in zip(rows, episode.known_queries)
+        ]
+        return {
+            "episode": index,
+            "seed": sample_seed,
+            "accuracy": accuracy(acc_pairs),
+            "auroc": auroc(known_scores, unknown_scores),
+            "n_known": len(known_scores),
+            "n_unknown": len(unknown_scores),
+            "known_scores": known_scores.tolist(),
+            "unknown_scores": unknown_scores.tolist(),
+            "bank": bank.to_dict() if cfg.dump_last_bank else None,
+            "loss": loss_report.to_dict() if cfg.dump_last_bank and loss_report else None,
+        }
+    except Exception as exc:
+        raise RuntimeError(
+            f"episode {index} (sample seed {sample_seed}) failed: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 _WORKER_STATE: dict = {}
@@ -323,20 +335,22 @@ def run_eval(cfg: RunConfig) -> ResultsBundle:
     return bundle
 
 
-def finite_difference(fn: Callable[[np.ndarray], float], x0: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    """Central finite differences of a scalar function, entry by entry."""
+def finite_difference(fn: Callable[[np.ndarray], float], x0: np.ndarray, step: float = 1e-3) -> np.ndarray:
+    """Fourth-order central finite differences of a scalar function, entry by
+    entry: (-f(x+2h) + 8f(x+h) - 8f(x-h) + f(x-2h)) / 12h. Its truncation error
+    is O(h^4), so a large step keeps round-off small as well."""
     x = np.array(x0, dtype=np.float64, copy=True)
     grad = np.zeros_like(x)
     flat = x.reshape(-1)
     out = grad.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + step
-        f_plus = fn(x)
-        flat[i] = orig - step
-        f_minus = fn(x)
+        probes = []
+        for offset in (2.0, 1.0, -1.0, -2.0):
+            flat[i] = orig + offset * step
+            probes.append(fn(x))
         flat[i] = orig
-        out[i] = (f_plus - f_minus) / (2.0 * step)
+        out[i] = (8.0 * (probes[1] - probes[2]) - (probes[0] - probes[3])) / (12.0 * step)
     return grad
 
 

@@ -1,5 +1,5 @@
-"""Class activation maps and the progressive mining loop that turns a support
-feature map into a foreground mask and a background feature map."""
+"""Class activation maps and the progressive mining loop that turns a stack of
+support feature maps into foreground masks and background feature maps."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from .classifier import PrototypeBank
 from .featmap import (
     NORM_KINDS,
     NORM_MINMAX,
-    ActivationMap,
     EmbeddingVector,
     FeatureMap,
     mask_apply,
@@ -40,75 +39,81 @@ class ProCamConfig:
 
 @dataclass(frozen=True)
 class ProCamResult:
-    final_mask: ActivationMap
-    background_map: FeatureMap
-    per_iteration_masks: tuple[ActivationMap, ...] | None = None
+    """Mining output for one map: the (H, W) foreground mask, the (H, W, d)
+    background map, and with include_trace the per-iteration (H, W) masks."""
+
+    final_mask: np.ndarray
+    background_map: np.ndarray
+    per_iteration_masks: tuple[np.ndarray, ...] | None = None
 
 
-def cam(f: FeatureMap, w: EmbeddingVector) -> ActivationMap:
-    """Per-location weighted channel sum: the raw activation map for the class
-    whose classifier weights are w, before any normalization."""
-    if w.dim != f.channels:
-        raise ValueError(f"weight dim {w.dim} does not match feature channels {f.channels}")
-    return ActivationMap(f.values @ w.values)
+def cam(f: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per-location weighted channel sum over the trailing axes: the raw
+    activation maps (..., H, W) of features (..., H, W, d) for the classes
+    whose classifier weights are w (..., d), before any normalization."""
+    if w.shape[-1] != f.shape[-1]:
+        raise ValueError(f"weight dim {w.shape[-1]} does not match feature channels {f.shape[-1]}")
+    return np.einsum("...hwd,...d->...hw", f, w)
 
 
-def _normalize_step(m: ActivationMap, norm_kind: str) -> ActivationMap:
-    if norm_kind == NORM_MINMAX:
-        return minmax_norm(m)
-    return spatial_softmax(m, peak_rescale=True)
+def _mine(
+    stack: np.ndarray, weights: np.ndarray, cfg: ProCamConfig
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Progressive activation mining of n maps (n, H, W, d) at once, map i with
+    class weights weights[i].
 
-
-def procam(f: FeatureMap, w: EmbeddingVector, cfg: ProCamConfig) -> ProCamResult:
-    """Progressive activation mining.
-
-    Each iteration computes the activation map of the working features, masks
-    the discovered region out, and continues on what is left, so later passes
-    surface regions the first map missed. The normalized per-iteration maps are
-    summed and min-max normalized into the final foreground mask; the
-    background map is the original features suppressed by that mask.
+    Each iteration computes the activation maps of the working features, masks
+    the discovered regions out, and continues on what is left, so later passes
+    surface regions the first maps missed. The normalized per-iteration maps
+    are summed and min-max normalized into the final foreground masks; the
+    background maps are the original features suppressed by those masks. Every
+    normalization is per map. Returns the final masks, the background maps and
+    the per-iteration masks (empty unless cfg.include_trace).
     """
-    working = f
-    total = np.zeros((f.height, f.width))
-    trace: list[ActivationMap] = []
+    working = stack
+    total = np.zeros(stack.shape[:-1])
+    trace: list[np.ndarray] = []
     for _ in range(cfg.iterations):
-        step = _normalize_step(cam(working, w), cfg.norm_kind)
-        total = total + step.values
+        raw = cam(working, weights)
+        step = minmax_norm(raw) if cfg.norm_kind == NORM_MINMAX else spatial_softmax(raw, peak_rescale=True)
+        total = total + step
         working = mask_apply(working, step)
         if cfg.include_trace:
             trace.append(step)
-    final_mask = minmax_norm(ActivationMap(total))
+    final_masks = minmax_norm(total)
+    return final_masks, mask_apply(stack, final_masks), trace
+
+
+def procam(f: FeatureMap, w: EmbeddingVector, cfg: ProCamConfig) -> ProCamResult:
+    """Progressive activation mining of one feature map with class weights w."""
+    masks, backgrounds, trace = _mine(f.values[None], w.values[None], cfg)
     return ProCamResult(
-        final_mask=final_mask,
-        background_map=mask_apply(f, final_mask),
-        per_iteration_masks=tuple(trace) if cfg.include_trace else None,
+        final_mask=masks[0],
+        background_map=backgrounds[0],
+        per_iteration_masks=tuple(step[0] for step in trace) if cfg.include_trace else None,
     )
-
-
-def background_embedding(result: ProCamResult) -> EmbeddingVector:
-    """Pooled embedding of the masked-out background map."""
-    return spatial_avg_pool(result.background_map)
 
 
 def procam_for_support(
     supports: list[tuple[FeatureMap, int]], bank: PrototypeBank, cfg: ProCamConfig
 ) -> list[tuple[EmbeddingVector, EmbeddingVector]]:
     """(foreground, background) embedding pairs for every support item, mining
-    each item with its own class prototype. Order follows the input."""
-    out: list[tuple[EmbeddingVector, EmbeddingVector]] = []
-    for fmap, label in supports:
+    each item with its own class prototype. All items are mined as one stack;
+    order follows the input."""
+    labels = [label for _, label in supports]
+    for label in labels:
         if not 0 <= label < bank.num_known:
             raise ValueError(f"no known prototype for class {label} (bank has {bank.num_known})")
-        weight = EmbeddingVector(bank.known_weights[label])
-        result = procam(fmap, weight, cfg)
-        out.append((spatial_avg_pool(fmap), background_embedding(result)))
-    return out
+    stack = np.stack([fmap.values for fmap, _ in supports])
+    _, backgrounds, _ = _mine(stack, bank.known_weights[labels], cfg)
+    pooled = backgrounds.mean(axis=(1, 2))
+    return [(spatial_avg_pool(fmap), EmbeddingVector(bg)) for (fmap, _), bg in zip(supports, pooled)]
 
 
-def mask_iou(mask: ActivationMap, truth, threshold: float = 0.5) -> float:
+def mask_iou(mask: np.ndarray, truth, threshold: float = 0.5) -> float:
     """Intersection over union between the mask thresholded at `threshold` and
     a binary ground-truth map. Both empty counts as perfect agreement."""
-    pred = mask.values >= threshold
+    pred = np.asarray(mask) >= threshold
     gt = np.asarray(truth, dtype=bool)
     if gt.shape != pred.shape:
         raise ValueError(f"truth shape {gt.shape} does not match mask {pred.shape}")

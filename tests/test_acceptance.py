@@ -94,20 +94,20 @@ def test_criterion_3_procam_reductions_and_invariants():
         f = FeatureMap(fvals)
         # tau=1 min-max reduction equality (exact)
         single = procam(f, w, ProCamConfig(iterations=1))
-        expected = minmax_norm(cam(f, w))
-        if not np.array_equal(single.final_mask.values, expected.values):
+        expected = minmax_norm(cam(fvals, w.values))
+        if not np.array_equal(single.final_mask, expected):
             ok, detail = False, "tau=1 reduction mismatch"
             break
         base = procam(f, w, ProCamConfig(iterations=4, include_trace=True))
         # mask range
-        vals = base.final_mask.values
+        vals = base.final_mask
         if vals.min() < 0.0 or vals.max() > 1.0:
             ok, detail = False, "mask out of range"
             break
         # coverage monotonicity of the running sum
         running = np.zeros((5, 5))
         for mask in base.per_iteration_masks:
-            nxt = running + mask.values
+            nxt = running + mask
             if not np.all(nxt >= running - 1e-15):
                 ok, detail = False, "coverage not monotone"
                 break
@@ -115,7 +115,7 @@ def test_criterion_3_procam_reductions_and_invariants():
         # scale invariance across three orders of magnitude
         for alpha in (0.01, 1.0, 100.0):
             scaled = procam(FeatureMap(alpha * fvals), w, ProCamConfig(iterations=4))
-            if np.abs(scaled.final_mask.values - base.final_mask.values).max() > 1e-9:
+            if np.abs(scaled.final_mask - base.final_mask).max() > 1e-9:
                 ok, detail = False, f"scale invariance broken at alpha={alpha}"
                 break
         if not ok:

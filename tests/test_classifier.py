@@ -5,10 +5,9 @@ from fsosr.classifier import (
     InitStrategy,
     PrototypeBank,
     build_known_prototypes,
-    cosine_scores,
+    cosine_matrix,
     init_background,
     predict,
-    unknownness_score,
 )
 from fsosr.featmap import EmbeddingVector
 
@@ -119,45 +118,65 @@ class TestInitBackground:
             InitStrategy("fancy")
 
 
+def scalar_cosine(row, q):
+    """Per-pair cosine similarity: the reference for the batched routines."""
+    return float(np.dot(row, q) / (np.linalg.norm(row) * np.linalg.norm(q)))
+
+
+def predict_oracle(known, background, q, score_kind="margin"):
+    """Per-query verdict: joint argmax row and unknownness from scalar cosines."""
+    sims = [scalar_cosine(row, q) for row in np.vstack([known, background])]
+    n_known = len(known)
+    if score_kind == "neg_max_known" or len(background) == 0:
+        unknownness = -max(sims[:n_known])
+    else:
+        unknownness = max(sims[n_known:]) - max(sims[:n_known])
+    return int(np.argmax(sims)), unknownness
+
+
 class TestCosineScores:
     def test_self_similarity_is_one_at_any_scale(self):
-        bank = PrototypeBank(np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 0.0]]))
+        rows = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 0.0]])
         for scale in (0.001, 1.0, 250.0):
-            scores = cosine_scores(bank, emb(*(scale * np.array([1.0, 2.0, 3.0]))))
-            assert scores.known_scores[0] == pytest.approx(1.0, abs=1e-12)
+            scores, _, _ = cosine_matrix(rows, scale * np.array([[1.0, 2.0, 3.0]]))
+            assert scores[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_is_zero(self):
-        bank = PrototypeBank(np.array([[1.0, 0.0]]))
-        scores = cosine_scores(bank, emb(0.0, 5.0))
-        assert scores.known_scores[0] == pytest.approx(0.0, abs=1e-12)
+        scores, _, _ = cosine_matrix(np.array([[1.0, 0.0]]), np.array([[0.0, 5.0]]))
+        assert scores[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_scalar_oracle(self):
         rng = np.random.default_rng(2)
-        known = rng.normal(size=(4, 7))
-        background = rng.normal(size=(2, 7))
-        q = rng.normal(size=7)
-        scores = cosine_scores(PrototypeBank(known, background), EmbeddingVector(q))
-        all_rows = np.vstack([known, background])
-        got = np.concatenate([scores.known_scores, scores.background_scores])
-        for j, row in enumerate(all_rows):
-            expected = float(np.dot(row, q) / (np.linalg.norm(row) * np.linalg.norm(q)))
-            assert got[j] == pytest.approx(expected, abs=1e-12)
+        rows = rng.normal(size=(6, 7))
+        queries = rng.normal(size=(5, 7))
+        scores, wn, qn = cosine_matrix(rows, queries)
+        assert scores.shape == (5, 6)
+        np.testing.assert_allclose(wn, [np.linalg.norm(r) for r in rows], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(qn, [np.linalg.norm(q) for q in queries], rtol=0, atol=1e-12)
+        for i, q in enumerate(queries):
+            for j, row in enumerate(rows):
+                assert scores[i, j] == pytest.approx(scalar_cosine(row, q), abs=1e-12)
 
     def test_scores_within_cosine_range(self):
         rng = np.random.default_rng(3)
-        bank = PrototypeBank(rng.normal(size=(3, 5)))
-        scores = cosine_scores(bank, EmbeddingVector(rng.normal(size=5)))
-        assert np.all(scores.known_scores >= -1.0) and np.all(scores.known_scores <= 1.0)
+        scores, _, _ = cosine_matrix(rng.normal(size=(3, 5)), rng.normal(size=(4, 5)))
+        assert np.all(scores >= -1.0) and np.all(scores <= 1.0)
 
     def test_zero_norm_query_raises(self):
-        bank = PrototypeBank(np.ones((1, 2)))
-        with pytest.raises(ValueError, match="query"):
-            cosine_scores(bank, emb(0.0, 0.0))
+        with pytest.raises(ValueError, match="query 1 has zero norm"):
+            cosine_matrix(np.ones((1, 2)), np.array([[1.0, 0.0], [0.0, 0.0]]))
 
     def test_zero_norm_row_names_index(self):
-        bank = PrototypeBank(np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="row 1"):
-            cosine_scores(bank, emb(1.0, 1.0))
+            cosine_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[1.0, 1.0]]))
+
+    def test_non_finite_norm_names_row(self):
+        # each entry is finite, but the sum of squares overflows
+        huge = np.array([[1.0, 0.0], [1e300, 1e300]])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="row 1 has non-finite norm"):
+            cosine_matrix(huge, np.array([[1.0, 1.0]]))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="query 0 has non-finite norm"):
+            cosine_matrix(np.ones((1, 2)), huge[::-1])
 
 
 class TestPredict:
@@ -167,64 +186,69 @@ class TestPredict:
         return PrototypeBank(known, background)
 
     def test_exact_known_match(self):
-        pred = predict(self._bank(), emb(0.0, 0.0, 2.0, 0.0))
-        assert not pred.is_unknown
-        assert pred.index == 2
-        assert pred.unknownness < 0
+        rows, unknownness = predict(self._bank(), np.array([[0.0, 0.0, 2.0, 0.0]]))
+        assert rows.tolist() == [2]
+        assert unknownness[0] < 0
 
     def test_exact_background_match(self):
-        pred = predict(self._bank(), emb(0.0, 0.0, 0.0, 3.0))
-        assert pred.is_unknown
-        assert pred.index == 0
-        assert pred.unknownness > 0
+        rows, unknownness = predict(self._bank(), np.array([[0.0, 0.0, 0.0, 3.0]]))
+        assert rows.tolist() == [3]  # background row 0, after the 3 known rows
+        assert unknownness[0] > 0
 
     def test_verdict_matches_argmax_oracle(self):
         rng = np.random.default_rng(4)
-        for _ in range(50):
+        for _ in range(10):
             known = rng.normal(size=(4, 6))
             background = rng.normal(size=(2, 6))
-            q = rng.normal(size=6)
-            bank = PrototypeBank(known, background)
-            pred = predict(bank, EmbeddingVector(q))
-            sims = []
-            for row in np.vstack([known, background]):
-                sims.append(np.dot(row, q) / (np.linalg.norm(row) * np.linalg.norm(q)))
-            best = int(np.argmax(sims))
-            assert pred.is_unknown == (best >= 4)
-            assert pred.index == (best - 4 if best >= 4 else best)
-            expected_unknownness = max(sims[4:]) - max(sims[:4])
-            assert pred.unknownness == pytest.approx(expected_unknownness, abs=1e-9)
+            queries = rng.normal(size=(5, 6))
+            rows, unknownness = predict(PrototypeBank(known, background), queries)
+            for q, row, score in zip(queries, rows, unknownness):
+                best, expected = predict_oracle(known, background, q)
+                assert row == best
+                assert score == pytest.approx(expected, abs=1e-12)
+
+    def test_no_background_matches_oracle(self):
+        rng = np.random.default_rng(7)
+        for kind in ("margin", "neg_max_known"):
+            known = rng.normal(size=(4, 6))
+            queries = rng.normal(size=(9, 6))
+            rows, unknownness = predict(PrototypeBank(known), queries, kind)
+            for q, row, score in zip(queries, rows, unknownness):
+                best, expected = predict_oracle(known, np.zeros((0, 6)), q, kind)
+                assert row == best
+                assert score == pytest.approx(expected, abs=1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(5)
         known = rng.normal(size=(3, 5))
         background = rng.normal(size=(1, 5))
-        q = rng.normal(size=5)
-        base = predict(PrototypeBank(known, background), EmbeddingVector(q))
+        queries = rng.normal(size=(6, 5))
+        base_rows, base_scores = predict(PrototypeBank(known, background), queries)
         for alpha in (0.01, 3.0, 100.0):
-            scaled_bank = PrototypeBank(known * alpha, background)
-            p = predict(scaled_bank, EmbeddingVector(q * alpha))
-            assert p.is_unknown == base.is_unknown and p.index == base.index
-            assert p.unknownness == pytest.approx(base.unknownness, abs=1e-9)
+            rows, scores = predict(PrototypeBank(known * alpha, background), queries * alpha)
+            np.testing.assert_array_equal(rows, base_rows)
+            np.testing.assert_allclose(scores, base_scores, rtol=0, atol=1e-9)
 
     def test_tie_breaks_to_lowest_index(self):
         bank = PrototypeBank(np.array([[1.0, 0.0], [1.0, 0.0]]))
-        pred = predict(bank, emb(1.0, 0.0))
-        assert pred.index == 0
+        rows, _ = predict(bank, np.array([[1.0, 0.0]]))
+        assert rows.tolist() == [0]
 
     def test_without_background_never_unknown(self):
         rng = np.random.default_rng(6)
         bank = PrototypeBank(rng.normal(size=(4, 5)))
-        for _ in range(20):
-            pred = predict(bank, EmbeddingVector(rng.normal(size=5)))
-            assert not pred.is_unknown
+        rows, _ = predict(bank, rng.normal(size=(20, 5)))
+        assert np.all(rows < bank.num_known)
 
     def test_neg_max_known_score_kind(self):
         bank = self._bank()
-        q = emb(0.5, 0.1, 0.0, 0.4)
-        scores = cosine_scores(bank, q)
-        assert unknownness_score(scores, "neg_max_known") == pytest.approx(
-            -scores.known_scores.max()
-        )
+        queries = np.array([[0.5, 0.1, 0.0, 0.4], [0.0, 0.2, 0.3, 0.9]])
+        scores, _, _ = cosine_matrix(bank.all_weights(), queries)
+        _, unknownness = predict(bank, queries, "neg_max_known")
+        np.testing.assert_allclose(unknownness, -scores[:, :3].max(axis=1), rtol=0, atol=1e-15)
         with pytest.raises(ValueError, match="score kind"):
-            unknownness_score(scores, "whatever")
+            predict(bank, queries, "whatever")
+
+    def test_query_shape_checked(self):
+        with pytest.raises(ValueError, match="queries need shape n x 4"):
+            predict(self._bank(), np.ones(4))

@@ -20,7 +20,7 @@ from fsosr.dataset_io import (
     write_dataset,
 )
 from fsosr.episode import FeatureDataset
-from fsosr.featmap import ActivationMap, FeatureMap
+from fsosr.featmap import FeatureMap
 
 
 def random_dataset(n_items=12, num_classes=3, h=3, w=4, d=5, seed=0):
@@ -192,28 +192,32 @@ class TestHeatmapExport:
         return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w)
 
     def test_all_black_and_all_white(self, tmp_path):
-        export_heatmap(ActivationMap(np.zeros((2, 3))), tmp_path / "black.pgm")
+        export_heatmap(np.zeros((2, 3)), tmp_path / "black.pgm")
         assert np.all(self._read_pgm(tmp_path / "black.pgm") == 0)
-        export_heatmap(ActivationMap(np.ones((2, 3))), tmp_path / "white.pgm")
+        export_heatmap(np.ones((2, 3)), tmp_path / "white.pgm")
         assert np.all(self._read_pgm(tmp_path / "white.pgm") == 255)
 
     def test_ramp_rounds_half_up(self, tmp_path):
         vals = np.linspace(0.0, 1.0, 12).reshape(3, 4)
-        export_heatmap(ActivationMap(vals), tmp_path / "ramp.pgm")
+        export_heatmap(vals, tmp_path / "ramp.pgm")
         pixels = self._read_pgm(tmp_path / "ramp.pgm")
         expected = np.floor(vals * 255.0 + 0.5).astype(np.uint8)
         np.testing.assert_array_equal(pixels, expected)
         # explicit half-up case: 0.5/255 boundary
-        export_heatmap(ActivationMap([[1.0 / 510.0]]), tmp_path / "half.pgm")
+        export_heatmap(np.array([[1.0 / 510.0]]), tmp_path / "half.pgm")
         assert self._read_pgm(tmp_path / "half.pgm")[0, 0] == 1
 
     def test_out_of_range_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="normalize"):
-            export_heatmap(ActivationMap([[1.2]]), tmp_path / "bad.pgm")
+            export_heatmap(np.array([[1.2]]), tmp_path / "bad.pgm")
         with pytest.raises(ValueError, match="normalize"):
-            export_heatmap(ActivationMap([[-0.1]]), tmp_path / "bad.pgm")
+            export_heatmap(np.array([[-0.1]]), tmp_path / "bad.pgm")
+
+    def test_non_map_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="H x W"):
+            export_heatmap(np.zeros((2, 2, 1)), tmp_path / "bad.pgm")
 
     def test_dimensions_in_header(self, tmp_path):
-        export_heatmap(ActivationMap(np.zeros((2, 5))), tmp_path / "dims.pgm")
+        export_heatmap(np.zeros((2, 5)), tmp_path / "dims.pgm")
         pixels = self._read_pgm(tmp_path / "dims.pgm")
         assert pixels.shape == (2, 5)

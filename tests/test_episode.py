@@ -38,6 +38,12 @@ class TestFeatureDataset:
         with pytest.raises(ValueError, match="dense"):
             FeatureDataset(items)
 
+    def test_sparse_label_message_is_bounded(self):
+        items = [(FeatureMap(np.zeros((1, 1, 1))), 0), (FeatureMap(np.zeros((1, 1, 1))), 100000)]
+        with pytest.raises(ValueError, match=r"99999 missing, first \[1, 2, 3, 4, 5\]") as info:
+            FeatureDataset(items)
+        assert len(str(info.value)) < 1024
+
     def test_class_index(self):
         ds = tiny_dataset(num_classes=3, items_per_class=2)
         assert ds.num_classes == 3
@@ -158,11 +164,8 @@ class TestGenerateSynthetic:
                                                 n_open_query=5, seed=derive_episode_seed(9, i)))
             sup = [(spatial_avg_pool(f), c) for f, c in ep.support]
             bank = build_known_prototypes(sup, 5, 5)
-            pairs = []
-            for f, truth in ep.known_queries:
-                pred = predict(bank, spatial_avg_pool(f))
-                pairs.append((None if pred.is_unknown else pred.index, truth))
-            hits.append(accuracy(pairs))
+            rows, _ = predict(bank, np.stack([spatial_avg_pool(f).values for f, _ in ep.known_queries]))
+            hits.append(accuracy(zip(rows, (truth for _, truth in ep.known_queries))))
         assert abs(np.mean(hits) - 0.2) < 0.06
 
     def test_class_mean_cam_highlights_foreground(self, default_dataset):
@@ -172,7 +175,7 @@ class TestGenerateSynthetic:
             pooled = [spatial_avg_pool(ds.items[i][0]).values for i in ds.class_index[c]]
             protos[c] = EmbeddingVector(np.mean(pooled, axis=0))
         for i, (fmap, label) in enumerate(ds.items):
-            activation = cam(fmap, protos[label]).values
+            activation = cam(fmap.values, protos[label].values)
             gt = masks[i]
             assert activation[gt].mean() > activation[~gt].mean()
 

@@ -66,17 +66,32 @@ class TestRunEval:
             strategy = InitStrategy("random", seed=derive_episode_seed(cfg.master_seed, index, 1))
             bank = init_background(bank, strategy, cfg.num_background, bgs)
             bank, _ = finetune_bank(bank, sup, bgs, cfg.finetune_config())
-            acc_pairs, ks, us = [], [], []
-            for f, truth in episode.known_queries:
-                pred = predict(bank, spatial_avg_pool(f), cfg.score_kind)
-                acc_pairs.append((None if pred.is_unknown else pred.index, truth))
-                ks.append(pred.unknownness)
-            for f in episode.unknown_queries:
-                us.append(predict(bank, spatial_avg_pool(f), cfg.score_kind).unknownness)
+            known = np.stack([spatial_avg_pool(f).values for f, _ in episode.known_queries])
+            unknown = np.stack([spatial_avg_pool(f).values for f in episode.unknown_queries])
+            rows, ks = predict(bank, known, cfg.score_kind)
+            _, us = predict(bank, unknown, cfg.score_kind)
+            acc_pairs = [
+                (None if row >= bank.num_known else row, truth)
+                for row, (_, truth) in zip(rows, episode.known_queries)
+            ]
             row = bundle.episodes[index]
             assert row["seed"] == seed
             assert row["accuracy"] == accuracy(acc_pairs)
             assert row["auroc"] == auroc(ks, us)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_finite_norm_fails_with_episode_context(self, benchmark_dataset, workers):
+        path, _, _ = benchmark_dataset
+        cfg = small_cfg(path, learning_rate=1e300, workers=workers)
+        seed = derive_episode_seed(cfg.master_seed, 0, 0)
+        with np.errstate(over="ignore"), pytest.raises(RuntimeError) as info:
+            run_eval(cfg)
+        message = str(info.value)
+        assert message.startswith(f"episode 0 (sample seed {seed}) failed:")
+        assert "non-finite norm" in message
+        # in a pool worker the chained cause arrives as the remote traceback
+        cause = info.value.__cause__
+        assert isinstance(cause, ValueError) if workers == 1 else "ValueError" in str(cause)
 
     def test_validation_errors_before_running(self, benchmark_dataset):
         path, ds, _ = benchmark_dataset
@@ -162,6 +177,11 @@ class TestGradcheck:
         for seed in range(10):
             report = gradcheck_report(seed=seed, trials=2, prototype_shapes=((4, 2, 6),))
             assert report["passed"], f"seed {seed}: {report}"
+
+    def test_default_seed_has_wide_margin(self):
+        # the fourth-order stencil keeps finite-difference round-off far below
+        # the 1e-4 threshold on the default run
+        assert gradcheck_report(seed=0)["prototype_gradient"] < 1e-5
 
     def test_perturbed_gradient_fails(self, capsys):
         code = gradcheck_command(seed=1, trials=2, perturb=1e-2)

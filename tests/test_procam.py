@@ -3,12 +3,35 @@ import pytest
 
 from fsosr.classifier import PrototypeBank, build_known_prototypes
 from fsosr.episode import SyntheticConfig, generate_synthetic
-from fsosr.featmap import ActivationMap, EmbeddingVector, FeatureMap, mask_apply, minmax_norm, spatial_avg_pool
-from fsosr.procam import ProCamConfig, ProCamResult, background_embedding, cam, mask_iou, procam, procam_for_support
+from fsosr.featmap import EmbeddingVector, FeatureMap, mask_apply, minmax_norm, spatial_avg_pool
+from fsosr.procam import ProCamConfig, cam, mask_iou, procam, procam_for_support
 
 
 def emb(vals):
     return EmbeddingVector(np.asarray(vals, dtype=float))
+
+
+def _loop_oracle(fvals, wvals, iterations, softmax=False):
+    """Per-item mining written out step by step: the reference the batched
+    core is checked against."""
+    h = fvals.copy()
+    total = np.zeros(fvals.shape[:2])
+    steps = []
+    for _ in range(iterations):
+        m = np.tensordot(h, wvals, axes=([2], [0]))
+        if softmax:
+            e = np.exp(m - m.max())
+            nm = e / e.sum()
+            nm = nm / nm.max()
+        else:
+            lo, hi = m.min(), m.max()
+            nm = np.zeros_like(m) if hi - lo < 1e-12 else (m - lo) / (hi - lo)
+        steps.append(nm)
+        total = total + nm
+        h = h * (1.0 - nm)[:, :, None]
+    lo, hi = total.min(), total.max()
+    final = np.zeros_like(total) if hi - lo < 1e-12 else (total - lo) / (hi - lo)
+    return final, fvals * (1.0 - final)[:, :, None], steps
 
 
 class TestCam:
@@ -17,20 +40,20 @@ class TestCam:
         fvals = rng.normal(size=(3, 4, 5))
         w = np.zeros(5)
         w[2] = 1.0
-        out = cam(FeatureMap(fvals), emb(w))
-        np.testing.assert_allclose(out.values, fvals[:, :, 2], atol=1e-15)
+        out = cam(fvals, w)
+        np.testing.assert_allclose(out, fvals[:, :, 2], atol=1e-15)
 
     def test_constant_input(self):
-        f = FeatureMap(np.ones((2, 3, 4)))
-        w = emb([0.5, -1.0, 2.0, 0.25])
+        f = np.ones((2, 3, 4))
+        w = np.array([0.5, -1.0, 2.0, 0.25])
         out = cam(f, w)
-        np.testing.assert_allclose(out.values, np.full((2, 3), 1.75), atol=1e-12)
+        np.testing.assert_allclose(out, np.full((2, 3), 1.75), atol=1e-12)
 
     def test_per_location_dot_oracle(self):
         rng = np.random.default_rng(1)
         fvals = rng.normal(size=(3, 3, 4))
         w = rng.normal(size=4)
-        out = cam(FeatureMap(fvals), emb(w)).values
+        out = cam(fvals, w)
         for a in range(3):
             for b in range(3):
                 expected = sum(w[c] * fvals[a, b, c] for c in range(4))
@@ -38,7 +61,7 @@ class TestCam:
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
-            cam(FeatureMap(np.zeros((2, 2, 3))), emb([1.0, 2.0]))
+            cam(np.zeros((2, 2, 3)), np.array([1.0, 2.0]))
 
 
 class TestProcam:
@@ -47,54 +70,32 @@ class TestProcam:
         f = FeatureMap(rng.normal(size=(4, 4, 6)))
         w = emb(rng.normal(size=6))
         result = procam(f, w, ProCamConfig(iterations=1))
-        expected_mask = minmax_norm(cam(f, w))
-        np.testing.assert_array_equal(result.final_mask.values, expected_mask.values)
-        np.testing.assert_array_equal(
-            result.background_map.values, mask_apply(f, expected_mask).values
-        )
+        expected_mask = minmax_norm(cam(f.values, w.values))
+        np.testing.assert_array_equal(result.final_mask, expected_mask)
+        np.testing.assert_array_equal(result.background_map, mask_apply(f.values, expected_mask))
 
     def test_point_activation(self):
         fvals = np.zeros((3, 3, 2))
         fvals[1, 2, 0] = 5.0
         f = FeatureMap(fvals)
         result = procam(f, emb([1.0, 0.0]), ProCamConfig(iterations=3))
-        assert result.final_mask.values[1, 2] == pytest.approx(1.0)
-        others = result.final_mask.values.copy()
+        assert result.final_mask[1, 2] == pytest.approx(1.0)
+        others = result.final_mask.copy()
         others[1, 2] = 0.0
         assert np.all(others == 0.0)
-        assert result.background_map.values[1, 2, 0] == pytest.approx(0.0)
-
-    def _loop_oracle(self, fvals, wvals, iterations, softmax=False):
-        h = fvals.copy()
-        total = np.zeros(fvals.shape[:2])
-        steps = []
-        for _ in range(iterations):
-            m = np.tensordot(h, wvals, axes=([2], [0]))
-            if softmax:
-                e = np.exp(m - m.max())
-                nm = e / e.sum()
-                nm = nm / nm.max()
-            else:
-                lo, hi = m.min(), m.max()
-                nm = np.zeros_like(m) if hi - lo < 1e-12 else (m - lo) / (hi - lo)
-            steps.append(nm)
-            total = total + nm
-            h = h * (1.0 - nm)[:, :, None]
-        lo, hi = total.min(), total.max()
-        final = np.zeros_like(total) if hi - lo < 1e-12 else (total - lo) / (hi - lo)
-        return final, fvals * (1.0 - final)[:, :, None], steps
+        assert result.background_map[1, 2, 0] == pytest.approx(0.0)
 
     def test_loop_oracle_minmax(self):
         rng = np.random.default_rng(3)
         fvals = rng.normal(size=(6, 6, 8))
         wvals = rng.normal(size=8)
         result = procam(FeatureMap(fvals), emb(wvals), ProCamConfig(iterations=4, include_trace=True))
-        final, background, steps = self._loop_oracle(fvals, wvals, 4)
-        np.testing.assert_allclose(result.final_mask.values, final, atol=1e-9)
-        np.testing.assert_allclose(result.background_map.values, background, atol=1e-9)
+        final, background, steps = _loop_oracle(fvals, wvals, 4)
+        np.testing.assert_allclose(result.final_mask, final, atol=1e-9)
+        np.testing.assert_allclose(result.background_map, background, atol=1e-9)
         assert result.per_iteration_masks is not None and len(result.per_iteration_masks) == 4
         for got, expected in zip(result.per_iteration_masks, steps):
-            np.testing.assert_allclose(got.values, expected, atol=1e-9)
+            np.testing.assert_allclose(got, expected, atol=1e-9)
 
     def test_loop_oracle_softmax_mode(self):
         rng = np.random.default_rng(4)
@@ -103,9 +104,9 @@ class TestProcam:
         result = procam(
             FeatureMap(fvals), emb(wvals), ProCamConfig(iterations=3, norm_kind="softmax")
         )
-        final, background, _ = self._loop_oracle(fvals, wvals, 3, softmax=True)
-        np.testing.assert_allclose(result.final_mask.values, final, atol=1e-9)
-        np.testing.assert_allclose(result.background_map.values, background, atol=1e-9)
+        final, background, _ = _loop_oracle(fvals, wvals, 3, softmax=True)
+        np.testing.assert_allclose(result.final_mask, final, atol=1e-9)
+        np.testing.assert_allclose(result.background_map, background, atol=1e-9)
 
     def test_trace_omitted_by_default(self):
         f = FeatureMap(np.random.default_rng(5).normal(size=(3, 3, 2)))
@@ -145,17 +146,17 @@ class TestProcamInvariants:
         for alpha in (0.01, 1.0, 100.0):
             scaled = procam(FeatureMap(alpha * fvals), emb(wvals), cfg)
             np.testing.assert_allclose(
-                scaled.final_mask.values, base.final_mask.values, atol=1e-9
+                scaled.final_mask, base.final_mask, atol=1e-9
             )
             for got, expected in zip(scaled.per_iteration_masks, base.per_iteration_masks):
-                np.testing.assert_allclose(got.values, expected.values, atol=1e-9)
+                np.testing.assert_allclose(got, expected, atol=1e-9)
 
     def test_final_mask_range(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             f = FeatureMap(rng.normal(size=(4, 4, 3)))
             result = procam(f, emb(rng.normal(size=3)), ProCamConfig(iterations=4))
-            vals = result.final_mask.values
+            vals = result.final_mask
             assert vals.min() >= 0.0 and vals.max() <= 1.0
             assert vals.min() == 0.0 and vals.max() == pytest.approx(1.0)
 
@@ -170,7 +171,7 @@ class TestProcamInvariants:
             for c in range(ds.num_classes):
                 fg_means, bkg_means = [], []
                 for i in ds.class_index[c]:
-                    mask = procam(ds.items[i][0], protos[c], cfg).final_mask.values
+                    mask = procam(ds.items[i][0], protos[c], cfg).final_mask
                     gt = masks[i]
                     fg_means.append(mask[gt].mean())
                     bkg_means.append(mask[~gt].mean())
@@ -178,29 +179,28 @@ class TestProcamInvariants:
 
 
 class TestBackgroundEmbedding:
+    """The pooled background maps that procam_for_support hands to fine-tuning."""
+
     def test_zero_mask_equals_pool(self):
         # constant activation map -> degenerate range -> zero mask -> no-op
         fvals = np.ones((3, 3, 4)) * np.arange(1.0, 5.0)
         f = FeatureMap(fvals)
-        result = procam(f, emb([1.0, 1.0, 1.0, 1.0]), ProCamConfig(iterations=2))
-        np.testing.assert_allclose(
-            background_embedding(result).values, spatial_avg_pool(f).values, atol=1e-12
-        )
+        [(_, bg)] = procam_for_support([(f, 0)], PrototypeBank(np.ones((1, 4))), ProCamConfig(iterations=2))
+        np.testing.assert_allclose(bg.values, spatial_avg_pool(f).values, atol=1e-12)
 
     def test_full_mask_gives_zero_vector(self):
         f = FeatureMap(np.random.default_rng(9).normal(size=(2, 2, 3)))
-        result = ProCamResult(
-            final_mask=ActivationMap(np.ones((2, 2))),
-            background_map=mask_apply(f, ActivationMap(np.ones((2, 2)))),
-        )
-        np.testing.assert_array_equal(background_embedding(result).values, np.zeros(3))
+        background = FeatureMap(mask_apply(f.values, np.ones((2, 2))))
+        np.testing.assert_array_equal(spatial_avg_pool(background).values, np.zeros(3))
 
     def test_pooling_oracle(self):
         rng = np.random.default_rng(10)
         f = FeatureMap(rng.normal(size=(4, 4, 5)))
-        result = procam(f, emb(rng.normal(size=5)), ProCamConfig(iterations=2))
-        expected = result.background_map.values.mean(axis=(0, 1))
-        np.testing.assert_allclose(background_embedding(result).values, expected, atol=1e-12)
+        w = rng.normal(size=5)
+        cfg = ProCamConfig(iterations=2)
+        [(_, bg)] = procam_for_support([(f, 0)], PrototypeBank(w[None]), cfg)
+        expected = procam(f, emb(w), cfg).background_map.mean(axis=(0, 1))
+        np.testing.assert_allclose(bg.values, expected, atol=1e-12)
 
 
 class TestProcamForSupport:
@@ -236,9 +236,38 @@ class TestProcamForSupport:
         for (fmap, label), (fg, bg) in zip(supports, pairs):
             expected_fg = spatial_avg_pool(fmap)
             result = procam(fmap, EmbeddingVector(bank.known_weights[label]), pc)
-            expected_bg = background_embedding(result)
+            expected_bg = result.background_map.mean(axis=(0, 1))
             np.testing.assert_allclose(fg.values, expected_fg.values, atol=1e-12)
-            np.testing.assert_allclose(bg.values, expected_bg.values, atol=1e-12)
+            np.testing.assert_allclose(bg.values, expected_bg, atol=1e-12)
+
+    @pytest.mark.parametrize("norm_kind", ["minmax", "softmax"])
+    def test_mixed_flat_batch_matches_loop_oracle(self, norm_kind):
+        # one flat item (every cell has the same features, so its CAM is
+        # constant) among normal items of very different scales: a min or max
+        # taken over the batch instead of per item would move every result
+        rng = np.random.default_rng(11)
+        d = 6
+        maps = [
+            rng.normal(size=(4, 5, d)),
+            100.0 * rng.normal(size=(4, 5, d)),
+            np.ones((4, 5, d)) * rng.normal(size=d),
+            0.01 * rng.normal(size=(4, 5, d)),
+        ]
+        labels = [0, 1, 0, 2]
+        bank = PrototypeBank(rng.normal(size=(3, d)))
+        pairs = procam_for_support(
+            [(FeatureMap(m), c) for m, c in zip(maps, labels)],
+            bank,
+            ProCamConfig(iterations=4, norm_kind=norm_kind),
+        )
+        for fvals, label, (fg, bg) in zip(maps, labels, pairs):
+            _, background, _ = _loop_oracle(
+                fvals, bank.known_weights[label], 4, softmax=norm_kind == "softmax"
+            )
+            np.testing.assert_allclose(fg.values, fvals.mean(axis=(0, 1)), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(bg.values, background.mean(axis=(0, 1)), rtol=0, atol=1e-12)
+        # the flat item is left untouched
+        np.testing.assert_allclose(pairs[2][1].values, maps[2].mean(axis=(0, 1)), rtol=0, atol=1e-12)
 
     def test_missing_prototype_raises(self):
         bank = PrototypeBank(np.eye(2))
@@ -253,13 +282,13 @@ class TestMaskIou:
         gt[0, 0] = True
         exact = np.zeros((3, 3))
         exact[0, 0] = 1.0
-        assert mask_iou(ActivationMap(exact), gt) == 1.0
+        assert mask_iou(exact, gt) == 1.0
         disjoint = np.zeros((3, 3))
         disjoint[2, 2] = 1.0
-        assert mask_iou(ActivationMap(disjoint), gt) == 0.0
+        assert mask_iou(disjoint, gt) == 0.0
 
     def test_threshold(self):
         gt = np.array([[True, False]])
-        m = ActivationMap([[0.4, 0.0]])
+        m = np.array([[0.4, 0.0]])
         assert mask_iou(m, gt, threshold=0.5) == 0.0
         assert mask_iou(m, gt, threshold=0.3) == 1.0
