@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .featmap import EPS_NORM, EmbeddingVector
+from .featmap import EPS_NORM
 
 INIT_RANDOM = "random"
 INIT_AVG = "avg"
@@ -114,32 +114,34 @@ class InitStrategy:
 
 
 def build_known_prototypes(
-    support: list[tuple[EmbeddingVector, int]], n_way: int, k_shot: int
+    embeddings: np.ndarray, labels: np.ndarray, n_way: int, k_shot: int
 ) -> PrototypeBank:
-    """Class-mean prototypes from exactly k_shot embeddings per class.
+    """Class-mean prototypes from the (n x d) support embeddings, exactly
+    k_shot rows per class label in [0, n_way).
 
     Shots are summed in a canonical lexicographic order, so any permutation of
-    the support list produces bit-identical prototypes.
+    the support rows produces bit-identical prototypes.
     """
     if n_way < 1 or k_shot < 1:
         raise ValueError("n_way and k_shot must be >= 1")
-    groups: dict[int, list[np.ndarray]] = {c: [] for c in range(n_way)}
-    for emb, label in support:
-        if not 0 <= label < n_way:
-            raise ValueError(f"support label {label} outside [0, {n_way})")
-        groups[label].append(emb.values)
-    rows = []
-    for c in range(n_way):
-        shots = groups[c]
-        if len(shots) != k_shot:
-            raise ValueError(f"class {c} has {len(shots)} support embeddings, expected {k_shot}")
-        stacked = np.stack(shots)
-        order = np.lexsort(stacked.T[::-1])
-        proto = stacked[order].sum(axis=0) / k_shot
-        if float(np.linalg.norm(proto)) <= EPS_NORM:
-            raise ValueError(f"class {c} prototype has zero norm")
-        rows.append(proto)
-    return PrototypeBank(np.stack(rows))
+    labels = np.asarray(labels)
+    if embeddings.ndim != 2 or labels.shape != embeddings.shape[:1]:
+        raise ValueError(f"need n x d embeddings and n labels, got {embeddings.shape}/{labels.shape}")
+    outside = labels[(labels < 0) | (labels >= n_way)]
+    if outside.size:
+        raise ValueError(f"support label {outside[0]} outside [0, {n_way})")
+    counts = np.bincount(labels, minlength=n_way)
+    uneven = np.flatnonzero(counts != k_shot)
+    if uneven.size:
+        c = uneven[0]
+        raise ValueError(f"class {c} has {counts[c]} support embeddings, expected {k_shot}")
+    # sort by label, then by every coordinate in turn
+    order = np.lexsort(np.vstack([embeddings.T[::-1], labels]))
+    protos = embeddings[order].reshape(n_way, k_shot, -1).sum(axis=1) / k_shot
+    zero = np.flatnonzero(np.linalg.norm(protos, axis=1) <= EPS_NORM)
+    if zero.size:
+        raise ValueError(f"class {zero[0]} prototype has zero norm")
+    return PrototypeBank(protos)
 
 
 def random_background_rows(num_background: int, dim: int, seed: int) -> np.ndarray:
@@ -154,7 +156,7 @@ def init_background(
     bank: PrototypeBank,
     strategy: InitStrategy,
     num_background: int,
-    bkg_embeddings: list[EmbeddingVector] | None = None,
+    bkg_embeddings: np.ndarray | None = None,
 ) -> PrototypeBank:
     """Attach num_background freshly initialized rows to the bank.
 
@@ -170,21 +172,20 @@ def init_background(
     if strategy.kind == INIT_RANDOM:
         rows = random_background_rows(num_background, d, strategy.seed)
     elif strategy.kind == INIT_AVG:
-        if not bkg_embeddings:
+        if bkg_embeddings is None or len(bkg_embeddings) == 0:
             raise ValueError("avg initialization needs at least one background embedding")
+        if bkg_embeddings.ndim != 2 or bkg_embeddings.shape[1] != d:
+            raise ValueError(
+                f"background embeddings need shape n x {d}, got {bkg_embeddings.shape}"
+            )
         if len(bkg_embeddings) < num_background:
             raise ValueError(
                 f"avg initialization got {len(bkg_embeddings)} embeddings for "
                 f"{num_background} background rows; every row needs at least one"
             )
-        sums = np.zeros((num_background, d))
-        counts = np.zeros(num_background)
-        for i, emb in enumerate(bkg_embeddings):
-            if emb.dim != d:
-                raise ValueError(f"background embedding {i} has dim {emb.dim}, expected {d}")
-            sums[i % num_background] += emb.values
-            counts[i % num_background] += 1
-        rows = sums / counts[:, None]
+        rows = np.stack(
+            [bkg_embeddings[j::num_background].mean(axis=0) for j in range(num_background)]
+        )
     elif strategy.kind == INIT_GLOBAL:
         if strategy.persisted_weights is None:
             rows = random_background_rows(num_background, d, strategy.seed)

@@ -13,14 +13,7 @@ import numpy as np
 from .classifier import INIT_KINDS, SCORE_KINDS
 from .dataset_io import export_heatmap, read_dataset, write_dataset
 from .episode import FeatureDataset, SyntheticConfig, benchmark_config, generate_synthetic
-from .featmap import (
-    NORM_KINDS,
-    NORM_MINMAX,
-    EmbeddingVector,
-    FeatureMap,
-    minmax_norm,
-    spatial_avg_pool,
-)
+from .featmap import NORM_KINDS, NORM_MINMAX, FeatureMap, minmax_norm, spatial_avg_pool
 from .pipeline import RunConfig, gradcheck_command, run_eval
 from .procam import ProCamConfig, cam, procam
 
@@ -129,14 +122,14 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
         raise SystemExit(f"item {args.item} outside [0, {len(ds.items)})")
     fmap, label = ds.items[args.item]
     # class prototype = mean pooled embedding over every item of the class
-    pooled = [spatial_avg_pool(f) for f, lab in ds.items if lab == label]
-    weight = EmbeddingVector(np.mean([p.values for p in pooled], axis=0))
+    same_class = np.stack([f.values for f, lab in ds.items if lab == label])
+    weight = spatial_avg_pool(same_class).mean(axis=0)
     cfg = ProCamConfig(iterations=args.iterations, norm_kind=args.norm, include_trace=True)
     result = procam(fmap, weight, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stem = f"item{args.item:04d}"
-    export_heatmap(minmax_norm(cam(fmap.values, weight.values)), out / f"{stem}_cam.pgm")
+    export_heatmap(minmax_norm(cam(fmap.values, weight)), out / f"{stem}_cam.pgm")
     export_heatmap(result.final_mask, out / f"{stem}_mask.pgm")
     assert result.per_iteration_masks is not None
     for i, mask in enumerate(result.per_iteration_masks):

@@ -1,6 +1,6 @@
 """Grid data types and the pooling / normalization primitives the rest of the
 engine is built on. Everything here is pure and operates in double precision;
-normalization and masking act on plain arrays over their trailing axes, so
+pooling and normalization act on plain arrays over their trailing axes, so
 one call covers a whole stack of maps."""
 
 from __future__ import annotations
@@ -80,17 +80,19 @@ class EmbeddingVector:
         return f"EmbeddingVector(dim={self.dim})"
 
 
-def spatial_avg_pool(f: FeatureMap) -> EmbeddingVector:
-    """Mean over all spatial locations, one value per channel."""
-    return EmbeddingVector(f.values.mean(axis=(0, 1)))
+def spatial_avg_pool(f: np.ndarray) -> np.ndarray:
+    """Mean of each map (..., H, W, d) over its spatial locations, one value
+    per channel: (..., d)."""
+    return f.mean(axis=(-3, -2))
 
 
 def minmax_norm(m: np.ndarray) -> np.ndarray:
     """Affine rescale of each map over the trailing (H, W) axes into [0, 1].
 
     A map whose range is below EPS_NORM carries no localization signal and maps
-    to all zeros, which makes a subsequent mask application a no-op. The rule
-    holds per map, so one flat map in a stack leaves the others untouched.
+    to all zeros, which makes the (1 - mask) suppression that follows a no-op.
+    The rule holds per map, so one flat map in a stack leaves the others
+    untouched.
     """
     lo = m.min(axis=(-2, -1), keepdims=True)
     span = m.max(axis=(-2, -1), keepdims=True) - lo
@@ -112,14 +114,3 @@ def spatial_softmax(m: np.ndarray, peak_rescale: bool = False) -> np.ndarray:
         out = out / out.max(axis=(-2, -1), keepdims=True)
     return out
 
-
-def mask_apply(f: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Suppress every channel of f (..., H, W, d) by (1 - mask) at each
-    location of the matching (..., H, W) masks."""
-    if f.shape[:-1] != m.shape:
-        raise ValueError(
-            f"mask shape {m.shape} does not match feature map {f.shape[:-1]}"
-        )
-    if float(m.min()) < 0.0 or float(m.max()) > 1.0:
-        raise ValueError("mask values must lie in [0, 1]")
-    return f * (1.0 - m)[..., None]

@@ -14,12 +14,10 @@ gradcheck command.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .classifier import PrototypeBank, cosine_matrix
-from .featmap import EmbeddingVector
 
 
 @dataclass(frozen=True)
@@ -61,15 +59,6 @@ class LossReport:
             "total": self.total,
             "per_epoch_totals": list(self.per_epoch_totals),
         }
-
-
-def _stack(embeddings: Iterable[EmbeddingVector], dim: int) -> np.ndarray:
-    rows = []
-    for i, emb in enumerate(embeddings):
-        if emb.dim != dim:
-            raise ValueError(f"embedding {i} has dim {emb.dim}, expected {dim}")
-        rows.append(emb.values)
-    return np.stack(rows)
 
 
 def prototype_batch_loss(
@@ -116,19 +105,27 @@ def _batch_ce_and_grad(
     return ce, term1 - term2
 
 
+def _check_rows(embeddings: np.ndarray, dim: int, what: str) -> None:
+    if embeddings.ndim != 2 or embeddings.shape[1] != dim or len(embeddings) == 0:
+        raise ValueError(f"{what} need a nonempty n x {dim} matrix, got shape {embeddings.shape}")
+
+
 def grad_wrt_prototypes(
     bank: PrototypeBank,
-    batch: list[tuple[EmbeddingVector, int, float]],
+    embeddings: np.ndarray,
+    labels: np.ndarray,
+    item_weights: np.ndarray,
     temperature: float = 10.0,
 ) -> np.ndarray:
-    """Exact gradient of sum_i weight_i * CE_i with respect to every prototype
-    row, returned as a (num_rows x dim) matrix. Embeddings are inputs only and
-    are never modified."""
-    if not batch:
-        raise ValueError("batch must be nonempty")
-    embeddings = _stack((item[0] for item in batch), bank.dim)
-    labels = np.array([item[1] for item in batch], dtype=np.intp)
-    item_weights = np.array([item[2] for item in batch], dtype=np.float64)
+    """Exact gradient of sum_i item_weights[i] * CE_i, item i being row i of the
+    (n x dim) embeddings with joint row label labels[i], with respect to every
+    prototype row, returned as a (num_rows x dim) matrix. Embeddings are inputs
+    only and are never modified."""
+    _check_rows(embeddings, bank.dim, "embeddings")
+    labels = np.asarray(labels, dtype=np.intp)
+    item_weights = np.asarray(item_weights, dtype=np.float64)
+    if labels.shape != embeddings.shape[:1] or item_weights.shape != labels.shape:
+        raise ValueError("need one label and one item weight per embedding")
     if np.any(item_weights <= 0):
         raise ValueError("item weights must be > 0")
     if labels.min() < 0 or labels.max() >= bank.num_rows:
@@ -149,12 +146,14 @@ def _assign_background_labels(
 
 def finetune_bank(
     bank: PrototypeBank,
-    supports: list[tuple[EmbeddingVector, int]],
-    backgrounds: list[EmbeddingVector],
+    embeddings: np.ndarray,
+    labels: np.ndarray,
+    backgrounds: np.ndarray,
     cfg: FinetuneConfig,
 ) -> tuple[PrototypeBank, LossReport]:
-    """Full-batch SGD on the prototype rows, with background embeddings acting
-    as pseudo-unknowns.
+    """Full-batch SGD on the prototype rows, with the (n_bkg x dim) background
+    embeddings acting as pseudo-unknowns beside the (n x dim) support
+    embeddings and their known-class labels.
 
     Each epoch: background embeddings are pseudo-labeled with their nearest
     background row (once at epoch 0 unless reassign_each_epoch), the batch
@@ -164,25 +163,23 @@ def finetune_bank(
     the reported losses are the group means, so the reported total is the
     step objective divided by the support count when groups are equal-sized.
     The report carries the final loss components and the mean total at every
-    epoch plus one final entry evaluated after the last step.
+    epoch plus one final entry evaluated after the last step. A step that
+    leaves a row with a non-finite norm is an error naming its epoch.
     """
     if bank.num_background < 1:
         raise ValueError("fine-tuning needs at least one background row")
-    if not supports:
-        raise ValueError("supports must be nonempty")
-    if not backgrounds:
-        raise ValueError("backgrounds must be nonempty")
-
-    sup = _stack((emb for emb, _ in supports), bank.dim)
-    sup_labels = np.array([label for _, label in supports], dtype=np.intp)
+    _check_rows(embeddings, bank.dim, "supports")
+    _check_rows(backgrounds, bank.dim, "backgrounds")
+    sup_labels = np.asarray(labels, dtype=np.intp)
+    if sup_labels.shape != embeddings.shape[:1]:
+        raise ValueError(f"need {len(embeddings)} support labels, got shape {sup_labels.shape}")
     if sup_labels.min() < 0 or sup_labels.max() >= bank.num_known:
         raise ValueError(f"support labels must lie in [0, {bank.num_known})")
-    bkg = _stack(backgrounds, bank.dim)
 
     # the step optimizes the summed batch loss: weight 1 per support item,
     # bkg_loss_weight per background item; the report still carries the means
-    n_sup, n_bkg = len(supports), len(backgrounds)
-    embeddings = np.concatenate([sup, bkg], axis=0)
+    n_sup, n_bkg = len(embeddings), len(backgrounds)
+    batch = np.concatenate([embeddings, backgrounds], axis=0)
     item_weights = np.concatenate(
         [np.ones(n_sup), np.full(n_bkg, cfg.bkg_loss_weight)]
     )
@@ -192,29 +189,36 @@ def finetune_bank(
     pseudo: np.ndarray | None = None
     trace: list[float] = []
 
-    def evaluate(current_pseudo: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
-        labels = np.concatenate([sup_labels, current_pseudo])
-        ce, grad = _batch_ce_and_grad(weights, embeddings, labels, item_weights, cfg.temperature)
+    def evaluate(current_pseudo: np.ndarray) -> tuple[float, float, np.ndarray]:
+        batch_labels = np.concatenate([sup_labels, current_pseudo])
+        ce, grad = _batch_ce_and_grad(weights, batch, batch_labels, item_weights, cfg.temperature)
         loss_known = float(ce[:n_sup].mean())
         loss_background = float(ce[n_sup:].mean())
-        return loss_known, loss_background, grad, labels
+        return loss_known, loss_background, grad
 
     loss_known = loss_background = 0.0
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         if pseudo is None or cfg.reassign_each_epoch:
-            pseudo = _assign_background_labels(weights, num_known, bkg)
-        loss_known, loss_background, grad, _ = evaluate(pseudo)
+            pseudo = _assign_background_labels(weights, num_known, backgrounds)
+        loss_known, loss_background, grad = evaluate(pseudo)
         trace.append(loss_known + cfg.bkg_loss_weight * loss_background)
         if cfg.freeze_known:
             weights = weights.copy()
             weights[num_known:] -= cfg.learning_rate * grad[num_known:]
         else:
             weights = weights - cfg.learning_rate * grad
+        # a finite row whose norm overflows is as unusable as a non-finite one
+        bad = np.flatnonzero(~np.isfinite(np.linalg.norm(weights, axis=1)))
+        if bad.size:
+            raise ValueError(
+                f"fine-tune step at epoch {epoch} (learning rate {cfg.learning_rate!r}) "
+                f"left prototype row {bad[0]} with non-finite norm"
+            )
 
     if cfg.reassign_each_epoch:
-        pseudo = _assign_background_labels(weights, num_known, bkg)
+        pseudo = _assign_background_labels(weights, num_known, backgrounds)
     assert pseudo is not None
-    loss_known, loss_background, _, _ = evaluate(pseudo)
+    loss_known, loss_background, _ = evaluate(pseudo)
     trace.append(loss_known + cfg.bkg_loss_weight * loss_background)
 
     new_bank = PrototypeBank(weights[:num_known], weights[num_known:])

@@ -26,7 +26,7 @@ from .classifier import (
 )
 from .dataset_io import read_dataset
 from .episode import EpisodeSpec, FeatureDataset, derive_episode_seed, sample_episode
-from .featmap import NORM_KINDS, NORM_MINMAX, EmbeddingVector, spatial_avg_pool
+from .featmap import NORM_KINDS, NORM_MINMAX, spatial_avg_pool
 from .finetune import FinetuneConfig, finetune_bank, grad_wrt_prototypes, prototype_batch_loss
 from .metrics import EpisodeMetrics, accuracy, aggregate, auroc
 from .procam import ProCamConfig, procam_for_support
@@ -201,11 +201,6 @@ def validate_dataset_for_config(ds: FeatureDataset, cfg: RunConfig) -> None:
         )
 
 
-def _pooled(fmaps) -> np.ndarray:
-    """The pooled embeddings of feature maps as an (n x d) matrix."""
-    return np.stack([spatial_avg_pool(f).values for f in fmaps])
-
-
 def evaluate_episode(
     ds: FeatureDataset, cfg: RunConfig, index: int, global_strategy: InitStrategy | None = None
 ) -> dict:
@@ -217,8 +212,9 @@ def evaluate_episode(
     sample_seed = derive_episode_seed(cfg.master_seed, index, stream=0)
     try:
         episode = sample_episode(ds, cfg.episode_spec(sample_seed))
-        support_emb = [(spatial_avg_pool(f), c) for f, c in episode.support]
-        bank = build_known_prototypes(support_emb, cfg.n_way, cfg.k_shot)
+        support = spatial_avg_pool(np.stack([f.values for f, _ in episode.support]))
+        support_labels = np.array([c for _, c in episode.support])
+        bank = build_known_prototypes(support, support_labels, cfg.n_way, cfg.k_shot)
 
         loss_report = None
         if cfg.use_background_classes:
@@ -226,7 +222,7 @@ def evaluate_episode(
             bg_embeddings = None
             if needs_mining:
                 pairs = procam_for_support(list(episode.support), bank, cfg.procam_config())
-                bg_embeddings = [bg for _, bg in pairs]
+                bg_embeddings = np.stack([bg.values for _, bg in pairs])
             if cfg.init_kind == INIT_GLOBAL:
                 strategy = global_strategy or InitStrategy(
                     INIT_GLOBAL, seed=derive_episode_seed(cfg.master_seed, 0, stream=1)
@@ -238,16 +234,16 @@ def evaluate_episode(
             bank = init_background(bank, strategy, cfg.num_background, bg_embeddings)
             if cfg.use_procam_finetune:
                 bank, loss_report = finetune_bank(
-                    bank, support_emb, bg_embeddings, cfg.finetune_config()
+                    bank, support, support_labels, bg_embeddings, cfg.finetune_config()
                 )
                 if strategy.kind == INIT_GLOBAL:
                     strategy.persisted_weights = np.array(bank.background_weights)
 
         score_kind = cfg.score_kind if cfg.use_background_classes else SCORE_NEG_MAX_KNOWN
-        rows, known_scores = predict(
-            bank, _pooled(f for f, _ in episode.known_queries), score_kind
-        )
-        _, unknown_scores = predict(bank, _pooled(episode.unknown_queries), score_kind)
+        known = spatial_avg_pool(np.stack([f.values for f, _ in episode.known_queries]))
+        unknown = spatial_avg_pool(np.stack([f.values for f in episode.unknown_queries]))
+        rows, known_scores = predict(bank, known, score_kind)
+        _, unknown_scores = predict(bank, unknown, score_kind)
         acc_pairs = [
             (None if row >= bank.num_known else int(row), truth)
             for row, (_, truth) in zip(rows, episode.known_queries)
@@ -371,15 +367,17 @@ GRADCHECK_THRESHOLD = 1e-4
 
 
 def _random_prototype_case(rng: np.random.Generator, shape: tuple[int, int, int]):
+    """A random bank and batch: embeddings, joint row labels, item weights."""
     n_known, n_background, dim = shape
-    rows = rng.normal(size=(n_known + n_background, dim))
+    num_rows = n_known + n_background
+    rows = rng.normal(size=(num_rows, dim))
     bank = PrototypeBank(rows[:n_known], rows[n_known:])
-    batch = []
-    for _ in range(n_known + n_background):
-        label = int(rng.integers(0, n_known + n_background))
-        weight = 1.0 if label < n_known else 0.05
-        batch.append((EmbeddingVector(rng.normal(size=dim)), label, weight))
-    return bank, batch
+    labels, embeddings = [], []
+    for _ in range(num_rows):
+        labels.append(int(rng.integers(0, num_rows)))
+        embeddings.append(rng.normal(size=dim))
+    labels = np.array(labels)
+    return bank, np.array(embeddings), labels, np.where(labels < n_known, 1.0, 0.05)
 
 
 def gradcheck_report(
@@ -398,11 +396,10 @@ def gradcheck_report(
     rng = np.random.default_rng(seed)
     proto_err = 0.0
     for t in range(trials):
-        bank, batch = _random_prototype_case(rng, tuple(prototype_shapes[t % len(prototype_shapes)]))
-        analytic = grad_wrt_prototypes(bank, batch, temperature) + perturb
-        embeddings = np.stack([item[0].values for item in batch])
-        labels = np.array([item[1] for item in batch])
-        weights = np.array([item[2] for item in batch])
+        bank, embeddings, labels, weights = _random_prototype_case(
+            rng, tuple(prototype_shapes[t % len(prototype_shapes)])
+        )
+        analytic = grad_wrt_prototypes(bank, embeddings, labels, weights, temperature) + perturb
         numeric = finite_difference(
             lambda w: prototype_batch_loss(
                 w.reshape(bank.num_rows, bank.dim), embeddings, labels, weights, temperature

@@ -1,5 +1,5 @@
 """Class activation maps and the progressive mining loop that turns a stack of
-support feature maps into foreground masks and background feature maps."""
+support feature maps into foreground masks and background embeddings."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from .featmap import (
     NORM_MINMAX,
     EmbeddingVector,
     FeatureMap,
-    mask_apply,
     minmax_norm,
     spatial_avg_pool,
     spatial_softmax,
@@ -39,11 +38,12 @@ class ProCamConfig:
 
 @dataclass(frozen=True)
 class ProCamResult:
-    """Mining output for one map: the (H, W) foreground mask, the (H, W, d)
-    background map, and with include_trace the per-iteration (H, W) masks."""
+    """Mining output for one map: the (H, W) foreground mask, the (d,)
+    background embedding, and with include_trace the per-iteration (H, W)
+    masks."""
 
     final_mask: np.ndarray
-    background_map: np.ndarray
+    background: np.ndarray
     per_iteration_masks: tuple[np.ndarray, ...] | None = None
 
 
@@ -62,34 +62,41 @@ def _mine(
     """Progressive activation mining of n maps (n, H, W, d) at once, map i with
     class weights weights[i].
 
-    Each iteration computes the activation maps of the working features, masks
-    the discovered regions out, and continues on what is left, so later passes
-    surface regions the first maps missed. The normalized per-iteration maps
-    are summed and min-max normalized into the final foreground masks; the
-    background maps are the original features suppressed by those masks. Every
-    normalization is per map. Returns the final masks, the background maps and
-    the per-iteration masks (empty unless cfg.include_trace).
+    Each iteration normalizes the activation maps of what is left and
+    suppresses the discovered regions by (1 - mask), so later passes surface
+    regions the first maps missed. A per-location factor comes out of the
+    channel sum, cam(f * (1 - m), w) = (1 - m) * cam(f, w), so one cam is scaled
+    in place of masked copies of the features. The per-iteration masks are summed
+    and min-max normalized into the final masks; the background embeddings are
+    the spatial means of the features suppressed by them. Every normalization
+    is per map. Returns the (n, H, W) final masks, the (n, d) background
+    embeddings and the per-iteration masks (empty unless cfg.include_trace).
     """
-    working = stack
-    total = np.zeros(stack.shape[:-1])
+    activation = cam(stack, weights)
+    total = np.zeros(activation.shape)
     trace: list[np.ndarray] = []
     for _ in range(cfg.iterations):
-        raw = cam(working, weights)
-        step = minmax_norm(raw) if cfg.norm_kind == NORM_MINMAX else spatial_softmax(raw, peak_rescale=True)
+        if cfg.norm_kind == NORM_MINMAX:
+            step = minmax_norm(activation)
+        else:
+            step = spatial_softmax(activation, peak_rescale=True)
         total = total + step
-        working = mask_apply(working, step)
+        activation = activation * (1.0 - step)
         if cfg.include_trace:
             trace.append(step)
     final_masks = minmax_norm(total)
-    return final_masks, mask_apply(stack, final_masks), trace
+    cells = final_masks.shape[-2] * final_masks.shape[-1]
+    backgrounds = np.einsum("nhw,nhwd->nd", 1.0 - final_masks, stack) / cells
+    return final_masks, backgrounds, trace
 
 
-def procam(f: FeatureMap, w: EmbeddingVector, cfg: ProCamConfig) -> ProCamResult:
-    """Progressive activation mining of one feature map with class weights w."""
-    masks, backgrounds, trace = _mine(f.values[None], w.values[None], cfg)
+def procam(f: FeatureMap, w: np.ndarray, cfg: ProCamConfig) -> ProCamResult:
+    """Progressive activation mining of one feature map with the (d,) class
+    weights w."""
+    masks, backgrounds, trace = _mine(f.values[None], w[None], cfg)
     return ProCamResult(
         final_mask=masks[0],
-        background_map=backgrounds[0],
+        background=backgrounds[0],
         per_iteration_masks=tuple(step[0] for step in trace) if cfg.include_trace else None,
     )
 
@@ -98,16 +105,18 @@ def procam_for_support(
     supports: list[tuple[FeatureMap, int]], bank: PrototypeBank, cfg: ProCamConfig
 ) -> list[tuple[EmbeddingVector, EmbeddingVector]]:
     """(foreground, background) embedding pairs for every support item, mining
-    each item with its own class prototype. All items are mined as one stack;
-    order follows the input."""
+    each item with its own class prototype. All items are mined and pooled as
+    one stack; order follows the input."""
     labels = [label for _, label in supports]
     for label in labels:
         if not 0 <= label < bank.num_known:
             raise ValueError(f"no known prototype for class {label} (bank has {bank.num_known})")
     stack = np.stack([fmap.values for fmap, _ in supports])
     _, backgrounds, _ = _mine(stack, bank.known_weights[labels], cfg)
-    pooled = backgrounds.mean(axis=(1, 2))
-    return [(spatial_avg_pool(fmap), EmbeddingVector(bg)) for (fmap, _), bg in zip(supports, pooled)]
+    return [
+        (EmbeddingVector(fg), EmbeddingVector(bg))
+        for fg, bg in zip(spatial_avg_pool(stack), backgrounds)
+    ]
 
 
 def mask_iou(mask: np.ndarray, truth, threshold: float = 0.5) -> float:

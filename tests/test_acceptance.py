@@ -8,7 +8,7 @@ import pytest
 
 from fsosr.classifier import InitStrategy, build_known_prototypes, init_background
 from fsosr.episode import EpisodeSpec, derive_episode_seed, sample_episode
-from fsosr.featmap import EmbeddingVector, FeatureMap, minmax_norm, spatial_avg_pool
+from fsosr.featmap import FeatureMap, minmax_norm, spatial_avg_pool
 from fsosr.finetune import FinetuneConfig, finetune_bank
 from fsosr.metrics import auroc
 from fsosr.pipeline import (
@@ -90,11 +90,11 @@ def test_criterion_3_procam_reductions_and_invariants():
     detail = ""
     for _ in range(50):
         fvals = rng.normal(size=(5, 5, 6))
-        w = EmbeddingVector(rng.normal(size=6))
+        w = rng.normal(size=6)
         f = FeatureMap(fvals)
         # tau=1 min-max reduction equality (exact)
         single = procam(f, w, ProCamConfig(iterations=1))
-        expected = minmax_norm(cam(fvals, w.values))
+        expected = minmax_norm(cam(fvals, w))
         if not np.array_equal(single.final_mask, expected):
             ok, detail = False, "tau=1 reduction mismatch"
             break
@@ -149,7 +149,7 @@ def test_criterion_5_tau_sweep_direction(benchmark_dataset):
     start = time.time()
     path, ds, masks = benchmark_dataset
     # mask quality: mining with the exact class signature direction
-    signatures = {c: EmbeddingVector(np.eye(ds.channels)[c]) for c in range(ds.num_classes)}
+    signatures = np.eye(ds.channels)
     mean_ious = []
     for tau in (1, 2, 3, 4):
         cfg = ProCamConfig(iterations=tau)
@@ -182,13 +182,15 @@ def test_criterion_6_finetune_descent(benchmark_dataset):
     for i in range(n_episodes):
         spec = EpisodeSpec(seed=derive_episode_seed(123, i, 0))
         episode = sample_episode(ds, spec)
-        sup = [(spatial_avg_pool(f), c) for f, c in episode.support]
-        bank = build_known_prototypes(sup, 5, 5)
+        sup = spatial_avg_pool(np.stack([f.values for f, _ in episode.support]))
+        labels = np.array([c for _, c in episode.support])
+        bank = build_known_prototypes(sup, labels, 5, 5)
         pairs = procam_for_support(list(episode.support), bank, ProCamConfig(iterations=4))
         bank = init_background(
             bank, InitStrategy("random", seed=derive_episode_seed(123, i, 1)), 1
         )
-        _, report = finetune_bank(bank, sup, [b for _, b in pairs], FinetuneConfig())
+        bgs = np.stack([b.values for _, b in pairs])
+        _, report = finetune_bank(bank, sup, labels, bgs, FinetuneConfig())
         if report.per_epoch_totals[-1] < report.per_epoch_totals[0]:
             descended += 1
     elapsed = time.time() - start

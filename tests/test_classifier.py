@@ -9,78 +9,85 @@ from fsosr.classifier import (
     init_background,
     predict,
 )
-from fsosr.featmap import EmbeddingVector
 
 
-def emb(*vals):
-    return EmbeddingVector(np.array(vals, dtype=float))
+def known(*rows):
+    """A bank with one known row per argument, each its own single shot."""
+    return build_known_prototypes(np.array(rows, dtype=float), np.arange(len(rows)), len(rows), 1)
 
 
 class TestBuildKnownPrototypes:
     def test_single_shot_is_identity(self):
-        bank = build_known_prototypes([(emb(3.0, -1.0), 0)], n_way=1, k_shot=1)
+        bank = build_known_prototypes(np.array([[3.0, -1.0]]), np.array([0]), n_way=1, k_shot=1)
         assert bank.known_weights.tolist() == [[3.0, -1.0]]
 
     def test_two_shot_midpoint(self):
-        bank = build_known_prototypes([(emb(1.0, 0.0), 0), (emb(0.0, 1.0), 0)], 1, 2)
+        bank = build_known_prototypes(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 0]), 1, 2)
         assert bank.known_weights.tolist() == [[0.5, 0.5]]
 
     def test_against_accumulation_oracle(self):
         rng = np.random.default_rng(0)
-        support = []
+        rows, labels = [], []
         expected = {}
         for c in range(5):
             shots = rng.normal(size=(5, 12))
-            for row in shots:
-                support.append((EmbeddingVector(row), c))
+            rows.extend(shots)
+            labels.extend([c] * 5)
             acc = np.zeros(12)
             for row in shots:
                 acc = acc + row
             expected[c] = acc / 5
-        bank = build_known_prototypes(support, 5, 5)
+        # shuffled rows, so grouping by label is exercised
+        perm = rng.permutation(25)
+        bank = build_known_prototypes(np.array(rows)[perm], np.array(labels)[perm], 5, 5)
         for c in range(5):
             np.testing.assert_allclose(bank.known_weights[c], expected[c], atol=1e-12)
 
     def test_permutation_gives_bit_identical_prototypes(self):
         rng = np.random.default_rng(1)
-        shots = [(EmbeddingVector(rng.normal(size=6)), 0) for _ in range(5)]
-        a = build_known_prototypes(shots, 1, 5).known_weights
-        b = build_known_prototypes(shots[::-1], 1, 5).known_weights
-        shuffled = [shots[i] for i in (2, 0, 4, 1, 3)]
-        c = build_known_prototypes(shuffled, 1, 5).known_weights
+        shots = rng.normal(size=(10, 6))
+        labels = np.array([0, 1] * 5)
+        a = build_known_prototypes(shots, labels, 2, 5).known_weights
+        b = build_known_prototypes(shots[::-1], labels[::-1], 2, 5).known_weights
+        perm = rng.permutation(10)
+        c = build_known_prototypes(shots[perm], labels[perm], 2, 5).known_weights
         assert a.tobytes() == b.tobytes() == c.tobytes()
 
     def test_unequal_counts_raise(self):
         with pytest.raises(ValueError, match="expected 1"):
-            build_known_prototypes([(emb(1.0, 0.0), 0), (emb(0.0, 1.0), 0)], 2, 1)
+            build_known_prototypes(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 0]), 2, 1)
+
+    def test_label_outside_way_raises(self):
+        with pytest.raises(ValueError, match="outside"):
+            build_known_prototypes(np.array([[1.0, 0.0]]), np.array([3]), 2, 1)
 
     def test_zero_norm_prototype_raises(self):
         with pytest.raises(ValueError, match="zero norm"):
-            build_known_prototypes([(emb(1.0, 0.0), 0), (emb(-1.0, 0.0), 0)], 1, 2)
+            build_known_prototypes(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0, 0]), 1, 2)
 
 
 class TestInitBackground:
     def test_random_is_deterministic(self):
-        bank = build_known_prototypes([(emb(1.0, 0.0, 0.0), 0)], 1, 1)
+        bank = known([1.0, 0.0, 0.0])
         s = InitStrategy("random", seed=42)
         a = init_background(bank, s, 3).background_weights
         b = init_background(bank, s, 3).background_weights
         assert a.tobytes() == b.tobytes()
 
     def test_different_seeds_differ(self):
-        bank = build_known_prototypes([(emb(1.0, 0.0, 0.0), 0)], 1, 1)
+        bank = known([1.0, 0.0, 0.0])
         a = init_background(bank, InitStrategy("random", seed=1), 2).background_weights
         b = init_background(bank, InitStrategy("random", seed=2), 2).background_weights
         assert not np.array_equal(a, b)
 
     def test_avg_single_row_mean(self):
-        bank = build_known_prototypes([(emb(1.0, 1.0), 0)], 1, 1)
-        out = init_background(bank, InitStrategy("avg"), 1, [emb(2.0, 0.0), emb(0.0, 2.0)])
+        bank = known([1.0, 1.0])
+        out = init_background(bank, InitStrategy("avg"), 1, np.array([[2.0, 0.0], [0.0, 2.0]]))
         assert out.background_weights.tolist() == [[1.0, 1.0]]
 
     def test_avg_round_robin_partition(self):
-        bank = build_known_prototypes([(emb(1.0, 1.0), 0)], 1, 1)
-        embeddings = [emb(2.0, 0.0), emb(0.0, 2.0), emb(4.0, 0.0)]
+        bank = known([1.0, 1.0])
+        embeddings = np.array([[2.0, 0.0], [0.0, 2.0], [4.0, 0.0]])
         out = init_background(bank, InitStrategy("avg"), 2, embeddings)
         # rows 0 and 2 go to partition 0, row 1 to partition 1
         assert out.background_weights.tolist() == [[3.0, 0.0], [0.0, 2.0]]
@@ -93,14 +100,16 @@ class TestInitBackground:
         assert np.all(out.background_weights <= bound)
 
     def test_avg_requires_embeddings(self):
-        bank = build_known_prototypes([(emb(1.0, 0.0), 0)], 1, 1)
+        bank = known([1.0, 0.0])
         with pytest.raises(ValueError, match="background embedding"):
             init_background(bank, InitStrategy("avg"), 1, None)
         with pytest.raises(ValueError, match="every row"):
-            init_background(bank, InitStrategy("avg"), 3, [emb(1.0, 0.0)])
+            init_background(bank, InitStrategy("avg"), 3, np.array([[1.0, 0.0]]))
+        with pytest.raises(ValueError, match="shape n x 2"):
+            init_background(bank, InitStrategy("avg"), 1, np.ones((2, 3)))
 
     def test_global_seeds_once_then_persists(self):
-        bank = build_known_prototypes([(emb(1.0, 0.0, 0.0), 0)], 1, 1)
+        bank = known([1.0, 0.0, 0.0])
         strategy = InitStrategy("global", seed=5)
         first = init_background(bank, strategy, 2).background_weights
         assert strategy.persisted_weights is not None
@@ -109,7 +118,7 @@ class TestInitBackground:
         np.testing.assert_array_equal(second, first * 2.0)
 
     def test_zero_rows_allowed(self):
-        bank = build_known_prototypes([(emb(1.0, 0.0), 0)], 1, 1)
+        bank = known([1.0, 0.0])
         out = init_background(bank, InitStrategy("random"), 0)
         assert out.num_background == 0
 

@@ -15,7 +15,6 @@ from fsosr.episode import (
 from fsosr.featmap import FeatureMap, spatial_avg_pool
 from fsosr.metrics import accuracy
 from fsosr.procam import cam
-from fsosr.featmap import EmbeddingVector
 
 
 def tiny_dataset(num_classes=10, items_per_class=8, h=2, w=2, d=3, seed=0):
@@ -162,9 +161,9 @@ class TestGenerateSynthetic:
         for i in range(60):
             ep = sample_episode(ds, EpisodeSpec(n_way=5, k_shot=5, n_query=5, n_open_classes=5,
                                                 n_open_query=5, seed=derive_episode_seed(9, i)))
-            sup = [(spatial_avg_pool(f), c) for f, c in ep.support]
-            bank = build_known_prototypes(sup, 5, 5)
-            rows, _ = predict(bank, np.stack([spatial_avg_pool(f).values for f, _ in ep.known_queries]))
+            sup = spatial_avg_pool(np.stack([f.values for f, _ in ep.support]))
+            bank = build_known_prototypes(sup, np.array([c for _, c in ep.support]), 5, 5)
+            rows, _ = predict(bank, spatial_avg_pool(np.stack([f.values for f, _ in ep.known_queries])))
             hits.append(accuracy(zip(rows, (truth for _, truth in ep.known_queries))))
         assert abs(np.mean(hits) - 0.2) < 0.06
 
@@ -172,10 +171,10 @@ class TestGenerateSynthetic:
         ds, masks = default_dataset
         protos = {}
         for c in range(ds.num_classes):
-            pooled = [spatial_avg_pool(ds.items[i][0]).values for i in ds.class_index[c]]
-            protos[c] = EmbeddingVector(np.mean(pooled, axis=0))
+            pooled = spatial_avg_pool(np.stack([ds.items[i][0].values for i in ds.class_index[c]]))
+            protos[c] = pooled.mean(axis=0)
         for i, (fmap, label) in enumerate(ds.items):
-            activation = cam(fmap.values, protos[label].values)
+            activation = cam(fmap.values, protos[label])
             gt = masks[i]
             assert activation[gt].mean() > activation[~gt].mean()
 

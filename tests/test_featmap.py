@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from fsosr.featmap import (
     EmbeddingVector,
     FeatureMap,
-    mask_apply,
     minmax_norm,
     spatial_avg_pool,
     spatial_softmax,
@@ -51,17 +50,15 @@ class TestTypes:
 
 class TestSpatialAvgPool:
     def test_single_cell_identity(self):
-        f = FeatureMap(np.array([[[1.0, 2.0, 3.0]]]))
-        assert spatial_avg_pool(f).values.tolist() == [1.0, 2.0, 3.0]
+        assert spatial_avg_pool(np.array([[[1.0, 2.0, 3.0]]])).tolist() == [1.0, 2.0, 3.0]
 
     def test_arithmetic_mean(self):
-        f = FeatureMap(np.array([1.0, 2.0, 3.0, 4.0]).reshape(2, 2, 1))
-        assert spatial_avg_pool(f).values.tolist() == [2.5]
+        assert spatial_avg_pool(np.array([1.0, 2.0, 3.0, 4.0]).reshape(2, 2, 1)).tolist() == [2.5]
 
     def test_against_summation_oracle(self):
         rng = np.random.default_rng(0)
         vals = rng.normal(size=(4, 4, 8))
-        pooled = spatial_avg_pool(FeatureMap(vals)).values
+        pooled = spatial_avg_pool(vals)
         for c in range(8):
             total = 0.0
             for a in range(4):
@@ -73,9 +70,16 @@ class TestSpatialAvgPool:
         rng = np.random.default_rng(1)
         f = rng.normal(size=(3, 5, 4))
         g = rng.normal(size=(3, 5, 4))
-        lhs = spatial_avg_pool(FeatureMap(2.5 * f + 0.3 * g)).values
-        rhs = 2.5 * spatial_avg_pool(FeatureMap(f)).values + 0.3 * spatial_avg_pool(FeatureMap(g)).values
+        lhs = spatial_avg_pool(2.5 * f + 0.3 * g)
+        rhs = 2.5 * spatial_avg_pool(f) + 0.3 * spatial_avg_pool(g)
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
+
+    def test_stack_pools_each_map_alone(self):
+        stack = np.random.default_rng(11).normal(size=(3, 2, 5, 4))
+        out = spatial_avg_pool(stack)
+        assert out.shape == (3, 4)
+        for i in range(3):
+            np.testing.assert_array_equal(out[i], spatial_avg_pool(stack[i]))
 
 
 class TestMinmaxNorm:
@@ -156,53 +160,3 @@ class TestSpatialSoftmax:
         assert out.sum() == pytest.approx(1.0, abs=1e-9)
         shifted = spatial_softmax(vals + shift)
         np.testing.assert_allclose(out, shifted, atol=1e-9)
-
-
-class TestMaskApply:
-    def test_zero_mask_is_identity(self):
-        rng = np.random.default_rng(4)
-        f = rng.normal(size=(3, 4, 2))
-        out = mask_apply(f, np.zeros((3, 4)))
-        np.testing.assert_array_equal(out, f)
-
-    def test_full_mask_suppresses_everything(self):
-        rng = np.random.default_rng(5)
-        f = rng.normal(size=(3, 4, 2))
-        out = mask_apply(f, np.ones((3, 4)))
-        np.testing.assert_array_equal(out, np.zeros((3, 4, 2)))
-
-    def test_elementwise_product_oracle(self):
-        rng = np.random.default_rng(6)
-        fvals = rng.normal(size=(3, 3, 4))
-        mvals = rng.uniform(size=(3, 3))
-        out = mask_apply(fvals, (mvals))
-        for a in range(3):
-            for b in range(3):
-                for c in range(4):
-                    assert out[a, b, c] == pytest.approx(fvals[a, b, c] * (1 - mvals[a, b]), abs=1e-12)
-
-    def test_stack_applies_each_mask_to_its_map(self):
-        rng = np.random.default_rng(10)
-        fvals = rng.normal(size=(2, 3, 3, 4))
-        mvals = rng.uniform(size=(2, 3, 3))
-        out = mask_apply(fvals, mvals)
-        for i in range(2):
-            np.testing.assert_array_equal(out[i], mask_apply(fvals[i], mvals[i]))
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError, match="does not match"):
-            mask_apply(np.zeros((2, 2, 1)), np.zeros((3, 2)))
-
-    def test_out_of_range_mask_raises(self):
-        f = np.zeros((2, 2, 1))
-        with pytest.raises(ValueError, match="lie in"):
-            mask_apply(f, np.array([[0.0, 1.5], [0.0, 0.0]]))
-
-    @settings(max_examples=50, deadline=None)
-    @given(small_maps(4))
-    def test_never_increases_magnitude(self, mvals):
-        mvals = (mvals - mvals.min()) / max(mvals.max() - mvals.min(), 1e-9)
-        rng = np.random.default_rng(7)
-        fvals = rng.normal(size=mvals.shape + (3,))
-        out = mask_apply(fvals, (mvals))
-        assert np.all(np.abs(out) <= np.abs(fvals) + 1e-15)

@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 
 from fsosr.classifier import PrototypeBank
-from fsosr.featmap import EmbeddingVector
 from fsosr.finetune import FinetuneConfig, finetune_bank, grad_wrt_prototypes, prototype_batch_loss
 from fsosr.pipeline import finite_difference, max_relative_error
-
-
-def emb(vals):
-    return EmbeddingVector(np.asarray(vals, dtype=float))
 
 
 def _cos(w, q):
@@ -61,17 +56,19 @@ class TestCeLossCosine:
 class TestGradWrtPrototypes:
     def test_saturated_correct_prediction_has_tiny_gradient(self):
         bank = PrototypeBank(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        batch = [(emb([2.0, 0.0]), 0, 1.0)]
-        grad = grad_wrt_prototypes(bank, batch, temperature=400.0)
+        grad = grad_wrt_prototypes(
+            bank, np.array([[2.0, 0.0]]), np.array([0]), np.array([1.0]), temperature=400.0
+        )
         assert np.abs(grad).max() < 1e-8
 
     def test_two_class_finite_difference(self):
         rng = np.random.default_rng(2)
         rows = rng.normal(size=(2, 2))
         bank = PrototypeBank(rows[:1], rows[1:])
-        batch = [(EmbeddingVector(rng.normal(size=2)), 1, 0.05)]
-        analytic = grad_wrt_prototypes(bank, batch, temperature=10.0)
-        embeddings = np.stack([batch[0][0].values])
+        embeddings = rng.normal(size=(1, 2))
+        analytic = grad_wrt_prototypes(
+            bank, embeddings, np.array([1]), np.array([0.05]), temperature=10.0
+        )
         numeric = finite_difference(
             lambda w: prototype_batch_loss(
                 w.reshape(2, 2), embeddings, np.array([1]), np.array([0.05]), 10.0
@@ -84,14 +81,13 @@ class TestGradWrtPrototypes:
         rng = np.random.default_rng(3)
         rows = rng.normal(size=(7, 16))
         bank = PrototypeBank(rows[:5], rows[5:])
-        batch = []
+        labels, rows_of_batch = [], []
         for _ in range(9):
-            label = int(rng.integers(0, 7))
-            batch.append((EmbeddingVector(rng.normal(size=16)), label, 1.0 if label < 5 else 0.05))
-        analytic = grad_wrt_prototypes(bank, batch, temperature=10.0)
-        embeddings = np.stack([b[0].values for b in batch])
-        labels = np.array([b[1] for b in batch])
-        weights = np.array([b[2] for b in batch])
+            labels.append(int(rng.integers(0, 7)))
+            rows_of_batch.append(rng.normal(size=16))
+        embeddings, labels = np.array(rows_of_batch), np.array(labels)
+        weights = np.where(labels < 5, 1.0, 0.05)
+        analytic = grad_wrt_prototypes(bank, embeddings, labels, weights, temperature=10.0)
         numeric = finite_difference(
             lambda w: prototype_batch_loss(w.reshape(7, 16), embeddings, labels, weights, 10.0),
             rows.reshape(-1),
@@ -100,7 +96,7 @@ class TestGradWrtPrototypes:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
-            grad_wrt_prototypes(PrototypeBank(np.eye(2)), [])
+            grad_wrt_prototypes(PrototypeBank(np.eye(2)), np.zeros((0, 2)), [], [])
 
 
 def _oracle_finetune(weights0, num_known, supports, labels, backgrounds, cfg):
@@ -159,89 +155,81 @@ def _oracle_finetune(weights0, num_known, supports, labels, backgrounds, cfg):
 class TestFinetuneBank:
     def _toy_inputs(self, seed=4, n_way=3, k_shot=2, dim=6, n_bkg=2):
         rng = np.random.default_rng(seed)
-        supports = [(EmbeddingVector(rng.normal(size=dim)), c) for c in range(n_way) for _ in range(k_shot)]
-        backgrounds = [EmbeddingVector(rng.normal(size=dim)) for _ in range(4)]
-        known = np.stack(
-            [np.mean([e.values for e, lab in supports if lab == c], axis=0) for c in range(n_way)]
-        )
+        supports = rng.normal(size=(n_way * k_shot, dim))
+        labels = np.repeat(np.arange(n_way), k_shot)
+        backgrounds = rng.normal(size=(4, dim))
+        known = np.stack([supports[labels == c].mean(axis=0) for c in range(n_way)])
         bank = PrototypeBank(known, rng.normal(size=(n_bkg, dim)))
-        return bank, supports, backgrounds
+        return bank, supports, labels, backgrounds
 
     def test_zero_learning_rate_is_identity(self):
-        bank, supports, backgrounds = self._toy_inputs()
+        bank, supports, labels, backgrounds = self._toy_inputs()
         cfg = FinetuneConfig(epochs=5, learning_rate=0.0)
-        out, report = finetune_bank(bank, supports, backgrounds, cfg)
+        out, report = finetune_bank(bank, supports, labels, backgrounds, cfg)
         assert out.all_weights().tobytes() == bank.all_weights().tobytes()
         assert len(report.per_epoch_totals) == 6
         assert len(set(report.per_epoch_totals)) == 1
 
     def test_descent_on_toy_problem(self):
         bank = PrototypeBank(np.array([[1.0, 0.0]]), np.array([[0.3, -0.4]]))
-        supports = [(emb([1.0, 0.0]), 0)]
-        backgrounds = [emb([0.0, 1.0])]
-        _, report = finetune_bank(bank, supports, backgrounds, FinetuneConfig())
+        _, report = finetune_bank(
+            bank, np.array([[1.0, 0.0]]), np.array([0]), np.array([[0.0, 1.0]]), FinetuneConfig()
+        )
         assert report.per_epoch_totals[-1] < report.per_epoch_totals[0]
 
     def test_matches_independent_reexecution(self):
         rng = np.random.default_rng(5)
         n_way, k_shot, dim = 5, 5, 8
-        supports = [(EmbeddingVector(rng.normal(size=dim)), c) for c in range(n_way) for _ in range(k_shot)]
-        backgrounds = [EmbeddingVector(rng.normal(size=dim)) for _ in range(10)]
-        known = np.stack(
-            [np.mean([e.values for e, lab in supports if lab == c], axis=0) for c in range(n_way)]
-        )
+        supports = rng.normal(size=(n_way * k_shot, dim))
+        labels = np.repeat(np.arange(n_way), k_shot)
+        backgrounds = rng.normal(size=(10, dim))
+        known = np.stack([supports[labels == c].mean(axis=0) for c in range(n_way)])
         bkg_rows = rng.normal(size=(2, dim))
         bank = PrototypeBank(known, bkg_rows)
         cfg = FinetuneConfig(epochs=7, learning_rate=0.05, bkg_loss_weight=0.2)
-        out, report = finetune_bank(bank, supports, backgrounds, cfg)
-        sup_vals = [e.values for e, _ in supports]
-        labels = [lab for _, lab in supports]
-        bkg_vals = [b.values for b in backgrounds]
+        out, report = finetune_bank(bank, supports, labels, backgrounds, cfg)
         expected_weights, expected_trace = _oracle_finetune(
-            np.vstack([known, bkg_rows]), n_way, sup_vals, labels, bkg_vals, cfg
+            np.vstack([known, bkg_rows]), n_way, list(supports), list(labels), list(backgrounds), cfg
         )
         np.testing.assert_allclose(out.all_weights(), expected_weights, atol=1e-9)
         np.testing.assert_allclose(report.per_epoch_totals, expected_trace, atol=1e-9)
 
     def test_fixed_pseudo_labels_mode(self):
-        bank, supports, backgrounds = self._toy_inputs(seed=6)
+        bank, supports, labels, backgrounds = self._toy_inputs(seed=6)
         cfg = FinetuneConfig(epochs=6, learning_rate=0.05, reassign_each_epoch=False)
-        out, report = finetune_bank(bank, supports, backgrounds, cfg)
-        sup_vals = [e.values for e, _ in supports]
-        labels = [lab for _, lab in supports]
-        bkg_vals = [b.values for b in backgrounds]
+        out, report = finetune_bank(bank, supports, labels, backgrounds, cfg)
         expected_weights, expected_trace = _oracle_finetune(
-            bank.all_weights(), bank.num_known, sup_vals, labels, bkg_vals, cfg
+            bank.all_weights(), bank.num_known, list(supports), list(labels), list(backgrounds), cfg
         )
         np.testing.assert_allclose(out.all_weights(), expected_weights, atol=1e-9)
         np.testing.assert_allclose(report.per_epoch_totals, expected_trace, atol=1e-9)
 
     def test_freeze_known_leaves_known_rows(self):
-        bank, supports, backgrounds = self._toy_inputs(seed=7)
+        bank, supports, labels, backgrounds = self._toy_inputs(seed=7)
         cfg = FinetuneConfig(epochs=4, learning_rate=0.1, freeze_known=True)
-        out, _ = finetune_bank(bank, supports, backgrounds, cfg)
+        out, _ = finetune_bank(bank, supports, labels, backgrounds, cfg)
         np.testing.assert_array_equal(out.known_weights, bank.known_weights)
         assert not np.array_equal(out.background_weights, bank.background_weights)
 
     def test_inputs_never_modified(self):
-        bank, supports, backgrounds = self._toy_inputs(seed=8)
-        before_sup = [e.values.copy() for e, _ in supports]
-        before_bkg = [b.values.copy() for b in backgrounds]
-        finetune_bank(bank, supports, backgrounds, FinetuneConfig(epochs=3, learning_rate=0.1))
-        for (e, _), before in zip(supports, before_sup):
-            np.testing.assert_array_equal(e.values, before)
-        for b, before in zip(backgrounds, before_bkg):
-            np.testing.assert_array_equal(b.values, before)
+        bank, supports, labels, backgrounds = self._toy_inputs(seed=8)
+        before = [a.copy() for a in (supports, labels, backgrounds)]
+        cfg = FinetuneConfig(epochs=3, learning_rate=0.1)
+        finetune_bank(bank, supports, labels, backgrounds, cfg)
+        for after, expected in zip((supports, labels, backgrounds), before):
+            np.testing.assert_array_equal(after, expected)
 
     def test_requires_background_rows(self):
         bank = PrototypeBank(np.eye(2))
         with pytest.raises(ValueError, match="background row"):
-            finetune_bank(bank, [(emb([1.0, 0.0]), 0)], [emb([0.0, 1.0])], FinetuneConfig())
+            finetune_bank(
+                bank, np.array([[1.0, 0.0]]), np.array([0]), np.array([[0.0, 1.0]]), FinetuneConfig()
+            )
 
     def test_loss_report_additivity(self):
-        bank, supports, backgrounds = self._toy_inputs(seed=9)
+        bank, supports, labels, backgrounds = self._toy_inputs(seed=9)
         cfg = FinetuneConfig(epochs=3, bkg_loss_weight=0.37)
-        _, report = finetune_bank(bank, supports, backgrounds, cfg)
+        _, report = finetune_bank(bank, supports, labels, backgrounds, cfg)
         assert report.total == pytest.approx(
             report.loss_known + 0.37 * report.loss_background, abs=1e-12
         )
@@ -252,18 +240,18 @@ class TestEpisodicLoss:
     is the episodic loss of the supports (known) and backgrounds (unknown,
     pseudo-labeled with their nearest background row)."""
 
-    def _loss(self, bank, supports, backgrounds, bkg_loss_weight, temperature):
+    def _loss(self, bank, supports, labels, backgrounds, bkg_loss_weight, temperature):
         cfg = FinetuneConfig(
             epochs=1, learning_rate=0.0, bkg_loss_weight=bkg_loss_weight, temperature=temperature
         )
-        return finetune_bank(bank, supports, backgrounds, cfg)[1]
+        return finetune_bank(bank, supports, labels, backgrounds, cfg)[1]
 
     def test_saturated_unknown_selects_nearest_background(self):
         known = np.array([[1.0, 0.0, 0.0]])
         background = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         bank = PrototypeBank(known, background)
         report = self._loss(
-            bank, [(emb([1.0, 0.0, 0.0]), 0)], [emb([0.0, 0.0, 2.0])],
+            bank, np.array([[1.0, 0.0, 0.0]]), np.array([0]), np.array([[0.0, 0.0, 2.0]]),
             bkg_loss_weight=1.0, temperature=500.0,
         )
         # pseudo-label must be background row 1; with huge temperature its CE -> 0
@@ -274,10 +262,12 @@ class TestEpisodicLoss:
         known = rng.normal(size=(4, 6))
         background = rng.normal(size=(2, 6))
         bank = PrototypeBank(known, background)
-        kq = [(EmbeddingVector(rng.normal(size=6)), int(rng.integers(0, 4))) for _ in range(7)]
-        uq = [EmbeddingVector(rng.normal(size=6)) for _ in range(5)]
+        kq = [(rng.normal(size=6), int(rng.integers(0, 4))) for _ in range(7)]
+        uq = rng.normal(size=(5, 6))
         temperature, lam = 10.0, 0.05
-        report = self._loss(bank, kq, uq, lam, temperature)
+        report = self._loss(
+            bank, np.array([q for q, _ in kq]), np.array([lab for _, lab in kq]), uq, lam, temperature
+        )
         rows = np.vstack([known, background])
 
         def ce(q, label):
@@ -285,11 +275,11 @@ class TestEpisodicLoss:
             z = z - z.max()
             return float(np.log(np.exp(z).sum()) - z[label])
 
-        l1 = np.mean([ce(q.values, lab) for q, lab in kq])
+        l1 = np.mean([ce(q, lab) for q, lab in kq])
         l2 = []
         for q in uq:
-            sims = [_cos(r, q.values) for r in background]
-            l2.append(ce(q.values, 4 + int(np.argmax(sims))))
+            sims = [_cos(r, q) for r in background]
+            l2.append(ce(q, 4 + int(np.argmax(sims))))
         l2 = np.mean(l2)
         assert report.loss_known == pytest.approx(l1, abs=1e-10)
         assert report.loss_background == pytest.approx(l2, abs=1e-10)

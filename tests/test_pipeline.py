@@ -59,15 +59,16 @@ class TestRunEval:
         for index in range(3):
             seed = derive_episode_seed(cfg.master_seed, index, 0)
             episode = sample_episode(ds, cfg.episode_spec(seed))
-            sup = [(spatial_avg_pool(f), c) for f, c in episode.support]
-            bank = build_known_prototypes(sup, cfg.n_way, cfg.k_shot)
+            sup = spatial_avg_pool(np.stack([f.values for f, _ in episode.support]))
+            labels = np.array([c for _, c in episode.support])
+            bank = build_known_prototypes(sup, labels, cfg.n_way, cfg.k_shot)
             pairs = procam_for_support(list(episode.support), bank, cfg.procam_config())
-            bgs = [b for _, b in pairs]
+            bgs = np.stack([b.values for _, b in pairs])
             strategy = InitStrategy("random", seed=derive_episode_seed(cfg.master_seed, index, 1))
             bank = init_background(bank, strategy, cfg.num_background, bgs)
-            bank, _ = finetune_bank(bank, sup, bgs, cfg.finetune_config())
-            known = np.stack([spatial_avg_pool(f).values for f, _ in episode.known_queries])
-            unknown = np.stack([spatial_avg_pool(f).values for f in episode.unknown_queries])
+            bank, _ = finetune_bank(bank, sup, labels, bgs, cfg.finetune_config())
+            known = spatial_avg_pool(np.stack([f.values for f, _ in episode.known_queries]))
+            unknown = spatial_avg_pool(np.stack([f.values for f in episode.unknown_queries]))
             rows, ks = predict(bank, known, cfg.score_kind)
             _, us = predict(bank, unknown, cfg.score_kind)
             acc_pairs = [
@@ -89,6 +90,8 @@ class TestRunEval:
         message = str(info.value)
         assert message.startswith(f"episode 0 (sample seed {seed}) failed:")
         assert "non-finite norm" in message
+        # the fine-tune step that diverged is named
+        assert "epoch 0" in message
         # in a pool worker the chained cause arrives as the remote traceback
         cause = info.value.__cause__
         assert isinstance(cause, ValueError) if workers == 1 else "ValueError" in str(cause)

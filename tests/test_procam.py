@@ -3,17 +3,15 @@ import pytest
 
 from fsosr.classifier import PrototypeBank, build_known_prototypes
 from fsosr.episode import SyntheticConfig, generate_synthetic
-from fsosr.featmap import EmbeddingVector, FeatureMap, mask_apply, minmax_norm, spatial_avg_pool
-from fsosr.procam import ProCamConfig, cam, mask_iou, procam, procam_for_support
-
-
-def emb(vals):
-    return EmbeddingVector(np.asarray(vals, dtype=float))
+from fsosr.featmap import FeatureMap, minmax_norm, spatial_avg_pool
+from fsosr.procam import ProCamConfig, _mine, cam, mask_iou, procam, procam_for_support
 
 
 def _loop_oracle(fvals, wvals, iterations, softmax=False):
-    """Per-item mining written out step by step: the reference the batched
-    core is checked against."""
+    """Per-item mining written out step by step, materialising every masked
+    copy of the features: the reference the batched core, which scales one
+    activation map instead, is checked against. Returns the final mask, the
+    (H, W, d) background map and the per-iteration masks."""
     h = fvals.copy()
     total = np.zeros(fvals.shape[:2])
     steps = []
@@ -68,31 +66,33 @@ class TestProcam:
     def test_single_iteration_reduction(self):
         rng = np.random.default_rng(2)
         f = FeatureMap(rng.normal(size=(4, 4, 6)))
-        w = emb(rng.normal(size=6))
+        w = rng.normal(size=6)
         result = procam(f, w, ProCamConfig(iterations=1))
-        expected_mask = minmax_norm(cam(f.values, w.values))
+        expected_mask = minmax_norm(cam(f.values, w))
         np.testing.assert_array_equal(result.final_mask, expected_mask)
-        np.testing.assert_array_equal(result.background_map, mask_apply(f.values, expected_mask))
+        expected_background = (f.values * (1.0 - expected_mask)[:, :, None]).mean(axis=(0, 1))
+        np.testing.assert_allclose(result.background, expected_background, rtol=0, atol=1e-12)
 
     def test_point_activation(self):
         fvals = np.zeros((3, 3, 2))
         fvals[1, 2, 0] = 5.0
         f = FeatureMap(fvals)
-        result = procam(f, emb([1.0, 0.0]), ProCamConfig(iterations=3))
+        result = procam(f, np.array([1.0, 0.0]), ProCamConfig(iterations=3))
         assert result.final_mask[1, 2] == pytest.approx(1.0)
         others = result.final_mask.copy()
         others[1, 2] = 0.0
         assert np.all(others == 0.0)
-        assert result.background_map[1, 2, 0] == pytest.approx(0.0)
+        # the only nonzero feature sits under the mask
+        np.testing.assert_array_equal(result.background, np.zeros(2))
 
     def test_loop_oracle_minmax(self):
         rng = np.random.default_rng(3)
         fvals = rng.normal(size=(6, 6, 8))
         wvals = rng.normal(size=8)
-        result = procam(FeatureMap(fvals), emb(wvals), ProCamConfig(iterations=4, include_trace=True))
+        result = procam(FeatureMap(fvals), wvals, ProCamConfig(iterations=4, include_trace=True))
         final, background, steps = _loop_oracle(fvals, wvals, 4)
         np.testing.assert_allclose(result.final_mask, final, atol=1e-9)
-        np.testing.assert_allclose(result.background_map, background, atol=1e-9)
+        np.testing.assert_allclose(result.background, background.mean(axis=(0, 1)), atol=1e-9)
         assert result.per_iteration_masks is not None and len(result.per_iteration_masks) == 4
         for got, expected in zip(result.per_iteration_masks, steps):
             np.testing.assert_allclose(got, expected, atol=1e-9)
@@ -102,15 +102,15 @@ class TestProcam:
         fvals = rng.normal(size=(5, 5, 6))
         wvals = rng.normal(size=6)
         result = procam(
-            FeatureMap(fvals), emb(wvals), ProCamConfig(iterations=3, norm_kind="softmax")
+            FeatureMap(fvals), wvals, ProCamConfig(iterations=3, norm_kind="softmax")
         )
         final, background, _ = _loop_oracle(fvals, wvals, 3, softmax=True)
         np.testing.assert_allclose(result.final_mask, final, atol=1e-9)
-        np.testing.assert_allclose(result.background_map, background, atol=1e-9)
+        np.testing.assert_allclose(result.background, background.mean(axis=(0, 1)), atol=1e-9)
 
     def test_trace_omitted_by_default(self):
         f = FeatureMap(np.random.default_rng(5).normal(size=(3, 3, 2)))
-        assert procam(f, emb([1.0, 0.0]), ProCamConfig(iterations=2)).per_iteration_masks is None
+        assert procam(f, np.array([1.0, 0.0]), ProCamConfig(iterations=2)).per_iteration_masks is None
 
     def test_invalid_config(self):
         with pytest.raises(ValueError, match="iterations"):
@@ -142,9 +142,9 @@ class TestProcamInvariants:
         fvals = rng.normal(size=(4, 4, 5))
         wvals = rng.normal(size=5)
         cfg = ProCamConfig(iterations=3, include_trace=True)
-        base = procam(FeatureMap(fvals), emb(wvals), cfg)
+        base = procam(FeatureMap(fvals), wvals, cfg)
         for alpha in (0.01, 1.0, 100.0):
-            scaled = procam(FeatureMap(alpha * fvals), emb(wvals), cfg)
+            scaled = procam(FeatureMap(alpha * fvals), wvals, cfg)
             np.testing.assert_allclose(
                 scaled.final_mask, base.final_mask, atol=1e-9
             )
@@ -155,7 +155,7 @@ class TestProcamInvariants:
         rng = np.random.default_rng(8)
         for _ in range(10):
             f = FeatureMap(rng.normal(size=(4, 4, 3)))
-            result = procam(f, emb(rng.normal(size=3)), ProCamConfig(iterations=4))
+            result = procam(f, rng.normal(size=3), ProCamConfig(iterations=4))
             vals = result.final_mask
             assert vals.min() >= 0.0 and vals.max() <= 1.0
             assert vals.min() == 0.0 and vals.max() == pytest.approx(1.0)
@@ -164,8 +164,8 @@ class TestProcamInvariants:
         ds, masks = default_dataset
         protos = {}
         for c in range(ds.num_classes):
-            pooled = [spatial_avg_pool(ds.items[i][0]).values for i in ds.class_index[c]]
-            protos[c] = EmbeddingVector(np.mean(pooled, axis=0))
+            pooled = spatial_avg_pool(np.stack([ds.items[i][0].values for i in ds.class_index[c]]))
+            protos[c] = pooled.mean(axis=0)
         for tau in (1, 2, 3, 4):
             cfg = ProCamConfig(iterations=tau)
             for c in range(ds.num_classes):
@@ -179,19 +179,23 @@ class TestProcamInvariants:
 
 
 class TestBackgroundEmbedding:
-    """The pooled background maps that procam_for_support hands to fine-tuning."""
+    """The background embeddings that procam_for_support hands to fine-tuning."""
 
     def test_zero_mask_equals_pool(self):
         # constant activation map -> degenerate range -> zero mask -> no-op
         fvals = np.ones((3, 3, 4)) * np.arange(1.0, 5.0)
         f = FeatureMap(fvals)
         [(_, bg)] = procam_for_support([(f, 0)], PrototypeBank(np.ones((1, 4))), ProCamConfig(iterations=2))
-        np.testing.assert_allclose(bg.values, spatial_avg_pool(f).values, atol=1e-12)
+        np.testing.assert_allclose(bg.values, spatial_avg_pool(fvals), atol=1e-12)
 
     def test_full_mask_gives_zero_vector(self):
-        f = FeatureMap(np.random.default_rng(9).normal(size=(2, 2, 3)))
-        background = FeatureMap(mask_apply(f.values, np.ones((2, 2))))
-        np.testing.assert_array_equal(spatial_avg_pool(background).values, np.zeros(3))
+        # every nonzero feature sits in the cell the mask covers fully
+        fvals = np.zeros((2, 2, 3))
+        fvals[0, 1] = np.random.default_rng(9).uniform(1.0, 2.0, size=3)
+        [(_, bg)] = procam_for_support(
+            [(FeatureMap(fvals), 0)], PrototypeBank(np.ones((1, 3))), ProCamConfig(iterations=2)
+        )
+        np.testing.assert_array_equal(bg.values, np.zeros(3))
 
     def test_pooling_oracle(self):
         rng = np.random.default_rng(10)
@@ -199,8 +203,7 @@ class TestBackgroundEmbedding:
         w = rng.normal(size=5)
         cfg = ProCamConfig(iterations=2)
         [(_, bg)] = procam_for_support([(f, 0)], PrototypeBank(w[None]), cfg)
-        expected = procam(f, emb(w), cfg).background_map.mean(axis=(0, 1))
-        np.testing.assert_allclose(bg.values, expected, atol=1e-12)
+        np.testing.assert_allclose(bg.values, procam(f, w, cfg).background, atol=1e-12)
 
 
 class TestProcamForSupport:
@@ -229,43 +232,55 @@ class TestProcamForSupport:
         cfg = SyntheticConfig(num_classes=5, items_per_class=5, seed=3)
         ds, _ = generate_synthetic(cfg)
         supports = [(ds.items[i][0], c) for c in range(5) for i in ds.class_index[c][:5]]
-        support_emb = [(spatial_avg_pool(f), c) for f, c in supports]
-        bank = build_known_prototypes(support_emb, 5, 5)
+        pooled = spatial_avg_pool(np.stack([f.values for f, _ in supports]))
+        bank = build_known_prototypes(pooled, np.array([c for _, c in supports]), 5, 5)
         pc = ProCamConfig(iterations=4)
         pairs = procam_for_support(supports, bank, pc)
         for (fmap, label), (fg, bg) in zip(supports, pairs):
-            expected_fg = spatial_avg_pool(fmap)
-            result = procam(fmap, EmbeddingVector(bank.known_weights[label]), pc)
-            expected_bg = result.background_map.mean(axis=(0, 1))
-            np.testing.assert_allclose(fg.values, expected_fg.values, atol=1e-12)
-            np.testing.assert_allclose(bg.values, expected_bg, atol=1e-12)
+            result = procam(fmap, bank.known_weights[label], pc)
+            np.testing.assert_allclose(fg.values, spatial_avg_pool(fmap.values), atol=1e-12)
+            np.testing.assert_allclose(bg.values, result.background, atol=1e-12)
 
     @pytest.mark.parametrize("norm_kind", ["minmax", "softmax"])
     def test_mixed_flat_batch_matches_loop_oracle(self, norm_kind):
         # one flat item (every cell has the same features, so its CAM is
         # constant) among normal items of very different scales: a min or max
-        # taken over the batch instead of per item would move every result
+        # taken over the batch instead of per item would move every result.
+        # The last item activates one cell and is negative everywhere else, so
+        # the first pass suppresses its peak fully and that zeroed cell is the
+        # maximum of every later pass.
         rng = np.random.default_rng(11)
         d = 6
+        bank = PrototypeBank(rng.normal(size=(3, d)))
+        w = bank.known_weights[1]
+        peaked = -rng.uniform(0.5, 1.0, size=(4, 5))
+        peaked[2, 3] = 3.0
         maps = [
             rng.normal(size=(4, 5, d)),
             100.0 * rng.normal(size=(4, 5, d)),
             np.ones((4, 5, d)) * rng.normal(size=d),
             0.01 * rng.normal(size=(4, 5, d)),
+            peaked[:, :, None] * (w / np.dot(w, w)),
         ]
-        labels = [0, 1, 0, 2]
-        bank = PrototypeBank(rng.normal(size=(3, d)))
-        pairs = procam_for_support(
-            [(FeatureMap(m), c) for m, c in zip(maps, labels)],
-            bank,
-            ProCamConfig(iterations=4, norm_kind=norm_kind),
-        )
-        for fvals, label, (fg, bg) in zip(maps, labels, pairs):
-            _, background, _ = _loop_oracle(
+        labels = [0, 1, 0, 2, 1]
+        cfg = ProCamConfig(iterations=4, norm_kind=norm_kind, include_trace=True)
+        pairs = procam_for_support([(FeatureMap(m), c) for m, c in zip(maps, labels)], bank, cfg)
+        masks, backgrounds, trace = _mine(np.stack(maps), bank.known_weights[labels], cfg)
+        assert backgrounds.shape == (len(maps), d)
+        for i, (fvals, label, (fg, bg)) in enumerate(zip(maps, labels, pairs)):
+            final, background, steps = _loop_oracle(
                 fvals, bank.known_weights[label], 4, softmax=norm_kind == "softmax"
             )
+            np.testing.assert_allclose(masks[i], final, rtol=0, atol=1e-12)
+            for step, expected in zip(trace, steps):
+                np.testing.assert_allclose(step[i], expected, rtol=0, atol=1e-12)
+            expected_bg = background.mean(axis=(0, 1))
+            np.testing.assert_allclose(backgrounds[i], expected_bg, rtol=0, atol=1e-12)
             np.testing.assert_allclose(fg.values, fvals.mean(axis=(0, 1)), rtol=0, atol=1e-12)
-            np.testing.assert_allclose(bg.values, background.mean(axis=(0, 1)), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(bg.values, expected_bg, rtol=0, atol=1e-12)
+        # the peak is gone after one pass and stays the maximum afterwards
+        assert trace[0][4][2, 3] == 1.0
+        assert all(step[4][2, 3] == 1.0 for step in trace[1:])
         # the flat item is left untouched
         np.testing.assert_allclose(pairs[2][1].values, maps[2].mean(axis=(0, 1)), rtol=0, atol=1e-12)
 
