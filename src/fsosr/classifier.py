@@ -1,6 +1,6 @@
 """Prototype classifier bank: known-class rows built from support averages,
 background rows seeded by one of three strategies, and batched cosine
-scoring, the one cosine-similarity routine that fine-tuning also uses."""
+scoring, whose row-norm check fine-tuning also uses."""
 
 from __future__ import annotations
 
@@ -203,21 +203,25 @@ def init_background(
     return bank.with_background(rows)
 
 
+def row_norms(matrix: np.ndarray, what: str) -> np.ndarray:
+    """Euclidean norm of every row of the matrix. A zero or non-finite norm
+    (a finite row whose sum of squares overflows included) is an error that
+    reads "{what} {row} has zero/non-finite norm"."""
+    n = np.linalg.norm(matrix, axis=1)
+    bad = np.flatnonzero(~((n > EPS_NORM) & np.isfinite(n)))
+    if bad.size:
+        kind = "zero" if n[bad[0]] <= EPS_NORM else "non-finite"
+        raise ValueError(f"{what} {int(bad[0])} has {kind} norm")
+    return n
+
+
 def cosine_matrix(
     weights: np.ndarray, queries: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unclipped cosine similarities, queries x rows, plus the row norms of
     the weights and of the queries. A row whose norm is zero or not finite is
     an error that names it."""
-    norms = []
-    for matrix, what in ((weights, "prototype row"), (queries, "query")):
-        n = np.linalg.norm(matrix, axis=1)
-        bad = np.flatnonzero(~((n > EPS_NORM) & np.isfinite(n)))
-        if bad.size:
-            kind = "zero" if n[bad[0]] <= EPS_NORM else "non-finite"
-            raise ValueError(f"{what} {int(bad[0])} has {kind} norm")
-        norms.append(n)
-    wn, qn = norms
+    wn, qn = row_norms(weights, "prototype row"), row_norms(queries, "query")
     return (queries / qn[:, None]) @ (weights / wn[:, None]).T, wn, qn
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import PrototypeBank, cosine_matrix
+from .classifier import PrototypeBank, cosine_matrix, row_norms
 
 
 @dataclass(frozen=True)
@@ -81,26 +81,28 @@ def prototype_batch_loss(
 
 def _batch_ce_and_grad(
     weights: np.ndarray,
-    embeddings: np.ndarray,
+    wn: np.ndarray,
+    unit: np.ndarray,
+    scores: np.ndarray,
     labels: np.ndarray,
     item_weights: np.ndarray,
     temperature: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-item cross-entropies (unweighted) and the gradient of the weighted
-    sum with respect to every prototype row."""
-    scores, wn, qn = cosine_matrix(weights, embeddings)
+    sum with respect to every prototype row, from the unit-norm (n x dim)
+    batch, the row norms wn of the weights and their cosine scores
+    unit @ (weights / wn).T."""
     logits = temperature * scores
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     z = exp.sum(axis=1)
-    probs = exp / z[:, None]
     idx = np.arange(len(labels))
     ce = np.log(z) - shifted[idx, labels]
 
-    delta = probs.copy()
+    delta = exp / z[:, None]
     delta[idx, labels] -= 1.0
     dscore = temperature * delta * item_weights[:, None]  # items x rows
-    term1 = (dscore / qn[:, None]).T @ embeddings / wn[:, None]
+    term1 = dscore.T @ unit / wn[:, None]
     term2 = ((dscore * scores).sum(axis=0) / wn**2)[:, None] * weights
     return ce, term1 - term2
 
@@ -130,18 +132,11 @@ def grad_wrt_prototypes(
         raise ValueError("item weights must be > 0")
     if labels.min() < 0 or labels.max() >= bank.num_rows:
         raise ValueError(f"batch labels must lie in [0, {bank.num_rows})")
-    _, grad = _batch_ce_and_grad(bank.all_weights(), embeddings, labels, item_weights, temperature)
+    weights = bank.all_weights()
+    scores, wn, qn = cosine_matrix(weights, embeddings)
+    unit = embeddings / qn[:, None]
+    _, grad = _batch_ce_and_grad(weights, wn, unit, scores, labels, item_weights, temperature)
     return grad
-
-
-def _assign_background_labels(
-    weights: np.ndarray, num_known: int, embeddings: np.ndarray
-) -> np.ndarray:
-    """Pseudo-label each embedding with its most similar background row,
-    offset into the joint index range."""
-    bkg = weights[num_known:]
-    scores, _, _ = cosine_matrix(bkg, embeddings)
-    return num_known + np.argmax(scores, axis=1)
 
 
 def finetune_bank(
@@ -163,8 +158,12 @@ def finetune_bank(
     the reported losses are the group means, so the reported total is the
     step objective divided by the support count when groups are equal-sized.
     The report carries the final loss components and the mean total at every
-    epoch plus one final entry evaluated after the last step. A step that
-    leaves a row with a non-finite norm is an error naming its epoch.
+    epoch plus one final entry evaluated after the last step.
+
+    The batch never changes, so it is normalized once; a zero or non-finite
+    norm names the support or background item. The weight row norms checked
+    after each step divide the next epoch's scores; a zero or non-finite one
+    names the joint row and the epoch of the step.
     """
     if bank.num_background < 1:
         raise ValueError("fine-tuning needs at least one background row")
@@ -176,50 +175,47 @@ def finetune_bank(
     if sup_labels.min() < 0 or sup_labels.max() >= bank.num_known:
         raise ValueError(f"support labels must lie in [0, {bank.num_known})")
 
+    unit = np.concatenate([
+        embeddings / row_norms(embeddings, "support")[:, None],
+        backgrounds / row_norms(backgrounds, "background")[:, None],
+    ])
     # the step optimizes the summed batch loss: weight 1 per support item,
     # bkg_loss_weight per background item; the report still carries the means
     n_sup, n_bkg = len(embeddings), len(backgrounds)
-    batch = np.concatenate([embeddings, backgrounds], axis=0)
     item_weights = np.concatenate(
         [np.ones(n_sup), np.full(n_bkg, cfg.bkg_loss_weight)]
     )
 
     weights = bank.all_weights()
     num_known = bank.num_known
+    wn = row_norms(weights, "before fine-tuning, prototype row")
     pseudo: np.ndarray | None = None
     trace: list[float] = []
-
-    def evaluate(current_pseudo: np.ndarray) -> tuple[float, float, np.ndarray]:
-        batch_labels = np.concatenate([sup_labels, current_pseudo])
-        ce, grad = _batch_ce_and_grad(weights, batch, batch_labels, item_weights, cfg.temperature)
+    for epoch in range(cfg.epochs + 1):
+        scores = unit @ (weights / wn[:, None]).T
+        if pseudo is None or cfg.reassign_each_epoch:
+            # the nearest background row of each background item: its score
+            # row divides by its own norm, a positive factor argmax ignores
+            pseudo = num_known + np.argmax(scores[n_sup:, num_known:], axis=1)
+        batch_labels = np.concatenate([sup_labels, pseudo])
+        ce, grad = _batch_ce_and_grad(
+            weights, wn, unit, scores, batch_labels, item_weights, cfg.temperature
+        )
         loss_known = float(ce[:n_sup].mean())
         loss_background = float(ce[n_sup:].mean())
-        return loss_known, loss_background, grad
-
-    loss_known = loss_background = 0.0
-    for epoch in range(cfg.epochs):
-        if pseudo is None or cfg.reassign_each_epoch:
-            pseudo = _assign_background_labels(weights, num_known, backgrounds)
-        loss_known, loss_background, grad = evaluate(pseudo)
         trace.append(loss_known + cfg.bkg_loss_weight * loss_background)
+        if epoch == cfg.epochs:
+            break
         if cfg.freeze_known:
             weights = weights.copy()
             weights[num_known:] -= cfg.learning_rate * grad[num_known:]
         else:
             weights = weights - cfg.learning_rate * grad
-        # a finite row whose norm overflows is as unusable as a non-finite one
-        bad = np.flatnonzero(~np.isfinite(np.linalg.norm(weights, axis=1)))
-        if bad.size:
-            raise ValueError(
-                f"fine-tune step at epoch {epoch} (learning rate {cfg.learning_rate!r}) "
-                f"left prototype row {bad[0]} with non-finite norm"
-            )
-
-    if cfg.reassign_each_epoch:
-        pseudo = _assign_background_labels(weights, num_known, backgrounds)
-    assert pseudo is not None
-    loss_known, loss_background, _ = evaluate(pseudo)
-    trace.append(loss_known + cfg.bkg_loss_weight * loss_background)
+        wn = row_norms(
+            weights,
+            f"after the fine-tune step at epoch {epoch} "
+            f"(learning rate {cfg.learning_rate!r}), prototype row",
+        )
 
     new_bank = PrototypeBank(weights[:num_known], weights[num_known:])
     report = LossReport(
@@ -229,4 +225,3 @@ def finetune_bank(
         per_epoch_totals=tuple(trace),
     )
     return new_bank, report
-

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from fsosr.classifier import PrototypeBank
+from fsosr import finetune
+from fsosr.classifier import InitStrategy, PrototypeBank, build_known_prototypes, init_background
+from fsosr.episode import derive_episode_seed, sample_episode
+from fsosr.featmap import spatial_avg_pool
 from fsosr.finetune import FinetuneConfig, finetune_bank, grad_wrt_prototypes, prototype_batch_loss
-from fsosr.pipeline import finite_difference, max_relative_error
+from fsosr.pipeline import RunConfig, finite_difference, max_relative_error
+from fsosr.procam import procam_for_support
 
 
 def _cos(w, q):
@@ -99,8 +103,10 @@ class TestGradWrtPrototypes:
             grad_wrt_prototypes(PrototypeBank(np.eye(2)), np.zeros((0, 2)), [], [])
 
 
-def _oracle_finetune(weights0, num_known, supports, labels, backgrounds, cfg):
-    """Straight-line scalar re-execution of the fine-tuning update rule."""
+def _oracle_finetune(weights0, num_known, supports, labels, backgrounds, cfg, pseudo_log=None):
+    """Straight-line scalar re-execution of the fine-tuning update rule. The
+    background pseudo-labels of every loss evaluation are appended to
+    pseudo_log when one is given."""
     weights = weights0.copy()
     trace = []
 
@@ -133,6 +139,8 @@ def _oracle_finetune(weights0, num_known, supports, labels, backgrounds, cfg):
                 qn = np.linalg.norm(q)
                 jac = q / (wn * qn) - np.dot(w[j], q) * w[j] / (wn**3 * qn)
                 grad[j] += coeff * jac
+        if pseudo_log is not None:
+            pseudo_log.append(list(pseudo))
         return loss_known, loss_background, grad
 
     pseudo = None
@@ -233,6 +241,131 @@ class TestFinetuneBank:
         assert report.total == pytest.approx(
             report.loss_known + 0.37 * report.loss_background, abs=1e-12
         )
+
+    @pytest.mark.parametrize("row, kind", [(0.0, "zero"), (1e300, "non-finite")])
+    def test_bad_weight_row_named_by_joint_index(self, row, kind):
+        # 3 known rows, so background row 1 is joint row 4
+        bank, supports, labels, backgrounds = self._toy_inputs(seed=12)
+        rows = bank.background_weights.copy()
+        rows[1] = row
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=f"before fine-tuning, prototype row 4 has {kind} norm"
+        ):
+            finetune_bank(bank.with_background(rows), supports, labels, backgrounds, FinetuneConfig())
+
+    def test_diverged_step_names_joint_row_and_epoch(self):
+        bank, supports, labels, backgrounds = self._toy_inputs(seed=13)
+        cfg = FinetuneConfig(epochs=3, learning_rate=1e308, freeze_known=True)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError,
+            match=r"fine-tune step at epoch 0 \(learning rate 1e\+308\), prototype row 3 "
+            r"has non-finite norm",
+        ):
+            finetune_bank(bank, supports, labels, backgrounds, cfg)
+
+    @pytest.mark.parametrize("group, index", [("support", 1), ("background", 2)])
+    @pytest.mark.parametrize("value, kind", [(0.0, "zero"), (1e300, "non-finite")])
+    def test_bad_batch_item_named_by_group(self, group, index, value, kind):
+        bank, supports, labels, backgrounds = self._toy_inputs(seed=14)
+        supports, backgrounds = supports.copy(), backgrounds.copy()
+        (supports if group == "support" else backgrounds)[index] = value
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=f"^{group} {index} has {kind} norm"
+        ):
+            finetune_bank(bank, supports, labels, backgrounds, FinetuneConfig())
+
+    def test_one_epoch_steps_along_grad_wrt_prototypes(self):
+        # the gradient fsosr gradcheck checks is the one the loop descends
+        bank, supports, labels, backgrounds = self._toy_inputs(seed=15)
+        lr, lam = 0.5, 0.2
+        cfg = FinetuneConfig(epochs=1, learning_rate=lr, bkg_loss_weight=lam)
+        out, _ = finetune_bank(bank, supports, labels, backgrounds, cfg)
+        pseudo = [
+            bank.num_known + int(np.argmax([_cos(w, b) for w in bank.background_weights]))
+            for b in backgrounds
+        ]
+        expected = grad_wrt_prototypes(
+            bank,
+            np.vstack([supports, backgrounds]),
+            np.concatenate([labels, pseudo]),
+            np.concatenate([np.ones(len(supports)), np.full(len(backgrounds), lam)]),
+            cfg.temperature,
+        )
+        np.testing.assert_allclose(
+            (bank.all_weights() - out.all_weights()) / lr, expected, rtol=0, atol=1e-12
+        )
+
+    def test_no_cosine_matrix_calls(self, monkeypatch):
+        # the batch is normalized once at entry; every epoch builds its one
+        # score matrix from it instead of re-normalizing through cosine_matrix
+        calls = []
+        original = finetune.cosine_matrix
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(finetune, "cosine_matrix", counting)
+        bank, supports, labels, backgrounds = self._toy_inputs(seed=16)
+        finetune_bank(bank, supports, labels, backgrounds, FinetuneConfig(epochs=5))
+        assert calls == []
+        # the patch does take effect on the module's lookups
+        grad_wrt_prototypes(bank, supports, labels, np.ones(len(labels)))
+        assert calls == [1]
+
+
+def _episode_finetune_inputs(benchmark_dataset, num_background, index=0):
+    """finetune_bank's inputs for one episode of the standard benchmark, built
+    as evaluate_episode builds them with RunConfig's defaults."""
+    path, ds, _ = benchmark_dataset
+    cfg = RunConfig(dataset=str(path), num_background=num_background)
+    episode = sample_episode(ds, cfg.episode_spec(derive_episode_seed(cfg.master_seed, index, 0)))
+    supports = spatial_avg_pool(np.stack([f.values for f, _ in episode.support]))
+    labels = np.array([c for _, c in episode.support])
+    bank = build_known_prototypes(supports, labels, cfg.n_way, cfg.k_shot)
+    pairs = procam_for_support(list(episode.support), bank, cfg.procam_config())
+    backgrounds = np.stack([bg.values for _, bg in pairs])
+    strategy = InitStrategy("random", seed=derive_episode_seed(cfg.master_seed, index, 1))
+    bank = init_background(bank, strategy, num_background, backgrounds)
+    return bank, supports, labels, backgrounds, cfg
+
+
+@pytest.mark.parametrize("num_background", [1, 3])
+@pytest.mark.parametrize("reassign_each_epoch", [True, False])
+@pytest.mark.parametrize("freeze_known", [False, True])
+def test_episode_inputs_match_oracle(
+    benchmark_dataset, monkeypatch, num_background, reassign_each_epoch, freeze_known
+):
+    bank, supports, labels, backgrounds, run_cfg = _episode_finetune_inputs(
+        benchmark_dataset, num_background
+    )
+    cfg = FinetuneConfig(
+        epochs=run_cfg.epochs,
+        learning_rate=run_cfg.learning_rate,
+        bkg_loss_weight=run_cfg.bkg_loss_weight,
+        temperature=run_cfg.temperature,
+        reassign_each_epoch=reassign_each_epoch,
+        freeze_known=freeze_known,
+    )
+    # record the background pseudo-labels of every loss evaluation
+    seen = []
+    core = finetune._batch_ce_and_grad
+
+    def spy(weights, wn, unit, scores, batch_labels, *rest):
+        seen.append(list(batch_labels[len(supports):]))
+        return core(weights, wn, unit, scores, batch_labels, *rest)
+
+    monkeypatch.setattr(finetune, "_batch_ce_and_grad", spy)
+    out, report = finetune_bank(bank, supports, labels, backgrounds, cfg)
+    expected_pseudo = []
+    expected_weights, expected_trace = _oracle_finetune(
+        bank.all_weights(), bank.num_known, list(supports), list(labels), list(backgrounds),
+        cfg, expected_pseudo,
+    )
+    np.testing.assert_allclose(out.all_weights(), expected_weights, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(report.per_epoch_totals, expected_trace, rtol=0, atol=1e-12)
+    assert seen == expected_pseudo
+    assert len(seen) == cfg.epochs + 1
 
 
 class TestEpisodicLoss:
