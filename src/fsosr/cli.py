@@ -124,14 +124,13 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     # class prototype = mean pooled embedding over every item of the class
     same_class = np.stack([f.values for f, lab in ds.items if lab == label])
     weight = spatial_avg_pool(same_class).mean(axis=0)
-    cfg = ProCamConfig(iterations=args.iterations, norm_kind=args.norm, include_trace=True)
+    cfg = ProCamConfig(iterations=args.iterations, norm_kind=args.norm)
     result = procam(fmap, weight, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stem = f"item{args.item:04d}"
     export_heatmap(minmax_norm(cam(fmap.values, weight)), out / f"{stem}_cam.pgm")
     export_heatmap(result.final_mask, out / f"{stem}_mask.pgm")
-    assert result.per_iteration_masks is not None
     for i, mask in enumerate(result.per_iteration_masks):
         export_heatmap(mask, out / f"{stem}_iter{i}.pgm")
     print(f"wrote {2 + len(result.per_iteration_masks)} heatmaps for item {args.item} "

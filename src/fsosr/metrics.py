@@ -1,77 +1,37 @@
 """Closed-set accuracy, rank-based unknown-detection AUROC, and multi-episode
-aggregation with normal-approximation confidence intervals."""
+aggregation with normal-approximation confidence intervals, all on arrays."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class EpisodeMetrics:
-    """accuracy covers known queries only; auroc is None exactly when one of
-    the two query groups is empty."""
-
-    accuracy: float
-    auroc: float | None
-    n_known: int
-    n_unknown: int
-
-    def __post_init__(self) -> None:
-        degenerate = self.n_known == 0 or self.n_unknown == 0
-        if degenerate and self.auroc is not None:
-            raise ValueError("auroc must be None when either query group is empty")
-        if not degenerate and self.auroc is None:
-            raise ValueError("auroc missing although both query groups are nonempty")
-
-
-@dataclass(frozen=True)
-class AggregateMetrics:
-    mean_accuracy: float
-    mean_auroc: float
-    ci95_accuracy: float
-    ci95_auroc: float
-    n_episodes: int
-
-    def to_dict(self) -> dict:
-        return {
-            "mean_accuracy": self.mean_accuracy,
-            "mean_auroc": self.mean_auroc,
-            "ci95_accuracy": self.ci95_accuracy,
-            "ci95_auroc": self.ci95_auroc,
-            "n_episodes": self.n_episodes,
-        }
-
-
-def accuracy(pairs: Iterable[tuple[int | None, int]]) -> float:
-    """Fraction of known queries assigned their true class. A prediction of
-    None means the query was rejected as unknown, which counts as an error."""
-    pairs = list(pairs)
-    if not pairs:
+def accuracy(rows, labels) -> float:
+    """Fraction of known queries whose joint argmax row equals their class. A
+    background row (index >= n_way) never equals a class, so a query rejected
+    as unknown counts as an error."""
+    rows = np.asarray(rows)
+    labels = np.asarray(labels)
+    if rows.shape != labels.shape:
+        raise ValueError(f"rows shape {rows.shape} does not match labels shape {labels.shape}")
+    if rows.size == 0:
         raise ValueError("accuracy needs at least one prediction")
-    hits = sum(1 for predicted, truth in pairs if predicted is not None and predicted == truth)
-    return hits / len(pairs)
+    return float(np.mean(rows == labels))
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     """Fractional ranks starting at 1; tied values share the mean of the ranks
-    they span."""
+    they span. A tie run starts wherever the stably sorted values change."""
     order = np.argsort(values, kind="stable")
     sorted_vals = values[order]
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    starts = np.flatnonzero(np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1])))
+    lengths = np.diff(np.append(starts, values.size))
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((2 * starts + lengths - 1) / 2.0 + 1.0, lengths)
     return ranks
 
 
-def auroc(known_scores: Sequence[float], unknown_scores: Sequence[float]) -> float:
+def auroc(known_scores, unknown_scores) -> float:
     """Rank-based estimate of the probability that a random unknown query
     scores above a random known one, ties counting half. Equals the area under
     the threshold-swept ROC curve with unknown as the positive class."""
@@ -91,19 +51,19 @@ def _ci95(values: np.ndarray) -> float:
     return 1.96 * float(values.std(ddof=1)) / float(np.sqrt(values.size))
 
 
-def aggregate(per_episode: Sequence[EpisodeMetrics]) -> AggregateMetrics:
-    """Arithmetic means over episodes with 1.96 * stddev / sqrt(n) intervals.
-    Episodes without an AUROC are skipped for the AUROC statistics."""
-    if not per_episode:
+def aggregate(accuracies, aurocs) -> dict:
+    """Arithmetic means of the per-episode accuracies and AUROCs with
+    1.96 * stddev / sqrt(n) intervals."""
+    accs = np.asarray(accuracies, dtype=np.float64)
+    aucs = np.asarray(aurocs, dtype=np.float64)
+    if accs.size == 0:
         raise ValueError("aggregate needs at least one episode")
-    accs = np.array([m.accuracy for m in per_episode])
-    aucs = np.array([m.auroc for m in per_episode if m.auroc is not None])
-    if aucs.size == 0:
-        raise ValueError("no episode carries an AUROC")
-    return AggregateMetrics(
-        mean_accuracy=float(accs.mean()),
-        mean_auroc=float(aucs.mean()),
-        ci95_accuracy=_ci95(accs),
-        ci95_auroc=_ci95(aucs),
-        n_episodes=len(per_episode),
-    )
+    if accs.shape != aucs.shape:
+        raise ValueError(f"accuracies shape {accs.shape} does not match aurocs shape {aucs.shape}")
+    return {
+        "mean_accuracy": float(accs.mean()),
+        "mean_auroc": float(aucs.mean()),
+        "ci95_accuracy": _ci95(accs),
+        "ci95_auroc": _ci95(aucs),
+        "n_episodes": int(accs.size),
+    }

@@ -17,7 +17,6 @@ from .classifier import (
     INIT_GLOBAL,
     INIT_KINDS,
     SCORE_KINDS,
-    SCORE_NEG_MAX_KNOWN,
     InitStrategy,
     PrototypeBank,
     build_known_prototypes,
@@ -26,9 +25,9 @@ from .classifier import (
 )
 from .dataset_io import read_dataset
 from .episode import EpisodeSpec, FeatureDataset, derive_episode_seed, sample_episode
-from .featmap import NORM_KINDS, NORM_MINMAX, spatial_avg_pool
+from .featmap import NORM_MINMAX, spatial_avg_pool
 from .finetune import FinetuneConfig, finetune_bank, grad_wrt_prototypes, prototype_batch_loss
-from .metrics import EpisodeMetrics, accuracy, aggregate, auroc
+from .metrics import accuracy, aggregate, auroc
 from .procam import ProCamConfig, procam_for_support
 
 BUNDLE_FORMAT_VERSION = 1
@@ -69,12 +68,15 @@ class RunConfig:
     dump_last_bank: bool = False
 
     def __post_init__(self) -> None:
+        """Fail at construction on any setting an episode would reject: the
+        episode, mining and fine-tune configs validate themselves here once."""
         if self.init_kind not in INIT_KINDS:
             raise ValueError(f"unknown init kind {self.init_kind!r}, expected one of {INIT_KINDS}")
         if self.score_kind not in SCORE_KINDS:
             raise ValueError(f"unknown score kind {self.score_kind!r}, expected one of {SCORE_KINDS}")
-        if self.norm_kind not in NORM_KINDS:
-            raise ValueError(f"unknown norm kind {self.norm_kind!r}, expected one of {NORM_KINDS}")
+        self.episode_spec(0)
+        self.procam_config()
+        self.finetune_config()
         if self.num_episodes < 1:
             raise ValueError("num_episodes must be >= 1")
         if self.workers < 1:
@@ -239,24 +241,17 @@ def evaluate_episode(
                 if strategy.kind == INIT_GLOBAL:
                     strategy.persisted_weights = np.array(bank.background_weights)
 
-        score_kind = cfg.score_kind if cfg.use_background_classes else SCORE_NEG_MAX_KNOWN
         known = spatial_avg_pool(np.stack([f.values for f, _ in episode.known_queries]))
         unknown = spatial_avg_pool(np.stack([f.values for f in episode.unknown_queries]))
-        rows, known_scores = predict(bank, known, score_kind)
-        _, unknown_scores = predict(bank, unknown, score_kind)
-        acc_pairs = [
-            (None if row >= bank.num_known else int(row), truth)
-            for row, (_, truth) in zip(rows, episode.known_queries)
-        ]
+        rows, known_scores = predict(bank, known, cfg.score_kind)
+        _, unknown_scores = predict(bank, unknown, cfg.score_kind)
         return {
             "episode": index,
             "seed": sample_seed,
-            "accuracy": accuracy(acc_pairs),
+            "accuracy": accuracy(rows, np.array([c for _, c in episode.known_queries])),
             "auroc": auroc(known_scores, unknown_scores),
-            "n_known": len(known_scores),
-            "n_unknown": len(unknown_scores),
-            "known_scores": known_scores.tolist(),
-            "unknown_scores": unknown_scores.tolist(),
+            "known_scores": known_scores,
+            "unknown_scores": unknown_scores,
             "bank": bank.to_dict() if cfg.dump_last_bank else None,
             "loss": loss_report.to_dict() if cfg.dump_last_bank and loss_report else None,
         }
@@ -299,19 +294,13 @@ def run_eval(cfg: RunConfig) -> ResultsBundle:
         ) as pool:
             records = list(pool.map(_worker_run, range(cfg.num_episodes), chunksize=8))
 
-    per_episode = [
-        EpisodeMetrics(
-            accuracy=r["accuracy"], auroc=r["auroc"], n_known=r["n_known"], n_unknown=r["n_unknown"]
-        )
-        for r in records
-    ]
-    agg = aggregate(per_episode)
+    agg = aggregate([r["accuracy"] for r in records], [r["auroc"] for r in records])
 
     pooled = None
     if cfg.pooled_auroc:
         pooled = auroc(
-            [s for r in records for s in r["known_scores"]],
-            [s for r in records for s in r["unknown_scores"]],
+            np.concatenate([r["known_scores"] for r in records]),
+            np.concatenate([r["unknown_scores"] for r in records]),
         )
 
     bundle = ResultsBundle(
@@ -321,7 +310,7 @@ def run_eval(cfg: RunConfig) -> ResultsBundle:
             {"episode": r["episode"], "seed": r["seed"], "accuracy": r["accuracy"], "auroc": r["auroc"]}
             for r in records
         ],
-        aggregate=agg.to_dict(),
+        aggregate=agg,
         pooled_auroc=pooled,
         last_bank=records[-1]["bank"] if cfg.dump_last_bank else None,
         last_loss=records[-1]["loss"] if cfg.dump_last_bank else None,

@@ -27,7 +27,6 @@ class ProCamConfig:
 
     iterations: int = 4
     norm_kind: str = NORM_MINMAX
-    include_trace: bool = False
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
@@ -39,12 +38,11 @@ class ProCamConfig:
 @dataclass(frozen=True)
 class ProCamResult:
     """Mining output for one map: the (H, W) foreground mask, the (d,)
-    background embedding, and with include_trace the per-iteration (H, W)
-    masks."""
+    background embedding and the per-iteration (H, W) masks."""
 
     final_mask: np.ndarray
     background: np.ndarray
-    per_iteration_masks: tuple[np.ndarray, ...] | None = None
+    per_iteration_masks: tuple[np.ndarray, ...]
 
 
 def cam(f: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -70,21 +68,18 @@ def _mine(
     and min-max normalized into the final masks; the background embeddings are
     the spatial means of the features suppressed by them. Every normalization
     is per map. Returns the (n, H, W) final masks, the (n, d) background
-    embeddings and the per-iteration masks (empty unless cfg.include_trace).
+    embeddings and the per-iteration (n, H, W) masks.
     """
     activation = cam(stack, weights)
-    total = np.zeros(activation.shape)
     trace: list[np.ndarray] = []
     for _ in range(cfg.iterations):
         if cfg.norm_kind == NORM_MINMAX:
             step = minmax_norm(activation)
         else:
             step = spatial_softmax(activation, peak_rescale=True)
-        total = total + step
+        trace.append(step)
         activation = activation * (1.0 - step)
-        if cfg.include_trace:
-            trace.append(step)
-    final_masks = minmax_norm(total)
+    final_masks = minmax_norm(sum(trace))
     cells = final_masks.shape[-2] * final_masks.shape[-1]
     backgrounds = np.einsum("nhw,nhwd->nd", 1.0 - final_masks, stack) / cells
     return final_masks, backgrounds, trace
@@ -97,7 +92,7 @@ def procam(f: FeatureMap, w: np.ndarray, cfg: ProCamConfig) -> ProCamResult:
     return ProCamResult(
         final_mask=masks[0],
         background=backgrounds[0],
-        per_iteration_masks=tuple(step[0] for step in trace) if cfg.include_trace else None,
+        per_iteration_masks=tuple(step[0] for step in trace),
     )
 
 

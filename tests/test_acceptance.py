@@ -98,7 +98,7 @@ def test_criterion_3_procam_reductions_and_invariants():
         if not np.array_equal(single.final_mask, expected):
             ok, detail = False, "tau=1 reduction mismatch"
             break
-        base = procam(f, w, ProCamConfig(iterations=4, include_trace=True))
+        base = procam(f, w, ProCamConfig(iterations=4))
         # mask range
         vals = base.final_mask
         if vals.min() < 0.0 or vals.max() > 1.0:

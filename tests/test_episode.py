@@ -164,7 +164,7 @@ class TestGenerateSynthetic:
             sup = spatial_avg_pool(np.stack([f.values for f, _ in ep.support]))
             bank = build_known_prototypes(sup, np.array([c for _, c in ep.support]), 5, 5)
             rows, _ = predict(bank, spatial_avg_pool(np.stack([f.values for f, _ in ep.known_queries])))
-            hits.append(accuracy(zip(rows, (truth for _, truth in ep.known_queries))))
+            hits.append(accuracy(rows, np.array([truth for _, truth in ep.known_queries])))
         assert abs(np.mean(hits) - 0.2) < 0.06
 
     def test_class_mean_cam_highlights_foreground(self, default_dataset):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fsosr.metrics import EpisodeMetrics, accuracy, aggregate, auroc
+from fsosr.metrics import _midranks, accuracy, aggregate, auroc
 
 
 def pairwise_auroc(known, unknown):
@@ -18,6 +18,21 @@ def pairwise_auroc(known, unknown):
     return total / (len(known) * len(unknown))
 
 
+def loop_midranks(values):
+    """Oracle: the tie-run loop the vectorized ranks replaced."""
+    order = np.argsort(values, kind="stable")
+    sorted_vals = values[order]
+    ranks = np.empty(len(values))
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
 def sweep_auroc(known, unknown, n_thresholds=10001):
     """Independent oracle: trapezoidal area under the threshold-swept ROC."""
     known = np.asarray(known, dtype=float)
@@ -31,31 +46,37 @@ def sweep_auroc(known, unknown, n_thresholds=10001):
 
 
 class TestAccuracy:
+    # joint argmax rows of a 5-way bank; rows 5 and up are background rows
     def test_all_correct(self):
-        assert accuracy([(0, 0), (3, 3)]) == 1.0
+        assert accuracy(np.array([0, 3]), np.array([0, 3])) == 1.0
 
     def test_all_rejected_as_unknown(self):
-        assert accuracy([(None, 0), (None, 1)]) == 0.0
+        assert accuracy(np.array([5, 6]), np.array([0, 1])) == 0.0
 
     def test_counting_oracle(self):
         rng = np.random.default_rng(0)
-        pairs = []
+        rows, labels = [], []
         hits = 0
         for _ in range(75):
             truth = int(rng.integers(0, 5))
             roll = rng.random()
             if roll < 0.2:
-                pred = None
+                row = int(rng.integers(5, 7))
             else:
-                pred = int(rng.integers(0, 5))
-            if pred is not None and pred == truth:
+                row = int(rng.integers(0, 5))
+            if row == truth:
                 hits += 1
-            pairs.append((pred, truth))
-        assert accuracy(pairs) == hits / 75
+            rows.append(row)
+            labels.append(truth)
+        assert accuracy(np.array(rows), np.array(labels)) == hits / 75
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            accuracy([])
+            accuracy(np.array([], dtype=int), np.array([], dtype=int))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            accuracy(np.array([0, 1, 2]), np.array([0, 1]))
 
 
 class TestAuroc:
@@ -113,43 +134,55 @@ class TestAuroc:
             auroc([1.0], [])
 
 
+class TestMidranks:
+    def test_signed_zeros_tie(self):
+        ranks = _midranks(np.array([0.0, -0.0, 1.0, -1.0]))
+        np.testing.assert_array_equal(ranks, [2.5, 2.5, 4.0, 1.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(-3, 3, allow_nan=False),
+                st.sampled_from([0.0, -0.0, float("nan")]),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_matches_loop_oracle(self, values):
+        # a 0.5 grid makes most values tie; -0.0 ties with 0.0, NaN with nothing
+        values = np.round(np.array(values) * 2.0) / 2.0
+        np.testing.assert_array_equal(_midranks(values), loop_midranks(values))
+
+
 class TestAggregate:
     def test_single_episode(self):
-        m = EpisodeMetrics(accuracy=0.8, auroc=0.9, n_known=10, n_unknown=10)
-        agg = aggregate([m])
-        assert agg.mean_accuracy == 0.8
-        assert agg.mean_auroc == 0.9
-        assert agg.ci95_accuracy == 0.0 and agg.ci95_auroc == 0.0
-        assert agg.n_episodes == 1
+        agg = aggregate([0.8], [0.9])
+        assert agg["mean_accuracy"] == 0.8
+        assert agg["mean_auroc"] == 0.9
+        assert agg["ci95_accuracy"] == 0.0 and agg["ci95_auroc"] == 0.0
+        assert agg["n_episodes"] == 1
 
     def test_two_episode_mean(self):
-        ms = [
-            EpisodeMetrics(0.8, 0.7, 10, 10),
-            EpisodeMetrics(0.9, 0.8, 10, 10),
-        ]
-        agg = aggregate(ms)
-        assert agg.mean_accuracy == pytest.approx(0.85)
-        assert agg.mean_auroc == pytest.approx(0.75)
+        agg = aggregate([0.8, 0.9], [0.7, 0.8])
+        assert agg["mean_accuracy"] == pytest.approx(0.85)
+        assert agg["mean_auroc"] == pytest.approx(0.75)
 
     def test_accumulation_oracle(self):
         rng = np.random.default_rng(4)
         accs = rng.uniform(0, 1, 600)
         aucs = rng.uniform(0, 1, 600)
-        ms = [EpisodeMetrics(a, u, 5, 5) for a, u in zip(accs, aucs)]
-        agg = aggregate(ms)
-        assert agg.mean_accuracy == pytest.approx(float(np.mean(accs)), abs=1e-12)
-        assert agg.mean_auroc == pytest.approx(float(np.mean(aucs)), abs=1e-12)
+        agg = aggregate(accs, aucs)
+        assert agg["mean_accuracy"] == pytest.approx(float(np.mean(accs)), abs=1e-12)
+        assert agg["mean_auroc"] == pytest.approx(float(np.mean(aucs)), abs=1e-12)
         expected_ci = 1.96 * float(np.std(accs, ddof=1)) / np.sqrt(600)
-        assert agg.ci95_accuracy == pytest.approx(expected_ci, abs=1e-12)
+        assert agg["ci95_accuracy"] == pytest.approx(expected_ci, abs=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            aggregate([])
+            aggregate([], [])
 
-    def test_episode_metrics_validation(self):
-        with pytest.raises(ValueError, match="auroc"):
-            EpisodeMetrics(accuracy=1.0, auroc=0.5, n_known=3, n_unknown=0)
-        with pytest.raises(ValueError, match="auroc"):
-            EpisodeMetrics(accuracy=1.0, auroc=None, n_known=3, n_unknown=3)
-        # degenerate episode carries no auroc
-        EpisodeMetrics(accuracy=1.0, auroc=None, n_known=3, n_unknown=0)
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            aggregate([0.8, 0.9], [0.7])

@@ -41,3 +41,7 @@ def test_traced_run_records_mining_and_loss_curves(spans, benchmark_dataset, tmp
     assert report["featmap.pool_calls"] == 3
     assert report["finetune.epochs"] == cfg.epochs
     assert report["pipeline.bundle_bytes"] > 0
+    # accuracy and auroc once per episode on its arrays, aggregate once per run
+    names = [span.name for span in tracer.spans]
+    assert (names.count("accuracy"), names.count("auroc"), names.count("aggregate")) == (2, 2, 1)
+    assert report["metrics.score_ms"] > 0

@@ -71,13 +71,10 @@ class TestRunEval:
             unknown = spatial_avg_pool(np.stack([f.values for f in episode.unknown_queries]))
             rows, ks = predict(bank, known, cfg.score_kind)
             _, us = predict(bank, unknown, cfg.score_kind)
-            acc_pairs = [
-                (None if row >= bank.num_known else row, truth)
-                for row, (_, truth) in zip(rows, episode.known_queries)
-            ]
+            truths = np.array([truth for _, truth in episode.known_queries])
             row = bundle.episodes[index]
             assert row["seed"] == seed
-            assert row["accuracy"] == accuracy(acc_pairs)
+            assert row["accuracy"] == accuracy(rows, truths)
             assert row["auroc"] == auroc(ks, us)
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -168,6 +165,21 @@ class TestRunEval:
             small_cfg(path, score_kind="nope")
         with pytest.raises(ValueError, match="num_background"):
             small_cfg(path, num_background=0, use_background_classes=True)
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            (dict(epochs=0), "epochs"),
+            (dict(n_way=1), "n_way"),
+            (dict(iterations=0), "iterations"),
+            (dict(norm_kind="zscore"), "norm kind"),
+        ],
+    )
+    def test_stage_settings_fail_at_construction(self, benchmark_dataset, setting, message):
+        # rejected by RunConfig itself, not inside episode 0's RuntimeError
+        path, _, _ = benchmark_dataset
+        with pytest.raises(ValueError, match=message):
+            small_cfg(path, **setting)
 
 
 class TestGradcheck:

@@ -89,11 +89,11 @@ class TestProcam:
         rng = np.random.default_rng(3)
         fvals = rng.normal(size=(6, 6, 8))
         wvals = rng.normal(size=8)
-        result = procam(FeatureMap(fvals), wvals, ProCamConfig(iterations=4, include_trace=True))
+        result = procam(FeatureMap(fvals), wvals, ProCamConfig(iterations=4))
         final, background, steps = _loop_oracle(fvals, wvals, 4)
         np.testing.assert_allclose(result.final_mask, final, atol=1e-9)
         np.testing.assert_allclose(result.background, background.mean(axis=(0, 1)), atol=1e-9)
-        assert result.per_iteration_masks is not None and len(result.per_iteration_masks) == 4
+        assert len(result.per_iteration_masks) == 4
         for got, expected in zip(result.per_iteration_masks, steps):
             np.testing.assert_allclose(got, expected, atol=1e-9)
 
@@ -108,9 +108,9 @@ class TestProcam:
         np.testing.assert_allclose(result.final_mask, final, atol=1e-9)
         np.testing.assert_allclose(result.background, background.mean(axis=(0, 1)), atol=1e-9)
 
-    def test_trace_omitted_by_default(self):
+    def test_trace_kept_by_default(self):
         f = FeatureMap(np.random.default_rng(5).normal(size=(3, 3, 2)))
-        assert procam(f, np.array([1.0, 0.0]), ProCamConfig(iterations=2)).per_iteration_masks is None
+        assert len(procam(f, np.array([1.0, 0.0]), ProCamConfig(iterations=2)).per_iteration_masks) == 2
 
     def test_invalid_config(self):
         with pytest.raises(ValueError, match="iterations"):
@@ -141,7 +141,7 @@ class TestProcamInvariants:
         rng = np.random.default_rng(7)
         fvals = rng.normal(size=(4, 4, 5))
         wvals = rng.normal(size=5)
-        cfg = ProCamConfig(iterations=3, include_trace=True)
+        cfg = ProCamConfig(iterations=3)
         base = procam(FeatureMap(fvals), wvals, cfg)
         for alpha in (0.01, 1.0, 100.0):
             scaled = procam(FeatureMap(alpha * fvals), wvals, cfg)
@@ -263,7 +263,7 @@ class TestProcamForSupport:
             peaked[:, :, None] * (w / np.dot(w, w)),
         ]
         labels = [0, 1, 0, 2, 1]
-        cfg = ProCamConfig(iterations=4, norm_kind=norm_kind, include_trace=True)
+        cfg = ProCamConfig(iterations=4, norm_kind=norm_kind)
         pairs = procam_for_support([(FeatureMap(m), c) for m, c in zip(maps, labels)], bank, cfg)
         masks, backgrounds, trace = _mine(np.stack(maps), bank.known_weights[labels], cfg)
         assert backgrounds.shape == (len(maps), d)
