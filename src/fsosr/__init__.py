@@ -2,7 +2,7 @@
 maps: prototype classifiers with extra background rows, progressive
 activation-map mining of background features, and episodic fine-tuning."""
 
-from .classifier import InitStrategy, PrototypeBank, build_known_prototypes, init_background, predict
+from .classifier import PrototypeBank, build_known_prototypes, init_background, predict
 from .episode import (
     EpisodeSpec,
     FeatureDataset,
@@ -22,7 +22,6 @@ __all__ = [
     "FeatureDataset",
     "FeatureMap",
     "FinetuneConfig",
-    "InitStrategy",
     "ProCamConfig",
     "PrototypeBank",
     "RunConfig",

@@ -1,10 +1,8 @@
 """Prototype classifier bank: known-class rows built from support averages,
-background rows seeded by one of three strategies, and batched cosine
+background rows started randomly or from mined backgrounds, and batched cosine
 scoring, whose row-norm check fine-tuning also uses."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,26 +91,6 @@ class PrototypeBank:
         )
 
 
-@dataclass
-class InitStrategy:
-    """How background rows get their starting values.
-
-    random: rows drawn i.i.d. uniform on [-1/sqrt(d), +1/sqrt(d)] from `seed`.
-    avg:    rows are means of a round-robin partition of mined background
-            embeddings (a single row is the mean of all of them).
-    global: rows are carried across episodes through `persisted_weights`;
-            freshly seeded like `random` on first use.
-    """
-
-    kind: str = INIT_RANDOM
-    seed: int = 0
-    persisted_weights: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in INIT_KINDS:
-            raise ValueError(f"unknown init kind {self.kind!r}, expected one of {INIT_KINDS}")
-
-
 def build_known_prototypes(
     embeddings: np.ndarray, labels: np.ndarray, n_way: int, k_shot: int
 ) -> PrototypeBank:
@@ -154,53 +132,40 @@ def random_background_rows(num_background: int, dim: int, seed: int) -> np.ndarr
 
 def init_background(
     bank: PrototypeBank,
-    strategy: InitStrategy,
+    kind: str,
     num_background: int,
+    seed: int,
     bkg_embeddings: np.ndarray | None = None,
 ) -> PrototypeBank:
     """Attach num_background freshly initialized rows to the bank.
 
-    For the global strategy the freshly seeded rows are stored back onto the
-    strategy so later episodes reuse them; fine-tuned weights are written back
-    by the evaluation driver, not here.
+    random, and the first episode of global: rows drawn by
+    random_background_rows from `seed`. avg: rows are means of a round-robin
+    partition of the mined background embeddings (a single row is the mean of
+    all of them). Later global episodes reuse the previous episode's rows,
+    which the evaluation driver attaches with bank.with_background.
     """
+    if kind not in INIT_KINDS:
+        raise ValueError(f"unknown init kind {kind!r}, expected one of {INIT_KINDS}")
     if num_background < 0:
         raise ValueError("num_background must be >= 0")
-    if num_background == 0:
-        return bank.with_background(np.zeros((0, bank.dim)))
     d = bank.dim
-    if strategy.kind == INIT_RANDOM:
-        rows = random_background_rows(num_background, d, strategy.seed)
-    elif strategy.kind == INIT_AVG:
-        if bkg_embeddings is None or len(bkg_embeddings) == 0:
-            raise ValueError("avg initialization needs at least one background embedding")
-        if bkg_embeddings.ndim != 2 or bkg_embeddings.shape[1] != d:
-            raise ValueError(
-                f"background embeddings need shape n x {d}, got {bkg_embeddings.shape}"
-            )
-        if len(bkg_embeddings) < num_background:
-            raise ValueError(
-                f"avg initialization got {len(bkg_embeddings)} embeddings for "
-                f"{num_background} background rows; every row needs at least one"
-            )
-        rows = np.stack(
-            [bkg_embeddings[j::num_background].mean(axis=0) for j in range(num_background)]
+    if num_background == 0:
+        return bank.with_background(np.zeros((0, d)))
+    if kind != INIT_AVG:
+        return bank.with_background(random_background_rows(num_background, d, seed))
+    if bkg_embeddings is None or len(bkg_embeddings) == 0:
+        raise ValueError("avg initialization needs at least one background embedding")
+    if bkg_embeddings.ndim != 2 or bkg_embeddings.shape[1] != d:
+        raise ValueError(f"background embeddings need shape n x {d}, got {bkg_embeddings.shape}")
+    if len(bkg_embeddings) < num_background:
+        raise ValueError(
+            f"avg initialization got {len(bkg_embeddings)} embeddings for "
+            f"{num_background} background rows; every row needs at least one"
         )
-    elif strategy.kind == INIT_GLOBAL:
-        if strategy.persisted_weights is None:
-            rows = random_background_rows(num_background, d, strategy.seed)
-            strategy.persisted_weights = rows.copy()
-        else:
-            persisted = np.asarray(strategy.persisted_weights, dtype=np.float64)
-            if persisted.shape != (num_background, d):
-                raise ValueError(
-                    f"persisted global weights have shape {persisted.shape}, "
-                    f"expected ({num_background}, {d})"
-                )
-            rows = persisted.copy()
-    else:  # pragma: no cover - kind validated at construction
-        raise ValueError(f"unknown init kind {strategy.kind!r}")
-    return bank.with_background(rows)
+    return bank.with_background(
+        np.stack([bkg_embeddings[j::num_background].mean(axis=0) for j in range(num_background)])
+    )
 
 
 def row_norms(matrix: np.ndarray, what: str) -> np.ndarray:

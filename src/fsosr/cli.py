@@ -29,11 +29,24 @@ def masks_path(dataset_path) -> Path:
     return p.with_name(p.stem + ".masks" + p.suffix) if p.suffix else Path(str(p) + ".masks")
 
 
+def _config(args: argparse.Namespace, make, **settings):
+    """make(**settings), where a setting the config rejects is a usage error:
+    one `fsosr <command>: error: ...` line on stderr and exit code 2, as
+    argparse reports a bad flag."""
+    try:
+        return make(**settings)
+    except ValueError as exc:
+        sys.stderr.write(f"fsosr {args.command}: error: {exc}\n")
+        raise SystemExit(2) from exc
+
+
 def _cmd_gen_synthetic(args: argparse.Namespace) -> int:
     if args.benchmark:
         cfg = benchmark_config(seed=7 if args.seed is None else args.seed)
     else:
-        cfg = SyntheticConfig(
+        cfg = _config(
+            args,
+            SyntheticConfig,
             num_classes=args.classes,
             items_per_class=args.items_per_class,
             height=args.height,
@@ -78,7 +91,9 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    cfg = RunConfig(
+    cfg = _config(
+        args,
+        RunConfig,
         dataset=args.dataset,
         n_way=args.n_way,
         k_shot=args.k_shot,
@@ -117,6 +132,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_heatmap(args: argparse.Namespace) -> int:
+    cfg = _config(args, ProCamConfig, iterations=args.iterations, norm_kind=args.norm)
     ds = read_dataset(args.dataset)
     if not 0 <= args.item < len(ds.items):
         raise SystemExit(f"item {args.item} outside [0, {len(ds.items)})")
@@ -124,7 +140,6 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     # class prototype = mean pooled embedding over every item of the class
     same_class = np.stack([f.values for f, lab in ds.items if lab == label])
     weight = spatial_avg_pool(same_class).mean(axis=0)
-    cfg = ProCamConfig(iterations=args.iterations, norm_kind=args.norm)
     result = procam(fmap, weight, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -210,8 +210,9 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.num_classes, self.items_per_class, self.height, self.width, self.channels) < 1:
-            raise ValueError("all synthetic dimensions must be >= 1")
+        for name in ("num_classes", "items_per_class", "height", "width", "channels"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.signal_strength < 0:
             raise ValueError("signal_strength must be >= 0")
         if self.noise_sigma < 0:

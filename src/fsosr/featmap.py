@@ -100,17 +100,9 @@ def minmax_norm(m: np.ndarray) -> np.ndarray:
     return np.where(flat, 0.0, (m - lo) / np.where(flat, 1.0, span))
 
 
-def spatial_softmax(m: np.ndarray, peak_rescale: bool = False) -> np.ndarray:
-    """Softmax of each map over its trailing (H, W) cells, stabilized by max
-    subtraction.
-
-    The plain output sums to 1 over the grid, so on large grids every value is
-    tiny. With peak_rescale each map is divided by its maximum so the strongest
-    cell is exactly 1, which keeps (1 - mask) suppression meaningful.
-    """
-    e = np.exp(m - m.max(axis=(-2, -1), keepdims=True))
-    out = e / e.sum(axis=(-2, -1), keepdims=True)
-    if peak_rescale:
-        out = out / out.max(axis=(-2, -1), keepdims=True)
-    return out
-
+def spatial_softmax(m: np.ndarray) -> np.ndarray:
+    """Softmax of each map over its trailing (H, W) cells, rescaled so the
+    strongest cell is exactly 1: exp(m - max) per map. A sum-to-one softmax
+    makes every value tiny on large grids, which would leave the (1 - mask)
+    suppression that follows almost a no-op."""
+    return np.exp(m - m.max(axis=(-2, -1), keepdims=True))

@@ -17,7 +17,6 @@ from .classifier import (
     INIT_GLOBAL,
     INIT_KINDS,
     SCORE_KINDS,
-    InitStrategy,
     PrototypeBank,
     build_known_prototypes,
     init_background,
@@ -204,13 +203,17 @@ def validate_dataset_for_config(ds: FeatureDataset, cfg: RunConfig) -> None:
 
 
 def evaluate_episode(
-    ds: FeatureDataset, cfg: RunConfig, index: int, global_strategy: InitStrategy | None = None
+    ds: FeatureDataset, cfg: RunConfig, index: int, carried: np.ndarray | None = None
 ) -> dict:
     """Run the full pipeline for episode `index` and return a plain record:
     sample, build known prototypes, mine backgrounds, init and fine-tune the
     background rows, then score the known and the unknown queries, each group
-    as one matrix. Any failure is re-raised as a RuntimeError naming the
-    episode index and sample seed, chained to the original exception."""
+    as one matrix. The background rows start from `carried` when given (the
+    previous episode's rows under init=global), else from init_background with
+    the episode's own seed; the record's "background" holds their final
+    values. Only the last episode of a run with dump_last_bank serialises its
+    bank and loss report. Any failure is re-raised as a RuntimeError naming
+    the episode index and sample seed, chained to the original exception."""
     sample_seed = derive_episode_seed(cfg.master_seed, index, stream=0)
     try:
         episode = sample_episode(ds, cfg.episode_spec(sample_seed))
@@ -225,26 +228,23 @@ def evaluate_episode(
             if needs_mining:
                 pairs = procam_for_support(list(episode.support), bank, cfg.procam_config())
                 bg_embeddings = np.stack([bg.values for _, bg in pairs])
-            if cfg.init_kind == INIT_GLOBAL:
-                strategy = global_strategy or InitStrategy(
-                    INIT_GLOBAL, seed=derive_episode_seed(cfg.master_seed, 0, stream=1)
-                )
+            if carried is not None:
+                bank = bank.with_background(carried)
             else:
-                strategy = InitStrategy(
-                    cfg.init_kind, seed=derive_episode_seed(cfg.master_seed, index, stream=1)
+                init_seed = derive_episode_seed(cfg.master_seed, index, stream=1)
+                bank = init_background(
+                    bank, cfg.init_kind, cfg.num_background, init_seed, bg_embeddings
                 )
-            bank = init_background(bank, strategy, cfg.num_background, bg_embeddings)
             if cfg.use_procam_finetune:
                 bank, loss_report = finetune_bank(
                     bank, support, support_labels, bg_embeddings, cfg.finetune_config()
                 )
-                if strategy.kind == INIT_GLOBAL:
-                    strategy.persisted_weights = np.array(bank.background_weights)
 
         known = spatial_avg_pool(np.stack([f.values for f, _ in episode.known_queries]))
         unknown = spatial_avg_pool(np.stack([f.values for f in episode.unknown_queries]))
         rows, known_scores = predict(bank, known, cfg.score_kind)
         _, unknown_scores = predict(bank, unknown, cfg.score_kind)
+        dump = cfg.dump_last_bank and index == cfg.num_episodes - 1
         return {
             "episode": index,
             "seed": sample_seed,
@@ -252,8 +252,9 @@ def evaluate_episode(
             "auroc": auroc(known_scores, unknown_scores),
             "known_scores": known_scores,
             "unknown_scores": unknown_scores,
-            "bank": bank.to_dict() if cfg.dump_last_bank else None,
-            "loss": loss_report.to_dict() if cfg.dump_last_bank and loss_report else None,
+            "background": bank.background_weights,
+            "bank": bank.to_dict() if dump else None,
+            "loss": loss_report.to_dict() if dump and loss_report else None,
         }
     except Exception as exc:
         raise RuntimeError(
@@ -275,19 +276,18 @@ def _worker_run(index: int) -> dict:
 
 def run_eval(cfg: RunConfig) -> ResultsBundle:
     """Evaluate num_episodes episodes and assemble (and optionally write) the
-    results bundle. The global init strategy shares state across episodes, so
-    it always runs on a single worker."""
+    results bundle. Under init=global each episode starts from the previous
+    episode's final background rows, so it always runs on a single worker."""
     ds = read_dataset(cfg.dataset)
     validate_dataset_for_config(ds, cfg)
 
     workers = 1 if cfg.init_kind == INIT_GLOBAL else cfg.workers
     if workers == 1:
-        global_strategy = InitStrategy(
-            INIT_GLOBAL, seed=derive_episode_seed(cfg.master_seed, 0, stream=1)
-        )
-        records = [
-            evaluate_episode(ds, cfg, i, global_strategy) for i in range(cfg.num_episodes)
-        ]
+        records, carried = [], None
+        for i in range(cfg.num_episodes):
+            records.append(evaluate_episode(ds, cfg, i, carried))
+            if cfg.init_kind == INIT_GLOBAL:
+                carried = records[-1]["background"]
     else:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_worker_init, initargs=(cfg,)
@@ -312,8 +312,8 @@ def run_eval(cfg: RunConfig) -> ResultsBundle:
         ],
         aggregate=agg,
         pooled_auroc=pooled,
-        last_bank=records[-1]["bank"] if cfg.dump_last_bank else None,
-        last_loss=records[-1]["loss"] if cfg.dump_last_bank else None,
+        last_bank=records[-1]["bank"],
+        last_loss=records[-1]["loss"],
     )
     if cfg.output_dir is not None:
         bundle.write(cfg.output_dir)

@@ -76,7 +76,7 @@ def _mine(
         if cfg.norm_kind == NORM_MINMAX:
             step = minmax_norm(activation)
         else:
-            step = spatial_softmax(activation, peak_rescale=True)
+            step = spatial_softmax(activation)
         trace.append(step)
         activation = activation * (1.0 - step)
     final_masks = minmax_norm(sum(trace))

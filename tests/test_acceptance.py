@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from fsosr.classifier import InitStrategy, build_known_prototypes, init_background
+from fsosr.classifier import build_known_prototypes, init_background
 from fsosr.episode import EpisodeSpec, derive_episode_seed, sample_episode
 from fsosr.featmap import FeatureMap, minmax_norm, spatial_avg_pool
 from fsosr.finetune import FinetuneConfig, finetune_bank
@@ -186,9 +186,7 @@ def test_criterion_6_finetune_descent(benchmark_dataset):
         labels = np.array([c for _, c in episode.support])
         bank = build_known_prototypes(sup, labels, 5, 5)
         pairs = procam_for_support(list(episode.support), bank, ProCamConfig(iterations=4))
-        bank = init_background(
-            bank, InitStrategy("random", seed=derive_episode_seed(123, i, 1)), 1
-        )
+        bank = init_background(bank, "random", 1, seed=derive_episode_seed(123, i, 1))
         bgs = np.stack([b.values for _, b in pairs])
         _, report = finetune_bank(bank, sup, labels, bgs, FinetuneConfig())
         if report.per_epoch_totals[-1] < report.per_epoch_totals[0]:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fsosr.classifier import (
-    InitStrategy,
     PrototypeBank,
     build_known_prototypes,
     cosine_matrix,
@@ -69,32 +68,31 @@ class TestBuildKnownPrototypes:
 class TestInitBackground:
     def test_random_is_deterministic(self):
         bank = known([1.0, 0.0, 0.0])
-        s = InitStrategy("random", seed=42)
-        a = init_background(bank, s, 3).background_weights
-        b = init_background(bank, s, 3).background_weights
+        a = init_background(bank, "random", 3, seed=42).background_weights
+        b = init_background(bank, "random", 3, seed=42).background_weights
         assert a.tobytes() == b.tobytes()
 
     def test_different_seeds_differ(self):
         bank = known([1.0, 0.0, 0.0])
-        a = init_background(bank, InitStrategy("random", seed=1), 2).background_weights
-        b = init_background(bank, InitStrategy("random", seed=2), 2).background_weights
+        a = init_background(bank, "random", 2, seed=1).background_weights
+        b = init_background(bank, "random", 2, seed=2).background_weights
         assert not np.array_equal(a, b)
 
     def test_avg_single_row_mean(self):
         bank = known([1.0, 1.0])
-        out = init_background(bank, InitStrategy("avg"), 1, np.array([[2.0, 0.0], [0.0, 2.0]]))
+        out = init_background(bank, "avg", 1, 0, np.array([[2.0, 0.0], [0.0, 2.0]]))
         assert out.background_weights.tolist() == [[1.0, 1.0]]
 
     def test_avg_round_robin_partition(self):
         bank = known([1.0, 1.0])
         embeddings = np.array([[2.0, 0.0], [0.0, 2.0], [4.0, 0.0]])
-        out = init_background(bank, InitStrategy("avg"), 2, embeddings)
+        out = init_background(bank, "avg", 2, 0, embeddings)
         # rows 0 and 2 go to partition 0, row 1 to partition 1
         assert out.background_weights.tolist() == [[3.0, 0.0], [0.0, 2.0]]
 
     def test_random_bound_check_d640(self):
         bank = PrototypeBank(np.ones((1, 640)))
-        out = init_background(bank, InitStrategy("random", seed=9), 4)
+        out = init_background(bank, "random", 4, seed=9)
         bound = 1.0 / np.sqrt(640)
         assert np.all(out.background_weights >= -bound)
         assert np.all(out.background_weights <= bound)
@@ -102,29 +100,20 @@ class TestInitBackground:
     def test_avg_requires_embeddings(self):
         bank = known([1.0, 0.0])
         with pytest.raises(ValueError, match="background embedding"):
-            init_background(bank, InitStrategy("avg"), 1, None)
+            init_background(bank, "avg", 1, 0, None)
         with pytest.raises(ValueError, match="every row"):
-            init_background(bank, InitStrategy("avg"), 3, np.array([[1.0, 0.0]]))
+            init_background(bank, "avg", 3, 0, np.array([[1.0, 0.0]]))
         with pytest.raises(ValueError, match="shape n x 2"):
-            init_background(bank, InitStrategy("avg"), 1, np.ones((2, 3)))
-
-    def test_global_seeds_once_then_persists(self):
-        bank = known([1.0, 0.0, 0.0])
-        strategy = InitStrategy("global", seed=5)
-        first = init_background(bank, strategy, 2).background_weights
-        assert strategy.persisted_weights is not None
-        strategy.persisted_weights = strategy.persisted_weights * 2.0
-        second = init_background(bank, strategy, 2).background_weights
-        np.testing.assert_array_equal(second, first * 2.0)
+            init_background(bank, "avg", 1, 0, np.ones((2, 3)))
 
     def test_zero_rows_allowed(self):
         bank = known([1.0, 0.0])
-        out = init_background(bank, InitStrategy("random"), 0)
+        out = init_background(bank, "random", 0, seed=0)
         assert out.num_background == 0
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="init kind"):
-            InitStrategy("fancy")
+            init_background(known([1.0, 0.0]), "fancy", 1, seed=0)
 
 
 def scalar_cosine(row, q):

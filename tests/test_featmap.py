@@ -128,35 +128,34 @@ class TestMinmaxNorm:
 class TestSpatialSoftmax:
     def test_uniform_map(self):
         out = spatial_softmax(np.full((2, 3), 7.7))
-        np.testing.assert_allclose(out, np.full((2, 3), 1 / 6), atol=1e-12)
-        rescaled = spatial_softmax(np.full((2, 3), 7.7), peak_rescale=True)
-        np.testing.assert_allclose(rescaled, np.ones((2, 3)), atol=1e-12)
+        np.testing.assert_allclose(out, np.ones((2, 3)), atol=1e-12)
 
     def test_closed_form_two_cells(self):
         out = spatial_softmax(np.array([[0.0, np.log(3.0)]]))
-        np.testing.assert_allclose(out, [[0.25, 0.75]], atol=1e-12)
+        np.testing.assert_allclose(out, [[1 / 3, 1.0]], atol=1e-12)
 
     def test_exp_sum_oracle(self):
+        # the sum-to-one softmax divided by its peak
         rng = np.random.default_rng(3)
         vals = rng.normal(size=(3, 3))
         out = spatial_softmax(vals)
         denom = sum(np.exp(v) for v in vals.ravel())
+        peak = np.exp(vals.max()) / denom
         for a in range(3):
             for b in range(3):
-                assert out[a, b] == pytest.approx(np.exp(vals[a, b]) / denom, abs=1e-12)
+                assert out[a, b] == pytest.approx(np.exp(vals[a, b]) / denom / peak, abs=1e-12)
 
     def test_stack_softmax_is_per_map(self):
         rng = np.random.default_rng(9)
         stack = rng.normal(size=(3, 2, 4))
-        for peak in (False, True):
-            out = spatial_softmax(stack, peak_rescale=peak)
-            for i in range(3):
-                np.testing.assert_allclose(out[i], spatial_softmax(stack[i], peak), atol=1e-15)
+        out = spatial_softmax(stack)
+        for i in range(3):
+            np.testing.assert_allclose(out[i], spatial_softmax(stack[i]), atol=1e-15)
 
     @settings(max_examples=50, deadline=None)
     @given(small_maps(), st.floats(-30, 30))
-    def test_sums_to_one_and_shift_invariant(self, vals, shift):
+    def test_peak_is_one_and_shift_invariant(self, vals, shift):
         out = spatial_softmax(vals)
-        assert out.sum() == pytest.approx(1.0, abs=1e-9)
+        assert out.max() == pytest.approx(1.0, abs=1e-9)
         shifted = spatial_softmax(vals + shift)
         np.testing.assert_allclose(out, shifted, atol=1e-9)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fsosr import finetune
-from fsosr.classifier import InitStrategy, PrototypeBank, build_known_prototypes, init_background
+from fsosr.classifier import PrototypeBank, build_known_prototypes, init_background
 from fsosr.episode import derive_episode_seed, sample_episode
 from fsosr.featmap import spatial_avg_pool
 from fsosr.finetune import FinetuneConfig, finetune_bank, grad_wrt_prototypes, prototype_batch_loss
@@ -325,8 +325,8 @@ def _episode_finetune_inputs(benchmark_dataset, num_background, index=0):
     bank = build_known_prototypes(supports, labels, cfg.n_way, cfg.k_shot)
     pairs = procam_for_support(list(episode.support), bank, cfg.procam_config())
     backgrounds = np.stack([bg.values for _, bg in pairs])
-    strategy = InitStrategy("random", seed=derive_episode_seed(cfg.master_seed, index, 1))
-    bank = init_background(bank, strategy, num_background, backgrounds)
+    seed = derive_episode_seed(cfg.master_seed, index, 1)
+    bank = init_background(bank, "random", num_background, seed, backgrounds)
     return bank, supports, labels, backgrounds, cfg
 
 

@@ -3,14 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from fsosr.classifier import InitStrategy, build_known_prototypes, init_background, predict
-from fsosr.dataset_io import read_dataset
+from fsosr.classifier import build_known_prototypes, init_background, predict
+from fsosr.dataset_io import DatasetFormatError, read_dataset
 from fsosr.episode import derive_episode_seed, sample_episode
 from fsosr.featmap import spatial_avg_pool
 from fsosr.finetune import finetune_bank
 from fsosr.metrics import accuracy, auroc
 from fsosr.pipeline import (
     RunConfig,
+    evaluate_episode,
     gradcheck_command,
     gradcheck_report,
     run_eval,
@@ -64,8 +65,8 @@ class TestRunEval:
             bank = build_known_prototypes(sup, labels, cfg.n_way, cfg.k_shot)
             pairs = procam_for_support(list(episode.support), bank, cfg.procam_config())
             bgs = np.stack([b.values for _, b in pairs])
-            strategy = InitStrategy("random", seed=derive_episode_seed(cfg.master_seed, index, 1))
-            bank = init_background(bank, strategy, cfg.num_background, bgs)
+            init_seed = derive_episode_seed(cfg.master_seed, index, 1)
+            bank = init_background(bank, "random", cfg.num_background, init_seed, bgs)
             bank, _ = finetune_bank(bank, sup, labels, bgs, cfg.finetune_config())
             known = spatial_avg_pool(np.stack([f.values for f, _ in episode.known_queries]))
             unknown = spatial_avg_pool(np.stack([f.values for f in episode.unknown_queries]))
@@ -107,14 +108,30 @@ class TestRunEval:
         assert 0.0 <= bundle.pooled_auroc <= 1.0
         assert "pooled_auroc" in bundle.summary_json_text()
 
-    def test_dump_last_bank(self, benchmark_dataset):
+    def test_dump_last_bank(self, benchmark_dataset, tmp_path):
+        # 10 episodes put the last one in the pool's second chunk of 8
         path, _, _ = benchmark_dataset
-        bundle = run_eval(small_cfg(path, num_episodes=2, dump_last_bank=True))
-        assert bundle.last_bank is not None
-        assert bundle.last_bank["num_known"] == 5
-        assert bundle.last_bank["num_background"] == 1
-        assert bundle.last_loss is not None
-        assert len(bundle.last_loss["per_epoch_totals"]) == 21
+        summaries = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            bundle = run_eval(small_cfg(
+                path, num_episodes=10, dump_last_bank=True, workers=workers, output_dir=str(out)
+            ))
+            assert bundle.last_bank is not None
+            assert bundle.last_bank["num_known"] == 5
+            assert bundle.last_bank["num_background"] == 1
+            assert bundle.last_loss is not None
+            assert len(bundle.last_loss["per_epoch_totals"]) == 21
+            summaries.append((out / "summary.json").read_bytes())
+        assert summaries[0] == summaries[1]
+
+    def test_only_last_episode_serialises_its_bank(self, benchmark_dataset):
+        path, ds, _ = benchmark_dataset
+        cfg = small_cfg(path, num_episodes=2, dump_last_bank=True)
+        first, last = evaluate_episode(ds, cfg, 0), evaluate_episode(ds, cfg, 1)
+        assert first["bank"] is None and first["loss"] is None
+        assert last["bank"]["background_weights"] == last["background"].tolist()
+        assert len(last["loss"]["per_epoch_totals"]) == 21
 
     def test_ablation_ladder_all_rungs_run(self, benchmark_dataset):
         path, _, _ = benchmark_dataset
@@ -136,17 +153,41 @@ class TestRunEval:
         assert len(bundle.episodes) == 4  # forced single worker, still completes
 
     def test_global_strategy_weights_carry_over(self, benchmark_dataset):
-        from fsosr.pipeline import evaluate_episode
-
         path, ds, _ = benchmark_dataset
         cfg = small_cfg(path, init_kind="global")
-        strategy = InitStrategy("global", seed=derive_episode_seed(cfg.master_seed, 0, 1))
-        evaluate_episode(ds, cfg, 0, strategy)
-        after_first = np.array(strategy.persisted_weights)
-        evaluate_episode(ds, cfg, 1, strategy)
-        after_second = np.array(strategy.persisted_weights)
-        # fine-tuning wrote updated rows back between episodes
+        after_first = evaluate_episode(ds, cfg, 0)["background"]
+        after_second = evaluate_episode(ds, cfg, 1, after_first)["background"]
+        # fine-tuning moved the carried rows on between episodes
         assert not np.array_equal(after_first, after_second)
+
+    @pytest.mark.parametrize("finetune", [True, False])
+    def test_global_run_equals_manual_chain(self, benchmark_dataset, finetune):
+        path, _, _ = benchmark_dataset
+        ds = read_dataset(path)  # the float32 values run_eval reads, not the generator's
+        cfg = small_cfg(
+            path, init_kind="global", use_procam_finetune=finetune, dump_last_bank=True
+        )
+        bundle = run_eval(cfg)
+        carried, chain = None, []
+        for index in range(cfg.num_episodes):
+            record = evaluate_episode(ds, cfg, index, carried)
+            chain.append({k: record[k] for k in ("episode", "seed", "accuracy", "auroc")})
+            carried = record["background"]
+        assert bundle.episodes == chain
+        assert bundle.last_bank["background_weights"] == carried.tolist()
+        first = evaluate_episode(ds, cfg, 0)["background"]
+        if finetune:
+            assert not np.array_equal(carried, first)
+        else:  # nothing moves the rows, so every episode keeps episode 0's
+            assert carried.tobytes() == first.tobytes()
+
+    def test_global_episode_zero_equals_random(self, benchmark_dataset):
+        path, ds, _ = benchmark_dataset
+        glob = small_cfg(path, init_kind="global", num_episodes=1)
+        rand = small_cfg(path, init_kind="random", num_episodes=1)
+        assert run_eval(glob).episodes == run_eval(rand).episodes
+        a, b = evaluate_episode(ds, glob, 0), evaluate_episode(ds, rand, 0)
+        assert a["background"].tobytes() == b["background"].tobytes()
 
     def test_snapshot_excludes_execution_details(self, benchmark_dataset):
         path, _, _ = benchmark_dataset
@@ -264,6 +305,36 @@ class TestCli:
         # byte-identical to the session benchmark file (same config, same seed)
         reference_path, _, _ = benchmark_dataset
         assert out.read_bytes() == reference_path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eval", "--epochs", "0"], "epochs must be >= 1"),
+            (["eval", "--n-way", "1"], "n_way must be >= 2"),
+            (["eval", "--workers", "0"], "workers must be >= 1"),
+            (["heatmap", "--item", "0", "--iterations", "0"], "iterations must be >= 1"),
+            (["gen-synthetic", "--classes", "0"], "num_classes must be >= 1"),
+        ],
+    )
+    def test_rejected_setting_is_a_usage_error(
+        self, benchmark_dataset, tmp_path, capsys, argv, message
+    ):
+        path, _, _ = benchmark_dataset
+        where = ["--out", str(tmp_path / "out")]
+        if argv[0] != "gen-synthetic":
+            where += ["--dataset", str(path)]
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv + where)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err == f"fsosr {argv[0]}: error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_dataset_is_not_a_usage_error(self, tmp_path):
+        bad = tmp_path / "bad.fsof"
+        bad.write_bytes(b"NOPE")
+        with pytest.raises(DatasetFormatError):
+            cli.main(["eval", "--dataset", str(bad), "--out", str(tmp_path / "out")])
 
     def test_output_dir_env_default(self, monkeypatch):
         monkeypatch.setenv(cli.OUTPUT_DIR_ENV, "/some/dir")
