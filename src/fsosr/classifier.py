@@ -113,8 +113,12 @@ def build_known_prototypes(
     if uneven.size:
         c = uneven[0]
         raise ValueError(f"class {c} has {counts[c]} support embeddings, expected {k_shot}")
-    # sort by label, then by every coordinate in turn
-    order = np.lexsort(np.vstack([embeddings.T[::-1], labels]))
+    # sort by label, then by every coordinate in turn; without a tie in column
+    # 0 inside a class, the label and column 0 alone give that order
+    order = np.lexsort((embeddings[:, 0], labels))
+    first, classes = embeddings[order, 0], labels[order]
+    if np.any((first[1:] == first[:-1]) & (classes[1:] == classes[:-1])):
+        order = np.lexsort(np.vstack([embeddings.T[::-1], labels]))
     protos = embeddings[order].reshape(n_way, k_shot, -1).sum(axis=1) / k_shot
     zero = np.flatnonzero(np.linalg.norm(protos, axis=1) <= EPS_NORM)
     if zero.size:
@@ -172,7 +176,11 @@ def row_norms(matrix: np.ndarray, what: str) -> np.ndarray:
     """Euclidean norm of every row of the matrix. A zero or non-finite norm
     (a finite row whose sum of squares overflows included) is an error that
     reads "{what} {row} has zero/non-finite norm"."""
-    n = np.linalg.norm(matrix, axis=1)
+    return check_norms(np.linalg.norm(matrix, axis=1), what)
+
+
+def check_norms(n: np.ndarray, what: str) -> np.ndarray:
+    """The norms n, unchanged, after row_norms' zero/non-finite check."""
     bad = np.flatnonzero(~((n > EPS_NORM) & np.isfinite(n)))
     if bad.size:
         kind = "zero" if n[bad[0]] <= EPS_NORM else "non-finite"

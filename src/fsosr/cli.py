@@ -14,7 +14,7 @@ from .classifier import INIT_KINDS, SCORE_KINDS
 from .dataset_io import export_heatmap, read_dataset, write_dataset
 from .episode import FeatureDataset, SyntheticConfig, benchmark_config, generate_synthetic
 from .featmap import NORM_KINDS, NORM_MINMAX, FeatureMap, minmax_norm, spatial_avg_pool
-from .pipeline import RunConfig, gradcheck_command, run_eval
+from .pipeline import RunConfig, gradcheck_command, run_eval, validate_dataset_for_config
 from .procam import ProCamConfig, cam, procam
 
 OUTPUT_DIR_ENV = "FSOSR_OUTPUT_DIR"
@@ -29,15 +29,29 @@ def masks_path(dataset_path) -> Path:
     return p.with_name(p.stem + ".masks" + p.suffix) if p.suffix else Path(str(p) + ".masks")
 
 
-def _config(args: argparse.Namespace, make, **settings):
-    """make(**settings), where a setting the config rejects is a usage error:
-    one `fsosr <command>: error: ...` line on stderr and exit code 2, as
+def _usage_error(args: argparse.Namespace, message) -> SystemExit:
+    """One `fsosr <command>: error: ...` line on stderr and exit code 2, as
     argparse reports a bad flag."""
+    sys.stderr.write(f"fsosr {args.command}: error: {message}\n")
+    return SystemExit(2)
+
+
+def _config(args: argparse.Namespace, make, **settings):
+    """make(**settings), where a setting it rejects with a ValueError is a
+    usage error."""
     try:
         return make(**settings)
     except ValueError as exc:
-        sys.stderr.write(f"fsosr {args.command}: error: {exc}\n")
-        raise SystemExit(2) from exc
+        raise _usage_error(args, exc) from exc
+
+
+def _read(args: argparse.Namespace, path) -> FeatureDataset:
+    """read_dataset(path), where a file that cannot be opened is a usage
+    error; a malformed one still raises DatasetFormatError."""
+    try:
+        return read_dataset(path)
+    except OSError as exc:
+        raise _usage_error(args, f"cannot open dataset {path}: {exc.strerror or exc}") from exc
 
 
 def _cmd_gen_synthetic(args: argparse.Namespace) -> int:
@@ -77,7 +91,7 @@ def _cmd_gen_synthetic(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    ds = read_dataset(args.dataset)
+    ds = _read(args, args.dataset)
     print(f"dataset: {args.dataset}")
     print(f"items: {len(ds.items)}")
     print(f"classes: {ds.num_classes}")
@@ -120,7 +134,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         workers=args.workers,
         dump_last_bank=args.dump_last_bank,
     )
-    bundle = run_eval(cfg)
+    ds = _read(args, cfg.dataset)
+    _config(args, validate_dataset_for_config, ds=ds, cfg=cfg)
+    bundle = run_eval(cfg, ds)
     agg = bundle.aggregate
     print(f"episodes: {agg['n_episodes']}")
     print(f"accuracy: {100 * agg['mean_accuracy']:.2f}% +/- {100 * agg['ci95_accuracy']:.2f}")
@@ -133,9 +149,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_heatmap(args: argparse.Namespace) -> int:
     cfg = _config(args, ProCamConfig, iterations=args.iterations, norm_kind=args.norm)
-    ds = read_dataset(args.dataset)
+    ds = _read(args, args.dataset)
     if not 0 <= args.item < len(ds.items):
-        raise SystemExit(f"item {args.item} outside [0, {len(ds.items)})")
+        raise _usage_error(args, f"item {args.item} outside [0, {len(ds.items)})")
     fmap, label = ds.items[args.item]
     # class prototype = mean pooled embedding over every item of the class
     same_class = np.stack([f.values for f, lab in ds.items if lab == label])

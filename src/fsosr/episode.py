@@ -221,6 +221,16 @@ class SyntheticConfig:
             raise ValueError("bkg_strength must be >= 0")
         if self.bkg_noise_mean < 0 or self.bkg_noise_scale < 0:
             raise ValueError("bkg_noise_mean and bkg_noise_scale must be >= 0")
+        if self.channels < self.num_classes + 1:
+            raise ValueError(
+                f"channels must be >= num_classes + 1 to allocate orthogonal signatures "
+                f"(got {self.channels} for {self.num_classes} classes)"
+            )
+        uses_shift = self.bkg_noise_mean > 0 or self.bkg_noise_scale > 0
+        if uses_shift and self.channels < self.num_classes + 2:
+            raise ValueError(
+                "channels must be >= num_classes + 2 when the background-energy shift is enabled"
+            )
 
 
 def resolve_fg_regions(cfg: SyntheticConfig) -> tuple[tuple[int, int, int, int], ...]:
@@ -296,18 +306,10 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[FeatureDataset, list[np.nd
     pattern uses channel num_classes, the per-item background-energy shift
     uses channel num_classes + 1, and remaining channels carry only noise.
     This keeps all signatures mutually orthogonal, which needs channels >=
-    num_classes + 1 (one more when the shift is enabled).
+    num_classes + 1 (one more when the shift is enabled), as SyntheticConfig
+    checks.
     """
-    if cfg.channels < cfg.num_classes + 1:
-        raise ValueError(
-            f"channels must be >= num_classes + 1 to allocate orthogonal signatures "
-            f"(got {cfg.channels} for {cfg.num_classes} classes)"
-        )
     uses_shift = cfg.bkg_noise_mean > 0 or cfg.bkg_noise_scale > 0
-    if uses_shift and cfg.channels < cfg.num_classes + 2:
-        raise ValueError(
-            "channels must be >= num_classes + 2 when the background-energy shift is enabled"
-        )
     regions = resolve_fg_regions(cfg)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
     bkg_channel = cfg.num_classes

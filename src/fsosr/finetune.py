@@ -17,7 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import PrototypeBank, cosine_matrix, row_norms
+from .classifier import PrototypeBank, check_norms, cosine_matrix, row_norms
+
+
+# Largest |scale| of a moving row in weights = scale * weights0 + coef @ unit
+# before finetune_bank re-bases on the current rows. Cosine steps never shrink
+# a row, so rounding in its dots and norms grows at most this factor (its
+# square for the squared norm). At the default settings on the benchmark
+# inputs |scale| stays below 2.1 and the loop never re-bases.
+REBASE_SCALE = 4.0
 
 
 @dataclass(frozen=True)
@@ -79,32 +87,34 @@ def prototype_batch_loss(
     return float(np.dot(item_weights, ce))
 
 
-def _batch_ce_and_grad(
-    weights: np.ndarray,
-    wn: np.ndarray,
-    unit: np.ndarray,
+def _batch_ce(
     scores: np.ndarray,
+    wn: np.ndarray,
     labels: np.ndarray,
     item_weights: np.ndarray,
     temperature: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-item cross-entropies (unweighted) and the gradient of the weighted
-    sum with respect to every prototype row, from the unit-norm (n x dim)
-    batch, the row norms wn of the weights and their cosine scores
-    unit @ (weights / wn).T."""
+    coefficients: bool = True,
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+    """Per-item cross-entropies (unweighted) of the (n x rows) cosine scores
+    between a unit-norm batch and weights with row norms wn, and, when
+    coefficients is set, the gradient of the weighted sum with respect to
+    every prototype row in coefficient form (dscore, a):
+
+        grad = (dscore.T / wn[:, None]) @ unit - a[:, None] * weights
+    """
     logits = temperature * scores
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     z = exp.sum(axis=1)
     idx = np.arange(len(labels))
     ce = np.log(z) - shifted[idx, labels]
+    if not coefficients:
+        return ce, None
 
     delta = exp / z[:, None]
     delta[idx, labels] -= 1.0
     dscore = temperature * delta * item_weights[:, None]  # items x rows
-    term1 = dscore.T @ unit / wn[:, None]
-    term2 = ((dscore * scores).sum(axis=0) / wn**2)[:, None] * weights
-    return ce, term1 - term2
+    return ce, (dscore, (dscore * scores).sum(axis=0) / wn**2)
 
 
 def _check_rows(embeddings: np.ndarray, dim: int, what: str) -> None:
@@ -135,8 +145,8 @@ def grad_wrt_prototypes(
     weights = bank.all_weights()
     scores, wn, qn = cosine_matrix(weights, embeddings)
     unit = embeddings / qn[:, None]
-    _, grad = _batch_ce_and_grad(weights, wn, unit, scores, labels, item_weights, temperature)
-    return grad
+    _, (dscore, a) = _batch_ce(scores, wn, labels, item_weights, temperature)
+    return (dscore.T / wn[:, None]) @ unit - a[:, None] * weights
 
 
 def finetune_bank(
@@ -186,36 +196,61 @@ def finetune_bank(
         [np.ones(n_sup), np.full(n_bkg, cfg.bkg_loss_weight)]
     )
 
+    # Every step adds a combination of the unit batch rows to each moving
+    # row and rescales it, so weights = scale * weights0 + coef @ unit holds
+    # exactly, and each epoch needs only the batch's Gram matrix and the
+    # initial rows' dots with it: O(n^2 rows), not O(n dim rows).
     weights = bank.all_weights()
     num_known = bank.num_known
-    wn = row_norms(weights, "before fine-tuning, prototype row")
-    pseudo: np.ndarray | None = None
+    lo = num_known if cfg.freeze_known else 0  # rows [lo, num_rows) move
+    gram = unit @ unit.T
+    proj = weights @ unit.T  # rows x items
+    sq = (weights * weights).sum(axis=1)
+    wn = check_norms(np.sqrt(sq), "before fine-tuning, prototype row")
+    dots = proj.copy()
+    scale = np.ones(bank.num_rows - lo)
+    coef = np.zeros((bank.num_rows - lo, len(unit)))
+    batch_labels = np.concatenate([sup_labels, np.zeros(n_bkg, dtype=np.intp)])
     trace: list[float] = []
     for epoch in range(cfg.epochs + 1):
-        scores = unit @ (weights / wn[:, None]).T
-        if pseudo is None or cfg.reassign_each_epoch:
+        scores = (dots / wn[:, None]).T
+        if epoch == 0 or cfg.reassign_each_epoch:
             # the nearest background row of each background item: its score
             # row divides by its own norm, a positive factor argmax ignores
-            pseudo = num_known + np.argmax(scores[n_sup:, num_known:], axis=1)
-        batch_labels = np.concatenate([sup_labels, pseudo])
-        ce, grad = _batch_ce_and_grad(
-            weights, wn, unit, scores, batch_labels, item_weights, cfg.temperature
+            batch_labels[n_sup:] = num_known + np.argmax(scores[n_sup:, num_known:], axis=1)
+        last = epoch == cfg.epochs
+        ce, coefs = _batch_ce(
+            scores, wn, batch_labels, item_weights, cfg.temperature, coefficients=not last
         )
         loss_known = float(ce[:n_sup].mean())
         loss_background = float(ce[n_sup:].mean())
         trace.append(loss_known + cfg.bkg_loss_weight * loss_background)
-        if epoch == cfg.epochs:
+        if last:
             break
-        if cfg.freeze_known:
-            weights = weights.copy()
-            weights[num_known:] -= cfg.learning_rate * grad[num_known:]
-        else:
-            weights = weights - cfg.learning_rate * grad
-        wn = row_norms(
-            weights,
+        dscore, a = coefs
+        grow = 1.0 + cfg.learning_rate * a[lo:]
+        scale = grow * scale
+        coef = grow[:, None] * coef - (cfg.learning_rate / wn[lo:, None]) * dscore[:, lo:].T
+        if np.abs(scale).max() > REBASE_SCALE:
+            # the rows have turned far enough that scale * weights0 and
+            # coef @ unit nearly cancel; carry on from the rows themselves
+            weights[lo:] = scale[:, None] * weights[lo:] + coef @ unit
+            proj[lo:] = weights[lo:] @ unit.T
+            sq[lo:] = (weights[lo:] * weights[lo:]).sum(axis=1)
+            scale[:] = 1.0
+            coef[:] = 0.0
+        scaled = scale[:, None] * proj[lo:]
+        dots[lo:] = scaled + coef @ gram
+        # |scale w0 + coef @ unit|^2 = scale^2 |w0|^2 + coef . (dots + scale proj),
+        # summed per row
+        sq_moved = scale * scale * sq[lo:] + (coef * (dots[lo:] + scaled)).sum(axis=1)
+        wn[lo:] = np.sqrt(np.maximum(sq_moved, 0.0))
+        check_norms(
+            wn,
             f"after the fine-tune step at epoch {epoch} "
             f"(learning rate {cfg.learning_rate!r}), prototype row",
         )
+    weights[lo:] = scale[:, None] * weights[lo:] + coef @ unit
 
     new_bank = PrototypeBank(weights[:num_known], weights[num_known:])
     report = LossReport(

@@ -274,11 +274,14 @@ def _worker_run(index: int) -> dict:
     return evaluate_episode(_WORKER_STATE["ds"], _WORKER_STATE["cfg"], index)
 
 
-def run_eval(cfg: RunConfig) -> ResultsBundle:
+def run_eval(cfg: RunConfig, ds: FeatureDataset | None = None) -> ResultsBundle:
     """Evaluate num_episodes episodes and assemble (and optionally write) the
-    results bundle. Under init=global each episode starts from the previous
-    episode's final background rows, so it always runs on a single worker."""
-    ds = read_dataset(cfg.dataset)
+    results bundle. ds is cfg.dataset when the caller has read it already;
+    pool workers always read the file. Under init=global each episode starts
+    from the previous episode's final background rows, so it always runs on a
+    single worker."""
+    if ds is None:
+        ds = read_dataset(cfg.dataset)
     validate_dataset_for_config(ds, cfg)
 
     workers = 1 if cfg.init_kind == INIT_GLOBAL else cfg.workers

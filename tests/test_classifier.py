@@ -52,6 +52,19 @@ class TestBuildKnownPrototypes:
         c = build_known_prototypes(shots[perm], labels[perm], 2, 5).known_weights
         assert a.tobytes() == b.tobytes() == c.tobytes()
 
+    def test_column_zero_tie_gives_bit_identical_prototypes(self):
+        # every shot of class 0 shares its first coordinate, so only the full
+        # coordinate order fixes the summation order
+        rng = np.random.default_rng(2)
+        shots = rng.normal(size=(10, 6))
+        labels = np.array([0, 1] * 5)
+        shots[labels == 0, 0] = 0.25
+        expected = build_known_prototypes(shots, labels, 2, 5).known_weights.tobytes()
+        for _ in range(20):
+            perm = rng.permutation(10)
+            got = build_known_prototypes(shots[perm], labels[perm], 2, 5).known_weights
+            assert got.tobytes() == expected
+
     def test_unequal_counts_raise(self):
         with pytest.raises(ValueError, match="expected 1"):
             build_known_prototypes(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 0]), 2, 1)

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fsosr import finetune
 from fsosr.classifier import PrototypeBank, build_known_prototypes, init_background
-from fsosr.episode import derive_episode_seed, sample_episode
+from fsosr.episode import benchmark_config, derive_episode_seed, generate_synthetic, sample_episode
 from fsosr.featmap import spatial_avg_pool
 from fsosr.finetune import FinetuneConfig, finetune_bank, grad_wrt_prototypes, prototype_batch_loss
 from fsosr.pipeline import RunConfig, finite_difference, max_relative_error
@@ -313,12 +315,38 @@ class TestFinetuneBank:
         grad_wrt_prototypes(bank, supports, labels, np.ones(len(labels)))
         assert calls == [1]
 
+    def test_last_evaluation_computes_no_coefficients(self, monkeypatch):
+        # epochs + 1 loss evaluations, but only the epochs that step need
+        # the gradient coefficients
+        calls = []
+        core = finetune._batch_ce
 
-def _episode_finetune_inputs(benchmark_dataset, num_background, index=0):
-    """finetune_bank's inputs for one episode of the standard benchmark, built
-    as evaluate_episode builds them with RunConfig's defaults."""
-    path, ds, _ = benchmark_dataset
-    cfg = RunConfig(dataset=str(path), num_background=num_background)
+        def counting(*args, **kwargs):
+            out = core(*args, **kwargs)
+            calls.append(out[1] is not None)
+            return out
+
+        monkeypatch.setattr(finetune, "_batch_ce", counting)
+        bank, supports, labels, backgrounds = self._toy_inputs(seed=17)
+        finetune_bank(bank, supports, labels, backgrounds, FinetuneConfig(epochs=5))
+        assert calls == [True] * 5 + [False]
+
+
+@pytest.fixture(scope="module")
+def wide_dataset():
+    """The benchmark signal at the ResNet-12 feature shape (5x5x640), with
+    just enough classes and items for 10-way episodes."""
+    cfg = dataclasses.replace(
+        benchmark_config(), num_classes=15, items_per_class=15,
+        height=5, width=5, channels=640, fg_regions=None,
+    )
+    return generate_synthetic(cfg)[0]
+
+
+def _episode_finetune_inputs(ds, n_way, num_background, index=0):
+    """finetune_bank's inputs for one episode of the dataset, built as
+    evaluate_episode builds them with RunConfig's defaults."""
+    cfg = RunConfig(dataset="in-memory", n_way=n_way, num_background=num_background)
     episode = sample_episode(ds, cfg.episode_spec(derive_episode_seed(cfg.master_seed, index, 0)))
     supports = spatial_avg_pool(np.stack([f.values for f, _ in episode.support]))
     labels = np.array([c for _, c in episode.support])
@@ -330,15 +358,24 @@ def _episode_finetune_inputs(benchmark_dataset, num_background, index=0):
     return bank, supports, labels, backgrounds, cfg
 
 
-@pytest.mark.parametrize("num_background", [1, 3])
-@pytest.mark.parametrize("reassign_each_epoch", [True, False])
-@pytest.mark.parametrize("freeze_known", [False, True])
-def test_episode_inputs_match_oracle(
-    benchmark_dataset, monkeypatch, num_background, reassign_each_epoch, freeze_known
-):
-    bank, supports, labels, backgrounds, run_cfg = _episode_finetune_inputs(
-        benchmark_dataset, num_background
-    )
+def _toy_finetune_inputs(num_background):
+    """More batch items (9 supports + 6 backgrounds) than dimensions (4), so
+    the batch's Gram matrix is rank-deficient; a large step grows the rows'
+    scale past REBASE_SCALE, so the loop re-bases on the current rows."""
+    rng = np.random.default_rng(17)
+    supports = rng.normal(size=(9, 4))
+    labels = np.repeat(np.arange(3), 3)
+    known = np.stack([supports[labels == c].mean(axis=0) for c in range(3)])
+    bank = PrototypeBank(known, rng.normal(size=(num_background, 4)))
+    cfg = RunConfig(dataset="in-memory", learning_rate=0.05, num_background=num_background)
+    return bank, supports, labels, rng.normal(size=(6, 4)), cfg
+
+
+def _check_against_oracle(monkeypatch, inputs, reassign_each_epoch, freeze_known):
+    """finetune_bank's weights, loss curve and the pseudo-labels of every loss
+    evaluation match _oracle_finetune at 1e-12, and frozen known rows come
+    back bit-identical."""
+    bank, supports, labels, backgrounds, run_cfg = inputs
     cfg = FinetuneConfig(
         epochs=run_cfg.epochs,
         learning_rate=run_cfg.learning_rate,
@@ -349,13 +386,13 @@ def test_episode_inputs_match_oracle(
     )
     # record the background pseudo-labels of every loss evaluation
     seen = []
-    core = finetune._batch_ce_and_grad
+    core = finetune._batch_ce
 
-    def spy(weights, wn, unit, scores, batch_labels, *rest):
+    def spy(scores, wn, batch_labels, *rest, **kwargs):
         seen.append(list(batch_labels[len(supports):]))
-        return core(weights, wn, unit, scores, batch_labels, *rest)
+        return core(scores, wn, batch_labels, *rest, **kwargs)
 
-    monkeypatch.setattr(finetune, "_batch_ce_and_grad", spy)
+    monkeypatch.setattr(finetune, "_batch_ce", spy)
     out, report = finetune_bank(bank, supports, labels, backgrounds, cfg)
     expected_pseudo = []
     expected_weights, expected_trace = _oracle_finetune(
@@ -366,6 +403,33 @@ def test_episode_inputs_match_oracle(
     np.testing.assert_allclose(report.per_epoch_totals, expected_trace, rtol=0, atol=1e-12)
     assert seen == expected_pseudo
     assert len(seen) == cfg.epochs + 1
+    if freeze_known:
+        np.testing.assert_array_equal(out.known_weights, bank.known_weights)
+
+
+@pytest.mark.parametrize("num_background", [1, 3])
+@pytest.mark.parametrize("reassign_each_epoch", [True, False])
+@pytest.mark.parametrize("freeze_known", [False, True])
+def test_episode_inputs_match_oracle(
+    benchmark_dataset, monkeypatch, num_background, reassign_each_epoch, freeze_known
+):
+    _, ds, _ = benchmark_dataset
+    inputs = _episode_finetune_inputs(ds, 5, num_background)
+    _check_against_oracle(monkeypatch, inputs, reassign_each_epoch, freeze_known)
+
+
+@pytest.mark.parametrize("shape", ["wide", "rank-deficient"])
+@pytest.mark.parametrize("num_background", [1, 3])
+@pytest.mark.parametrize("reassign_each_epoch", [True, False])
+@pytest.mark.parametrize("freeze_known", [False, True])
+def test_wide_and_rank_deficient_inputs_match_oracle(
+    request, monkeypatch, shape, num_background, reassign_each_epoch, freeze_known
+):
+    if shape == "wide":
+        inputs = _episode_finetune_inputs(request.getfixturevalue("wide_dataset"), 10, num_background)
+    else:
+        inputs = _toy_finetune_inputs(num_background)
+    _check_against_oracle(monkeypatch, inputs, reassign_each_epoch, freeze_known)
 
 
 class TestEpisodicLoss:

@@ -314,6 +314,16 @@ class TestCli:
             (["eval", "--workers", "0"], "workers must be >= 1"),
             (["heatmap", "--item", "0", "--iterations", "0"], "iterations must be >= 1"),
             (["gen-synthetic", "--classes", "0"], "num_classes must be >= 1"),
+            (
+                ["gen-synthetic", "--channels", "2"],
+                "channels must be >= num_classes + 1 to allocate orthogonal signatures "
+                "(got 2 for 5 classes)",
+            ),
+            (
+                ["eval", "--n-way", "12"],
+                "dataset has 12 classes but episodes need 17 (12 closed + 5 open)",
+            ),
+            (["heatmap", "--item", "360"], "item 360 outside [0, 360)"),
         ],
     )
     def test_rejected_setting_is_a_usage_error(
@@ -328,6 +338,22 @@ class TestCli:
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert err == f"fsosr {argv[0]}: error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["inspect", "eval", "heatmap"])
+    def test_missing_dataset_is_a_usage_error(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "missing.fsof")
+        out = ["--out", str(tmp_path / "out")]
+        argv = {
+            "inspect": [missing],
+            "eval": ["--dataset", missing] + out,
+            "heatmap": ["--dataset", missing, "--item", "0"] + out,
+        }[command]
+        with pytest.raises(SystemExit) as info:
+            cli.main([command] + argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err == f"fsosr {command}: error: cannot open dataset {missing}: No such file or directory\n"
         assert not (tmp_path / "out").exists()
 
     def test_bad_dataset_is_not_a_usage_error(self, tmp_path):
