@@ -13,7 +13,7 @@ import numpy as np
 from .classifier import INIT_KINDS, SCORE_KINDS
 from .dataset_io import export_heatmap, read_dataset, write_dataset
 from .episode import FeatureDataset, SyntheticConfig, benchmark_config, generate_synthetic
-from .featmap import NORM_KINDS, NORM_MINMAX, FeatureMap, minmax_norm, spatial_avg_pool
+from .featmap import NORM_KINDS, NORM_MINMAX, FeatureMap, minmax_norm
 from .pipeline import RunConfig, gradcheck_command, run_eval, validate_dataset_for_config
 from .procam import ProCamConfig, cam, procam
 
@@ -78,13 +78,10 @@ def _cmd_gen_synthetic(args: argparse.Namespace) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     write_dataset(ds, out)
     # ground-truth masks ride along as a second dataset of H x W x 1 maps
-    mask_items = [
-        (FeatureMap(mask.astype(np.float64)[:, :, None]), label)
-        for mask, (_, label) in zip(masks, ds.items)
-    ]
+    mask_values = np.stack(masks).astype(np.float64)[..., None]
     mask_file = masks_path(out)
-    write_dataset(FeatureDataset(mask_items, class_names=ds.class_names), mask_file)
-    print(f"wrote {len(ds.items)} items ({ds.num_classes} classes, "
+    write_dataset(FeatureDataset(mask_values, ds.labels, class_names=ds.class_names), mask_file)
+    print(f"wrote {len(ds)} items ({ds.num_classes} classes, "
           f"{ds.height}x{ds.width}x{ds.channels}) to {out}")
     print(f"wrote ground-truth masks to {mask_file}")
     return 0
@@ -93,10 +90,10 @@ def _cmd_gen_synthetic(args: argparse.Namespace) -> int:
 def _cmd_inspect(args: argparse.Namespace) -> int:
     ds = _read(args, args.dataset)
     print(f"dataset: {args.dataset}")
-    print(f"items: {len(ds.items)}")
+    print(f"items: {len(ds)}")
     print(f"classes: {ds.num_classes}")
     print(f"map shape: {ds.height}x{ds.width}x{ds.channels}")
-    values = np.stack([f.values for f, _ in ds.items])
+    values = ds.values
     print(f"value range: [{values.min():.6g}, {values.max():.6g}], mean {values.mean():.6g}")
     for c in range(ds.num_classes):
         name = ds.class_names[c] if ds.class_names else f"class_{c}"
@@ -150,12 +147,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_heatmap(args: argparse.Namespace) -> int:
     cfg = _config(args, ProCamConfig, iterations=args.iterations, norm_kind=args.norm)
     ds = _read(args, args.dataset)
-    if not 0 <= args.item < len(ds.items):
-        raise _usage_error(args, f"item {args.item} outside [0, {len(ds.items)})")
-    fmap, label = ds.items[args.item]
+    if not 0 <= args.item < len(ds):
+        raise _usage_error(args, f"item {args.item} outside [0, {len(ds)})")
+    fmap, label = FeatureMap.view(ds.values[args.item]), int(ds.labels[args.item])
     # class prototype = mean pooled embedding over every item of the class
-    same_class = np.stack([f.values for f, lab in ds.items if lab == label])
-    weight = spatial_avg_pool(same_class).mean(axis=0)
+    weight = ds.embeddings[ds.class_index[label]].mean(axis=0)
     result = procam(fmap, weight, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -17,18 +17,19 @@ so a round trip is lossless for any value representable in 32 bits.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .episode import FeatureDataset
-from .featmap import FeatureMap
 
 MAGIC = b"FSOF"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHI")
 _ITEM_HEADER = struct.Struct("<IHHH")
+CHUNK_BYTES = 1 << 18  # how much of the file read_dataset reads and widens at a time
 
 
 class DatasetFormatError(ValueError):
@@ -55,68 +56,113 @@ def sidecar_path(path) -> Path:
     return Path(str(path) + ".json")
 
 
+def _item_dtype(height: int, width: int, channels: int) -> np.dtype:
+    """One packed FSOF item: its 10-byte header, then its float32 values."""
+    return np.dtype(
+        [("label", "<u4"), ("shape", "<u2", 3), ("values", "<f4", (height, width, channels))]
+    )
+
+
 def write_dataset(ds: FeatureDataset, path) -> None:
     """Write the dataset plus a JSON sidecar carrying the class names."""
     path = Path(path)
-    chunks = [_HEADER.pack(MAGIC, FORMAT_VERSION, len(ds.items))]
-    for fmap, label in ds.items:
-        chunks.append(_ITEM_HEADER.pack(label, fmap.height, fmap.width, fmap.channels))
-        chunks.append(fmap.values.astype("<f4").tobytes())
-    path.write_bytes(b"".join(chunks))
+    records = np.empty(len(ds), _item_dtype(ds.height, ds.width, ds.channels))
+    records["label"] = ds.labels
+    records["shape"] = (ds.height, ds.width, ds.channels)
+    records["values"] = ds.values
+    with path.open("wb") as fh:
+        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, len(ds)))
+        records.tofile(fh)
     names = ds.class_names or [f"class_{c}" for c in range(ds.num_classes)]
     sidecar = {"format_version": FORMAT_VERSION, "class_names": names}
     sidecar_path(path).write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
 
 
 def read_dataset(path) -> FeatureDataset:
+    """Read an FSOF file and its sidecar. Every item must have item 0's shape,
+    so the items are read in chunks of about CHUNK_BYTES: each chunk's headers
+    are checked, its values checked finite and widened straight into the
+    dataset's float64 tensor. The file is never held in memory whole."""
     path = Path(path)
-    data = path.read_bytes()
-    if len(data) < _HEADER.size:
-        raise TruncatedFileError(f"{path}: {len(data)} bytes, header needs {_HEADER.size}")
-    magic, version, count = _HEADER.unpack_from(data, 0)
-    if magic != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise UnsupportedVersionError(f"{path}: format version {version}, supported: {FORMAT_VERSION}")
+    with path.open("rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(_HEADER.size + _ITEM_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise TruncatedFileError(f"{path}: {size} bytes, header needs {_HEADER.size}")
+        magic, version, count = _HEADER.unpack_from(head, 0)
+        if magic != MAGIC:
+            raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        if version != FORMAT_VERSION:
+            raise UnsupportedVersionError(
+                f"{path}: format version {version}, supported: {FORMAT_VERSION}"
+            )
+        if count == 0:
+            raise DatasetFormatError(f"{path}: no items")
+        if len(head) < _HEADER.size + _ITEM_HEADER.size:
+            raise TruncatedFileError(f"{path}: item 0 header truncated at byte {_HEADER.size}")
+        shape = tuple(_ITEM_HEADER.unpack_from(head, _HEADER.size)[1:])
+        # item 0 sets the shape, so it must fit the file before anything is sized by it
+        _check_item(path, 0, count, shape, head, 0, _HEADER.size, size)
+        item = _item_dtype(*shape)
+        step = max(1, CHUNK_BYTES // item.itemsize)
+        # rows for the items the file can hold: a count beyond them fails as truncated
+        rows = min(count, (size - _HEADER.size) // item.itemsize)
+        values = np.empty((rows, *shape))
+        labels = np.empty(rows, dtype=np.uint32)
+        buffer = bytearray(min(step * item.itemsize, size - _HEADER.size))
+        fh.seek(_HEADER.size)
+        offset = _HEADER.size
+        for start in range(0, count, step):
+            stop = min(count, start + step)
+            base = offset
+            end = base + fh.readinto(buffer)
+            for i in range(start, stop):
+                offset = _check_item(path, i, count, shape, buffer, base, offset, end)
+            records = np.frombuffer(buffer, item, count=stop - start)
+            finite = np.isfinite(records["values"].reshape(stop - start, -1)).all(axis=1)
+            if not finite.all():
+                raise NonFiniteValueError(
+                    f"{path}: item {start + int(np.argmin(finite))} contains non-finite values"
+                )
+            values[start:stop] = records["values"]
+            labels[start:stop] = records["label"]
+    if offset != size:
+        raise DatasetFormatError(f"{path}: {size - offset} trailing bytes after {count} items")
 
-    offset = _HEADER.size
-    items: list[tuple[FeatureMap, int]] = []
-    for i in range(count):
-        if offset + _ITEM_HEADER.size > len(data):
-            raise TruncatedFileError(f"{path}: item {i} header truncated at byte {offset}")
-        label, height, width, channels = _ITEM_HEADER.unpack_from(data, offset)
-        offset += _ITEM_HEADER.size
-        # dense labels over at most `count` items cannot exceed count - 1; checking
-        # here keeps the dataset's label index bounded by the file size
-        if label >= count:
-            raise DatasetFormatError(
-                f"{path}: item {i} has label {label}, but {count} items allow at most {count - 1}"
-            )
-        if min(height, width, channels) < 1:
-            raise DatasetFormatError(
-                f"{path}: item {i} has zero-sized shape ({height}, {width}, {channels})"
-            )
-        n_values = height * width * channels
-        n_bytes = 4 * n_values
-        if offset + n_bytes > len(data):
-            raise TruncatedFileError(
-                f"{path}: item {i} payload truncated "
-                f"(need {n_bytes} bytes at offset {offset}, have {len(data) - offset})"
-            )
-        values = np.frombuffer(data, dtype="<f4", count=n_values, offset=offset)
-        offset += n_bytes
-        if not np.all(np.isfinite(values)):
-            raise NonFiniteValueError(f"{path}: item {i} contains non-finite values")
-        arr = values.astype(np.float64).reshape(height, width, channels)
-        items.append((FeatureMap(arr), int(label)))
-    if offset != len(data):
-        raise DatasetFormatError(f"{path}: {len(data) - offset} trailing bytes after {count} items")
-
+    values.flags.writeable = False
     class_names = _read_class_names(sidecar_path(path))
     try:
-        return FeatureDataset(items, class_names=class_names)
+        return FeatureDataset(values, labels, class_names=class_names)
     except ValueError as exc:
         raise DatasetFormatError(f"{path}: {exc}") from exc
+
+
+def _check_item(path, i: int, count: int, shape, buffer, base: int, offset: int, end: int) -> int:
+    """Check item i, whose header starts at file offset `offset`, against the
+    file bytes [base, end) held in buffer; returns the offset after it."""
+    if offset + _ITEM_HEADER.size > end:
+        raise TruncatedFileError(f"{path}: item {i} header truncated at byte {offset}")
+    label, *item_shape = _ITEM_HEADER.unpack_from(buffer, offset - base)
+    # dense labels over at most `count` items cannot exceed count - 1; checking
+    # here keeps the dataset's label index bounded by the file size
+    if label >= count:
+        raise DatasetFormatError(
+            f"{path}: item {i} has label {label}, but {count} items allow at most {count - 1}"
+        )
+    if min(item_shape) < 1:
+        raise DatasetFormatError(f"{path}: item {i} has zero-sized shape {tuple(item_shape)}")
+    if tuple(item_shape) != shape:
+        raise DatasetFormatError(
+            f"{path}: item {i} at byte {offset} has shape {tuple(item_shape)}, item 0 has {shape}"
+        )
+    offset += _ITEM_HEADER.size
+    n_bytes = 4 * shape[0] * shape[1] * shape[2]
+    if offset + n_bytes > end:
+        raise TruncatedFileError(
+            f"{path}: item {i} payload truncated "
+            f"(need {n_bytes} bytes at offset {offset}, have {end - offset})"
+        )
+    return offset + n_bytes
 
 
 def _read_class_names(sidecar: Path) -> list[str] | None:

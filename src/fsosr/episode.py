@@ -8,7 +8,7 @@ from itertools import islice
 
 import numpy as np
 
-from .featmap import FeatureMap
+from .featmap import spatial_avg_pool
 
 
 @dataclass(frozen=True)
@@ -34,82 +34,113 @@ class EpisodeSpec:
 
 @dataclass(frozen=True)
 class Episode:
-    """Sampled task. Support and known-query items carry episode-local class
-    indices 0..N-1; class_mapping[i] is the dataset label behind index i."""
+    """Sampled task as dataset item indices. Supports and known queries run
+    class by class; support_labels and known_labels hold their episode-local
+    classes 0..N-1, and class_mapping[i] is the dataset label behind class i."""
 
-    support: tuple[tuple[FeatureMap, int], ...]
-    known_queries: tuple[tuple[FeatureMap, int], ...]
-    unknown_queries: tuple[FeatureMap, ...]
+    support: np.ndarray
+    support_labels: np.ndarray
+    known_queries: np.ndarray
+    known_labels: np.ndarray
+    unknown_queries: np.ndarray
     class_mapping: tuple[int, ...]
 
 
-class FeatureDataset:
-    """Labeled feature maps with identical dimensions and dense labels."""
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
-    def __init__(
-        self, items: list[tuple[FeatureMap, int]], class_names: list[str] | None = None
-    ) -> None:
-        if not items:
-            raise ValueError("dataset needs at least one item")
-        first = items[0][0]
-        shape = (first.height, first.width, first.channels)
-        index: dict[int, list[int]] = {}
-        for i, (fmap, label) in enumerate(items):
-            if (fmap.height, fmap.width, fmap.channels) != shape:
-                raise ValueError(
-                    f"item {i} has shape ({fmap.height}, {fmap.width}, {fmap.channels}), "
-                    f"expected {shape}"
-                )
-            if label < 0:
-                raise ValueError(f"item {i} has negative label {label}")
-            index.setdefault(int(label), []).append(i)
-        num_classes = max(index) + 1
-        if len(index) < num_classes:
-            first = list(islice((c for c in range(num_classes) if c not in index), 5))
+
+class FeatureDataset:
+    """N labeled feature maps as one read-only (N, H, W, d) float64 tensor,
+    their (N,) dense labels, and the (N, d) embeddings pooled from the tensor
+    once, at construction. A read-only tensor is kept as is, anything else is
+    copied first."""
+
+    def __init__(self, values, labels, class_names: list[str] | None = None) -> None:
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 4 or values.shape[0] < 1 or min(values.shape) < 1:
+            raise ValueError(
+                f"dataset needs a non-empty (N, H, W, d) tensor, got shape {values.shape}"
+            )
+        labels = np.asarray(labels)
+        if labels.shape != values.shape[:1] or not np.issubdtype(labels.dtype, np.integer):
+            raise ValueError(
+                f"need {len(values)} integer labels, got {labels.dtype} of shape {labels.shape}"
+            )
+        if labels.min() < 0:
+            i = int(np.argmax(labels < 0))
+            raise ValueError(f"item {i} has negative label {labels[i]}")
+        classes, counts = np.unique(labels, return_counts=True)
+        num_classes = int(classes[-1]) + 1
+        if len(classes) < num_classes:
+            present = set(classes.tolist())
+            first = list(islice((c for c in range(num_classes) if c not in present), 5))
             raise ValueError(
                 f"labels must be dense in [0, {num_classes}), "
-                f"{num_classes - len(index)} missing, first {first}"
+                f"{num_classes - len(classes)} missing, first {first}"
             )
         if class_names is not None and len(class_names) != num_classes:
             raise ValueError(
                 f"got {len(class_names)} class names for {num_classes} classes"
             )
-        self._items = list(items)
-        self._class_index = {c: tuple(idx) for c, idx in index.items()}
-        self._num_classes = num_classes
-        self._shape = shape
+        if values.flags.writeable:
+            values = _read_only(values.copy())
+        embeddings = spatial_avg_pool(values)
+        finite = np.isfinite(embeddings).all(axis=1)
+        if not finite.all():
+            raise ValueError(
+                f"item {int(np.argmin(finite))} has a non-finite value or spatial mean"
+            )
+        order = np.argsort(labels, kind="stable")
+        groups = np.split(order, np.cumsum(counts)[:-1])
+        self._values = values
+        self._labels = _read_only(labels.astype(np.intp))
+        self._embeddings = _read_only(embeddings)
+        self._class_index = {c: _read_only(g) for c, g in enumerate(groups)}
         self.class_names = list(class_names) if class_names is not None else None
 
     @property
-    def items(self) -> list[tuple[FeatureMap, int]]:
-        return self._items
+    def values(self) -> np.ndarray:
+        """The read-only (N, H, W, d) feature maps."""
+        return self._values
 
     @property
-    def class_index(self) -> dict[int, tuple[int, ...]]:
+    def labels(self) -> np.ndarray:
+        return self._labels
+
+    @property
+    def embeddings(self) -> np.ndarray:
+        """The (N, d) spatial means of the maps: each item's pooled feature."""
+        return self._embeddings
+
+    @property
+    def class_index(self) -> dict[int, np.ndarray]:
+        """Per class, the indices of its items in dataset order."""
         return self._class_index
 
     @property
     def num_classes(self) -> int:
-        return self._num_classes
+        return len(self._class_index)
 
     @property
     def height(self) -> int:
-        return self._shape[0]
+        return self._values.shape[1]
 
     @property
     def width(self) -> int:
-        return self._shape[1]
+        return self._values.shape[2]
 
     @property
     def channels(self) -> int:
-        return self._shape[2]
+        return self._values.shape[3]
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._values)
 
     def __repr__(self) -> str:
         return (
-            f"FeatureDataset({len(self._items)} items, {self._num_classes} classes, "
+            f"FeatureDataset({len(self)} items, {self.num_classes} classes, "
             f"{self.height}x{self.width}x{self.channels})"
         )
 
@@ -141,22 +172,18 @@ def sample_episode(ds: FeatureDataset, spec: EpisodeSpec) -> Episode:
     closed = [int(c) for c in chosen[: spec.n_way]]
     open_classes = [int(c) for c in chosen[spec.n_way :]]
 
-    support: list[tuple[FeatureMap, int]] = []
-    known_queries: list[tuple[FeatureMap, int]] = []
     per_class = spec.k_shot + spec.n_query
-    for episode_class, label in enumerate(closed):
+    closed_picks = []
+    for label in closed:
         pool = ds.class_index[label]
         if len(pool) < per_class:
             raise ValueError(
                 f"class {label} has {len(pool)} items, closed-class sampling needs {per_class}"
             )
-        picks = rng.choice(len(pool), size=per_class, replace=False)
-        for p in picks[: spec.k_shot]:
-            support.append((ds.items[pool[p]][0], episode_class))
-        for p in picks[spec.k_shot :]:
-            known_queries.append((ds.items[pool[p]][0], episode_class))
+        closed_picks.append(pool[rng.choice(len(pool), size=per_class, replace=False)])
+    picks = np.array(closed_picks)
 
-    unknown_queries: list[FeatureMap] = []
+    open_picks = []
     for label in open_classes:
         pool = ds.class_index[label]
         if len(pool) < spec.n_open_query:
@@ -164,14 +191,15 @@ def sample_episode(ds: FeatureDataset, spec: EpisodeSpec) -> Episode:
                 f"class {label} has {len(pool)} items, open-class sampling needs "
                 f"{spec.n_open_query}"
             )
-        picks = rng.choice(len(pool), size=spec.n_open_query, replace=False)
-        for p in picks:
-            unknown_queries.append(ds.items[pool[p]][0])
+        open_picks.append(pool[rng.choice(len(pool), size=spec.n_open_query, replace=False)])
 
+    classes = np.arange(spec.n_way)
     return Episode(
-        support=tuple(support),
-        known_queries=tuple(known_queries),
-        unknown_queries=tuple(unknown_queries),
+        support=picks[:, : spec.k_shot].ravel(),
+        support_labels=np.repeat(classes, spec.k_shot),
+        known_queries=picks[:, spec.k_shot :].ravel(),
+        known_labels=np.repeat(classes, spec.n_query),
+        unknown_queries=np.concatenate(open_picks),
         class_mapping=tuple(closed),
     )
 
@@ -315,8 +343,9 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[FeatureDataset, list[np.nd
     bkg_channel = cfg.num_classes
     shift_channel = cfg.num_classes + 1
 
-    items: list[tuple[FeatureMap, int]] = []
+    values = np.empty((cfg.num_classes * cfg.items_per_class, cfg.height, cfg.width, cfg.channels))
     masks: list[np.ndarray] = []
+    i = 0
     for c in range(cfg.num_classes):
         profile = foreground_profile(regions[c], cfg.height, cfg.width)
         mask = profile > 0
@@ -324,13 +353,14 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[FeatureDataset, list[np.nd
         base[:, :, c] = profile * cfg.signal_strength
         base[~mask, bkg_channel] = cfg.bkg_strength
         for _ in range(cfg.items_per_class):
-            values = base + rng.normal(0.0, cfg.noise_sigma, size=base.shape)
+            values[i] = base + rng.normal(0.0, cfg.noise_sigma, size=base.shape)
             if uses_shift:
                 shift = cfg.noise_sigma * (
                     cfg.bkg_noise_mean + cfg.bkg_noise_scale * rng.standard_normal()
                 )
-                values[:, :, shift_channel] += shift
-            items.append((FeatureMap(values), c))
+                values[i, :, :, shift_channel] += shift
             masks.append(mask.copy())
+            i += 1
+    labels = np.repeat(np.arange(cfg.num_classes), cfg.items_per_class)
     names = [f"synthetic_{c}" for c in range(cfg.num_classes)]
-    return FeatureDataset(items, class_names=names), masks
+    return FeatureDataset(_read_only(values), labels, class_names=names), masks

@@ -22,10 +22,27 @@ def _finite_f64(values, name: str) -> np.ndarray:
     return arr
 
 
-class FeatureMap:
-    """An H x W x d activation grid for one image. Immutable after construction."""
+class _Frozen:
+    """A read-only float64 array behind `.values`."""
 
     __slots__ = ("_values",)
+
+    @classmethod
+    def view(cls, values: np.ndarray):
+        """Wrap an already validated read-only array as it is: no copy, no check."""
+        obj = object.__new__(cls)
+        obj._values = values
+        return obj
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._values
+
+
+class FeatureMap(_Frozen):
+    """An H x W x d activation grid for one image. Immutable after construction."""
+
+    __slots__ = ()
 
     def __init__(self, values) -> None:
         arr = _finite_f64(values, "FeatureMap")
@@ -35,10 +52,6 @@ class FeatureMap:
             raise ValueError(f"FeatureMap dimensions must all be >= 1, got shape {arr.shape}")
         arr.flags.writeable = False
         self._values = arr
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._values
 
     @property
     def height(self) -> int:
@@ -56,10 +69,10 @@ class FeatureMap:
         return f"FeatureMap(height={self.height}, width={self.width}, channels={self.channels})"
 
 
-class EmbeddingVector:
+class EmbeddingVector(_Frozen):
     """A length-d embedding, the pooled representation of one image."""
 
-    __slots__ = ("_values",)
+    __slots__ = ()
 
     def __init__(self, values) -> None:
         arr = _finite_f64(values, "EmbeddingVector")
@@ -67,10 +80,6 @@ class EmbeddingVector:
             raise ValueError(f"EmbeddingVector needs a 1-d array, got shape {arr.shape}")
         arr.flags.writeable = False
         self._values = arr
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._values
 
     @property
     def dim(self) -> int:

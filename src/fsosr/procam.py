@@ -101,16 +101,19 @@ def procam_for_support(
 ) -> list[tuple[EmbeddingVector, EmbeddingVector]]:
     """(foreground, background) embedding pairs for every support item, mining
     each item with its own class prototype. All items are mined and pooled as
-    one stack; order follows the input."""
+    one stack; order follows the input, and the pairs view rows of the two
+    read-only (n, d) results."""
     labels = [label for _, label in supports]
     for label in labels:
         if not 0 <= label < bank.num_known:
             raise ValueError(f"no known prototype for class {label} (bank has {bank.num_known})")
     stack = np.stack([fmap.values for fmap, _ in supports])
     _, backgrounds, _ = _mine(stack, bank.known_weights[labels], cfg)
+    foregrounds = spatial_avg_pool(stack)
+    foregrounds.flags.writeable = backgrounds.flags.writeable = False
     return [
-        (EmbeddingVector(fg), EmbeddingVector(bg))
-        for fg, bg in zip(spatial_avg_pool(stack), backgrounds)
+        (EmbeddingVector.view(fg), EmbeddingVector.view(bg))
+        for fg, bg in zip(foregrounds, backgrounds)
     ]
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from fsosr.classifier import build_known_prototypes, init_background
 from fsosr.episode import EpisodeSpec, derive_episode_seed, sample_episode
-from fsosr.featmap import FeatureMap, minmax_norm, spatial_avg_pool
+from fsosr.featmap import FeatureMap, minmax_norm
 from fsosr.finetune import FinetuneConfig, finetune_bank
 from fsosr.metrics import auroc
 from fsosr.pipeline import (
@@ -154,8 +154,8 @@ def test_criterion_5_tau_sweep_direction(benchmark_dataset):
     for tau in (1, 2, 3, 4):
         cfg = ProCamConfig(iterations=tau)
         vals = [
-            mask_iou(procam(f, signatures[label], cfg).final_mask, masks[i])
-            for i, (f, label) in enumerate(ds.items)
+            mask_iou(procam(FeatureMap(ds.values[i]), signatures[label], cfg).final_mask, masks[i])
+            for i, label in enumerate(ds.labels)
         ]
         mean_ious.append(float(np.mean(vals)))
     non_decreasing = all(mean_ious[i] <= mean_ious[i + 1] + 1e-12 for i in range(3))
@@ -182,10 +182,11 @@ def test_criterion_6_finetune_descent(benchmark_dataset):
     for i in range(n_episodes):
         spec = EpisodeSpec(seed=derive_episode_seed(123, i, 0))
         episode = sample_episode(ds, spec)
-        sup = spatial_avg_pool(np.stack([f.values for f, _ in episode.support]))
-        labels = np.array([c for _, c in episode.support])
+        sup = ds.embeddings[episode.support]
+        labels = episode.support_labels
         bank = build_known_prototypes(sup, labels, 5, 5)
-        pairs = procam_for_support(list(episode.support), bank, ProCamConfig(iterations=4))
+        maps = [(FeatureMap(ds.values[j]), c) for j, c in zip(episode.support, labels)]
+        pairs = procam_for_support(maps, bank, ProCamConfig(iterations=4))
         bank = init_background(bank, "random", 1, seed=derive_episode_seed(123, i, 1))
         bgs = np.stack([b.values for _, b in pairs])
         _, report = finetune_bank(bank, sup, labels, bgs, FinetuneConfig())
@@ -222,20 +223,14 @@ def test_criterion_8_format_round_trip(tmp_path):
     start = time.time()
     rng = np.random.default_rng(11)
     h, w, d = 8, 8, 16
-    items = []
-    for i in range(1000):
-        vals = rng.normal(size=(h, w, d)).astype(np.float32).astype(np.float64)
-        items.append((FeatureMap(vals), i % 10))
-    ds = FeatureDataset(items)
+    vals = rng.normal(size=(1000, h, w, d)).astype(np.float32).astype(np.float64)
+    ds = FeatureDataset(vals, np.arange(1000) % 10)
     path = tmp_path / "large.fsof"
     write_dataset(ds, path)
     expected_size = 10 + 1000 * (10 + 4 * h * w * d)
     size_ok = path.stat().st_size == expected_size
     back = read_dataset(path)
-    values_ok = all(
-        la == lb and np.array_equal(fa.values, fb.values)
-        for (fa, la), (fb, lb) in zip(ds.items, back.items)
-    )
+    values_ok = np.array_equal(ds.labels, back.labels) and np.array_equal(ds.values, back.values)
     elapsed = time.time() - start
     ok = size_ok and values_ok and elapsed < 5.0
     _verdict(

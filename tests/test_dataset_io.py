@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsosr import dataset_io
 from fsosr.dataset_io import (
     FORMAT_VERSION,
     MAGIC,
@@ -20,16 +21,14 @@ from fsosr.dataset_io import (
     write_dataset,
 )
 from fsosr.episode import FeatureDataset
-from fsosr.featmap import FeatureMap
+from fsosr.featmap import spatial_avg_pool
 
 
 def random_dataset(n_items=12, num_classes=3, h=3, w=4, d=5, seed=0):
     rng = np.random.default_rng(seed)
-    items = []
-    for i in range(n_items):
-        vals = rng.normal(size=(h, w, d)).astype(np.float32).astype(np.float64)
-        items.append((FeatureMap(vals), i % num_classes))
-    return FeatureDataset(items, class_names=[f"c{k}" for k in range(num_classes)])
+    vals = rng.normal(size=(n_items, h, w, d)).astype(np.float32).astype(np.float64)
+    labels = np.arange(n_items) % num_classes
+    return FeatureDataset(vals, labels, class_names=[f"c{k}" for k in range(num_classes)])
 
 
 class TestRoundTrip:
@@ -38,10 +37,9 @@ class TestRoundTrip:
         path = tmp_path / "data.fsof"
         write_dataset(ds, path)
         back = read_dataset(path)
-        assert len(back.items) == len(ds.items)
-        for (fa, la), (fb, lb) in zip(ds.items, back.items):
-            assert la == lb
-            np.testing.assert_array_equal(fa.values, fb.values)
+        assert len(back) == len(ds)
+        np.testing.assert_array_equal(back.labels, ds.labels)
+        np.testing.assert_array_equal(back.values, ds.values)
         assert back.class_names == ["c0", "c1", "c2"]
 
     def test_size_formula(self, tmp_path):
@@ -137,6 +135,20 @@ class TestFormatErrors:
         with pytest.raises(DatasetFormatError, match="zero-sized"):
             read_dataset(path)
 
+    def test_mixed_shapes_name_the_item(self, tmp_path, monkeypatch):
+        # every item must have item 0's shape, whichever chunk it is read in
+        items = [(0, np.zeros((2, 2, 3))), (1, np.zeros((2, 2, 3))), (0, np.zeros((2, 3, 3)))]
+        path = tmp_path / "mixed.fsof"
+        path.write_bytes(pack_items(items))
+        offset = 10 + 2 * (10 + 4 * 12)
+        for chunk_bytes in (1, 500, 1 << 20):
+            monkeypatch.setattr(dataset_io, "CHUNK_BYTES", chunk_bytes)
+            with pytest.raises(
+                DatasetFormatError,
+                match=rf"item 2 at byte {offset} has shape \(2, 3, 3\), item 0 has \(2, 2, 3\)",
+            ):
+                read_dataset(path)
+
     def test_sidecar_class_name_count(self, tmp_path):
         path = self._write_valid(tmp_path)
         sidecar_path(path).write_text(json.dumps({"class_names": ["a", "b", "c"]}))
@@ -153,6 +165,87 @@ class TestFormatErrors:
         path = self._write_valid(tmp_path)
         sidecar_path(path).write_text("{not json")
         with pytest.raises(DatasetFormatError, match="not valid JSON"):
+            read_dataset(path)
+
+
+def pack_items(items):
+    """FSOF bytes for (label, values) items, each of its own shape."""
+    blob = [struct.pack("<4sHI", MAGIC, FORMAT_VERSION, len(items))]
+    for label, vals in items:
+        blob.append(struct.pack("<IHHH", label, *vals.shape))
+        blob.append(np.asarray(vals, dtype="<f4").tobytes())
+    return b"".join(blob)
+
+
+class TestChunkedRead:
+    """read_dataset reads and widens the payload CHUNK_BYTES at a time; a chunk
+    of one byte still holds one item."""
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 250, 500, 1 << 20])
+    def test_round_trip_at_any_chunk_size(self, tmp_path, monkeypatch, chunk_bytes):
+        monkeypatch.setattr(dataset_io, "CHUNK_BYTES", chunk_bytes)
+        ds = random_dataset(n_items=7)
+        write_dataset(ds, tmp_path / "data.fsof")
+        back = read_dataset(tmp_path / "data.fsof")
+        np.testing.assert_array_equal(back.values, ds.values)
+        np.testing.assert_array_equal(back.labels, ds.labels)
+        assert np.array_equal(back.embeddings, spatial_avg_pool(ds.values))
+
+    def test_tensor_is_read_only(self, tmp_path):
+        write_dataset(random_dataset(), tmp_path / "data.fsof")
+        back = read_dataset(tmp_path / "data.fsof")
+        assert not back.values.flags.writeable and not back.embeddings.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            back.values[0, 0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 500, 1 << 20])
+    @pytest.mark.parametrize("bad", [0, 3, 6])
+    def test_non_finite_value_names_its_item(self, tmp_path, monkeypatch, chunk_bytes, bad):
+        monkeypatch.setattr(dataset_io, "CHUNK_BYTES", chunk_bytes)
+        ds = random_dataset(n_items=7)
+        path = tmp_path / "data.fsof"
+        write_dataset(ds, path)
+        blob = bytearray(path.read_bytes())
+        item_bytes = 10 + 4 * 3 * 4 * 5
+        struct.pack_into("<f", blob, 10 + bad * item_bytes + 10 + 4 * 17, np.nan)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(NonFiniteValueError, match=rf"item {bad} contains non-finite"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 500])
+    def test_truncation_in_a_later_chunk_names_the_item(self, tmp_path, monkeypatch, chunk_bytes):
+        monkeypatch.setattr(dataset_io, "CHUNK_BYTES", chunk_bytes)
+        ds = random_dataset(n_items=7)
+        path = tmp_path / "data.fsof"
+        write_dataset(ds, path)
+        item_bytes = 10 + 4 * 3 * 4 * 5
+        blob = path.read_bytes()
+        path.write_bytes(blob[: 10 + 5 * item_bytes + 4])
+        with pytest.raises(TruncatedFileError, match=rf"item 5 header truncated at byte {10 + 5 * item_bytes}"):
+            read_dataset(path)
+        path.write_bytes(blob[:-7])
+        with pytest.raises(TruncatedFileError, match="item 6 payload truncated"):
+            read_dataset(path)
+
+    def test_count_beyond_the_file_is_truncated(self, tmp_path):
+        path = tmp_path / "data.fsof"
+        write_dataset(random_dataset(n_items=2, num_classes=2), path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, 6, 2**32 - 1)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DatasetFormatError):
+            read_dataset(path)
+
+    def test_huge_first_shape_is_truncated(self, tmp_path):
+        path = tmp_path / "huge.fsof"
+        path.write_bytes(struct.pack("<4sHIIHHH", MAGIC, FORMAT_VERSION, 1, 0, 65535, 65535, 65535) + bytes(8))
+        with pytest.raises(TruncatedFileError, match="item 0 payload truncated"):
+            read_dataset(path)
+
+    def test_no_items(self, tmp_path):
+        path = tmp_path / "empty.fsof"
+        path.write_bytes(pack_items([]))
+        with pytest.raises(DatasetFormatError, match="no items"):
             read_dataset(path)
 
 

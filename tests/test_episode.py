@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,47 +8,109 @@ from fsosr.episode import (
     EpisodeSpec,
     FeatureDataset,
     SyntheticConfig,
+    benchmark_config,
     derive_episode_seed,
     foreground_profile,
     generate_synthetic,
     resolve_fg_regions,
     sample_episode,
 )
-from fsosr.featmap import FeatureMap, spatial_avg_pool
+from fsosr.featmap import spatial_avg_pool
 from fsosr.metrics import accuracy
 from fsosr.procam import cam
 
 
 def tiny_dataset(num_classes=10, items_per_class=8, h=2, w=2, d=3, seed=0):
     rng = np.random.default_rng(seed)
-    items = []
-    for c in range(num_classes):
-        for _ in range(items_per_class):
-            items.append((FeatureMap(rng.normal(size=(h, w, d))), c))
-    return FeatureDataset(items)
+    values = rng.normal(size=(num_classes * items_per_class, h, w, d))
+    return FeatureDataset(values, np.repeat(np.arange(num_classes), items_per_class))
+
+
+def tuple_sampler_oracle(ds, spec):
+    """The sampler as it was when episodes were tuples of items: the same rng
+    calls in the same order, with each item given by its dataset index.
+    Returns (support, known_queries, unknown_queries, class_mapping), the first
+    two as (index, episode class) pairs."""
+    rng = np.random.default_rng(spec.seed)
+    chosen = rng.choice(ds.num_classes, size=spec.n_way + spec.n_open_classes, replace=False)
+    closed = [int(c) for c in chosen[: spec.n_way]]
+    support, known = [], []
+    for episode_class, label in enumerate(closed):
+        pool = tuple(ds.class_index[label])
+        picks = rng.choice(len(pool), size=spec.k_shot + spec.n_query, replace=False)
+        support += [(pool[p], episode_class) for p in picks[: spec.k_shot]]
+        known += [(pool[p], episode_class) for p in picks[spec.k_shot :]]
+    unknown = []
+    for label in chosen[spec.n_way :]:
+        pool = tuple(ds.class_index[int(label)])
+        unknown += [pool[p] for p in rng.choice(len(pool), size=spec.n_open_query, replace=False)]
+    return support, known, unknown, tuple(closed)
 
 
 class TestFeatureDataset:
-    def test_rejects_mixed_shapes(self):
-        items = [(FeatureMap(np.zeros((2, 2, 3))), 0), (FeatureMap(np.zeros((2, 3, 3))), 0)]
-        with pytest.raises(ValueError, match="shape"):
-            FeatureDataset(items)
-
     def test_rejects_sparse_labels(self):
-        items = [(FeatureMap(np.zeros((2, 2, 3))), 0), (FeatureMap(np.zeros((2, 2, 3))), 2)]
         with pytest.raises(ValueError, match="dense"):
-            FeatureDataset(items)
+            FeatureDataset(np.zeros((2, 2, 2, 3)), [0, 2])
 
     def test_sparse_label_message_is_bounded(self):
-        items = [(FeatureMap(np.zeros((1, 1, 1))), 0), (FeatureMap(np.zeros((1, 1, 1))), 100000)]
         with pytest.raises(ValueError, match=r"99999 missing, first \[1, 2, 3, 4, 5\]") as info:
-            FeatureDataset(items)
+            FeatureDataset(np.zeros((2, 1, 1, 1)), [0, 100000])
         assert len(str(info.value)) < 1024
 
     def test_class_index(self):
         ds = tiny_dataset(num_classes=3, items_per_class=2)
         assert ds.num_classes == 3
-        assert ds.class_index[1] == (2, 3)
+        assert tuple(ds.class_index[1]) == (2, 3)
+
+    def test_class_index_follows_dataset_order(self):
+        ds = FeatureDataset(np.zeros((5, 1, 1, 1)), [1, 0, 1, 0, 1])
+        assert [tuple(ds.class_index[c]) for c in range(2)] == [(1, 3), (0, 2, 4)]
+
+    def test_rejects_bad_tensor_and_labels(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            FeatureDataset(np.zeros((2, 2, 3)), [0, 0])
+        with pytest.raises(ValueError, match="non-empty"):
+            FeatureDataset(np.zeros((0, 2, 2, 3)), [])
+        with pytest.raises(ValueError, match="integer labels"):
+            FeatureDataset(np.zeros((2, 1, 1, 1)), [0])
+        with pytest.raises(ValueError, match="integer labels"):
+            FeatureDataset(np.zeros((2, 1, 1, 1)), [0.0, 1.0])
+        with pytest.raises(ValueError, match="item 1 has negative label -1"):
+            FeatureDataset(np.zeros((2, 1, 1, 1)), [0, -1])
+
+    def test_rejects_non_finite_item(self):
+        values = np.zeros((4, 2, 2, 3))
+        values[2, 1, 0, 2] = np.nan
+        with pytest.raises(ValueError, match="item 2 has a non-finite value"):
+            FeatureDataset(values, [0, 0, 1, 1])
+
+    def test_tensor_is_read_only(self):
+        source = np.ones((2, 1, 1, 2))
+        ds = FeatureDataset(source, [0, 1])
+        for arr in (ds.values, ds.embeddings, ds.labels, ds.class_index[0]):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ds.values[0, 0, 0, 0] = 5.0
+        # a writable source is copied, so changing it leaves the dataset alone
+        source[0] = 7.0
+        assert ds.values[0, 0, 0, 0] == 1.0
+        frozen = ds.values
+        assert FeatureDataset(frozen, [0, 1]).values is frozen
+
+    @pytest.mark.parametrize("shape", [(8, 8, 64), (5, 5, 640)])
+    def test_embeddings_equal_per_item_pool(self, shape):
+        h, w, d = shape
+        cfg = dataclasses.replace(
+            benchmark_config(), num_classes=24, items_per_class=3, height=h, width=w,
+            channels=d, fg_regions=None,
+        )
+        ds, _ = generate_synthetic(cfg)
+        for i in range(len(ds)):
+            assert np.array_equal(ds.embeddings[i], spatial_avg_pool(ds.values[i]))
+        # and as an episode's stack of maps was pooled before
+        picks = np.random.default_rng(0).choice(len(ds), size=25, replace=False)
+        stack = np.stack([np.array(ds.values[i]) for i in picks])
+        assert np.array_equal(ds.embeddings[picks], spatial_avg_pool(stack))
 
 
 class TestSampleEpisode:
@@ -65,22 +129,40 @@ class TestSampleEpisode:
         a = sample_episode(ds, spec)
         b = sample_episode(ds, spec)
         assert a.class_mapping == b.class_mapping
-        for (fa, ca), (fb, cb) in zip(a.support, b.support):
-            assert fa is fb and ca == cb
+        for field in ("support", "support_labels", "known_queries", "known_labels", "unknown_queries"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
         c = sample_episode(ds, EpisodeSpec(n_way=3, k_shot=2, n_query=2, n_open_classes=2, n_open_query=2, seed=6))
-        same = a.class_mapping == c.class_mapping and all(
-            fa is fc for (fa, _), (fc, _) in zip(a.support, c.support)
-        )
+        same = a.class_mapping == c.class_mapping and np.array_equal(a.support, c.support)
         assert not same
 
     def test_no_item_reused_within_episode(self):
         ds = tiny_dataset()
         spec = EpisodeSpec(n_way=4, k_shot=3, n_query=3, n_open_classes=3, n_open_query=5, seed=3)
         ep = sample_episode(ds, spec)
-        seen = [id(f) for f, _ in ep.support]
-        seen += [id(f) for f, _ in ep.known_queries]
-        seen += [id(f) for f in ep.unknown_queries]
+        seen = np.concatenate([ep.support, ep.known_queries, ep.unknown_queries]).tolist()
         assert len(seen) == len(set(seen))
+
+    def test_labels_match_class_mapping(self):
+        ds = tiny_dataset()
+        spec = EpisodeSpec(n_way=4, k_shot=3, n_query=2, n_open_classes=3, n_open_query=5, seed=8)
+        ep = sample_episode(ds, spec)
+        mapping = np.array(ep.class_mapping)
+        np.testing.assert_array_equal(ds.labels[ep.support], mapping[ep.support_labels])
+        np.testing.assert_array_equal(ds.labels[ep.known_queries], mapping[ep.known_labels])
+        assert not set(ds.labels[ep.unknown_queries].tolist()) & set(ep.class_mapping)
+
+    def test_index_arrays_match_tuple_sampler_oracle(self):
+        ds = tiny_dataset(num_classes=12, items_per_class=9)
+        for seed in range(200):
+            spec = EpisodeSpec(n_way=1 + 1 + seed % 5, k_shot=1 + seed % 4, n_query=1 + seed % 3,
+                               n_open_classes=1 + seed % 5, n_open_query=1 + seed % 9,
+                               seed=derive_episode_seed(31, seed))
+            ep = sample_episode(ds, spec)
+            support, known, unknown, mapping = tuple_sampler_oracle(ds, spec)
+            assert ep.class_mapping == mapping
+            assert list(zip(ep.support.tolist(), ep.support_labels.tolist())) == support
+            assert list(zip(ep.known_queries.tolist(), ep.known_labels.tolist())) == known
+            assert ep.unknown_queries.tolist() == unknown
 
     def test_closed_class_frequencies_near_uniform(self):
         ds = tiny_dataset(num_classes=20, items_per_class=8)
@@ -128,9 +210,9 @@ class TestGenerateSynthetic:
         regions = resolve_fg_regions(cfg)
         for c in range(3):
             idx = ds.class_index[c]
-            first = ds.items[idx[0]][0].values
+            first = ds.values[idx[0]]
             for i in idx[1:]:
-                np.testing.assert_array_equal(ds.items[i][0].values, first)
+                np.testing.assert_array_equal(ds.values[i], first)
             profile = foreground_profile(regions[c], cfg.height, cfg.width)
             mask = profile > 0
             np.testing.assert_array_equal(first[:, :, c], profile * cfg.signal_strength)
@@ -147,7 +229,7 @@ class TestGenerateSynthetic:
         cfg = SyntheticConfig(num_classes=4, items_per_class=2, seed=2)
         ds, masks = generate_synthetic(cfg)
         regions = resolve_fg_regions(cfg)
-        for i, (_, label) in enumerate(ds.items):
+        for i, label in enumerate(ds.labels):
             top, left, rh, rw = regions[label]
             expected = np.zeros((cfg.height, cfg.width), dtype=bool)
             expected[top : top + rh, left : left + rw] = True
@@ -161,20 +243,18 @@ class TestGenerateSynthetic:
         for i in range(60):
             ep = sample_episode(ds, EpisodeSpec(n_way=5, k_shot=5, n_query=5, n_open_classes=5,
                                                 n_open_query=5, seed=derive_episode_seed(9, i)))
-            sup = spatial_avg_pool(np.stack([f.values for f, _ in ep.support]))
-            bank = build_known_prototypes(sup, np.array([c for _, c in ep.support]), 5, 5)
-            rows, _ = predict(bank, spatial_avg_pool(np.stack([f.values for f, _ in ep.known_queries])))
-            hits.append(accuracy(rows, np.array([truth for _, truth in ep.known_queries])))
+            bank = build_known_prototypes(ds.embeddings[ep.support], ep.support_labels, 5, 5)
+            rows, _ = predict(bank, ds.embeddings[ep.known_queries])
+            hits.append(accuracy(rows, ep.known_labels))
         assert abs(np.mean(hits) - 0.2) < 0.06
 
     def test_class_mean_cam_highlights_foreground(self, default_dataset):
         ds, masks = default_dataset
         protos = {}
         for c in range(ds.num_classes):
-            pooled = spatial_avg_pool(np.stack([ds.items[i][0].values for i in ds.class_index[c]]))
-            protos[c] = pooled.mean(axis=0)
-        for i, (fmap, label) in enumerate(ds.items):
-            activation = cam(fmap.values, protos[label])
+            protos[c] = ds.embeddings[ds.class_index[c]].mean(axis=0)
+        for i, label in enumerate(ds.labels):
+            activation = cam(ds.values[i], protos[label])
             gt = masks[i]
             assert activation[gt].mean() > activation[~gt].mean()
 
@@ -195,7 +275,7 @@ class TestGenerateSynthetic:
                               noise_sigma=0.05, bkg_noise_mean=10.0, bkg_noise_scale=5.0, seed=4)
         ds, _ = generate_synthetic(cfg)
         shift_channel = cfg.num_classes + 1
-        per_item = [f.values[:, :, shift_channel].mean() for f, _ in ds.items]
+        per_item = ds.values[:, :, :, shift_channel].mean(axis=(1, 2))
         assert np.std(per_item) > 0.05
         assert np.mean(per_item) == pytest.approx(0.5, abs=0.3)
 
@@ -203,6 +283,5 @@ class TestGenerateSynthetic:
         cfg = SyntheticConfig(seed=11)
         a, _ = generate_synthetic(cfg)
         b, _ = generate_synthetic(cfg)
-        for (fa, la), (fb, lb) in zip(a.items, b.items):
-            assert la == lb
-            assert fa.values.tobytes() == fb.values.tobytes()
+        np.testing.assert_array_equal(a.labels, b.labels)
+        assert a.values.tobytes() == b.values.tobytes()

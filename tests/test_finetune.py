@@ -6,7 +6,7 @@ import pytest
 from fsosr import finetune
 from fsosr.classifier import PrototypeBank, build_known_prototypes, init_background
 from fsosr.episode import benchmark_config, derive_episode_seed, generate_synthetic, sample_episode
-from fsosr.featmap import spatial_avg_pool
+from fsosr.featmap import FeatureMap
 from fsosr.finetune import FinetuneConfig, finetune_bank, grad_wrt_prototypes, prototype_batch_loss
 from fsosr.pipeline import RunConfig, finite_difference, max_relative_error
 from fsosr.procam import procam_for_support
@@ -348,10 +348,11 @@ def _episode_finetune_inputs(ds, n_way, num_background, index=0):
     evaluate_episode builds them with RunConfig's defaults."""
     cfg = RunConfig(dataset="in-memory", n_way=n_way, num_background=num_background)
     episode = sample_episode(ds, cfg.episode_spec(derive_episode_seed(cfg.master_seed, index, 0)))
-    supports = spatial_avg_pool(np.stack([f.values for f, _ in episode.support]))
-    labels = np.array([c for _, c in episode.support])
+    supports = ds.embeddings[episode.support]
+    labels = episode.support_labels
     bank = build_known_prototypes(supports, labels, cfg.n_way, cfg.k_shot)
-    pairs = procam_for_support(list(episode.support), bank, cfg.procam_config())
+    maps = [(FeatureMap(ds.values[i]), c) for i, c in zip(episode.support, labels)]
+    pairs = procam_for_support(maps, bank, cfg.procam_config())
     backgrounds = np.stack([bg.values for _, bg in pairs])
     seed = derive_episode_seed(cfg.master_seed, index, 1)
     bank = init_background(bank, "random", num_background, seed, backgrounds)

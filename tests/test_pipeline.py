@@ -6,7 +6,7 @@ import pytest
 from fsosr.classifier import build_known_prototypes, init_background, predict
 from fsosr.dataset_io import DatasetFormatError, read_dataset
 from fsosr.episode import derive_episode_seed, sample_episode
-from fsosr.featmap import spatial_avg_pool
+from fsosr.featmap import FeatureMap
 from fsosr.finetune import finetune_bank
 from fsosr.metrics import accuracy, auroc
 from fsosr.pipeline import (
@@ -60,19 +60,18 @@ class TestRunEval:
         for index in range(3):
             seed = derive_episode_seed(cfg.master_seed, index, 0)
             episode = sample_episode(ds, cfg.episode_spec(seed))
-            sup = spatial_avg_pool(np.stack([f.values for f, _ in episode.support]))
-            labels = np.array([c for _, c in episode.support])
+            sup = ds.embeddings[episode.support]
+            labels = episode.support_labels
             bank = build_known_prototypes(sup, labels, cfg.n_way, cfg.k_shot)
-            pairs = procam_for_support(list(episode.support), bank, cfg.procam_config())
+            maps = [(FeatureMap(ds.values[i]), c) for i, c in zip(episode.support, labels)]
+            pairs = procam_for_support(maps, bank, cfg.procam_config())
             bgs = np.stack([b.values for _, b in pairs])
             init_seed = derive_episode_seed(cfg.master_seed, index, 1)
             bank = init_background(bank, "random", cfg.num_background, init_seed, bgs)
             bank, _ = finetune_bank(bank, sup, labels, bgs, cfg.finetune_config())
-            known = spatial_avg_pool(np.stack([f.values for f, _ in episode.known_queries]))
-            unknown = spatial_avg_pool(np.stack([f.values for f in episode.unknown_queries]))
-            rows, ks = predict(bank, known, cfg.score_kind)
-            _, us = predict(bank, unknown, cfg.score_kind)
-            truths = np.array([truth for _, truth in episode.known_queries])
+            rows, ks = predict(bank, ds.embeddings[episode.known_queries], cfg.score_kind)
+            _, us = predict(bank, ds.embeddings[episode.unknown_queries], cfg.score_kind)
+            truths = episode.known_labels
             row = bundle.episodes[index]
             assert row["seed"] == seed
             assert row["accuracy"] == accuracy(rows, truths)
@@ -265,7 +264,7 @@ class TestCli:
         # mask sidecar holds one H x W x 1 map per item
         masks_ds = read_dataset(cli.masks_path(data))
         assert masks_ds.channels == 1
-        assert len(masks_ds.items) == 120
+        assert len(masks_ds) == 120
 
         assert cli.main(["inspect", str(data)]) == 0
         out = capsys.readouterr().out

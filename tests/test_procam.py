@@ -164,14 +164,13 @@ class TestProcamInvariants:
         ds, masks = default_dataset
         protos = {}
         for c in range(ds.num_classes):
-            pooled = spatial_avg_pool(np.stack([ds.items[i][0].values for i in ds.class_index[c]]))
-            protos[c] = pooled.mean(axis=0)
+            protos[c] = ds.embeddings[ds.class_index[c]].mean(axis=0)
         for tau in (1, 2, 3, 4):
             cfg = ProCamConfig(iterations=tau)
             for c in range(ds.num_classes):
                 fg_means, bkg_means = [], []
                 for i in ds.class_index[c]:
-                    mask = procam(ds.items[i][0], protos[c], cfg).final_mask
+                    mask = procam(FeatureMap(ds.values[i]), protos[c], cfg).final_mask
                     gt = masks[i]
                     fg_means.append(mask[gt].mean())
                     bkg_means.append(mask[~gt].mean())
@@ -231,7 +230,7 @@ class TestProcamForSupport:
     def test_pipeline_oracle(self):
         cfg = SyntheticConfig(num_classes=5, items_per_class=5, seed=3)
         ds, _ = generate_synthetic(cfg)
-        supports = [(ds.items[i][0], c) for c in range(5) for i in ds.class_index[c][:5]]
+        supports = [(FeatureMap(ds.values[i]), c) for c in range(5) for i in ds.class_index[c][:5]]
         pooled = spatial_avg_pool(np.stack([f.values for f, _ in supports]))
         bank = build_known_prototypes(pooled, np.array([c for _, c in supports]), 5, 5)
         pc = ProCamConfig(iterations=4)
