@@ -17,6 +17,8 @@ so a round trip is lossless for any value representable in 32 bits.
 from __future__ import annotations
 
 import json
+import math
+import mmap
 import os
 import struct
 from pathlib import Path
@@ -78,11 +80,28 @@ def write_dataset(ds: FeatureDataset, path) -> None:
     sidecar_path(path).write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
 
 
+def _mapped_tensor(shape) -> np.ndarray:
+    """A float64 array of `shape`, for the caller to fill, on a private
+    anonymous mapping of its own, advised for huge pages as numpy advises its
+    own large allocations. The mapping goes back to the system when the last
+    view of the array goes. From the C heap, a tensor freed by one load is kept
+    there for the next, and a small allocation left inside it makes a later
+    load grow the heap by a second tensor: peak RSS then depends on how many
+    loads a process made."""
+    if not hasattr(mmap, "MAP_ANONYMOUS"):
+        return np.empty(shape)
+    buffer = mmap.mmap(-1, 8 * math.prod(shape), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        buffer.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buffer).reshape(shape)
+
+
 def read_dataset(path) -> FeatureDataset:
     """Read an FSOF file and its sidecar. Every item must have item 0's shape,
     so the items are read in chunks of about CHUNK_BYTES: each chunk's headers
     are checked, its values checked finite and widened straight into the
-    dataset's float64 tensor. The file is never held in memory whole."""
+    dataset's float64 tensor, which has a mapping of its own. The file is never
+    held in memory whole."""
     path = Path(path)
     with path.open("rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -107,7 +126,7 @@ def read_dataset(path) -> FeatureDataset:
         step = max(1, CHUNK_BYTES // item.itemsize)
         # rows for the items the file can hold: a count beyond them fails as truncated
         rows = min(count, (size - _HEADER.size) // item.itemsize)
-        values = np.empty((rows, *shape))
+        values = _mapped_tensor((rows, *shape))
         labels = np.empty(rows, dtype=np.uint32)
         buffer = bytearray(min(step * item.itemsize, size - _HEADER.size))
         fh.seek(_HEADER.size)

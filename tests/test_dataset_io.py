@@ -1,5 +1,8 @@
+import gc
 import json
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,13 @@ from fsosr.dataset_io import (
 )
 from fsosr.episode import FeatureDataset
 from fsosr.featmap import spatial_avg_pool
+
+
+STATM = Path("/proc/self/statm")
+
+
+def resident_mb() -> float:
+    return int(STATM.read_text().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
 
 
 def random_dataset(n_items=12, num_classes=3, h=3, w=4, d=5, seed=0):
@@ -197,6 +207,19 @@ class TestChunkedRead:
         assert not back.values.flags.writeable and not back.embeddings.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             back.values[0, 0, 0, 0] = 1.0
+
+    @pytest.mark.skipif(not STATM.exists(), reason="resident size is read from /proc/self/statm")
+    def test_dropped_tensor_goes_back_to_the_system(self, tmp_path):
+        # 9.4 MB of doubles: a block the C heap would keep for the next load
+        path = tmp_path / "data.fsof"
+        write_dataset(random_dataset(n_items=300, num_classes=12, h=8, w=8, d=64), path)
+        tensor_mb = 300 * 8 * 8 * 64 * 8 / 2**20
+        for _ in range(3):
+            ds = read_dataset(path)
+            loaded = resident_mb()
+            del ds
+            gc.collect()
+            assert loaded - resident_mb() > 0.9 * tensor_mb
 
     @pytest.mark.parametrize("chunk_bytes", [1, 500, 1 << 20])
     @pytest.mark.parametrize("bad", [0, 3, 6])
