@@ -13,7 +13,7 @@ import numpy as np
 from .classifier import INIT_KINDS, SCORE_KINDS
 from .dataset_io import export_heatmap, read_dataset, write_dataset
 from .episode import FeatureDataset, SyntheticConfig, benchmark_config, generate_synthetic
-from .featmap import NORM_KINDS, NORM_MINMAX, FeatureMap, minmax_norm
+from .featmap import NORM_KINDS, FeatureMap, minmax_norm
 from .pipeline import RunConfig, gradcheck_command, run_eval, validate_dataset_for_config
 from .procam import ProCamConfig, cam, procam
 
@@ -45,6 +45,12 @@ def _config(args: argparse.Namespace, make, **settings):
         raise _usage_error(args, exc) from exc
 
 
+def _settings(args: argparse.Namespace, *other: str) -> dict:
+    """The settings given on the command line, each under its config field's
+    name: every parsed flag except the named non-config arguments."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "func", *other)}
+
+
 def _read(args: argparse.Namespace, path) -> FeatureDataset:
     """read_dataset(path), where a file that cannot be opened is a usage
     error; a malformed one still raises DatasetFormatError."""
@@ -55,24 +61,11 @@ def _read(args: argparse.Namespace, path) -> FeatureDataset:
 
 
 def _cmd_gen_synthetic(args: argparse.Namespace) -> int:
-    if args.benchmark:
-        cfg = benchmark_config(seed=7 if args.seed is None else args.seed)
+    if "benchmark" in args:
+        # the preset ignores the size flags; a given --seed replaces its own
+        cfg = benchmark_config(**({"seed": args.seed} if "seed" in args else {}))
     else:
-        cfg = _config(
-            args,
-            SyntheticConfig,
-            num_classes=args.classes,
-            items_per_class=args.items_per_class,
-            height=args.height,
-            width=args.width,
-            channels=args.channels,
-            signal_strength=args.signal_strength,
-            noise_sigma=args.noise_sigma,
-            bkg_strength=args.bkg_strength,
-            bkg_noise_mean=args.bkg_noise_mean,
-            bkg_noise_scale=args.bkg_noise_scale,
-            seed=0 if args.seed is None else args.seed,
-        )
+        cfg = _config(args, SyntheticConfig, **_settings(args, "out"))
     ds, masks = generate_synthetic(cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -102,35 +95,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _config(
-        args,
-        RunConfig,
-        dataset=args.dataset,
-        n_way=args.n_way,
-        k_shot=args.k_shot,
-        n_query=args.n_query,
-        n_open_classes=args.open_classes,
-        n_open_query=args.open_query,
-        iterations=args.iterations,
-        norm_kind=args.norm,
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        bkg_loss_weight=args.bkg_loss_weight,
-        temperature=args.temperature,
-        reassign_each_epoch=not args.fixed_pseudo_labels,
-        init_kind=args.init,
-        num_background=args.n_background,
-        num_episodes=args.num_episodes,
-        master_seed=args.seed,
-        use_background_classes=not args.no_background,
-        use_procam_finetune=not args.no_finetune,
-        freeze_known=args.freeze_known,
-        score_kind=args.score_kind,
-        pooled_auroc=args.pooled_auroc,
-        output_dir=args.out,
-        workers=args.workers,
-        dump_last_bank=args.dump_last_bank,
-    )
+    cfg = _config(args, RunConfig, output_dir=args.out, **_settings(args, "out"))
     ds = _read(args, cfg.dataset)
     _config(args, validate_dataset_for_config, ds=ds, cfg=cfg)
     bundle = run_eval(cfg, ds)
@@ -145,7 +110,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_heatmap(args: argparse.Namespace) -> int:
-    cfg = _config(args, ProCamConfig, iterations=args.iterations, norm_kind=args.norm)
+    cfg = _config(args, ProCamConfig, **_settings(args, "dataset", "item", "out"))
     ds = _read(args, args.dataset)
     if not 0 <= args.item < len(ds):
         raise _usage_error(args, f"item {args.item} outside [0, {len(ds)})")
@@ -176,23 +141,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen-synthetic", help="generate a synthetic benchmark dataset")
+    # On gen-synthetic, eval and heatmap a flag left out is absent from the
+    # namespace, so each setting takes its default from its config class alone.
+    gen = sub.add_parser("gen-synthetic", help="generate a synthetic benchmark dataset",
+                         argument_default=argparse.SUPPRESS)
     gen.add_argument("--out", required=True, help="output dataset file")
     gen.add_argument("--benchmark", action="store_true",
                      help="use the standard benchmark configuration (ignores the size flags)")
-    gen.add_argument("--classes", type=int, default=5)
-    gen.add_argument("--items-per-class", type=int, default=20)
-    gen.add_argument("--height", type=int, default=8)
-    gen.add_argument("--width", type=int, default=8)
-    gen.add_argument("--channels", type=int, default=16)
-    gen.add_argument("--signal-strength", type=float, default=1.0)
-    gen.add_argument("--noise-sigma", type=float, default=0.1)
-    gen.add_argument("--bkg-strength", type=float, default=0.05)
-    gen.add_argument("--bkg-noise-mean", type=float, default=0.0,
+    gen.add_argument("--classes", dest="num_classes", type=int)
+    gen.add_argument("--items-per-class", type=int)
+    gen.add_argument("--height", type=int)
+    gen.add_argument("--width", type=int)
+    gen.add_argument("--channels", type=int)
+    gen.add_argument("--signal-strength", type=float)
+    gen.add_argument("--noise-sigma", type=float)
+    gen.add_argument("--bkg-strength", type=float)
+    gen.add_argument("--bkg-noise-mean", type=float,
                      help="per-item background-energy shift mean, in units of --noise-sigma")
-    gen.add_argument("--bkg-noise-scale", type=float, default=0.0,
+    gen.add_argument("--bkg-noise-scale", type=float,
                      help="per-item background-energy shift spread, in units of --noise-sigma")
-    gen.add_argument("--seed", type=int, default=None,
+    gen.add_argument("--seed", type=int,
                      help="generator seed (default 0, or 7 with --benchmark)")
     gen.set_defaults(func=_cmd_gen_synthetic)
 
@@ -200,48 +168,50 @@ def build_parser() -> argparse.ArgumentParser:
     ins.add_argument("dataset")
     ins.set_defaults(func=_cmd_inspect)
 
-    ev = sub.add_parser("eval", help="run an episodic evaluation")
+    ev = sub.add_parser("eval", help="run an episodic evaluation",
+                        argument_default=argparse.SUPPRESS)
     ev.add_argument("--dataset", required=True)
     ev.add_argument("--out", default=_default_output_dir(),
                     help=f"output directory (default from ${OUTPUT_DIR_ENV} or ./fsosr-out)")
-    ev.add_argument("--n-way", type=int, default=5)
-    ev.add_argument("--k-shot", type=int, default=5)
-    ev.add_argument("--n-query", type=int, default=10)
-    ev.add_argument("--open-classes", type=int, default=5)
-    ev.add_argument("--open-query", type=int, default=None,
+    ev.add_argument("--n-way", type=int)
+    ev.add_argument("--k-shot", type=int)
+    ev.add_argument("--n-query", type=int)
+    ev.add_argument("--open-classes", dest="n_open_classes", type=int)
+    ev.add_argument("--open-query", dest="n_open_query", type=int,
                     help="queries per open class (default: same as --n-query)")
-    ev.add_argument("--iterations", type=int, default=4, help="activation-map mining passes")
-    ev.add_argument("--norm", choices=NORM_KINDS, default=NORM_MINMAX)
-    ev.add_argument("--epochs", type=int, default=20)
-    ev.add_argument("--learning-rate", type=float, default=0.002)
-    ev.add_argument("--bkg-loss-weight", type=float, default=0.05)
-    ev.add_argument("--temperature", type=float, default=10.0)
-    ev.add_argument("--fixed-pseudo-labels", action="store_true",
+    ev.add_argument("--iterations", type=int, help="activation-map mining passes")
+    ev.add_argument("--norm", dest="norm_kind", choices=NORM_KINDS)
+    ev.add_argument("--epochs", type=int)
+    ev.add_argument("--learning-rate", type=float)
+    ev.add_argument("--bkg-loss-weight", type=float)
+    ev.add_argument("--temperature", type=float)
+    ev.add_argument("--fixed-pseudo-labels", dest="reassign_each_epoch", action="store_false",
                     help="assign background pseudo-labels once instead of every epoch")
-    ev.add_argument("--init", choices=INIT_KINDS, default="random")
-    ev.add_argument("--n-background", type=int, default=2)
-    ev.add_argument("--num-episodes", type=int, default=600)
-    ev.add_argument("--seed", type=int, default=0, help="master seed")
-    ev.add_argument("--no-background", action="store_true",
+    ev.add_argument("--init", dest="init_kind", choices=INIT_KINDS)
+    ev.add_argument("--n-background", dest="num_background", type=int)
+    ev.add_argument("--num-episodes", type=int)
+    ev.add_argument("--seed", dest="master_seed", type=int, help="master seed")
+    ev.add_argument("--no-background", dest="use_background_classes", action="store_false",
                     help="disable background rows (plain prototype classifier)")
-    ev.add_argument("--no-finetune", action="store_true",
+    ev.add_argument("--no-finetune", dest="use_procam_finetune", action="store_false",
                     help="keep background rows at their initialization")
     ev.add_argument("--freeze-known", action="store_true",
                     help="fine-tune background rows only")
-    ev.add_argument("--score-kind", choices=SCORE_KINDS, default="margin")
+    ev.add_argument("--score-kind", choices=SCORE_KINDS)
     ev.add_argument("--pooled-auroc", action="store_true",
                     help="also report one AUROC over all episodes' scores pooled")
-    ev.add_argument("--workers", type=int, default=1)
+    ev.add_argument("--workers", type=int)
     ev.add_argument("--dump-last-bank", action="store_true",
                     help="include the last episode's classifier bank in summary.json")
     ev.set_defaults(func=_cmd_eval)
 
-    hm = sub.add_parser("heatmap", help="export mining masks for one item as PGM images")
+    hm = sub.add_parser("heatmap", help="export mining masks for one item as PGM images",
+                        argument_default=argparse.SUPPRESS)
     hm.add_argument("--dataset", required=True)
     hm.add_argument("--item", type=int, required=True)
     hm.add_argument("--out", default=_default_output_dir())
-    hm.add_argument("--iterations", type=int, default=4)
-    hm.add_argument("--norm", choices=NORM_KINDS, default=NORM_MINMAX)
+    hm.add_argument("--iterations", type=int)
+    hm.add_argument("--norm", dest="norm_kind", choices=NORM_KINDS)
     hm.set_defaults(func=_cmd_heatmap)
 
     gc = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")

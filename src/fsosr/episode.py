@@ -3,6 +3,7 @@ feature-map generator with ground-truth foreground masks for desk-scale runs."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
 
@@ -168,39 +169,28 @@ def sample_episode(ds: FeatureDataset, spec: EpisodeSpec) -> Episode:
             f"({spec.n_way} closed + {spec.n_open_classes} open)"
         )
     rng = np.random.default_rng(spec.seed)
-    chosen = rng.choice(ds.num_classes, size=need_classes, replace=False)
-    closed = [int(c) for c in chosen[: spec.n_way]]
-    open_classes = [int(c) for c in chosen[spec.n_way :]]
-
-    per_class = spec.k_shot + spec.n_query
-    closed_picks = []
-    for label in closed:
+    chosen = rng.choice(ds.num_classes, size=need_classes, replace=False).tolist()
+    picks = []
+    for i, label in enumerate(chosen):
+        closed = i < spec.n_way
+        count = spec.k_shot + spec.n_query if closed else spec.n_open_query
         pool = ds.class_index[label]
-        if len(pool) < per_class:
+        if len(pool) < count:
             raise ValueError(
-                f"class {label} has {len(pool)} items, closed-class sampling needs {per_class}"
+                f"class {label} has {len(pool)} items, "
+                f"{'closed' if closed else 'open'}-class sampling needs {count}"
             )
-        closed_picks.append(pool[rng.choice(len(pool), size=per_class, replace=False)])
-    picks = np.array(closed_picks)
-
-    open_picks = []
-    for label in open_classes:
-        pool = ds.class_index[label]
-        if len(pool) < spec.n_open_query:
-            raise ValueError(
-                f"class {label} has {len(pool)} items, open-class sampling needs "
-                f"{spec.n_open_query}"
-            )
-        open_picks.append(pool[rng.choice(len(pool), size=spec.n_open_query, replace=False)])
+        picks.append(pool[rng.choice(len(pool), size=count, replace=False)])
+    known = np.array(picks[: spec.n_way])
 
     classes = np.arange(spec.n_way)
     return Episode(
-        support=picks[:, : spec.k_shot].ravel(),
+        support=known[:, : spec.k_shot].ravel(),
         support_labels=np.repeat(classes, spec.k_shot),
-        known_queries=picks[:, spec.k_shot :].ravel(),
+        known_queries=known[:, spec.k_shot :].ravel(),
         known_labels=np.repeat(classes, spec.n_query),
-        unknown_queries=np.concatenate(open_picks),
-        class_mapping=tuple(closed),
+        unknown_queries=np.concatenate(picks[spec.n_way :]),
+        class_mapping=tuple(chosen[: spec.n_way]),
     )
 
 
@@ -241,14 +231,11 @@ class SyntheticConfig:
         for name in ("num_classes", "items_per_class", "height", "width", "channels"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.signal_strength < 0:
-            raise ValueError("signal_strength must be >= 0")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
-        if self.bkg_strength < 0:
-            raise ValueError("bkg_strength must be >= 0")
-        if self.bkg_noise_mean < 0 or self.bkg_noise_scale < 0:
-            raise ValueError("bkg_noise_mean and bkg_noise_scale must be >= 0")
+        for name in (
+            "signal_strength", "noise_sigma", "bkg_strength", "bkg_noise_mean", "bkg_noise_scale"
+        ):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         if self.channels < self.num_classes + 1:
             raise ValueError(
                 f"channels must be >= num_classes + 1 to allocate orthogonal signatures "

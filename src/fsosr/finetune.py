@@ -13,6 +13,7 @@ gradcheck command.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,12 +41,12 @@ class FinetuneConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.bkg_loss_weight <= 0:
-            raise ValueError("bkg_loss_weight must be > 0")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and >= 0")
+        if not 0 < self.bkg_loss_weight < math.inf:
+            raise ValueError("bkg_loss_weight must be finite and > 0")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError("temperature must be finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -24,7 +24,7 @@ from .classifier import (
 )
 from .dataset_io import read_dataset
 from .episode import EpisodeSpec, FeatureDataset, derive_episode_seed, sample_episode
-from .featmap import NORM_MINMAX, FeatureMap
+from .featmap import FeatureMap
 # Pooling happens once, when the dataset is built, and no episode calls this;
 # it stays importable here because the benchmark's tracer wraps every name it
 # times (perfbench/spans.py TRACED) on this module.
@@ -45,25 +45,25 @@ class RunConfig:
     activation maps to progressive mining."""
 
     dataset: str
-    n_way: int = 5
-    k_shot: int = 5
-    n_query: int = 10
-    n_open_classes: int = 5
+    n_way: int = EpisodeSpec.n_way
+    k_shot: int = EpisodeSpec.k_shot
+    n_query: int = EpisodeSpec.n_query
+    n_open_classes: int = EpisodeSpec.n_open_classes
     n_open_query: int | None = None
-    iterations: int = 4
-    norm_kind: str = NORM_MINMAX
-    epochs: int = 20
-    learning_rate: float = 0.002
-    bkg_loss_weight: float = 0.05
-    temperature: float = 10.0
-    reassign_each_epoch: bool = True
+    iterations: int = ProCamConfig.iterations
+    norm_kind: str = ProCamConfig.norm_kind
+    epochs: int = FinetuneConfig.epochs
+    learning_rate: float = FinetuneConfig.learning_rate
+    bkg_loss_weight: float = FinetuneConfig.bkg_loss_weight
+    temperature: float = FinetuneConfig.temperature
+    reassign_each_epoch: bool = FinetuneConfig.reassign_each_epoch
     init_kind: str = "random"
     num_background: int = 2
     num_episodes: int = 600
     master_seed: int = 0
     use_background_classes: bool = True
     use_procam_finetune: bool = True
-    freeze_known: bool = False
+    freeze_known: bool = FinetuneConfig.freeze_known
     score_kind: str = "margin"
     pooled_auroc: bool = False
     output_dir: str | None = None
@@ -90,51 +90,34 @@ class RunConfig:
     def resolved_open_query(self) -> int:
         return self.n_query if self.n_open_query is None else self.n_open_query
 
-    def episode_spec(self, seed: int) -> EpisodeSpec:
-        return EpisodeSpec(
-            n_way=self.n_way,
-            k_shot=self.k_shot,
-            n_query=self.n_query,
-            n_open_classes=self.n_open_classes,
-            n_open_query=self.resolved_open_query(),
-            seed=seed,
+    def _stage(self, config, **given):
+        """A stage config whose fields are this config's fields of the same
+        names, except those given."""
+        return config(
+            **{f.name: getattr(self, f.name) for f in fields(config) if f.name not in given},
+            **given,
         )
+
+    def episode_spec(self, seed: int) -> EpisodeSpec:
+        return self._stage(EpisodeSpec, n_open_query=self.resolved_open_query(), seed=seed)
 
     def procam_config(self) -> ProCamConfig:
-        return ProCamConfig(iterations=self.iterations, norm_kind=self.norm_kind)
+        return self._stage(ProCamConfig)
 
     def finetune_config(self) -> FinetuneConfig:
-        return FinetuneConfig(
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            bkg_loss_weight=self.bkg_loss_weight,
-            temperature=self.temperature,
-            reassign_each_epoch=self.reassign_each_epoch,
-            freeze_known=self.freeze_known,
-        )
+        return self._stage(FinetuneConfig)
 
     def snapshot(self) -> dict:
         """Result-affecting configuration only. Execution details (workers,
         output paths, dump flags) are excluded so identical configs yield
         byte-identical bundles no matter how the run was executed."""
+        episode = asdict(self.episode_spec(0))
+        del episode["seed"]
         return {
             "dataset": self.dataset,
-            "episode": {
-                "n_way": self.n_way,
-                "k_shot": self.k_shot,
-                "n_query": self.n_query,
-                "n_open_classes": self.n_open_classes,
-                "n_open_query": self.resolved_open_query(),
-            },
-            "procam": {"iterations": self.iterations, "norm_kind": self.norm_kind},
-            "finetune": {
-                "epochs": self.epochs,
-                "learning_rate": self.learning_rate,
-                "bkg_loss_weight": self.bkg_loss_weight,
-                "temperature": self.temperature,
-                "reassign_each_epoch": self.reassign_each_epoch,
-                "freeze_known": self.freeze_known,
-            },
+            "episode": episode,
+            "procam": asdict(self.procam_config()),
+            "finetune": asdict(self.finetune_config()),
             "init": {"kind": self.init_kind, "num_background": self.num_background},
             "stages": {
                 "use_background_classes": self.use_background_classes,
@@ -270,9 +253,9 @@ def evaluate_episode(
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(cfg: RunConfig) -> None:
+def _worker_init(cfg: RunConfig, ds: FeatureDataset) -> None:
     _WORKER_STATE["cfg"] = cfg
-    _WORKER_STATE["ds"] = read_dataset(cfg.dataset)
+    _WORKER_STATE["ds"] = ds
 
 
 def _worker_run(index: int) -> dict:
@@ -282,7 +265,8 @@ def _worker_run(index: int) -> dict:
 def run_eval(cfg: RunConfig, ds: FeatureDataset | None = None) -> ResultsBundle:
     """Evaluate num_episodes episodes and assemble (and optionally write) the
     results bundle. ds is cfg.dataset when the caller has read it already;
-    pool workers always read the file. Under init=global each episode starts
+    pool workers evaluate on this same ds, which they inherit when forked.
+    Under init=global each episode starts
     from the previous episode's final background rows, so it always runs on a
     single worker."""
     if ds is None:
@@ -298,7 +282,7 @@ def run_eval(cfg: RunConfig, ds: FeatureDataset | None = None) -> ResultsBundle:
                 carried = records[-1]["background"]
     else:
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init, initargs=(cfg,)
+            max_workers=workers, initializer=_worker_init, initargs=(cfg, ds)
         ) as pool:
             records = list(pool.map(_worker_run, range(cfg.num_episodes), chunksize=8))
 

@@ -1,11 +1,13 @@
+import argparse
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from fsosr.classifier import build_known_prototypes, init_background, predict
-from fsosr.dataset_io import DatasetFormatError, read_dataset
-from fsosr.episode import derive_episode_seed, sample_episode
+from fsosr.dataset_io import DatasetFormatError, read_dataset, write_dataset
+from fsosr.episode import SyntheticConfig, derive_episode_seed, sample_episode
 from fsosr.featmap import FeatureMap
 from fsosr.finetune import finetune_bank
 from fsosr.metrics import accuracy, auroc
@@ -17,7 +19,7 @@ from fsosr.pipeline import (
     run_eval,
     validate_dataset_for_config,
 )
-from fsosr.procam import procam_for_support
+from fsosr.procam import ProCamConfig, procam_for_support
 from fsosr import cli
 
 
@@ -51,6 +53,20 @@ class TestRunEval:
         run_eval(small_cfg(path, num_episodes=1, output_dir=str(out2)))
         assert (out1 / "episodes.csv").read_bytes() == (out2 / "episodes.csv").read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+    def test_pool_workers_use_the_run_dataset(self, benchmark_dataset, tmp_path):
+        # the file is gone once read, so a worker that read it again would fail
+        path, _, _ = benchmark_dataset
+        gone = tmp_path / "gone.fsof"
+        gone.write_bytes(path.read_bytes())
+        ds = read_dataset(gone)
+        gone.unlink()
+        one, two = (
+            run_eval(small_cfg(gone, num_episodes=12, workers=w, dump_last_bank=True), ds)
+            for w in (1, 2)
+        )
+        assert one.episodes_csv_text() == two.episodes_csv_text()
+        assert one.summary_json_text() == two.summary_json_text()
 
     def test_matches_scripted_pipeline(self, benchmark_dataset):
         path, _, _ = benchmark_dataset
@@ -305,6 +321,41 @@ class TestCli:
         reference_path, _, _ = benchmark_dataset
         assert out.read_bytes() == reference_path.read_bytes()
 
+    def test_eval_defaults_are_run_config_defaults(self, benchmark_dataset, tmp_path):
+        path, _, _ = benchmark_dataset
+        out = tmp_path / "run"
+        assert cli.main(["eval", "--dataset", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"] == RunConfig(dataset=str(path)).snapshot()
+
+    def test_gen_synthetic_defaults_are_synthetic_config_defaults(self, default_dataset, tmp_path):
+        out, reference = tmp_path / "default.fsof", tmp_path / "reference.fsof"
+        assert cli.main(["gen-synthetic", "--out", str(out)]) == 0
+        write_dataset(default_dataset[0], reference)
+        assert out.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize(
+        "command, config, other",
+        [
+            ("eval", RunConfig, {"out"}),
+            ("gen-synthetic", SyntheticConfig, {"out", "benchmark"}),
+            ("heatmap", ProCamConfig, {"dataset", "item", "out"}),
+        ],
+    )
+    def test_every_flag_sets_a_config_field(self, command, config, other):
+        # a flag whose dest is no field would never reach the config
+        sub = next(
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        flags = [a for a in sub.choices[command]._actions if a.dest != "help"]
+        names = {f.name for f in dataclasses.fields(config)}
+        assert {a.dest for a in flags} >= other
+        for action in flags:
+            assert action.dest in names | other, action.option_strings
+            if action.dest in names:
+                # the default is the config class's, so the parser holds none
+                assert action.default is argparse.SUPPRESS, action.option_strings
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -323,6 +374,14 @@ class TestCli:
                 "dataset has 12 classes but episodes need 17 (12 closed + 5 open)",
             ),
             (["heatmap", "--item", "360"], "item 360 outside [0, 360)"),
+            (["eval", "--learning-rate", "nan"], "learning_rate must be finite and >= 0"),
+            (["eval", "--bkg-loss-weight", "inf"], "bkg_loss_weight must be finite and > 0"),
+            (
+                ["eval", "--no-finetune", "--temperature", "nan"],
+                "temperature must be finite and > 0",
+            ),
+            (["gen-synthetic", "--signal-strength", "nan"], "signal_strength must be finite and >= 0"),
+            (["gen-synthetic", "--noise-sigma", "inf"], "noise_sigma must be finite and >= 0"),
         ],
     )
     def test_rejected_setting_is_a_usage_error(
