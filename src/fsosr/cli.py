@@ -63,7 +63,7 @@ def _read(args: argparse.Namespace, path) -> FeatureDataset:
 def _cmd_gen_synthetic(args: argparse.Namespace) -> int:
     if "benchmark" in args:
         # the preset ignores the size flags; a given --seed replaces its own
-        cfg = benchmark_config(**({"seed": args.seed} if "seed" in args else {}))
+        cfg = _config(args, benchmark_config, **({"seed": args.seed} if "seed" in args else {}))
     else:
         cfg = _config(args, SyntheticConfig, **_settings(args, "out"))
     ds, masks = generate_synthetic(cfg)
@@ -71,7 +71,7 @@ def _cmd_gen_synthetic(args: argparse.Namespace) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     write_dataset(ds, out)
     # ground-truth masks ride along as a second dataset of H x W x 1 maps
-    mask_values = np.stack(masks).astype(np.float64)[..., None]
+    mask_values = np.stack(masks, dtype=np.float32)[..., None]
     mask_file = masks_path(out)
     write_dataset(FeatureDataset(mask_values, ds.labels, class_names=ds.class_names), mask_file)
     print(f"wrote {len(ds)} items ({ds.num_classes} classes, "
@@ -87,7 +87,8 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     print(f"classes: {ds.num_classes}")
     print(f"map shape: {ds.height}x{ds.width}x{ds.channels}")
     values = ds.values
-    print(f"value range: [{values.min():.6g}, {values.max():.6g}], mean {values.mean():.6g}")
+    print(f"value range: [{values.min():.6g}, {values.max():.6g}], "
+          f"mean {values.mean(dtype=np.float64):.6g}")
     for c in range(ds.num_classes):
         name = ds.class_names[c] if ds.class_names else f"class_{c}"
         print(f"  {c}: {name} ({len(ds.class_index[c])} items)")
@@ -114,7 +115,8 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     ds = _read(args, args.dataset)
     if not 0 <= args.item < len(ds):
         raise _usage_error(args, f"item {args.item} outside [0, {len(ds)})")
-    fmap, label = FeatureMap.view(ds.values[args.item]), int(ds.labels[args.item])
+    # the one item mined, widened to double precision
+    fmap, label = FeatureMap(ds.values[args.item]), int(ds.labels[args.item])
     # class prototype = mean pooled embedding over every item of the class
     weight = ds.embeddings[ds.class_index[label]].mean(axis=0)
     result = procam(fmap, weight, cfg)

@@ -10,8 +10,9 @@ FSOF layout (all integers little-endian):
       label u32, height u16, width u16, channels u16,
       height*width*channels float32 values in (h, w, c) row-major order
 
-Values are stored as 32-bit floats; in memory everything is double precision,
-so a round trip is lossless for any value representable in 32 bits.
+Values are stored as 32-bit floats and held in memory at that precision, so a
+round trip is lossless; pooling and mining widen them to double precision
+where they compute.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ MAGIC = b"FSOF"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHI")
 _ITEM_HEADER = struct.Struct("<IHHH")
-CHUNK_BYTES = 1 << 18  # how much of the file read_dataset reads and widens at a time
+CHUNK_BYTES = 1 << 18  # how much of the file read_dataset and write_dataset hold at a time
 
 
 class DatasetFormatError(ValueError):
@@ -66,22 +67,27 @@ def _item_dtype(height: int, width: int, channels: int) -> np.dtype:
 
 
 def write_dataset(ds: FeatureDataset, path) -> None:
-    """Write the dataset plus a JSON sidecar carrying the class names."""
+    """Write the dataset plus a JSON sidecar carrying the class names. The
+    items are packed and written in chunks of about CHUNK_BYTES."""
     path = Path(path)
-    records = np.empty(len(ds), _item_dtype(ds.height, ds.width, ds.channels))
-    records["label"] = ds.labels
+    item = _item_dtype(ds.height, ds.width, ds.channels)
+    step = max(1, CHUNK_BYTES // item.itemsize)
+    records = np.empty(min(step, len(ds)), item)
     records["shape"] = (ds.height, ds.width, ds.channels)
-    records["values"] = ds.values
     with path.open("wb") as fh:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, len(ds)))
-        records.tofile(fh)
+        for start in range(0, len(ds), step):
+            chunk = records[: min(step, len(ds) - start)]
+            chunk["label"] = ds.labels[start : start + step]
+            chunk["values"] = ds.values[start : start + step]
+            chunk.tofile(fh)
     names = ds.class_names or [f"class_{c}" for c in range(ds.num_classes)]
     sidecar = {"format_version": FORMAT_VERSION, "class_names": names}
     sidecar_path(path).write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
 
 
 def _mapped_tensor(shape) -> np.ndarray:
-    """A float64 array of `shape`, for the caller to fill, on a private
+    """A float32 array of `shape`, for the caller to fill, on a private
     anonymous mapping of its own, advised for huge pages as numpy advises its
     own large allocations. The mapping goes back to the system when the last
     view of the array goes. From the C heap, a tensor freed by one load is kept
@@ -89,18 +95,18 @@ def _mapped_tensor(shape) -> np.ndarray:
     load grow the heap by a second tensor: peak RSS then depends on how many
     loads a process made."""
     if not hasattr(mmap, "MAP_ANONYMOUS"):
-        return np.empty(shape)
-    buffer = mmap.mmap(-1, 8 * math.prod(shape), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        return np.empty(shape, dtype=np.float32)
+    buffer = mmap.mmap(-1, 4 * math.prod(shape), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     if hasattr(mmap, "MADV_HUGEPAGE"):
         buffer.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(buffer).reshape(shape)
+    return np.frombuffer(buffer, dtype=np.float32).reshape(shape)
 
 
 def read_dataset(path) -> FeatureDataset:
     """Read an FSOF file and its sidecar. Every item must have item 0's shape,
     so the items are read in chunks of about CHUNK_BYTES: each chunk's headers
-    are checked, its values checked finite and widened straight into the
-    dataset's float64 tensor, which has a mapping of its own. The file is never
+    are checked, its values checked finite and copied as they are into the
+    dataset's float32 tensor, which has a mapping of its own. The file is never
     held in memory whole."""
     path = Path(path)
     with path.open("rb") as fh:

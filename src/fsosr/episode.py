@@ -53,13 +53,14 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 class FeatureDataset:
-    """N labeled feature maps as one read-only (N, H, W, d) float64 tensor,
-    their (N,) dense labels, and the (N, d) embeddings pooled from the tensor
-    once, at construction. A read-only tensor is kept as is, anything else is
-    copied first."""
+    """N labeled feature maps as one read-only (N, H, W, d) float32 tensor,
+    the precision FSOF stores, their (N,) dense labels, and the (N, d) float64
+    embeddings pooled from the tensor once, at construction. A read-only
+    float32 tensor is kept as is; anything else is converted or copied once."""
 
     def __init__(self, values, labels, class_names: list[str] | None = None) -> None:
-        values = np.asarray(values, dtype=np.float64)
+        if getattr(values, "dtype", None) != np.float32 or values.flags.writeable:
+            values = _read_only(np.array(values, dtype=np.float32))
         if values.ndim != 4 or values.shape[0] < 1 or min(values.shape) < 1:
             raise ValueError(
                 f"dataset needs a non-empty (N, H, W, d) tensor, got shape {values.shape}"
@@ -85,8 +86,6 @@ class FeatureDataset:
             raise ValueError(
                 f"got {len(class_names)} class names for {num_classes} classes"
             )
-        if values.flags.writeable:
-            values = _read_only(values.copy())
         embeddings = spatial_avg_pool(values)
         finite = np.isfinite(embeddings).all(axis=1)
         if not finite.all():
@@ -236,6 +235,8 @@ class SyntheticConfig:
         ):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.channels < self.num_classes + 1:
             raise ValueError(
                 f"channels must be >= num_classes + 1 to allocate orthogonal signatures "
@@ -330,7 +331,8 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[FeatureDataset, list[np.nd
     bkg_channel = cfg.num_classes
     shift_channel = cfg.num_classes + 1
 
-    values = np.empty((cfg.num_classes * cfg.items_per_class, cfg.height, cfg.width, cfg.channels))
+    labels = np.repeat(np.arange(cfg.num_classes), cfg.items_per_class)
+    values = np.empty((len(labels), cfg.height, cfg.width, cfg.channels), dtype=np.float32)
     masks: list[np.ndarray] = []
     i = 0
     for c in range(cfg.num_classes):
@@ -340,14 +342,15 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[FeatureDataset, list[np.nd
         base[:, :, c] = profile * cfg.signal_strength
         base[~mask, bkg_channel] = cfg.bkg_strength
         for _ in range(cfg.items_per_class):
-            values[i] = base + rng.normal(0.0, cfg.noise_sigma, size=base.shape)
+            # built in double precision and rounded to the stored float32 once
+            item = base + rng.normal(0.0, cfg.noise_sigma, size=base.shape)
             if uses_shift:
                 shift = cfg.noise_sigma * (
                     cfg.bkg_noise_mean + cfg.bkg_noise_scale * rng.standard_normal()
                 )
-                values[i, :, :, shift_channel] += shift
+                item[:, :, shift_channel] += shift
+            values[i] = item
             masks.append(mask.copy())
             i += 1
-    labels = np.repeat(np.arange(cfg.num_classes), cfg.items_per_class)
     names = [f"synthetic_{c}" for c in range(cfg.num_classes)]
     return FeatureDataset(_read_only(values), labels, class_names=names), masks

@@ -23,7 +23,7 @@ def _finite_f64(values, name: str) -> np.ndarray:
 
 
 class _Frozen:
-    """A read-only float64 array behind `.values`."""
+    """A read-only array behind `.values`: float64, or as it is when `view` wraps it."""
 
     __slots__ = ("_values",)
 
@@ -91,8 +91,8 @@ class EmbeddingVector(_Frozen):
 
 def spatial_avg_pool(f: np.ndarray) -> np.ndarray:
     """Mean of each map (..., H, W, d) over its spatial locations, one value
-    per channel: (..., d)."""
-    return f.mean(axis=(-3, -2))
+    per channel: (..., d), in double precision whatever the maps' precision."""
+    return f.mean(axis=(-3, -2), dtype=np.float64)
 
 
 def minmax_norm(m: np.ndarray) -> np.ndarray:

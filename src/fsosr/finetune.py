@@ -80,11 +80,8 @@ def prototype_batch_loss(
     """Weighted sum of per-item cross-entropies over cosine scores. This is the
     scalar the analytic prototype gradient differentiates; gradcheck probes it
     with finite differences."""
-    scores, _, _ = cosine_matrix(weights, embeddings)
-    logits = temperature * scores
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    ce = log_z - shifted[np.arange(len(labels)), labels]
+    scores, wn, _ = cosine_matrix(weights, embeddings)
+    ce, _ = _batch_ce(scores, wn, labels, item_weights, temperature, coefficients=False)
     return float(np.dot(item_weights, ce))
 
 

@@ -80,6 +80,8 @@ class RunConfig:
         self.episode_spec(0)
         self.procam_config()
         self.finetune_config()
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
         if self.num_episodes < 1:
             raise ValueError("num_episodes must be >= 1")
         if self.workers < 1:

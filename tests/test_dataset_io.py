@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import struct
@@ -23,7 +24,7 @@ from fsosr.dataset_io import (
     sidecar_path,
     write_dataset,
 )
-from fsosr.episode import FeatureDataset
+from fsosr.episode import FeatureDataset, SyntheticConfig, generate_synthetic
 from fsosr.featmap import spatial_avg_pool
 
 
@@ -74,6 +75,21 @@ class TestRoundTrip:
         sidecar_path(path).unlink()
         back = read_dataset(path)
         assert back.class_names is None
+
+
+class TestGeneratedFile:
+    def test_generated_dataset_equals_its_file(self, tmp_path):
+        cfg = SyntheticConfig(bkg_noise_mean=1.0, bkg_noise_scale=2.0, seed=3)
+        ds, _ = generate_synthetic(cfg)
+        write_dataset(ds, tmp_path / "data.fsof")
+        back = read_dataset(tmp_path / "data.fsof")
+        assert np.array_equal(back.values, ds.values)
+        assert np.array_equal(back.embeddings, ds.embeddings)
+
+    def test_benchmark_file_bytes_are_pinned(self, benchmark_dataset):
+        path, _, _ = benchmark_dataset
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "a2ab9e96fac82e94a32fbcadd64976d781a45572555d5ecce504749c57700b77"
 
 
 class TestFormatErrors:
@@ -188,8 +204,8 @@ def pack_items(items):
 
 
 class TestChunkedRead:
-    """read_dataset reads and widens the payload CHUNK_BYTES at a time; a chunk
-    of one byte still holds one item."""
+    """read_dataset and write_dataset hold the payload CHUNK_BYTES at a time; a
+    chunk of one byte still holds one item."""
 
     @pytest.mark.parametrize("chunk_bytes", [1, 250, 500, 1 << 20])
     def test_round_trip_at_any_chunk_size(self, tmp_path, monkeypatch, chunk_bytes):
@@ -201,6 +217,21 @@ class TestChunkedRead:
         np.testing.assert_array_equal(back.labels, ds.labels)
         assert np.array_equal(back.embeddings, spatial_avg_pool(ds.values))
 
+    def test_written_bytes_do_not_depend_on_chunk_size(self, tmp_path, monkeypatch):
+        ds = random_dataset(n_items=7)  # 250-byte items
+        blobs = []
+        for chunk_bytes in (dataset_io.CHUNK_BYTES, 1, 250, 500):
+            monkeypatch.setattr(dataset_io, "CHUNK_BYTES", chunk_bytes)
+            write_dataset(ds, tmp_path / "data.fsof")
+            blobs.append((tmp_path / "data.fsof").read_bytes())
+        assert all(blob == blobs[0] for blob in blobs[1:])
+
+    def test_tensor_is_float32_and_embeddings_float64(self, tmp_path):
+        write_dataset(random_dataset(), tmp_path / "data.fsof")
+        back = read_dataset(tmp_path / "data.fsof")
+        assert back.values.dtype == np.float32
+        assert back.embeddings.dtype == np.float64
+
     def test_tensor_is_read_only(self, tmp_path):
         write_dataset(random_dataset(), tmp_path / "data.fsof")
         back = read_dataset(tmp_path / "data.fsof")
@@ -210,13 +241,13 @@ class TestChunkedRead:
 
     @pytest.mark.skipif(not STATM.exists(), reason="resident size is read from /proc/self/statm")
     def test_dropped_tensor_goes_back_to_the_system(self, tmp_path):
-        # 9.4 MB of doubles: a block the C heap would keep for the next load
+        # 4.7 MB of floats: a block the C heap would keep for the next load
         path = tmp_path / "data.fsof"
         write_dataset(random_dataset(n_items=300, num_classes=12, h=8, w=8, d=64), path)
-        tensor_mb = 300 * 8 * 8 * 64 * 8 / 2**20
         for _ in range(3):
             ds = read_dataset(path)
             loaded = resident_mb()
+            tensor_mb = ds.values.nbytes / 2**20
             del ds
             gc.collect()
             assert loaded - resident_mb() > 0.9 * tensor_mb

@@ -97,6 +97,17 @@ class TestFeatureDataset:
         frozen = ds.values
         assert FeatureDataset(frozen, [0, 1]).values is frozen
 
+    def test_tensor_is_held_as_float32(self):
+        wide = np.linspace(-3.0, 3.0, 24).reshape(2, 2, 2, 3)
+        ds = FeatureDataset(wide, [0, 1])
+        assert ds.values.dtype == np.float32 and ds.embeddings.dtype == np.float64
+        np.testing.assert_array_equal(ds.values, wide.astype(np.float32))
+        # a writable float32 tensor is copied, a read-only one is kept as it is
+        narrow = wide.astype(np.float32)
+        assert not np.shares_memory(FeatureDataset(narrow, [0, 1]).values, narrow)
+        narrow.flags.writeable = False
+        assert FeatureDataset(narrow, [0, 1]).values is narrow
+
     @pytest.mark.parametrize("shape", [(8, 8, 64), (5, 5, 640)])
     def test_embeddings_equal_per_item_pool(self, shape):
         h, w, d = shape
@@ -215,14 +226,17 @@ class TestGenerateSynthetic:
                 np.testing.assert_array_equal(ds.values[i], first)
             profile = foreground_profile(regions[c], cfg.height, cfg.width)
             mask = profile > 0
-            np.testing.assert_array_equal(first[:, :, c], profile * cfg.signal_strength)
+            # the stored profile is the float64 one rounded to float32 once
+            np.testing.assert_array_equal(
+                first[:, :, c], (profile * cfg.signal_strength).astype(np.float32)
+            )
             # foreground cells carry exactly the class signature: all other channels zero there
             for ch in range(cfg.channels):
                 if ch == c:
                     continue
                 assert np.all(first[mask, ch] == 0.0)
             np.testing.assert_array_equal(
-                first[~mask, cfg.num_classes], np.full((~mask).sum(), cfg.bkg_strength)
+                first[~mask, cfg.num_classes], np.full((~mask).sum(), np.float32(cfg.bkg_strength))
             )
 
     def test_masks_align_with_regions(self):

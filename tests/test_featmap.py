@@ -74,6 +74,19 @@ class TestSpatialAvgPool:
         rhs = 2.5 * spatial_avg_pool(f) + 0.3 * spatial_avg_pool(g)
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
+    @pytest.mark.parametrize(
+        "shape",
+        [(5, 5, 640), (8, 8, 64), (1, 1, 64), (1, 1, 640), (3, 7, 5), (7, 3, 9),
+         (50, 5, 5, 640), (360, 8, 8, 64)],
+    )
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_float32_maps_pool_as_their_float64_widening(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        maps = (rng.normal(size=shape) + 10.0 * rng.normal(size=shape[-1])).astype(np.float32)
+        pooled = spatial_avg_pool(maps)
+        assert pooled.dtype == np.float64
+        assert np.array_equal(pooled, spatial_avg_pool(maps.astype(np.float64)))
+
     def test_stack_pools_each_map_alone(self):
         stack = np.random.default_rng(11).normal(size=(3, 2, 5, 4))
         out = spatial_avg_pool(stack)

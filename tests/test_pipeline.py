@@ -382,6 +382,9 @@ class TestCli:
             ),
             (["gen-synthetic", "--signal-strength", "nan"], "signal_strength must be finite and >= 0"),
             (["gen-synthetic", "--noise-sigma", "inf"], "noise_sigma must be finite and >= 0"),
+            (["gen-synthetic", "--seed", "-1"], "seed must be >= 0"),
+            (["gen-synthetic", "--benchmark", "--seed", "-1"], "seed must be >= 0"),
+            (["eval", "--seed", "-1"], "master_seed must be >= 0"),
         ],
     )
     def test_rejected_setting_is_a_usage_error(
