@@ -14,7 +14,8 @@ from .classifier import INIT_KINDS, SCORE_KINDS
 from .dataset_io import export_heatmap, read_dataset, write_dataset
 from .episode import FeatureDataset, SyntheticConfig, benchmark_config, generate_synthetic
 from .featmap import NORM_KINDS, FeatureMap, minmax_norm
-from .pipeline import RunConfig, gradcheck_command, run_eval, validate_dataset_for_config
+from .finetune import gradcheck_command
+from .pipeline import RunConfig, run_eval, validate_dataset_for_config
 from .procam import ProCamConfig, cam, procam
 
 OUTPUT_DIR_ENV = "FSOSR_OUTPUT_DIR"
@@ -133,7 +134,7 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
 
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
-    return gradcheck_command(seed=args.seed, trials=args.trials)
+    return _config(args, gradcheck_command, seed=args.seed, trials=args.trials)
 
 
 def build_parser() -> argparse.ArgumentParser:

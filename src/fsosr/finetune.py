@@ -8,17 +8,19 @@ softmax cross-entropy gradient with the cosine-similarity Jacobian
     d/dw [ (w.q) / (|w||q|) ] = q / (|w||q|) - (w.q) w / (|w|^3 |q|)
 
 and checked against central finite differences in the test suite and by the
-gradcheck command.
+gradcheck harness at the end of this module (the `fsosr gradcheck` command).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .classifier import PrototypeBank, check_norms, cosine_matrix, row_norms
+from .featmap import EPS_NORM
 
 
 # Largest |scale| of a moving row in weights = scale * weights0 + coef @ unit
@@ -52,9 +54,10 @@ class FinetuneConfig:
 @dataclass(frozen=True)
 class LossReport:
     """loss_known and loss_background are the mean cross-entropy of the two
-    query groups; total = loss_known + weight * loss_background. For the
-    fine-tune loop, per_epoch_totals[e] is the total before the e-th step and
-    the last entry is the total after the final step (epochs + 1 entries)."""
+    query groups; total = loss_known + weight * loss_background, summed by the
+    fine-tune loop as one dot over the items. per_epoch_totals[e] is the total
+    before the e-th step and the last entry is the total after the final step
+    (epochs + 1 entries), so it equals total."""
 
     loss_known: float
     loss_background: float
@@ -62,12 +65,7 @@ class LossReport:
     per_epoch_totals: tuple[float, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "loss_known": self.loss_known,
-            "loss_background": self.loss_background,
-            "total": self.total,
-            "per_epoch_totals": list(self.per_epoch_totals),
-        }
+        return {**asdict(self), "per_epoch_totals": list(self.per_epoch_totals)}
 
 
 def prototype_batch_loss(
@@ -80,39 +78,34 @@ def prototype_batch_loss(
     """Weighted sum of per-item cross-entropies over cosine scores. This is the
     scalar the analytic prototype gradient differentiates; gradcheck probes it
     with finite differences."""
-    scores, wn, _ = cosine_matrix(weights, embeddings)
-    ce, _ = _batch_ce(scores, wn, labels, item_weights, temperature, coefficients=False)
+    scores, _, _ = cosine_matrix(weights, embeddings)
+    ce = _batch_ce(temperature * scores.T, _label_positions(labels), item_weights, gradient=False)
     return float(np.dot(item_weights, ce))
 
 
+def _label_positions(labels) -> np.ndarray:
+    """Flat position labels[i] * items + i of item i's label in a rows x items matrix."""
+    return np.asarray(labels, dtype=np.intp) * len(labels) + np.arange(len(labels))
+
+
 def _batch_ce(
-    scores: np.ndarray,
-    wn: np.ndarray,
-    labels: np.ndarray,
-    item_weights: np.ndarray,
-    temperature: float,
-    coefficients: bool = True,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
-    """Per-item cross-entropies (unweighted) of the (n x rows) cosine scores
-    between a unit-norm batch and weights with row norms wn, and, when
-    coefficients is set, the gradient of the weighted sum with respect to
-    every prototype row in coefficient form (dscore, a):
-
-        grad = (dscore.T / wn[:, None]) @ unit - a[:, None] * weights
-    """
-    logits = temperature * scores
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    z = exp.sum(axis=1)
-    idx = np.arange(len(labels))
-    ce = np.log(z) - shifted[idx, labels]
-    if not coefficients:
-        return ce, None
-
-    delta = exp / z[:, None]
-    delta[idx, labels] -= 1.0
-    dscore = temperature * delta * item_weights[:, None]  # items x rows
-    return ce, (dscore, (dscore * scores).sum(axis=0) / wn**2)
+    logits: np.ndarray, positions: np.ndarray, item_weights: np.ndarray, gradient: bool = True
+) -> np.ndarray:
+    """Per-item cross-entropies (unweighted) of the (rows x items) logits, the
+    label of item i at flat position positions[i]. The logits are overwritten;
+    with gradient set they end as the gradient of the item-weighted sum of
+    cross-entropies with respect to them, (softmax - onehot) * item_weights,
+    which the cosine Jacobian carries on to the rows."""
+    logits -= logits.max(axis=0)
+    picked = logits.take(positions)
+    np.exp(logits, out=logits)
+    z = logits.sum(axis=0)
+    ce = np.log(z)
+    ce -= picked
+    if gradient:
+        logits *= item_weights / z
+        logits.put(positions, logits.take(positions) - item_weights)
+    return ce
 
 
 def _check_rows(embeddings: np.ndarray, dim: int, what: str) -> None:
@@ -142,9 +135,10 @@ def grad_wrt_prototypes(
         raise ValueError(f"batch labels must lie in [0, {bank.num_rows})")
     weights = bank.all_weights()
     scores, wn, qn = cosine_matrix(weights, embeddings)
-    unit = embeddings / qn[:, None]
-    _, (dscore, a) = _batch_ce(scores, wn, labels, item_weights, temperature)
-    return (dscore.T / wn[:, None]) @ unit - a[:, None] * weights
+    g = temperature * scores.T
+    _batch_ce(g, _label_positions(labels), item_weights)
+    along = np.vecdot(g, scores.T) / wn
+    return (temperature / wn)[:, None] * (g @ (embeddings / qn[:, None]) - along[:, None] * weights)
 
 
 def finetune_bank(
@@ -165,8 +159,6 @@ def finetune_bank(
     with per-item weights 1 (supports) and bkg_loss_weight (backgrounds);
     the reported losses are the group means, so the reported total is the
     step objective divided by the support count when groups are equal-sized.
-    The report carries the final loss components and the mean total at every
-    epoch plus one final entry evaluated after the last step.
 
     The batch never changes, so it is normalized once; a zero or non-finite
     norm names the support or background item. The weight row norms checked
@@ -187,74 +179,174 @@ def finetune_bank(
         embeddings / row_norms(embeddings, "support")[:, None],
         backgrounds / row_norms(backgrounds, "background")[:, None],
     ])
-    # the step optimizes the summed batch loss: weight 1 per support item,
-    # bkg_loss_weight per background item; the report still carries the means
+    # the step descends the summed batch loss: weight 1 per support item,
+    # bkg_loss_weight per background item, both times the learning rate, so
+    # the gradient comes out of _batch_ce scaled for the step; the reported
+    # total weighs each group by its mean, as one dot with the cross-entropies
     n_sup, n_bkg = len(embeddings), len(backgrounds)
-    item_weights = np.concatenate(
-        [np.ones(n_sup), np.full(n_bkg, cfg.bkg_loss_weight)]
-    )
+    n, lam, lr = n_sup + n_bkg, cfg.bkg_loss_weight, cfg.learning_rate
+    step_weights = np.concatenate([np.full(n_sup, lr), np.full(n_bkg, lr * lam)])
+    mean_weights = np.concatenate([np.full(n_sup, 1.0 / n_sup), np.full(n_bkg, lam / n_bkg)])
 
     # Every step adds a combination of the unit batch rows to each moving
     # row and rescales it, so weights = scale * weights0 + coef @ unit holds
     # exactly, and each epoch needs only the batch's Gram matrix and the
-    # initial rows' dots with it: O(n^2 rows), not O(n dim rows).
+    # initial rows' dots with it: O(n^2 rows), not O(n dim rows). Dots,
+    # logits and coefficients are laid out rows x items.
     weights = bank.all_weights()
     num_known = bank.num_known
     lo = num_known if cfg.freeze_known else 0  # rows [lo, num_rows) move
-    gram = unit @ unit.T
-    proj = weights @ unit.T  # rows x items
+    gram, proj = unit @ unit.T, weights @ unit.T
     sq = (weights * weights).sum(axis=1)
     wn = check_norms(np.sqrt(sq), "before fine-tuning, prototype row")
-    dots = proj.copy()
-    scale = np.ones(bank.num_rows - lo)
-    coef = np.zeros((bank.num_rows - lo, len(unit)))
-    batch_labels = np.concatenate([sup_labels, np.zeros(n_bkg, dtype=np.intp)])
+    # tw = temperature / |w| scales each row's dots into its logits
+    dots, sq_now, logits, tw = proj.copy(), sq.copy(), np.empty_like(proj), np.empty_like(wn)
+    positions = _label_positions(np.concatenate([sup_labels, np.full(n_bkg, num_known)]))
+    # views made once: the moving rows of every row array, and the background
+    # items' logits against the background rows and their label positions,
+    # which start at row num_known's (bkg_base)
+    weights_m, proj_m, sq_m, dots_m, sq_now_m, wn_m, g_m = (
+        a[lo:] for a in (weights, proj, sq, dots, sq_now, wn, logits)
+    )
+    bkg_logits, bkg_positions = logits[num_known:, n_sup:], positions[n_sup:]
+    bkg_base, nearest = bkg_positions.copy(), np.empty(n_bkg, dtype=np.intp)
+    scale, grow, coef = np.ones(len(wn_m)), np.empty(len(wn_m)), np.zeros(g_m.shape)
+    scaled = np.empty_like(coef)
+    tw_col, tw_m_col, scale_col, grow_col = tw[:, None], tw[lo:, None], scale[:, None], grow[:, None]
     trace: list[float] = []
     for epoch in range(cfg.epochs + 1):
-        scores = (dots / wn[:, None]).T
+        np.divide(cfg.temperature, wn, out=tw)
+        np.multiply(dots, tw_col, out=logits)
         if epoch == 0 or cfg.reassign_each_epoch:
-            # the nearest background row of each background item: its score
-            # row divides by its own norm, a positive factor argmax ignores
-            batch_labels[n_sup:] = num_known + np.argmax(scores[n_sup:, num_known:], axis=1)
+            # the nearest background row of each background item
+            np.argmax(bkg_logits, axis=0, out=nearest)
+            np.multiply(nearest, n, out=bkg_positions)
+            bkg_positions += bkg_base
         last = epoch == cfg.epochs
-        ce, coefs = _batch_ce(
-            scores, wn, batch_labels, item_weights, cfg.temperature, coefficients=not last
-        )
-        loss_known = float(ce[:n_sup].mean())
-        loss_background = float(ce[n_sup:].mean())
-        trace.append(loss_known + cfg.bkg_loss_weight * loss_background)
+        ce = _batch_ce(logits, positions, step_weights, gradient=not last)
+        trace.append(float(ce @ mean_weights))
         if last:
             break
-        dscore, a = coefs
-        grow = 1.0 + cfg.learning_rate * a[lo:]
-        scale = grow * scale
-        coef = grow[:, None] * coef - (cfg.learning_rate / wn[lo:, None]) * dscore[:, lo:].T
+        # logits holds g, learning_rate times the loss gradient w.r.t. the
+        # logits; a moving row w steps to
+        # (1 + tw (g . dots) / |w|^2) w - tw g @ unit
+        g_m *= tw_m_col
+        np.vecdot(g_m, dots_m, out=grow)
+        grow /= sq_now_m
+        grow += 1.0
+        scale *= grow
+        coef *= grow_col
+        coef -= g_m
         if np.abs(scale).max() > REBASE_SCALE:
             # the rows have turned far enough that scale * weights0 and
             # coef @ unit nearly cancel; carry on from the rows themselves
-            weights[lo:] = scale[:, None] * weights[lo:] + coef @ unit
-            proj[lo:] = weights[lo:] @ unit.T
-            sq[lo:] = (weights[lo:] * weights[lo:]).sum(axis=1)
+            weights_m[:] = scale_col * weights_m + coef @ unit
+            proj_m[:] = weights_m @ unit.T
+            sq_m[:] = (weights_m * weights_m).sum(axis=1)
             scale[:] = 1.0
             coef[:] = 0.0
-        scaled = scale[:, None] * proj[lo:]
-        dots[lo:] = scaled + coef @ gram
-        # |scale w0 + coef @ unit|^2 = scale^2 |w0|^2 + coef . (dots + scale proj),
-        # summed per row
-        sq_moved = scale * scale * sq[lo:] + (coef * (dots[lo:] + scaled)).sum(axis=1)
-        wn[lo:] = np.sqrt(np.maximum(sq_moved, 0.0))
-        check_norms(
-            wn,
-            f"after the fine-tune step at epoch {epoch} "
-            f"(learning rate {cfg.learning_rate!r}), prototype row",
-        )
-    weights[lo:] = scale[:, None] * weights[lo:] + coef @ unit
+        np.multiply(scale_col, proj_m, out=scaled)
+        np.matmul(coef, gram, out=dots_m)
+        dots_m += scaled
+        # |scale w0 + coef @ unit|^2 = scale^2 |w0|^2 + coef . (dots + scale proj)
+        scaled += dots_m
+        np.vecdot(coef, scaled, out=sq_now_m)
+        sq_now_m += scale * scale * sq_m
+        np.sqrt(np.maximum(sq_now_m, 0.0, out=sq_now_m), out=wn_m)
+        if not (wn_m.min() > EPS_NORM and math.isfinite(wn_m.sum())):
+            check_norms(wn, f"after the fine-tune step at epoch {epoch} "
+                            f"(learning rate {lr!r}), prototype row")
+    weights_m[:] = scale_col * weights_m + coef @ unit
 
-    new_bank = PrototypeBank(weights[:num_known], weights[num_known:])
-    report = LossReport(
-        loss_known=loss_known,
-        loss_background=loss_background,
-        total=loss_known + cfg.bkg_loss_weight * loss_background,
-        per_epoch_totals=tuple(trace),
+    report = LossReport(float(ce[:n_sup].mean()), float(ce[n_sup:].mean()), trace[-1], tuple(trace))
+    return PrototypeBank(weights[:num_known], weights[num_known:]), report
+
+
+def finite_difference(fn: Callable[[np.ndarray], float], x0: np.ndarray, step: float = 1e-3) -> np.ndarray:
+    """Fourth-order central finite differences of a scalar function, entry by
+    entry: (-f(x+2h) + 8f(x+h) - 8f(x-h) + f(x-2h)) / 12h. Its truncation error
+    is O(h^4), so a large step keeps round-off small as well."""
+    x = np.array(x0, dtype=np.float64, copy=True)
+    flat, grad = x.reshape(-1), np.zeros(x.size)
+    for i, orig in enumerate(flat.copy()):
+        probes = []
+        for offset in (2.0, 1.0, -1.0, -2.0):
+            flat[i] = orig + offset * step
+            probes.append(fn(x))
+        flat[i] = orig
+        grad[i] = (8.0 * (probes[1] - probes[2]) - (probes[0] - probes[3])) / (12.0 * step)
+    return grad.reshape(x.shape)
+
+
+def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    denom = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
+    return float((np.abs(analytic - numeric) / denom).max())
+
+
+# five known rows; 1, 2 or 5 background rows; dimension 8 or 64
+DEFAULT_PROTOTYPE_SHAPES: tuple[tuple[int, int, int], ...] = tuple(
+    (5, b, d) for d in (8, 64) for b in (1, 2, 5)
+)
+GRADCHECK_THRESHOLD = 1e-4
+
+
+def _random_prototype_case(rng: np.random.Generator, shape: tuple[int, int, int]):
+    """A random bank and batch: embeddings, joint row labels, item weights."""
+    n_known, n_background, dim = shape
+    num_rows = n_known + n_background
+    rows = rng.normal(size=(num_rows, dim))
+    bank = PrototypeBank(rows[:n_known], rows[n_known:])
+    draws = [(int(rng.integers(0, num_rows)), rng.normal(size=dim)) for _ in range(num_rows)]
+    labels = np.array([label for label, _ in draws])
+    return bank, np.array([e for _, e in draws]), labels, np.where(labels < n_known, 1.0, 0.05)
+
+
+def gradcheck_report(
+    seed: int = 0,
+    trials: int = 20,
+    prototype_shapes: Sequence[tuple[int, int, int]] = DEFAULT_PROTOTYPE_SHAPES,
+    temperature: float = 10.0,
+    perturb: float = 0.0,
+) -> dict:
+    """Randomized finite-difference check of the analytic prototype gradient,
+    the one finetune_bank steps along, over `trials` (>= 1) random cases drawn
+    from `seed` (>= 0).
+
+    `perturb` adds a constant offset to the analytic gradient; it exists so a
+    broken gradient demonstrably fails the check.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    rng = np.random.default_rng(seed)
+    proto_err = 0.0
+    for t in range(trials):
+        bank, embeddings, labels, weights = _random_prototype_case(
+            rng, tuple(prototype_shapes[t % len(prototype_shapes)])
+        )
+        analytic = grad_wrt_prototypes(bank, embeddings, labels, weights, temperature) + perturb
+        numeric = finite_difference(
+            lambda w: prototype_batch_loss(
+                w.reshape(bank.num_rows, bank.dim), embeddings, labels, weights, temperature
+            ),
+            bank.all_weights().reshape(-1),
+        ).reshape(bank.num_rows, bank.dim)
+        proto_err = max(proto_err, max_relative_error(analytic, numeric))
+
+    return {"prototype_gradient": proto_err, "threshold": GRADCHECK_THRESHOLD,
+            "passed": proto_err < GRADCHECK_THRESHOLD}
+
+
+def gradcheck_command(
+    seed: int = 0, trials: int = 20, perturb: float = 0.0, printer: Callable[[str], None] = print
+) -> int:
+    """Run the gradient check, print one result line, return a shell exit code
+    (0 pass, 1 fail)."""
+    report = gradcheck_report(seed=seed, trials=trials, perturb=perturb)
+    verdict = "PASS" if report["passed"] else "FAIL"
+    printer(
+        f"prototype_gradient: max relative error {report['prototype_gradient']:.3e} "
+        f"(threshold {report['threshold']:.0e}) {verdict}"
     )
-    return new_bank, report
+    return 0 if report["passed"] else 1

@@ -1,6 +1,5 @@
 """End-to-end episode evaluation: configuration, the per-episode pipeline
-(sample, prototype, mine, fine-tune, score), results bundles on disk, and the
-randomized finite-difference gradient check harness."""
+(sample, prototype, mine, fine-tune, score) and results bundles on disk."""
 
 from __future__ import annotations
 
@@ -8,7 +7,6 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -17,7 +15,6 @@ from .classifier import (
     INIT_GLOBAL,
     INIT_KINDS,
     SCORE_KINDS,
-    PrototypeBank,
     build_known_prototypes,
     init_background,
     predict,
@@ -29,7 +26,7 @@ from .featmap import FeatureMap
 # it stays importable here because the benchmark's tracer wraps every name it
 # times (perfbench/spans.py TRACED) on this module.
 from .featmap import spatial_avg_pool  # noqa: F401
-from .finetune import FinetuneConfig, finetune_bank, grad_wrt_prototypes, prototype_batch_loss
+from .finetune import FinetuneConfig, finetune_bank
 from .metrics import accuracy, aggregate, auroc
 from .procam import ProCamConfig, procam_for_support
 
@@ -218,7 +215,7 @@ def evaluate_episode(
                     (FeatureMap.view(ds.values[i]), c)
                     for i, c in zip(episode.support, episode.support_labels)
                 ]
-                pairs = procam_for_support(maps, bank, cfg.procam_config())
+                pairs = procam_for_support(maps, bank, cfg.procam_config(), support)
                 bg_embeddings = np.stack([bg.values for _, bg in pairs])
             if carried is not None:
                 bank = bank.with_background(carried)
@@ -312,101 +309,3 @@ def run_eval(cfg: RunConfig, ds: FeatureDataset | None = None) -> ResultsBundle:
     if cfg.output_dir is not None:
         bundle.write(cfg.output_dir)
     return bundle
-
-
-def finite_difference(fn: Callable[[np.ndarray], float], x0: np.ndarray, step: float = 1e-3) -> np.ndarray:
-    """Fourth-order central finite differences of a scalar function, entry by
-    entry: (-f(x+2h) + 8f(x+h) - 8f(x-h) + f(x-2h)) / 12h. Its truncation error
-    is O(h^4), so a large step keeps round-off small as well."""
-    x = np.array(x0, dtype=np.float64, copy=True)
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    out = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        probes = []
-        for offset in (2.0, 1.0, -1.0, -2.0):
-            flat[i] = orig + offset * step
-            probes.append(fn(x))
-        flat[i] = orig
-        out[i] = (8.0 * (probes[1] - probes[2]) - (probes[0] - probes[3])) / (12.0 * step)
-    return grad
-
-
-def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    denom = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
-    return float((np.abs(analytic - numeric) / denom).max())
-
-
-DEFAULT_PROTOTYPE_SHAPES: tuple[tuple[int, int, int], ...] = (
-    (5, 1, 8),
-    (5, 2, 8),
-    (5, 5, 8),
-    (5, 1, 64),
-    (5, 2, 64),
-    (5, 5, 64),
-)
-GRADCHECK_THRESHOLD = 1e-4
-
-
-def _random_prototype_case(rng: np.random.Generator, shape: tuple[int, int, int]):
-    """A random bank and batch: embeddings, joint row labels, item weights."""
-    n_known, n_background, dim = shape
-    num_rows = n_known + n_background
-    rows = rng.normal(size=(num_rows, dim))
-    bank = PrototypeBank(rows[:n_known], rows[n_known:])
-    labels, embeddings = [], []
-    for _ in range(num_rows):
-        labels.append(int(rng.integers(0, num_rows)))
-        embeddings.append(rng.normal(size=dim))
-    labels = np.array(labels)
-    return bank, np.array(embeddings), labels, np.where(labels < n_known, 1.0, 0.05)
-
-
-def gradcheck_report(
-    seed: int = 0,
-    trials: int = 20,
-    prototype_shapes: Sequence[tuple[int, int, int]] = DEFAULT_PROTOTYPE_SHAPES,
-    temperature: float = 10.0,
-    perturb: float = 0.0,
-) -> dict:
-    """Randomized finite-difference check of the analytic prototype gradient,
-    the one finetune_bank steps along.
-
-    `perturb` adds a constant offset to the analytic gradient; it exists so a
-    broken gradient demonstrably fails the check.
-    """
-    rng = np.random.default_rng(seed)
-    proto_err = 0.0
-    for t in range(trials):
-        bank, embeddings, labels, weights = _random_prototype_case(
-            rng, tuple(prototype_shapes[t % len(prototype_shapes)])
-        )
-        analytic = grad_wrt_prototypes(bank, embeddings, labels, weights, temperature) + perturb
-        numeric = finite_difference(
-            lambda w: prototype_batch_loss(
-                w.reshape(bank.num_rows, bank.dim), embeddings, labels, weights, temperature
-            ),
-            bank.all_weights().reshape(-1),
-        ).reshape(bank.num_rows, bank.dim)
-        proto_err = max(proto_err, max_relative_error(analytic, numeric))
-
-    return {
-        "prototype_gradient": proto_err,
-        "threshold": GRADCHECK_THRESHOLD,
-        "passed": proto_err < GRADCHECK_THRESHOLD,
-    }
-
-
-def gradcheck_command(
-    seed: int = 0, trials: int = 20, perturb: float = 0.0, printer: Callable[[str], None] = print
-) -> int:
-    """Run the gradient check, print one result line, return a shell exit code
-    (0 pass, 1 fail)."""
-    report = gradcheck_report(seed=seed, trials=trials, perturb=perturb)
-    verdict = "PASS" if report["passed"] else "FAIL"
-    printer(
-        f"prototype_gradient: max relative error {report['prototype_gradient']:.3e} "
-        f"(threshold {report['threshold']:.0e}) {verdict}"
-    )
-    return 0 if report["passed"] else 1

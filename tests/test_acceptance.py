@@ -9,15 +9,15 @@ import pytest
 from fsosr.classifier import build_known_prototypes, init_background
 from fsosr.episode import EpisodeSpec, derive_episode_seed, sample_episode
 from fsosr.featmap import FeatureMap, minmax_norm
-from fsosr.finetune import FinetuneConfig, finetune_bank
-from fsosr.metrics import auroc
-from fsosr.pipeline import (
+from fsosr.finetune import (
     DEFAULT_PROTOTYPE_SHAPES,
     GRADCHECK_THRESHOLD,
-    RunConfig,
+    FinetuneConfig,
+    finetune_bank,
     gradcheck_report,
-    run_eval,
 )
+from fsosr.metrics import auroc
+from fsosr.pipeline import RunConfig, run_eval
 from fsosr.procam import ProCamConfig, cam, mask_iou, procam, procam_for_support
 from fsosr.dataset_io import read_dataset, write_dataset
 from fsosr.episode import FeatureDataset
@@ -186,7 +186,7 @@ def test_criterion_6_finetune_descent(benchmark_dataset):
         labels = episode.support_labels
         bank = build_known_prototypes(sup, labels, 5, 5)
         maps = [(FeatureMap(ds.values[j]), c) for j, c in zip(episode.support, labels)]
-        pairs = procam_for_support(maps, bank, ProCamConfig(iterations=4))
+        pairs = procam_for_support(maps, bank, ProCamConfig(iterations=4), sup)
         bank = init_background(bank, "random", 1, seed=derive_episode_seed(123, i, 1))
         bgs = np.stack([b.values for _, b in pairs])
         _, report = finetune_bank(bank, sup, labels, bgs, FinetuneConfig())

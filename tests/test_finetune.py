@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -7,8 +8,15 @@ from fsosr import finetune
 from fsosr.classifier import PrototypeBank, build_known_prototypes, init_background
 from fsosr.episode import benchmark_config, derive_episode_seed, generate_synthetic, sample_episode
 from fsosr.featmap import FeatureMap
-from fsosr.finetune import FinetuneConfig, finetune_bank, grad_wrt_prototypes, prototype_batch_loss
-from fsosr.pipeline import RunConfig, finite_difference, max_relative_error
+from fsosr.finetune import (
+    FinetuneConfig,
+    finetune_bank,
+    finite_difference,
+    grad_wrt_prototypes,
+    max_relative_error,
+    prototype_batch_loss,
+)
+from fsosr.pipeline import RunConfig
 from fsosr.procam import procam_for_support
 
 
@@ -244,6 +252,18 @@ class TestFinetuneBank:
             report.loss_known + 0.37 * report.loss_background, abs=1e-12
         )
 
+    @pytest.mark.parametrize("freeze_known", [False, True])
+    @pytest.mark.parametrize("reassign_each_epoch", [True, False])
+    def test_total_is_last_curve_entry(self, freeze_known, reassign_each_epoch):
+        bank, supports, labels, backgrounds = self._toy_inputs(seed=10)
+        cfg = FinetuneConfig(
+            epochs=4, learning_rate=0.1, bkg_loss_weight=0.37,
+            reassign_each_epoch=reassign_each_epoch, freeze_known=freeze_known,
+        )
+        _, report = finetune_bank(bank, supports, labels, backgrounds, cfg)
+        assert report.total == report.per_epoch_totals[-1]
+        assert len(report.per_epoch_totals) == 5
+
     @pytest.mark.parametrize("row, kind", [(0.0, "zero"), (1e300, "non-finite")])
     def test_bad_weight_row_named_by_joint_index(self, row, kind):
         # 3 known rows, so background row 1 is joint row 4
@@ -254,6 +274,22 @@ class TestFinetuneBank:
             ValueError, match=f"before fine-tuning, prototype row 4 has {kind} norm"
         ):
             finetune_bank(bank.with_background(rows), supports, labels, backgrounds, FinetuneConfig())
+
+    @pytest.mark.parametrize("freeze_known, row", [(False, 0), (True, 1)])
+    def test_zero_norm_after_step_names_joint_row_and_epoch(self, freeze_known, row):
+        # In one dimension every cosine is +-1 and the row gradient is zero,
+        # but the step's two terms are each about 2^60 |w|. With power-of-two
+        # settings they cancel exactly and leave a zero row, which the fast
+        # norm test must catch as well as a non-finite one.
+        bank = PrototypeBank(np.array([[1.0]]), np.array([[-1.0]]))
+        cfg = FinetuneConfig(
+            epochs=3, learning_rate=2.0**80, temperature=8.0, freeze_known=freeze_known
+        )
+        with pytest.raises(ValueError, match=re.escape(
+            f"after the fine-tune step at epoch 0 (learning rate {2.0**80!r}), "
+            f"prototype row {row} has zero norm"
+        )):
+            finetune_bank(bank, np.array([[1.0]]), np.array([0]), np.array([[-1.0]]), cfg)
 
     def test_diverged_step_names_joint_row_and_epoch(self):
         bank, supports, labels, backgrounds = self._toy_inputs(seed=13)
@@ -321,10 +357,9 @@ class TestFinetuneBank:
         calls = []
         core = finetune._batch_ce
 
-        def counting(*args, **kwargs):
-            out = core(*args, **kwargs)
-            calls.append(out[1] is not None)
-            return out
+        def counting(logits, positions, item_weights, gradient=True):
+            calls.append(gradient)
+            return core(logits, positions, item_weights, gradient)
 
         monkeypatch.setattr(finetune, "_batch_ce", counting)
         bank, supports, labels, backgrounds = self._toy_inputs(seed=17)
@@ -352,7 +387,7 @@ def _episode_finetune_inputs(ds, n_way, num_background, index=0):
     labels = episode.support_labels
     bank = build_known_prototypes(supports, labels, cfg.n_way, cfg.k_shot)
     maps = [(FeatureMap(ds.values[i]), c) for i, c in zip(episode.support, labels)]
-    pairs = procam_for_support(maps, bank, cfg.procam_config())
+    pairs = procam_for_support(maps, bank, cfg.procam_config(), supports)
     backgrounds = np.stack([bg.values for _, bg in pairs])
     seed = derive_episode_seed(cfg.master_seed, index, 1)
     bank = init_background(bank, "random", num_background, seed, backgrounds)
@@ -389,9 +424,10 @@ def _check_against_oracle(monkeypatch, inputs, reassign_each_epoch, freeze_known
     seen = []
     core = finetune._batch_ce
 
-    def spy(scores, wn, batch_labels, *rest, **kwargs):
-        seen.append(list(batch_labels[len(supports):]))
-        return core(scores, wn, batch_labels, *rest, **kwargs)
+    def spy(logits, positions, *rest, **kwargs):
+        # item i's label sits at flat position label * items + i
+        seen.append(list(positions[len(supports):] // len(positions)))
+        return core(logits, positions, *rest, **kwargs)
 
     monkeypatch.setattr(finetune, "_batch_ce", spy)
     out, report = finetune_bank(bank, supports, labels, backgrounds, cfg)

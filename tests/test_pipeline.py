@@ -7,20 +7,19 @@ import pytest
 
 from fsosr.classifier import build_known_prototypes, init_background, predict
 from fsosr.dataset_io import DatasetFormatError, read_dataset, write_dataset
-from fsosr.episode import SyntheticConfig, derive_episode_seed, sample_episode
-from fsosr.featmap import FeatureMap
-from fsosr.finetune import finetune_bank
-from fsosr.metrics import accuracy, auroc
-from fsosr.pipeline import (
-    RunConfig,
-    evaluate_episode,
-    gradcheck_command,
-    gradcheck_report,
-    run_eval,
-    validate_dataset_for_config,
+from fsosr.episode import (
+    SyntheticConfig,
+    benchmark_config,
+    derive_episode_seed,
+    generate_synthetic,
+    sample_episode,
 )
+from fsosr.featmap import FeatureMap, spatial_avg_pool
+from fsosr.finetune import finetune_bank, gradcheck_command, gradcheck_report
+from fsosr.metrics import accuracy, auroc
+from fsosr.pipeline import RunConfig, evaluate_episode, run_eval, validate_dataset_for_config
 from fsosr.procam import ProCamConfig, procam_for_support
-from fsosr import cli
+from fsosr import cli, pipeline
 
 
 def small_cfg(path, **kw):
@@ -80,7 +79,7 @@ class TestRunEval:
             labels = episode.support_labels
             bank = build_known_prototypes(sup, labels, cfg.n_way, cfg.k_shot)
             maps = [(FeatureMap(ds.values[i]), c) for i, c in zip(episode.support, labels)]
-            pairs = procam_for_support(maps, bank, cfg.procam_config())
+            pairs = procam_for_support(maps, bank, cfg.procam_config(), sup)
             bgs = np.stack([b.values for _, b in pairs])
             init_seed = derive_episode_seed(cfg.master_seed, index, 1)
             bank = init_background(bank, "random", cfg.num_background, init_seed, bgs)
@@ -92,6 +91,35 @@ class TestRunEval:
             assert row["seed"] == seed
             assert row["accuracy"] == accuracy(rows, truths)
             assert row["auroc"] == auroc(ks, us)
+
+    @pytest.mark.parametrize("shape", ["std", "wide"])
+    def test_foregrounds_are_the_pooled_support_maps(self, benchmark_dataset, monkeypatch, shape):
+        # the support rows evaluate_episode hands mining are, bit for bit, the
+        # pooled stack of the mined maps, which mining used to compute itself;
+        # so the background/foreground norm ratio read from the pairs is too
+        if shape == "std":
+            ds = benchmark_dataset[1]
+        else:
+            ds = generate_synthetic(dataclasses.replace(
+                benchmark_config(), num_classes=10, items_per_class=10,
+                height=5, width=5, channels=640, fg_regions=None,
+            ))[0]
+        mined = []
+        inner = pipeline.procam_for_support
+
+        def spy(supports, bank, cfg, foregrounds):
+            pairs = inner(supports, bank, cfg, foregrounds)
+            mined.append((supports, pairs))
+            return pairs
+
+        monkeypatch.setattr(pipeline, "procam_for_support", spy)
+        cfg = small_cfg("in-memory", num_episodes=2)
+        for index in range(2):
+            evaluate_episode(ds, cfg, index)
+        assert len(mined) == 2
+        for supports, pairs in mined:
+            pooled = spatial_avg_pool(np.stack([m.values for m, _ in supports], dtype=np.float64))
+            assert np.stack([fg.values for fg, _ in pairs]).tobytes() == pooled.tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_non_finite_norm_fails_with_episode_context(self, benchmark_dataset, workers):
@@ -385,6 +413,9 @@ class TestCli:
             (["gen-synthetic", "--seed", "-1"], "seed must be >= 0"),
             (["gen-synthetic", "--benchmark", "--seed", "-1"], "seed must be >= 0"),
             (["eval", "--seed", "-1"], "master_seed must be >= 0"),
+            (["gradcheck", "--trials", "0"], "trials must be >= 1"),
+            (["gradcheck", "--trials", "-2"], "trials must be >= 1"),
+            (["gradcheck", "--seed", "-1"], "seed must be >= 0"),
         ],
     )
     def test_rejected_setting_is_a_usage_error(
@@ -392,7 +423,9 @@ class TestCli:
     ):
         path, _, _ = benchmark_dataset
         where = ["--out", str(tmp_path / "out")]
-        if argv[0] != "gen-synthetic":
+        if argv[0] == "gradcheck":
+            where = []
+        elif argv[0] != "gen-synthetic":
             where += ["--dataset", str(path)]
         with pytest.raises(SystemExit) as info:
             cli.main(argv + where)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,13 @@ class TestProcamInvariants:
                 assert np.mean(fg_means) > np.mean(bkg_means), f"class {c}, tau {tau}"
 
 
+def _mine_supports(supports, bank, cfg):
+    """procam_for_support with the supports' pooled rows as the caller's
+    foregrounds."""
+    pooled = spatial_avg_pool(np.stack([fmap.values for fmap, _ in supports]))
+    return procam_for_support(supports, bank, cfg, pooled)
+
+
 class TestBackgroundEmbedding:
     """The background embeddings that procam_for_support hands to fine-tuning."""
 
@@ -184,14 +193,14 @@ class TestBackgroundEmbedding:
         # constant activation map -> degenerate range -> zero mask -> no-op
         fvals = np.ones((3, 3, 4)) * np.arange(1.0, 5.0)
         f = FeatureMap(fvals)
-        [(_, bg)] = procam_for_support([(f, 0)], PrototypeBank(np.ones((1, 4))), ProCamConfig(iterations=2))
+        [(_, bg)] = _mine_supports([(f, 0)], PrototypeBank(np.ones((1, 4))), ProCamConfig(iterations=2))
         np.testing.assert_allclose(bg.values, spatial_avg_pool(fvals), atol=1e-12)
 
     def test_full_mask_gives_zero_vector(self):
         # every nonzero feature sits in the cell the mask covers fully
         fvals = np.zeros((2, 2, 3))
         fvals[0, 1] = np.random.default_rng(9).uniform(1.0, 2.0, size=3)
-        [(_, bg)] = procam_for_support(
+        [(_, bg)] = _mine_supports(
             [(FeatureMap(fvals), 0)], PrototypeBank(np.ones((1, 3))), ProCamConfig(iterations=2)
         )
         np.testing.assert_array_equal(bg.values, np.zeros(3))
@@ -201,7 +210,7 @@ class TestBackgroundEmbedding:
         f = FeatureMap(rng.normal(size=(4, 4, 5)))
         w = rng.normal(size=5)
         cfg = ProCamConfig(iterations=2)
-        [(_, bg)] = procam_for_support([(f, 0)], PrototypeBank(w[None]), cfg)
+        [(_, bg)] = _mine_supports([(f, 0)], PrototypeBank(w[None]), cfg)
         np.testing.assert_allclose(bg.values, procam(f, w, cfg).background, atol=1e-12)
 
 
@@ -210,7 +219,7 @@ class TestProcamForSupport:
         fvals = np.ones((3, 3, 2))
         supports = [(FeatureMap(fvals), 0)]
         bank = PrototypeBank(np.array([[1.0, 1.0]]))
-        pairs = procam_for_support(supports, bank, ProCamConfig(iterations=2))
+        pairs = _mine_supports(supports, bank, ProCamConfig(iterations=2))
         fg, bg = pairs[0]
         np.testing.assert_allclose(fg.values, bg.values, atol=1e-12)
 
@@ -222,7 +231,7 @@ class TestProcamForSupport:
             fvals = np.zeros((3, 3, d))
             fvals[c, c, c] = 4.0
             supports.append((FeatureMap(fvals), c))
-        pairs = procam_for_support(supports, PrototypeBank(bank_rows), ProCamConfig(iterations=1))
+        pairs = _mine_supports(supports, PrototypeBank(bank_rows), ProCamConfig(iterations=1))
         for c, (fg, bg) in enumerate(pairs):
             assert fg.values[c] == pytest.approx(4.0 / 9)
             assert bg.values[c] == pytest.approx(0.0, abs=1e-12)
@@ -234,7 +243,7 @@ class TestProcamForSupport:
         pooled = spatial_avg_pool(np.stack([f.values for f, _ in supports]))
         bank = build_known_prototypes(pooled, np.array([c for _, c in supports]), 5, 5)
         pc = ProCamConfig(iterations=4)
-        pairs = procam_for_support(supports, bank, pc)
+        pairs = _mine_supports(supports, bank, pc)
         for (fmap, label), (fg, bg) in zip(supports, pairs):
             result = procam(fmap, bank.known_weights[label], pc)
             np.testing.assert_allclose(fg.values, spatial_avg_pool(fmap.values), atol=1e-12)
@@ -263,7 +272,7 @@ class TestProcamForSupport:
         ]
         labels = [0, 1, 0, 2, 1]
         cfg = ProCamConfig(iterations=4, norm_kind=norm_kind)
-        pairs = procam_for_support([(FeatureMap(m), c) for m, c in zip(maps, labels)], bank, cfg)
+        pairs = _mine_supports([(FeatureMap(m), c) for m, c in zip(maps, labels)], bank, cfg)
         masks, backgrounds, trace = _mine(np.stack(maps), bank.known_weights[labels], cfg)
         assert backgrounds.shape == (len(maps), d)
         for i, (fvals, label, (fg, bg)) in enumerate(zip(maps, labels, pairs)):
@@ -283,11 +292,34 @@ class TestProcamForSupport:
         # the flat item is left untouched
         np.testing.assert_allclose(pairs[2][1].values, maps[2].mean(axis=(0, 1)), rtol=0, atol=1e-12)
 
+    def test_foregrounds_are_read_only_views_of_given_rows(self):
+        rng = np.random.default_rng(12)
+        supports = [(FeatureMap(rng.normal(size=(3, 3, 4))), c) for c in (0, 1, 0)]
+        rows = rng.normal(size=(3, 4))
+        pairs = procam_for_support(
+            supports, PrototypeBank(rng.normal(size=(2, 4))), ProCamConfig(iterations=2), rows
+        )
+        for row, (fg, _) in zip(rows, pairs):
+            assert np.shares_memory(fg.values, rows)
+            assert fg.values.tobytes() == row.tobytes()
+            assert not fg.values.flags.writeable
+        # the caller's own matrix is left writeable
+        assert rows.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(3, 5), (2, 4), (4, 4), (3,), (3, 4, 1)])
+    def test_foregrounds_of_wrong_shape_rejected(self, shape):
+        rng = np.random.default_rng(13)
+        supports = [(FeatureMap(rng.normal(size=(3, 3, 4))), c) for c in (0, 1, 0)]
+        with pytest.raises(ValueError, match=re.escape(f"foregrounds need shape (3, 4), got {shape}")):
+            procam_for_support(
+                supports, PrototypeBank(np.eye(2, 4)), ProCamConfig(), np.ones(shape)
+            )
+
     def test_missing_prototype_raises(self):
         bank = PrototypeBank(np.eye(2))
         supports = [(FeatureMap(np.ones((2, 2, 2))), 5)]
         with pytest.raises(ValueError, match="class 5"):
-            procam_for_support(supports, bank, ProCamConfig())
+            _mine_supports(supports, bank, ProCamConfig())
 
 
 class TestMaskIou:
