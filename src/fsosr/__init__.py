@@ -2,7 +2,7 @@
 maps: prototype classifiers with extra background rows, progressive
 activation-map mining of background features, and episodic fine-tuning."""
 
-from .classifier import PrototypeBank, build_known_prototypes, init_background, predict
+from .classifier import build_known_prototypes, init_background, predict
 from .episode import (
     EpisodeSpec,
     FeatureDataset,
@@ -23,7 +23,6 @@ __all__ = [
     "FeatureMap",
     "FinetuneConfig",
     "ProCamConfig",
-    "PrototypeBank",
     "RunConfig",
     "SyntheticConfig",
     "benchmark_config",

@@ -1,6 +1,7 @@
-"""Prototype classifier bank: known-class rows built from support averages,
-background rows started randomly or from mined backgrounds, and batched cosine
-scoring, whose row-norm check fine-tuning also uses."""
+"""Prototype classifier bank: one (num_known + num_background, d) float64
+array whose known-class rows, first, are support averages and whose background
+rows are started randomly or from mined backgrounds; batched cosine scoring,
+whose row-norm check fine-tuning also uses."""
 
 from __future__ import annotations
 
@@ -18,84 +19,11 @@ SCORE_NEG_MAX_KNOWN = "neg_max_known"
 SCORE_KINDS = (SCORE_MARGIN, SCORE_NEG_MAX_KNOWN)
 
 
-class PrototypeBank:
-    """Joint classifier weights: known rows on [0, num_known), background rows
-    on [num_known, num_known + num_background). Immutable once built."""
-
-    __slots__ = ("_known", "_background")
-
-    def __init__(self, known_weights, background_weights=None) -> None:
-        known = np.array(known_weights, dtype=np.float64, copy=True)
-        if known.ndim != 2 or known.shape[0] < 1 or known.shape[1] < 1:
-            raise ValueError(f"known weights need shape N_known x dim, got {known.shape}")
-        if background_weights is None:
-            background = np.zeros((0, known.shape[1]))
-        else:
-            background = np.array(background_weights, dtype=np.float64, copy=True)
-            if background.ndim != 2 or background.shape[1] != known.shape[1]:
-                raise ValueError(
-                    f"background weights need shape N_bkg x {known.shape[1]}, "
-                    f"got {background.shape}"
-                )
-        if not np.all(np.isfinite(known)) or not np.all(np.isfinite(background)):
-            raise ValueError("prototype weights contain non-finite values")
-        known.flags.writeable = False
-        background.flags.writeable = False
-        self._known = known
-        self._background = background
-
-    @property
-    def known_weights(self) -> np.ndarray:
-        return self._known
-
-    @property
-    def background_weights(self) -> np.ndarray:
-        return self._background
-
-    @property
-    def dim(self) -> int:
-        return self._known.shape[1]
-
-    @property
-    def num_known(self) -> int:
-        return self._known.shape[0]
-
-    @property
-    def num_background(self) -> int:
-        return self._background.shape[0]
-
-    @property
-    def num_rows(self) -> int:
-        return self.num_known + self.num_background
-
-    def all_weights(self) -> np.ndarray:
-        """Known rows stacked above background rows, (num_rows x dim)."""
-        return np.concatenate([self._known, self._background], axis=0)
-
-    def with_background(self, background_weights) -> "PrototypeBank":
-        return PrototypeBank(self._known, background_weights)
-
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "num_known": self.num_known,
-            "num_background": self.num_background,
-            "known_weights": self._known.tolist(),
-            "background_weights": self._background.tolist(),
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"PrototypeBank(num_known={self.num_known}, "
-            f"num_background={self.num_background}, dim={self.dim})"
-        )
-
-
 def build_known_prototypes(
     embeddings: np.ndarray, labels: np.ndarray, n_way: int, k_shot: int
-) -> PrototypeBank:
-    """Class-mean prototypes from the (n x d) support embeddings, exactly
-    k_shot rows per class label in [0, n_way).
+) -> np.ndarray:
+    """The (n_way x d) class-mean prototypes of the (n x d) support embeddings,
+    exactly k_shot rows per class label in [0, n_way), as float64.
 
     Shots are summed in a canonical lexicographic order, so any permutation of
     the support rows produces bit-identical prototypes.
@@ -103,6 +31,7 @@ def build_known_prototypes(
     if n_way < 1 or k_shot < 1:
         raise ValueError("n_way and k_shot must be >= 1")
     labels = np.asarray(labels)
+    embeddings = np.asarray(embeddings, dtype=np.float64)
     if embeddings.ndim != 2 or labels.shape != embeddings.shape[:1]:
         raise ValueError(f"need n x d embeddings and n labels, got {embeddings.shape}/{labels.shape}")
     outside = labels[(labels < 0) | (labels >= n_way)]
@@ -123,53 +52,44 @@ def build_known_prototypes(
     zero = np.flatnonzero(np.linalg.norm(protos, axis=1) <= EPS_NORM)
     if zero.size:
         raise ValueError(f"class {zero[0]} prototype has zero norm")
-    return PrototypeBank(protos)
-
-
-def random_background_rows(num_background: int, dim: int, seed: int) -> np.ndarray:
-    """I.i.d. uniform rows on [-1/sqrt(dim), +1/sqrt(dim)], the bound a
-    fan-in-scaled uniform initializer gives a dim-input linear layer."""
-    bound = 1.0 / np.sqrt(dim)
-    rng = np.random.default_rng(seed)
-    return rng.uniform(-bound, bound, size=(num_background, dim))
+    return protos
 
 
 def init_background(
-    bank: PrototypeBank,
+    dim: int,
     kind: str,
     num_background: int,
     seed: int,
     bkg_embeddings: np.ndarray | None = None,
-) -> PrototypeBank:
-    """Attach num_background freshly initialized rows to the bank.
+) -> np.ndarray:
+    """num_background freshly initialized background rows, (num_background x dim).
 
-    random, and the first episode of global: rows drawn by
-    random_background_rows from `seed`. avg: rows are means of a round-robin
-    partition of the mined background embeddings (a single row is the mean of
-    all of them). Later global episodes reuse the previous episode's rows,
-    which the evaluation driver attaches with bank.with_background.
+    random, and the first episode of global: i.i.d. uniform rows drawn from
+    `seed` on [-1/sqrt(dim), +1/sqrt(dim)], the bound a fan-in-scaled uniform
+    initializer gives a dim-input linear layer. avg: rows are means of a
+    round-robin partition of the mined background embeddings (a single row is
+    the mean of all of them). Later global episodes reuse the previous episode's rows,
+    which the evaluation driver carries in place of these.
     """
     if kind not in INIT_KINDS:
         raise ValueError(f"unknown init kind {kind!r}, expected one of {INIT_KINDS}")
     if num_background < 0:
         raise ValueError("num_background must be >= 0")
-    d = bank.dim
     if num_background == 0:
-        return bank.with_background(np.zeros((0, d)))
+        return np.zeros((0, dim))
     if kind != INIT_AVG:
-        return bank.with_background(random_background_rows(num_background, d, seed))
+        bound = 1.0 / np.sqrt(dim)
+        return np.random.default_rng(seed).uniform(-bound, bound, size=(num_background, dim))
     if bkg_embeddings is None or len(bkg_embeddings) == 0:
         raise ValueError("avg initialization needs at least one background embedding")
-    if bkg_embeddings.ndim != 2 or bkg_embeddings.shape[1] != d:
-        raise ValueError(f"background embeddings need shape n x {d}, got {bkg_embeddings.shape}")
+    if bkg_embeddings.ndim != 2 or bkg_embeddings.shape[1] != dim:
+        raise ValueError(f"background embeddings need shape n x {dim}, got {bkg_embeddings.shape}")
     if len(bkg_embeddings) < num_background:
         raise ValueError(
             f"avg initialization got {len(bkg_embeddings)} embeddings for "
             f"{num_background} background rows; every row needs at least one"
         )
-    return bank.with_background(
-        np.stack([bkg_embeddings[j::num_background].mean(axis=0) for j in range(num_background)])
-    )
+    return np.stack([bkg_embeddings[j::num_background].mean(axis=0) for j in range(num_background)])
 
 
 def row_norms(matrix: np.ndarray, what: str) -> np.ndarray:
@@ -199,11 +119,12 @@ def cosine_matrix(
 
 
 def predict(
-    bank: PrototypeBank, queries: np.ndarray, score_kind: str = SCORE_MARGIN
+    bank: np.ndarray, num_known: int, queries: np.ndarray, score_kind: str = SCORE_MARGIN
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Score every row of the (n x dim) query matrix against the bank.
+    """Score every row of the (n x dim) query matrix against the (rows x dim)
+    bank, whose first num_known rows are the known-class prototypes.
 
-    Returns the joint argmax row of each query (a row >= bank.num_known is a
+    Returns the joint argmax row of each query (a row >= num_known is a
     background row, so the query is judged unknown; ties break toward the
     lowest row) and its unknownness, higher meaning more likely unknown.
     margin: best background similarity minus best known similarity, monotone in
@@ -213,12 +134,14 @@ def predict(
     """
     if score_kind not in SCORE_KINDS:
         raise ValueError(f"unknown score kind {score_kind!r}, expected one of {SCORE_KINDS}")
-    if queries.ndim != 2 or queries.shape[1] != bank.dim:
-        raise ValueError(f"queries need shape n x {bank.dim}, got {queries.shape}")
-    scores, _, _ = cosine_matrix(bank.all_weights(), queries)
-    best_known = scores[:, : bank.num_known].max(axis=1)
-    if score_kind == SCORE_NEG_MAX_KNOWN or bank.num_background == 0:
+    if not 0 < num_known <= len(bank):
+        raise ValueError(f"num_known must lie in [1, {len(bank)}], got {num_known}")
+    if queries.ndim != 2 or queries.shape[1] != bank.shape[1]:
+        raise ValueError(f"queries need shape n x {bank.shape[1]}, got {queries.shape}")
+    scores, _, _ = cosine_matrix(bank, queries)
+    best_known = scores[:, :num_known].max(axis=1)
+    if score_kind == SCORE_NEG_MAX_KNOWN or num_known == len(bank):
         unknownness = -best_known
     else:
-        unknownness = scores[:, bank.num_known :].max(axis=1) - best_known
+        unknownness = scores[:, num_known:].max(axis=1) - best_known
     return np.argmax(scores, axis=1), unknownness

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .classifier import PrototypeBank, check_norms, cosine_matrix, row_norms
+from .classifier import check_norms, cosine_matrix, row_norms
 from .featmap import EPS_NORM
 
 
@@ -114,7 +114,7 @@ def _check_rows(embeddings: np.ndarray, dim: int, what: str) -> None:
 
 
 def grad_wrt_prototypes(
-    bank: PrototypeBank,
+    weights: np.ndarray,
     embeddings: np.ndarray,
     labels: np.ndarray,
     item_weights: np.ndarray,
@@ -122,18 +122,17 @@ def grad_wrt_prototypes(
 ) -> np.ndarray:
     """Exact gradient of sum_i item_weights[i] * CE_i, item i being row i of the
     (n x dim) embeddings with joint row label labels[i], with respect to every
-    prototype row, returned as a (num_rows x dim) matrix. Embeddings are inputs
-    only and are never modified."""
-    _check_rows(embeddings, bank.dim, "embeddings")
+    row of the (num_rows x dim) prototype weights, returned as a matrix of that
+    shape. Weights and embeddings are inputs only and are never modified."""
+    _check_rows(embeddings, weights.shape[1], "embeddings")
     labels = np.asarray(labels, dtype=np.intp)
     item_weights = np.asarray(item_weights, dtype=np.float64)
     if labels.shape != embeddings.shape[:1] or item_weights.shape != labels.shape:
         raise ValueError("need one label and one item weight per embedding")
     if np.any(item_weights <= 0):
         raise ValueError("item weights must be > 0")
-    if labels.min() < 0 or labels.max() >= bank.num_rows:
-        raise ValueError(f"batch labels must lie in [0, {bank.num_rows})")
-    weights = bank.all_weights()
+    if labels.min() < 0 or labels.max() >= len(weights):
+        raise ValueError(f"batch labels must lie in [0, {len(weights)})")
     scores, wn, qn = cosine_matrix(weights, embeddings)
     g = temperature * scores.T
     _batch_ce(g, _label_positions(labels), item_weights)
@@ -142,15 +141,19 @@ def grad_wrt_prototypes(
 
 
 def finetune_bank(
-    bank: PrototypeBank,
+    bank: np.ndarray,
+    num_known: int,
     embeddings: np.ndarray,
     labels: np.ndarray,
     backgrounds: np.ndarray,
     cfg: FinetuneConfig,
-) -> tuple[PrototypeBank, LossReport]:
-    """Full-batch SGD on the prototype rows, with the (n_bkg x dim) background
-    embeddings acting as pseudo-unknowns beside the (n x dim) support
-    embeddings and their known-class labels.
+) -> tuple[np.ndarray, LossReport]:
+    """Full-batch SGD on the rows of the (num_rows x dim) bank, whose first
+    num_known rows are the known-class prototypes and the rest background
+    rows, with the (n_bkg x dim) background embeddings acting as
+    pseudo-unknowns beside the (n x dim) support embeddings and their
+    known-class labels. Returns the fine-tuned rows as a new array; the
+    caller's bank is never written.
 
     Each epoch: background embeddings are pseudo-labeled with their nearest
     background row (once at epoch 0 unless reassign_each_epoch), the batch
@@ -165,15 +168,15 @@ def finetune_bank(
     after each step divide the next epoch's scores; a zero or non-finite one
     names the joint row and the epoch of the step.
     """
-    if bank.num_background < 1:
+    if len(bank) <= num_known:
         raise ValueError("fine-tuning needs at least one background row")
-    _check_rows(embeddings, bank.dim, "supports")
-    _check_rows(backgrounds, bank.dim, "backgrounds")
+    _check_rows(embeddings, bank.shape[1], "supports")
+    _check_rows(backgrounds, bank.shape[1], "backgrounds")
     sup_labels = np.asarray(labels, dtype=np.intp)
     if sup_labels.shape != embeddings.shape[:1]:
         raise ValueError(f"need {len(embeddings)} support labels, got shape {sup_labels.shape}")
-    if sup_labels.min() < 0 or sup_labels.max() >= bank.num_known:
-        raise ValueError(f"support labels must lie in [0, {bank.num_known})")
+    if sup_labels.min() < 0 or sup_labels.max() >= num_known:
+        raise ValueError(f"support labels must lie in [0, {num_known})")
 
     unit = np.concatenate([
         embeddings / row_norms(embeddings, "support")[:, None],
@@ -193,8 +196,7 @@ def finetune_bank(
     # exactly, and each epoch needs only the batch's Gram matrix and the
     # initial rows' dots with it: O(n^2 rows), not O(n dim rows). Dots,
     # logits and coefficients are laid out rows x items.
-    weights = bank.all_weights()
-    num_known = bank.num_known
+    weights = np.array(bank, dtype=np.float64)  # the copy the steps write
     lo = num_known if cfg.freeze_known else 0  # rows [lo, num_rows) move
     gram, proj = unit @ unit.T, weights @ unit.T
     sq = (weights * weights).sum(axis=1)
@@ -259,7 +261,7 @@ def finetune_bank(
     weights_m[:] = scale_col * weights_m + coef @ unit
 
     report = LossReport(float(ce[:n_sup].mean()), float(ce[n_sup:].mean()), trace[-1], tuple(trace))
-    return PrototypeBank(weights[:num_known], weights[num_known:]), report
+    return weights, report
 
 
 def finite_difference(fn: Callable[[np.ndarray], float], x0: np.ndarray, step: float = 1e-3) -> np.ndarray:
@@ -291,61 +293,52 @@ GRADCHECK_THRESHOLD = 1e-4
 
 
 def _random_prototype_case(rng: np.random.Generator, shape: tuple[int, int, int]):
-    """A random bank and batch: embeddings, joint row labels, item weights."""
+    """Random prototype weights and batch: embeddings, joint row labels, item weights."""
     n_known, n_background, dim = shape
     num_rows = n_known + n_background
-    rows = rng.normal(size=(num_rows, dim))
-    bank = PrototypeBank(rows[:n_known], rows[n_known:])
+    weights = rng.normal(size=(num_rows, dim))
     draws = [(int(rng.integers(0, num_rows)), rng.normal(size=dim)) for _ in range(num_rows)]
     labels = np.array([label for label, _ in draws])
-    return bank, np.array([e for _, e in draws]), labels, np.where(labels < n_known, 1.0, 0.05)
+    return weights, np.array([e for _, e in draws]), labels, np.where(labels < n_known, 1.0, 0.05)
 
 
 def gradcheck_report(
     seed: int = 0,
     trials: int = 20,
     prototype_shapes: Sequence[tuple[int, int, int]] = DEFAULT_PROTOTYPE_SHAPES,
-    temperature: float = 10.0,
-    perturb: float = 0.0,
 ) -> dict:
     """Randomized finite-difference check of the analytic prototype gradient,
-    the one finetune_bank steps along, over `trials` (>= 1) random cases drawn
-    from `seed` (>= 0).
-
-    `perturb` adds a constant offset to the analytic gradient; it exists so a
-    broken gradient demonstrably fails the check.
-    """
+    the one finetune_bank steps along at the default temperature, over
+    `trials` (>= 1) random cases drawn from `seed` (>= 0)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    rng = np.random.default_rng(seed)
+    rng, temperature = np.random.default_rng(seed), FinetuneConfig.temperature
     proto_err = 0.0
     for t in range(trials):
-        bank, embeddings, labels, weights = _random_prototype_case(
+        weights, embeddings, labels, item_weights = _random_prototype_case(
             rng, tuple(prototype_shapes[t % len(prototype_shapes)])
         )
-        analytic = grad_wrt_prototypes(bank, embeddings, labels, weights, temperature) + perturb
+        analytic = grad_wrt_prototypes(weights, embeddings, labels, item_weights, temperature)
         numeric = finite_difference(
             lambda w: prototype_batch_loss(
-                w.reshape(bank.num_rows, bank.dim), embeddings, labels, weights, temperature
+                w.reshape(weights.shape), embeddings, labels, item_weights, temperature
             ),
-            bank.all_weights().reshape(-1),
-        ).reshape(bank.num_rows, bank.dim)
+            weights.reshape(-1),
+        ).reshape(weights.shape)
         proto_err = max(proto_err, max_relative_error(analytic, numeric))
 
     return {"prototype_gradient": proto_err, "threshold": GRADCHECK_THRESHOLD,
             "passed": proto_err < GRADCHECK_THRESHOLD}
 
 
-def gradcheck_command(
-    seed: int = 0, trials: int = 20, perturb: float = 0.0, printer: Callable[[str], None] = print
-) -> int:
+def gradcheck_command(seed: int = 0, trials: int = 20) -> int:
     """Run the gradient check, print one result line, return a shell exit code
     (0 pass, 1 fail)."""
-    report = gradcheck_report(seed=seed, trials=trials, perturb=perturb)
+    report = gradcheck_report(seed=seed, trials=trials)
     verdict = "PASS" if report["passed"] else "FAIL"
-    printer(
+    print(
         f"prototype_gradient: max relative error {report['prototype_gradient']:.3e} "
         f"(threshold {report['threshold']:.0e}) {verdict}"
     )

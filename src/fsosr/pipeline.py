@@ -33,13 +33,14 @@ from .procam import ProCamConfig, procam_for_support
 BUNDLE_FORMAT_VERSION = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Everything a full evaluation run needs. The stage toggles compose the
     ablation ladder: plain prototype classifier, plus background rows, plus
     mined-background fine-tuning of the background rows only (freeze_known),
     plus fine-tuning all rows, with iterations > 1 switching single-pass
-    activation maps to progressive mining."""
+    activation maps to progressive mining. Frozen, so that the stage configs
+    built at construction always match its fields."""
 
     dataset: str
     n_way: int = EpisodeSpec.n_way
@@ -75,8 +76,8 @@ class RunConfig:
         if self.score_kind not in SCORE_KINDS:
             raise ValueError(f"unknown score kind {self.score_kind!r}, expected one of {SCORE_KINDS}")
         self.episode_spec(0)
-        self.procam_config()
-        self.finetune_config()
+        object.__setattr__(self, "_procam", self._stage(ProCamConfig))
+        object.__setattr__(self, "_finetune", self._stage(FinetuneConfig))
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
         if self.num_episodes < 1:
@@ -85,6 +86,12 @@ class RunConfig:
             raise ValueError("workers must be >= 1")
         if self.use_background_classes and self.num_background < 1:
             raise ValueError("background classes enabled but num_background < 1")
+        mined = self.n_way * self.k_shot  # one background per support item
+        if self.use_background_classes and self.init_kind == INIT_AVG and self.num_background > mined:
+            raise ValueError(
+                f"avg initialization averages the n_way * k_shot = {mined} mined backgrounds, "
+                f"so num_background must be <= {mined} (got {self.num_background})"
+            )
 
     def resolved_open_query(self) -> int:
         return self.n_query if self.n_open_query is None else self.n_open_query
@@ -101,10 +108,10 @@ class RunConfig:
         return self._stage(EpisodeSpec, n_open_query=self.resolved_open_query(), seed=seed)
 
     def procam_config(self) -> ProCamConfig:
-        return self._stage(ProCamConfig)
+        return self._procam
 
     def finetune_config(self) -> FinetuneConfig:
-        return self._stage(FinetuneConfig)
+        return self._finetune
 
     def snapshot(self) -> dict:
         """Result-affecting configuration only. Execution details (workers,
@@ -197,9 +204,10 @@ def evaluate_episode(
     as one matrix. The background rows start from `carried` when given (the
     previous episode's rows under init=global), else from init_background with
     the episode's own seed; the record's "background" holds their final
-    values. Only the last episode of a run with dump_last_bank serialises its
-    bank and loss report. Any failure is re-raised as a RuntimeError naming
-    the episode index and sample seed, chained to the original exception."""
+    values in an array of its own. Only the last episode of a run with
+    dump_last_bank serialises its bank and loss report. Any failure is
+    re-raised as a RuntimeError naming the episode index and sample seed,
+    chained to the original exception."""
     sample_seed = derive_episode_seed(cfg.master_seed, index, stream=0)
     try:
         episode = sample_episode(ds, cfg.episode_spec(sample_seed))
@@ -217,20 +225,26 @@ def evaluate_episode(
                 ]
                 pairs = procam_for_support(maps, bank, cfg.procam_config(), support)
                 bg_embeddings = np.stack([bg.values for _, bg in pairs])
-            if carried is not None:
-                bank = bank.with_background(carried)
-            else:
+            if carried is None:
                 init_seed = derive_episode_seed(cfg.master_seed, index, stream=1)
-                bank = init_background(
-                    bank, cfg.init_kind, cfg.num_background, init_seed, bg_embeddings
+                carried = init_background(
+                    bank.shape[1], cfg.init_kind, cfg.num_background, init_seed, bg_embeddings
                 )
+            bank = np.concatenate([bank, carried])
             if cfg.use_procam_finetune:
                 bank, loss_report = finetune_bank(
-                    bank, support, episode.support_labels, bg_embeddings, cfg.finetune_config()
+                    bank, cfg.n_way, support, episode.support_labels, bg_embeddings,
+                    cfg.finetune_config(),
                 )
 
-        rows, known_scores = predict(bank, ds.embeddings[episode.known_queries], cfg.score_kind)
-        _, unknown_scores = predict(bank, ds.embeddings[episode.unknown_queries], cfg.score_kind)
+        # a copy: a view would keep every episode's whole bank alive in the records
+        background = bank[cfg.n_way :].copy()
+        rows, known_scores = predict(
+            bank, cfg.n_way, ds.embeddings[episode.known_queries], cfg.score_kind
+        )
+        _, unknown_scores = predict(
+            bank, cfg.n_way, ds.embeddings[episode.unknown_queries], cfg.score_kind
+        )
         dump = cfg.dump_last_bank and index == cfg.num_episodes - 1
         return {
             "episode": index,
@@ -239,8 +253,14 @@ def evaluate_episode(
             "auroc": auroc(known_scores, unknown_scores),
             "known_scores": known_scores,
             "unknown_scores": unknown_scores,
-            "background": bank.background_weights,
-            "bank": bank.to_dict() if dump else None,
+            "background": background,
+            "bank": {
+                "dim": bank.shape[1],
+                "num_known": cfg.n_way,
+                "num_background": len(background),
+                "known_weights": bank[: cfg.n_way].tolist(),
+                "background_weights": background.tolist(),
+            } if dump else None,
             "loss": loss_report.to_dict() if dump and loss_report else None,
         }
     except Exception as exc:

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import PrototypeBank
 from .featmap import (
     NORM_KINDS,
     NORM_MINMAX,
@@ -97,25 +96,25 @@ def procam(f: FeatureMap, w: np.ndarray, cfg: ProCamConfig) -> ProCamResult:
 
 def procam_for_support(
     supports: list[tuple[FeatureMap, int]],
-    bank: PrototypeBank,
+    known: np.ndarray,
     cfg: ProCamConfig,
     foregrounds: np.ndarray,
 ) -> list[tuple[EmbeddingVector, EmbeddingVector]]:
     """(foreground, background) embedding pairs for every support item, mining
-    each item with its own class prototype. The foregrounds are the supports'
-    pooled (n, d) rows, which the caller holds already; the pairs view them
-    read-only, as they are. All items are mined as one stack, widened to
+    each item with its label's row of the (n_way x d) known prototypes. The
+    foregrounds are the supports' pooled (n, d) rows, which the caller holds
+    already; the pairs view them read-only, as they are. All items are mined as one stack, widened to
     float64 as it is built; order follows the input, and the backgrounds view
     rows of one read-only (n, d) result."""
     labels = [label for _, label in supports]
     for label in labels:
-        if not 0 <= label < bank.num_known:
-            raise ValueError(f"no known prototype for class {label} (bank has {bank.num_known})")
+        if not 0 <= label < len(known):
+            raise ValueError(f"no known prototype for class {label} (there are {len(known)})")
     stack = np.stack([fmap.values for fmap, _ in supports], dtype=np.float64)
     want = (len(stack), stack.shape[-1])
     if foregrounds.shape != want:
         raise ValueError(f"foregrounds need shape {want}, got {foregrounds.shape}")
-    _, backgrounds, _ = _mine(stack, bank.known_weights[labels], cfg)
+    _, backgrounds, _ = _mine(stack, known[labels], cfg)
     foregrounds = foregrounds.view()
     foregrounds.flags.writeable = backgrounds.flags.writeable = False
     return [

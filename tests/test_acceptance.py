@@ -184,12 +184,12 @@ def test_criterion_6_finetune_descent(benchmark_dataset):
         episode = sample_episode(ds, spec)
         sup = ds.embeddings[episode.support]
         labels = episode.support_labels
-        bank = build_known_prototypes(sup, labels, 5, 5)
+        known = build_known_prototypes(sup, labels, 5, 5)
         maps = [(FeatureMap(ds.values[j]), c) for j, c in zip(episode.support, labels)]
-        pairs = procam_for_support(maps, bank, ProCamConfig(iterations=4), sup)
-        bank = init_background(bank, "random", 1, seed=derive_episode_seed(123, i, 1))
+        pairs = procam_for_support(maps, known, ProCamConfig(iterations=4), sup)
+        background = init_background(ds.channels, "random", 1, seed=derive_episode_seed(123, i, 1))
         bgs = np.stack([b.values for _, b in pairs])
-        _, report = finetune_bank(bank, sup, labels, bgs, FinetuneConfig())
+        _, report = finetune_bank(np.vstack([known, background]), 5, sup, labels, bgs, FinetuneConfig())
         if report.per_epoch_totals[-1] < report.per_epoch_totals[0]:
             descended += 1
     elapsed = time.time() - start

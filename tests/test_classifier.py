@@ -1,28 +1,20 @@
+import re
+
 import numpy as np
 import pytest
 
-from fsosr.classifier import (
-    PrototypeBank,
-    build_known_prototypes,
-    cosine_matrix,
-    init_background,
-    predict,
-)
-
-
-def known(*rows):
-    """A bank with one known row per argument, each its own single shot."""
-    return build_known_prototypes(np.array(rows, dtype=float), np.arange(len(rows)), len(rows), 1)
+from fsosr.classifier import build_known_prototypes, cosine_matrix, init_background, predict
 
 
 class TestBuildKnownPrototypes:
     def test_single_shot_is_identity(self):
-        bank = build_known_prototypes(np.array([[3.0, -1.0]]), np.array([0]), n_way=1, k_shot=1)
-        assert bank.known_weights.tolist() == [[3.0, -1.0]]
+        known = build_known_prototypes(np.array([[3.0, -1.0]]), np.array([0]), n_way=1, k_shot=1)
+        assert known.tolist() == [[3.0, -1.0]]
+        assert known.dtype == np.float64
 
     def test_two_shot_midpoint(self):
-        bank = build_known_prototypes(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 0]), 1, 2)
-        assert bank.known_weights.tolist() == [[0.5, 0.5]]
+        known = build_known_prototypes(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 0]), 1, 2)
+        assert known.tolist() == [[0.5, 0.5]]
 
     def test_against_accumulation_oracle(self):
         rng = np.random.default_rng(0)
@@ -38,18 +30,18 @@ class TestBuildKnownPrototypes:
             expected[c] = acc / 5
         # shuffled rows, so grouping by label is exercised
         perm = rng.permutation(25)
-        bank = build_known_prototypes(np.array(rows)[perm], np.array(labels)[perm], 5, 5)
+        known = build_known_prototypes(np.array(rows)[perm], np.array(labels)[perm], 5, 5)
         for c in range(5):
-            np.testing.assert_allclose(bank.known_weights[c], expected[c], atol=1e-12)
+            np.testing.assert_allclose(known[c], expected[c], atol=1e-12)
 
     def test_permutation_gives_bit_identical_prototypes(self):
         rng = np.random.default_rng(1)
         shots = rng.normal(size=(10, 6))
         labels = np.array([0, 1] * 5)
-        a = build_known_prototypes(shots, labels, 2, 5).known_weights
-        b = build_known_prototypes(shots[::-1], labels[::-1], 2, 5).known_weights
+        a = build_known_prototypes(shots, labels, 2, 5)
+        b = build_known_prototypes(shots[::-1], labels[::-1], 2, 5)
         perm = rng.permutation(10)
-        c = build_known_prototypes(shots[perm], labels[perm], 2, 5).known_weights
+        c = build_known_prototypes(shots[perm], labels[perm], 2, 5)
         assert a.tobytes() == b.tobytes() == c.tobytes()
 
     def test_column_zero_tie_gives_bit_identical_prototypes(self):
@@ -59,10 +51,10 @@ class TestBuildKnownPrototypes:
         shots = rng.normal(size=(10, 6))
         labels = np.array([0, 1] * 5)
         shots[labels == 0, 0] = 0.25
-        expected = build_known_prototypes(shots, labels, 2, 5).known_weights.tobytes()
+        expected = build_known_prototypes(shots, labels, 2, 5).tobytes()
         for _ in range(20):
             perm = rng.permutation(10)
-            got = build_known_prototypes(shots[perm], labels[perm], 2, 5).known_weights
+            got = build_known_prototypes(shots[perm], labels[perm], 2, 5)
             assert got.tobytes() == expected
 
     def test_unequal_counts_raise(self):
@@ -80,53 +72,47 @@ class TestBuildKnownPrototypes:
 
 class TestInitBackground:
     def test_random_is_deterministic(self):
-        bank = known([1.0, 0.0, 0.0])
-        a = init_background(bank, "random", 3, seed=42).background_weights
-        b = init_background(bank, "random", 3, seed=42).background_weights
+        a = init_background(3, "random", 3, seed=42)
+        b = init_background(3, "random", 3, seed=42)
         assert a.tobytes() == b.tobytes()
 
     def test_different_seeds_differ(self):
-        bank = known([1.0, 0.0, 0.0])
-        a = init_background(bank, "random", 2, seed=1).background_weights
-        b = init_background(bank, "random", 2, seed=2).background_weights
+        a = init_background(3, "random", 2, seed=1)
+        b = init_background(3, "random", 2, seed=2)
         assert not np.array_equal(a, b)
 
     def test_avg_single_row_mean(self):
-        bank = known([1.0, 1.0])
-        out = init_background(bank, "avg", 1, 0, np.array([[2.0, 0.0], [0.0, 2.0]]))
-        assert out.background_weights.tolist() == [[1.0, 1.0]]
+        out = init_background(2, "avg", 1, 0, np.array([[2.0, 0.0], [0.0, 2.0]]))
+        assert out.tolist() == [[1.0, 1.0]]
 
     def test_avg_round_robin_partition(self):
-        bank = known([1.0, 1.0])
         embeddings = np.array([[2.0, 0.0], [0.0, 2.0], [4.0, 0.0]])
-        out = init_background(bank, "avg", 2, 0, embeddings)
+        out = init_background(2, "avg", 2, 0, embeddings)
         # rows 0 and 2 go to partition 0, row 1 to partition 1
-        assert out.background_weights.tolist() == [[3.0, 0.0], [0.0, 2.0]]
+        assert out.tolist() == [[3.0, 0.0], [0.0, 2.0]]
 
     def test_random_bound_check_d640(self):
-        bank = PrototypeBank(np.ones((1, 640)))
-        out = init_background(bank, "random", 4, seed=9)
+        out = init_background(640, "random", 4, seed=9)
         bound = 1.0 / np.sqrt(640)
-        assert np.all(out.background_weights >= -bound)
-        assert np.all(out.background_weights <= bound)
+        assert out.shape == (4, 640)
+        assert np.all(out >= -bound)
+        assert np.all(out <= bound)
 
     def test_avg_requires_embeddings(self):
-        bank = known([1.0, 0.0])
         with pytest.raises(ValueError, match="background embedding"):
-            init_background(bank, "avg", 1, 0, None)
+            init_background(2, "avg", 1, 0, None)
         with pytest.raises(ValueError, match="every row"):
-            init_background(bank, "avg", 3, 0, np.array([[1.0, 0.0]]))
+            init_background(2, "avg", 3, 0, np.array([[1.0, 0.0]]))
         with pytest.raises(ValueError, match="shape n x 2"):
-            init_background(bank, "avg", 1, 0, np.ones((2, 3)))
+            init_background(2, "avg", 1, 0, np.ones((2, 3)))
 
     def test_zero_rows_allowed(self):
-        bank = known([1.0, 0.0])
-        out = init_background(bank, "random", 0, seed=0)
-        assert out.num_background == 0
+        out = init_background(2, "random", 0, seed=0)
+        assert out.shape == (0, 2)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="init kind"):
-            init_background(known([1.0, 0.0]), "fancy", 1, seed=0)
+            init_background(2, "fancy", 1, seed=0)
 
 
 def scalar_cosine(row, q):
@@ -194,15 +180,15 @@ class TestPredict:
     def _bank(self):
         known = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
         background = np.array([[0.0, 0.0, 0.0, 1.0]])
-        return PrototypeBank(known, background)
+        return np.vstack([known, background])
 
     def test_exact_known_match(self):
-        rows, unknownness = predict(self._bank(), np.array([[0.0, 0.0, 2.0, 0.0]]))
+        rows, unknownness = predict(self._bank(), 3, np.array([[0.0, 0.0, 2.0, 0.0]]))
         assert rows.tolist() == [2]
         assert unknownness[0] < 0
 
     def test_exact_background_match(self):
-        rows, unknownness = predict(self._bank(), np.array([[0.0, 0.0, 0.0, 3.0]]))
+        rows, unknownness = predict(self._bank(), 3, np.array([[0.0, 0.0, 0.0, 3.0]]))
         assert rows.tolist() == [3]  # background row 0, after the 3 known rows
         assert unknownness[0] > 0
 
@@ -212,7 +198,7 @@ class TestPredict:
             known = rng.normal(size=(4, 6))
             background = rng.normal(size=(2, 6))
             queries = rng.normal(size=(5, 6))
-            rows, unknownness = predict(PrototypeBank(known, background), queries)
+            rows, unknownness = predict(np.vstack([known, background]), 4, queries)
             for q, row, score in zip(queries, rows, unknownness):
                 best, expected = predict_oracle(known, background, q)
                 assert row == best
@@ -223,7 +209,7 @@ class TestPredict:
         for kind in ("margin", "neg_max_known"):
             known = rng.normal(size=(4, 6))
             queries = rng.normal(size=(9, 6))
-            rows, unknownness = predict(PrototypeBank(known), queries, kind)
+            rows, unknownness = predict(known, 4, queries, kind)
             for q, row, score in zip(queries, rows, unknownness):
                 best, expected = predict_oracle(known, np.zeros((0, 6)), q, kind)
                 assert row == best
@@ -234,32 +220,36 @@ class TestPredict:
         known = rng.normal(size=(3, 5))
         background = rng.normal(size=(1, 5))
         queries = rng.normal(size=(6, 5))
-        base_rows, base_scores = predict(PrototypeBank(known, background), queries)
+        base_rows, base_scores = predict(np.vstack([known, background]), 3, queries)
         for alpha in (0.01, 3.0, 100.0):
-            rows, scores = predict(PrototypeBank(known * alpha, background), queries * alpha)
+            rows, scores = predict(np.vstack([known * alpha, background]), 3, queries * alpha)
             np.testing.assert_array_equal(rows, base_rows)
             np.testing.assert_allclose(scores, base_scores, rtol=0, atol=1e-9)
 
     def test_tie_breaks_to_lowest_index(self):
-        bank = PrototypeBank(np.array([[1.0, 0.0], [1.0, 0.0]]))
-        rows, _ = predict(bank, np.array([[1.0, 0.0]]))
+        bank = np.array([[1.0, 0.0], [1.0, 0.0]])
+        rows, _ = predict(bank, 2, np.array([[1.0, 0.0]]))
         assert rows.tolist() == [0]
 
     def test_without_background_never_unknown(self):
         rng = np.random.default_rng(6)
-        bank = PrototypeBank(rng.normal(size=(4, 5)))
-        rows, _ = predict(bank, rng.normal(size=(20, 5)))
-        assert np.all(rows < bank.num_known)
+        rows, _ = predict(rng.normal(size=(4, 5)), 4, rng.normal(size=(20, 5)))
+        assert np.all(rows < 4)
 
     def test_neg_max_known_score_kind(self):
         bank = self._bank()
         queries = np.array([[0.5, 0.1, 0.0, 0.4], [0.0, 0.2, 0.3, 0.9]])
-        scores, _, _ = cosine_matrix(bank.all_weights(), queries)
-        _, unknownness = predict(bank, queries, "neg_max_known")
+        scores, _, _ = cosine_matrix(bank, queries)
+        _, unknownness = predict(bank, 3, queries, "neg_max_known")
         np.testing.assert_allclose(unknownness, -scores[:, :3].max(axis=1), rtol=0, atol=1e-15)
         with pytest.raises(ValueError, match="score kind"):
-            predict(bank, queries, "whatever")
+            predict(bank, 3, queries, "whatever")
 
     def test_query_shape_checked(self):
         with pytest.raises(ValueError, match="queries need shape n x 4"):
-            predict(self._bank(), np.ones(4))
+            predict(self._bank(), 3, np.ones(4))
+
+    @pytest.mark.parametrize("num_known", [0, -1, 5])
+    def test_known_row_count_checked(self, num_known):
+        with pytest.raises(ValueError, match=re.escape(f"num_known must lie in [1, 4], got {num_known}")):
+            predict(self._bank(), num_known, np.ones((1, 4)))

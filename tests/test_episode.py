@@ -257,8 +257,8 @@ class TestGenerateSynthetic:
         for i in range(60):
             ep = sample_episode(ds, EpisodeSpec(n_way=5, k_shot=5, n_query=5, n_open_classes=5,
                                                 n_open_query=5, seed=derive_episode_seed(9, i)))
-            bank = build_known_prototypes(ds.embeddings[ep.support], ep.support_labels, 5, 5)
-            rows, _ = predict(bank, ds.embeddings[ep.known_queries])
+            known = build_known_prototypes(ds.embeddings[ep.support], ep.support_labels, 5, 5)
+            rows, _ = predict(known, 5, ds.embeddings[ep.known_queries])
             hits.append(accuracy(rows, ep.known_labels))
         assert abs(np.mean(hits) - 0.2) < 0.06
 

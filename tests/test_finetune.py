@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fsosr import finetune
-from fsosr.classifier import PrototypeBank, build_known_prototypes, init_background
+from fsosr.classifier import build_known_prototypes, init_background
 from fsosr.episode import benchmark_config, derive_episode_seed, generate_synthetic, sample_episode
 from fsosr.featmap import FeatureMap
 from fsosr.finetune import (
@@ -69,19 +69,17 @@ class TestCeLossCosine:
 
 class TestGradWrtPrototypes:
     def test_saturated_correct_prediction_has_tiny_gradient(self):
-        bank = PrototypeBank(np.array([[1.0, 0.0], [0.0, 1.0]]))
         grad = grad_wrt_prototypes(
-            bank, np.array([[2.0, 0.0]]), np.array([0]), np.array([1.0]), temperature=400.0
+            np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[2.0, 0.0]]), np.array([0]), np.array([1.0]), temperature=400.0
         )
         assert np.abs(grad).max() < 1e-8
 
     def test_two_class_finite_difference(self):
         rng = np.random.default_rng(2)
         rows = rng.normal(size=(2, 2))
-        bank = PrototypeBank(rows[:1], rows[1:])
         embeddings = rng.normal(size=(1, 2))
         analytic = grad_wrt_prototypes(
-            bank, embeddings, np.array([1]), np.array([0.05]), temperature=10.0
+            rows, embeddings, np.array([1]), np.array([0.05]), temperature=10.0
         )
         numeric = finite_difference(
             lambda w: prototype_batch_loss(
@@ -94,14 +92,13 @@ class TestGradWrtPrototypes:
     def test_random_batch_finite_difference(self):
         rng = np.random.default_rng(3)
         rows = rng.normal(size=(7, 16))
-        bank = PrototypeBank(rows[:5], rows[5:])
         labels, rows_of_batch = [], []
         for _ in range(9):
             labels.append(int(rng.integers(0, 7)))
             rows_of_batch.append(rng.normal(size=16))
         embeddings, labels = np.array(rows_of_batch), np.array(labels)
         weights = np.where(labels < 5, 1.0, 0.05)
-        analytic = grad_wrt_prototypes(bank, embeddings, labels, weights, temperature=10.0)
+        analytic = grad_wrt_prototypes(rows, embeddings, labels, weights, temperature=10.0)
         numeric = finite_difference(
             lambda w: prototype_batch_loss(w.reshape(7, 16), embeddings, labels, weights, 10.0),
             rows.reshape(-1),
@@ -110,7 +107,7 @@ class TestGradWrtPrototypes:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
-            grad_wrt_prototypes(PrototypeBank(np.eye(2)), np.zeros((0, 2)), [], [])
+            grad_wrt_prototypes(np.eye(2), np.zeros((0, 2)), [], [])
 
 
 def _oracle_finetune(weights0, num_known, supports, labels, backgrounds, cfg, pseudo_log=None):
@@ -177,21 +174,21 @@ class TestFinetuneBank:
         labels = np.repeat(np.arange(n_way), k_shot)
         backgrounds = rng.normal(size=(4, dim))
         known = np.stack([supports[labels == c].mean(axis=0) for c in range(n_way)])
-        bank = PrototypeBank(known, rng.normal(size=(n_bkg, dim)))
+        bank = np.vstack([known, rng.normal(size=(n_bkg, dim))])
         return bank, supports, labels, backgrounds
 
     def test_zero_learning_rate_is_identity(self):
         bank, supports, labels, backgrounds = self._toy_inputs()
         cfg = FinetuneConfig(epochs=5, learning_rate=0.0)
-        out, report = finetune_bank(bank, supports, labels, backgrounds, cfg)
-        assert out.all_weights().tobytes() == bank.all_weights().tobytes()
+        out, report = finetune_bank(bank, 3, supports, labels, backgrounds, cfg)
+        assert out.tobytes() == bank.tobytes()
         assert len(report.per_epoch_totals) == 6
         assert len(set(report.per_epoch_totals)) == 1
 
     def test_descent_on_toy_problem(self):
-        bank = PrototypeBank(np.array([[1.0, 0.0]]), np.array([[0.3, -0.4]]))
+        bank = np.array([[1.0, 0.0], [0.3, -0.4]])
         _, report = finetune_bank(
-            bank, np.array([[1.0, 0.0]]), np.array([0]), np.array([[0.0, 1.0]]), FinetuneConfig()
+            bank, 1, np.array([[1.0, 0.0]]), np.array([0]), np.array([[0.0, 1.0]]), FinetuneConfig()
         )
         assert report.per_epoch_totals[-1] < report.per_epoch_totals[0]
 
@@ -203,51 +200,54 @@ class TestFinetuneBank:
         backgrounds = rng.normal(size=(10, dim))
         known = np.stack([supports[labels == c].mean(axis=0) for c in range(n_way)])
         bkg_rows = rng.normal(size=(2, dim))
-        bank = PrototypeBank(known, bkg_rows)
+        bank = np.vstack([known, bkg_rows])
         cfg = FinetuneConfig(epochs=7, learning_rate=0.05, bkg_loss_weight=0.2)
-        out, report = finetune_bank(bank, supports, labels, backgrounds, cfg)
+        out, report = finetune_bank(bank, n_way, supports, labels, backgrounds, cfg)
         expected_weights, expected_trace = _oracle_finetune(
             np.vstack([known, bkg_rows]), n_way, list(supports), list(labels), list(backgrounds), cfg
         )
-        np.testing.assert_allclose(out.all_weights(), expected_weights, atol=1e-9)
+        np.testing.assert_allclose(out, expected_weights, atol=1e-9)
         np.testing.assert_allclose(report.per_epoch_totals, expected_trace, atol=1e-9)
 
     def test_fixed_pseudo_labels_mode(self):
         bank, supports, labels, backgrounds = self._toy_inputs(seed=6)
         cfg = FinetuneConfig(epochs=6, learning_rate=0.05, reassign_each_epoch=False)
-        out, report = finetune_bank(bank, supports, labels, backgrounds, cfg)
+        out, report = finetune_bank(bank, 3, supports, labels, backgrounds, cfg)
         expected_weights, expected_trace = _oracle_finetune(
-            bank.all_weights(), bank.num_known, list(supports), list(labels), list(backgrounds), cfg
+            bank, 3, list(supports), list(labels), list(backgrounds), cfg
         )
-        np.testing.assert_allclose(out.all_weights(), expected_weights, atol=1e-9)
+        np.testing.assert_allclose(out, expected_weights, atol=1e-9)
         np.testing.assert_allclose(report.per_epoch_totals, expected_trace, atol=1e-9)
 
     def test_freeze_known_leaves_known_rows(self):
         bank, supports, labels, backgrounds = self._toy_inputs(seed=7)
         cfg = FinetuneConfig(epochs=4, learning_rate=0.1, freeze_known=True)
-        out, _ = finetune_bank(bank, supports, labels, backgrounds, cfg)
-        np.testing.assert_array_equal(out.known_weights, bank.known_weights)
-        assert not np.array_equal(out.background_weights, bank.background_weights)
+        out, _ = finetune_bank(bank, 3, supports, labels, backgrounds, cfg)
+        np.testing.assert_array_equal(out[:3], bank[:3])
+        assert not np.array_equal(out[3:], bank[3:])
 
     def test_inputs_never_modified(self):
+        # the bank is writable, so nothing but the copy stops a step writing it
         bank, supports, labels, backgrounds = self._toy_inputs(seed=8)
-        before = [a.copy() for a in (supports, labels, backgrounds)]
-        cfg = FinetuneConfig(epochs=3, learning_rate=0.1)
-        finetune_bank(bank, supports, labels, backgrounds, cfg)
-        for after, expected in zip((supports, labels, backgrounds), before):
-            np.testing.assert_array_equal(after, expected)
+        assert bank.flags.writeable
+        before = [a.copy() for a in (bank, supports, labels, backgrounds)]
+        for freeze_known in (False, True):
+            cfg = FinetuneConfig(epochs=3, learning_rate=0.1, freeze_known=freeze_known)
+            out, _ = finetune_bank(bank, 3, supports, labels, backgrounds, cfg)
+            assert not np.shares_memory(out, bank)
+            for after, expected in zip((bank, supports, labels, backgrounds), before):
+                assert after.tobytes() == expected.tobytes()
 
     def test_requires_background_rows(self):
-        bank = PrototypeBank(np.eye(2))
         with pytest.raises(ValueError, match="background row"):
             finetune_bank(
-                bank, np.array([[1.0, 0.0]]), np.array([0]), np.array([[0.0, 1.0]]), FinetuneConfig()
+                np.eye(2), 2, np.array([[1.0, 0.0]]), np.array([0]), np.array([[0.0, 1.0]]), FinetuneConfig()
             )
 
     def test_loss_report_additivity(self):
         bank, supports, labels, backgrounds = self._toy_inputs(seed=9)
         cfg = FinetuneConfig(epochs=3, bkg_loss_weight=0.37)
-        _, report = finetune_bank(bank, supports, labels, backgrounds, cfg)
+        _, report = finetune_bank(bank, 3, supports, labels, backgrounds, cfg)
         assert report.total == pytest.approx(
             report.loss_known + 0.37 * report.loss_background, abs=1e-12
         )
@@ -260,7 +260,7 @@ class TestFinetuneBank:
             epochs=4, learning_rate=0.1, bkg_loss_weight=0.37,
             reassign_each_epoch=reassign_each_epoch, freeze_known=freeze_known,
         )
-        _, report = finetune_bank(bank, supports, labels, backgrounds, cfg)
+        _, report = finetune_bank(bank, 3, supports, labels, backgrounds, cfg)
         assert report.total == report.per_epoch_totals[-1]
         assert len(report.per_epoch_totals) == 5
 
@@ -268,12 +268,11 @@ class TestFinetuneBank:
     def test_bad_weight_row_named_by_joint_index(self, row, kind):
         # 3 known rows, so background row 1 is joint row 4
         bank, supports, labels, backgrounds = self._toy_inputs(seed=12)
-        rows = bank.background_weights.copy()
-        rows[1] = row
+        bank[3 + 1] = row
         with np.errstate(over="ignore"), pytest.raises(
             ValueError, match=f"before fine-tuning, prototype row 4 has {kind} norm"
         ):
-            finetune_bank(bank.with_background(rows), supports, labels, backgrounds, FinetuneConfig())
+            finetune_bank(bank, 3, supports, labels, backgrounds, FinetuneConfig())
 
     @pytest.mark.parametrize("freeze_known, row", [(False, 0), (True, 1)])
     def test_zero_norm_after_step_names_joint_row_and_epoch(self, freeze_known, row):
@@ -281,7 +280,7 @@ class TestFinetuneBank:
         # but the step's two terms are each about 2^60 |w|. With power-of-two
         # settings they cancel exactly and leave a zero row, which the fast
         # norm test must catch as well as a non-finite one.
-        bank = PrototypeBank(np.array([[1.0]]), np.array([[-1.0]]))
+        bank = np.array([[1.0], [-1.0]])
         cfg = FinetuneConfig(
             epochs=3, learning_rate=2.0**80, temperature=8.0, freeze_known=freeze_known
         )
@@ -289,7 +288,7 @@ class TestFinetuneBank:
             f"after the fine-tune step at epoch 0 (learning rate {2.0**80!r}), "
             f"prototype row {row} has zero norm"
         )):
-            finetune_bank(bank, np.array([[1.0]]), np.array([0]), np.array([[-1.0]]), cfg)
+            finetune_bank(bank, 1, np.array([[1.0]]), np.array([0]), np.array([[-1.0]]), cfg)
 
     def test_diverged_step_names_joint_row_and_epoch(self):
         bank, supports, labels, backgrounds = self._toy_inputs(seed=13)
@@ -299,7 +298,7 @@ class TestFinetuneBank:
             match=r"fine-tune step at epoch 0 \(learning rate 1e\+308\), prototype row 3 "
             r"has non-finite norm",
         ):
-            finetune_bank(bank, supports, labels, backgrounds, cfg)
+            finetune_bank(bank, 3, supports, labels, backgrounds, cfg)
 
     @pytest.mark.parametrize("group, index", [("support", 1), ("background", 2)])
     @pytest.mark.parametrize("value, kind", [(0.0, "zero"), (1e300, "non-finite")])
@@ -310,18 +309,15 @@ class TestFinetuneBank:
         with np.errstate(over="ignore"), pytest.raises(
             ValueError, match=f"^{group} {index} has {kind} norm"
         ):
-            finetune_bank(bank, supports, labels, backgrounds, FinetuneConfig())
+            finetune_bank(bank, 3, supports, labels, backgrounds, FinetuneConfig())
 
     def test_one_epoch_steps_along_grad_wrt_prototypes(self):
         # the gradient fsosr gradcheck checks is the one the loop descends
         bank, supports, labels, backgrounds = self._toy_inputs(seed=15)
         lr, lam = 0.5, 0.2
         cfg = FinetuneConfig(epochs=1, learning_rate=lr, bkg_loss_weight=lam)
-        out, _ = finetune_bank(bank, supports, labels, backgrounds, cfg)
-        pseudo = [
-            bank.num_known + int(np.argmax([_cos(w, b) for w in bank.background_weights]))
-            for b in backgrounds
-        ]
+        out, _ = finetune_bank(bank, 3, supports, labels, backgrounds, cfg)
+        pseudo = [3 + int(np.argmax([_cos(w, b) for w in bank[3:]])) for b in backgrounds]
         expected = grad_wrt_prototypes(
             bank,
             np.vstack([supports, backgrounds]),
@@ -330,7 +326,7 @@ class TestFinetuneBank:
             cfg.temperature,
         )
         np.testing.assert_allclose(
-            (bank.all_weights() - out.all_weights()) / lr, expected, rtol=0, atol=1e-12
+            (bank - out) / lr, expected, rtol=0, atol=1e-12
         )
 
     def test_no_cosine_matrix_calls(self, monkeypatch):
@@ -345,7 +341,7 @@ class TestFinetuneBank:
 
         monkeypatch.setattr(finetune, "cosine_matrix", counting)
         bank, supports, labels, backgrounds = self._toy_inputs(seed=16)
-        finetune_bank(bank, supports, labels, backgrounds, FinetuneConfig(epochs=5))
+        finetune_bank(bank, 3, supports, labels, backgrounds, FinetuneConfig(epochs=5))
         assert calls == []
         # the patch does take effect on the module's lookups
         grad_wrt_prototypes(bank, supports, labels, np.ones(len(labels)))
@@ -363,7 +359,7 @@ class TestFinetuneBank:
 
         monkeypatch.setattr(finetune, "_batch_ce", counting)
         bank, supports, labels, backgrounds = self._toy_inputs(seed=17)
-        finetune_bank(bank, supports, labels, backgrounds, FinetuneConfig(epochs=5))
+        finetune_bank(bank, 3, supports, labels, backgrounds, FinetuneConfig(epochs=5))
         assert calls == [True] * 5 + [False]
 
 
@@ -385,12 +381,12 @@ def _episode_finetune_inputs(ds, n_way, num_background, index=0):
     episode = sample_episode(ds, cfg.episode_spec(derive_episode_seed(cfg.master_seed, index, 0)))
     supports = ds.embeddings[episode.support]
     labels = episode.support_labels
-    bank = build_known_prototypes(supports, labels, cfg.n_way, cfg.k_shot)
+    known = build_known_prototypes(supports, labels, cfg.n_way, cfg.k_shot)
     maps = [(FeatureMap(ds.values[i]), c) for i, c in zip(episode.support, labels)]
-    pairs = procam_for_support(maps, bank, cfg.procam_config(), supports)
+    pairs = procam_for_support(maps, known, cfg.procam_config(), supports)
     backgrounds = np.stack([bg.values for _, bg in pairs])
     seed = derive_episode_seed(cfg.master_seed, index, 1)
-    bank = init_background(bank, "random", num_background, seed, backgrounds)
+    bank = np.vstack([known, init_background(ds.channels, "random", num_background, seed, backgrounds)])
     return bank, supports, labels, backgrounds, cfg
 
 
@@ -402,7 +398,7 @@ def _toy_finetune_inputs(num_background):
     supports = rng.normal(size=(9, 4))
     labels = np.repeat(np.arange(3), 3)
     known = np.stack([supports[labels == c].mean(axis=0) for c in range(3)])
-    bank = PrototypeBank(known, rng.normal(size=(num_background, 4)))
+    bank = np.vstack([known, rng.normal(size=(num_background, 4))])
     cfg = RunConfig(dataset="in-memory", learning_rate=0.05, num_background=num_background)
     return bank, supports, labels, rng.normal(size=(6, 4)), cfg
 
@@ -430,18 +426,18 @@ def _check_against_oracle(monkeypatch, inputs, reassign_each_epoch, freeze_known
         return core(logits, positions, *rest, **kwargs)
 
     monkeypatch.setattr(finetune, "_batch_ce", spy)
-    out, report = finetune_bank(bank, supports, labels, backgrounds, cfg)
+    num_known = len(bank) - run_cfg.num_background
+    out, report = finetune_bank(bank, num_known, supports, labels, backgrounds, cfg)
     expected_pseudo = []
     expected_weights, expected_trace = _oracle_finetune(
-        bank.all_weights(), bank.num_known, list(supports), list(labels), list(backgrounds),
-        cfg, expected_pseudo,
+        bank, num_known, list(supports), list(labels), list(backgrounds), cfg, expected_pseudo,
     )
-    np.testing.assert_allclose(out.all_weights(), expected_weights, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out, expected_weights, rtol=0, atol=1e-12)
     np.testing.assert_allclose(report.per_epoch_totals, expected_trace, rtol=0, atol=1e-12)
     assert seen == expected_pseudo
     assert len(seen) == cfg.epochs + 1
     if freeze_known:
-        np.testing.assert_array_equal(out.known_weights, bank.known_weights)
+        np.testing.assert_array_equal(out[:num_known], bank[:num_known])
 
 
 @pytest.mark.parametrize("num_background", [1, 3])
@@ -474,18 +470,18 @@ class TestEpisodicLoss:
     is the episodic loss of the supports (known) and backgrounds (unknown,
     pseudo-labeled with their nearest background row)."""
 
-    def _loss(self, bank, supports, labels, backgrounds, bkg_loss_weight, temperature):
+    def _loss(self, bank, num_known, supports, labels, backgrounds, bkg_loss_weight, temperature):
         cfg = FinetuneConfig(
             epochs=1, learning_rate=0.0, bkg_loss_weight=bkg_loss_weight, temperature=temperature
         )
-        return finetune_bank(bank, supports, labels, backgrounds, cfg)[1]
+        return finetune_bank(bank, num_known, supports, labels, backgrounds, cfg)[1]
 
     def test_saturated_unknown_selects_nearest_background(self):
         known = np.array([[1.0, 0.0, 0.0]])
         background = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        bank = PrototypeBank(known, background)
+        bank = np.vstack([known, background])
         report = self._loss(
-            bank, np.array([[1.0, 0.0, 0.0]]), np.array([0]), np.array([[0.0, 0.0, 2.0]]),
+            bank, 1, np.array([[1.0, 0.0, 0.0]]), np.array([0]), np.array([[0.0, 0.0, 2.0]]),
             bkg_loss_weight=1.0, temperature=500.0,
         )
         # pseudo-label must be background row 1; with huge temperature its CE -> 0
@@ -495,12 +491,12 @@ class TestEpisodicLoss:
         rng = np.random.default_rng(10)
         known = rng.normal(size=(4, 6))
         background = rng.normal(size=(2, 6))
-        bank = PrototypeBank(known, background)
+        bank = np.vstack([known, background])
         kq = [(rng.normal(size=6), int(rng.integers(0, 4))) for _ in range(7)]
         uq = rng.normal(size=(5, 6))
         temperature, lam = 10.0, 0.05
         report = self._loss(
-            bank, np.array([q for q, _ in kq]), np.array([lab for _, lab in kq]), uq, lam, temperature
+            bank, 4, np.array([q for q, _ in kq]), np.array([lab for _, lab in kq]), uq, lam, temperature
         )
         rows = np.vstack([known, background])
 

@@ -19,7 +19,7 @@ from fsosr.finetune import finetune_bank, gradcheck_command, gradcheck_report
 from fsosr.metrics import accuracy, auroc
 from fsosr.pipeline import RunConfig, evaluate_episode, run_eval, validate_dataset_for_config
 from fsosr.procam import ProCamConfig, procam_for_support
-from fsosr import cli, pipeline
+from fsosr import cli, finetune, pipeline
 
 
 def small_cfg(path, **kw):
@@ -77,15 +77,16 @@ class TestRunEval:
             episode = sample_episode(ds, cfg.episode_spec(seed))
             sup = ds.embeddings[episode.support]
             labels = episode.support_labels
-            bank = build_known_prototypes(sup, labels, cfg.n_way, cfg.k_shot)
+            known = build_known_prototypes(sup, labels, cfg.n_way, cfg.k_shot)
             maps = [(FeatureMap(ds.values[i]), c) for i, c in zip(episode.support, labels)]
-            pairs = procam_for_support(maps, bank, cfg.procam_config(), sup)
+            pairs = procam_for_support(maps, known, cfg.procam_config(), sup)
             bgs = np.stack([b.values for _, b in pairs])
             init_seed = derive_episode_seed(cfg.master_seed, index, 1)
-            bank = init_background(bank, "random", cfg.num_background, init_seed, bgs)
-            bank, _ = finetune_bank(bank, sup, labels, bgs, cfg.finetune_config())
-            rows, ks = predict(bank, ds.embeddings[episode.known_queries], cfg.score_kind)
-            _, us = predict(bank, ds.embeddings[episode.unknown_queries], cfg.score_kind)
+            background = init_background(ds.channels, "random", cfg.num_background, init_seed, bgs)
+            bank = np.vstack([known, background])
+            bank, _ = finetune_bank(bank, cfg.n_way, sup, labels, bgs, cfg.finetune_config())
+            rows, ks = predict(bank, cfg.n_way, ds.embeddings[episode.known_queries], cfg.score_kind)
+            _, us = predict(bank, cfg.n_way, ds.embeddings[episode.unknown_queries], cfg.score_kind)
             truths = episode.known_labels
             row = bundle.episodes[index]
             assert row["seed"] == seed
@@ -176,6 +177,22 @@ class TestRunEval:
         assert last["bank"]["background_weights"] == last["background"].tolist()
         assert len(last["loss"]["per_epoch_totals"]) == 21
 
+    @pytest.mark.parametrize(
+        "setting",
+        [{}, dict(use_procam_finetune=False), dict(init_kind="global")],
+        ids=["full", "no-finetune", "global"],
+    )
+    def test_record_background_owns_its_data(self, benchmark_dataset, setting):
+        # a view of the episode's bank would keep the whole bank alive with
+        # every record a run holds
+        path, ds, _ = benchmark_dataset
+        cfg = small_cfg(path, num_background=3, **setting)
+        first = evaluate_episode(ds, cfg, 0)
+        second = evaluate_episode(ds, cfg, 1, first["background"])
+        for record in (first, second):
+            assert record["background"].shape == (3, ds.channels)
+            assert record["background"].base is None
+
     def test_ablation_ladder_all_rungs_run(self, benchmark_dataset):
         path, _, _ = benchmark_dataset
         rungs = [
@@ -250,6 +267,26 @@ class TestRunEval:
         with pytest.raises(ValueError, match="num_background"):
             small_cfg(path, num_background=0, use_background_classes=True)
 
+    def test_avg_init_needs_a_mined_background_per_row(self, benchmark_dataset):
+        path, ds, _ = benchmark_dataset
+        with pytest.raises(ValueError, match=r"num_background must be <= 25 \(got 26\)"):
+            small_cfg(path, init_kind="avg", num_background=26)
+        # the most it allows runs; without background rows the count is unused
+        cfg = small_cfg(path, init_kind="avg", num_background=25, num_episodes=1)
+        assert evaluate_episode(ds, cfg, 0)["background"].shape == (25, ds.channels)
+        small_cfg(path, init_kind="avg", num_background=26, use_background_classes=False)
+
+    def test_stage_configs_built_once(self, benchmark_dataset):
+        path, _, _ = benchmark_dataset
+        cfg = small_cfg(path, epochs=3, iterations=2)
+        assert cfg.procam_config() is cfg.procam_config()
+        assert cfg.finetune_config() is cfg.finetune_config()
+        assert (cfg.procam_config().iterations, cfg.finetune_config().epochs) == (2, 3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.epochs = 5
+        # a changed copy builds its own
+        assert dataclasses.replace(cfg, epochs=5).finetune_config().epochs == 5
+
     @pytest.mark.parametrize(
         "setting, message",
         [
@@ -282,8 +319,10 @@ class TestGradcheck:
         # the 1e-4 threshold on the default run
         assert gradcheck_report(seed=0)["prototype_gradient"] < 1e-5
 
-    def test_perturbed_gradient_fails(self, capsys):
-        code = gradcheck_command(seed=1, trials=2, perturb=1e-2)
+    def test_perturbed_gradient_fails(self, capsys, monkeypatch):
+        exact = finetune.grad_wrt_prototypes
+        monkeypatch.setattr(finetune, "grad_wrt_prototypes", lambda *a: exact(*a) + 1e-2)
+        code = gradcheck_command(seed=1, trials=2)
         assert code == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
@@ -416,6 +455,11 @@ class TestCli:
             (["gradcheck", "--trials", "0"], "trials must be >= 1"),
             (["gradcheck", "--trials", "-2"], "trials must be >= 1"),
             (["gradcheck", "--seed", "-1"], "seed must be >= 0"),
+            (
+                ["eval", "--init", "avg", "--n-background", "30"],
+                "avg initialization averages the n_way * k_shot = 25 mined backgrounds, "
+                "so num_background must be <= 25 (got 30)",
+            ),
         ],
     )
     def test_rejected_setting_is_a_usage_error(

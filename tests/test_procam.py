@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from fsosr.classifier import PrototypeBank, build_known_prototypes
+from fsosr.classifier import build_known_prototypes
 from fsosr.episode import SyntheticConfig, generate_synthetic
 from fsosr.featmap import FeatureMap, minmax_norm, spatial_avg_pool
 from fsosr.procam import ProCamConfig, _mine, cam, mask_iou, procam, procam_for_support
@@ -179,11 +179,11 @@ class TestProcamInvariants:
                 assert np.mean(fg_means) > np.mean(bkg_means), f"class {c}, tau {tau}"
 
 
-def _mine_supports(supports, bank, cfg):
+def _mine_supports(supports, known, cfg):
     """procam_for_support with the supports' pooled rows as the caller's
     foregrounds."""
     pooled = spatial_avg_pool(np.stack([fmap.values for fmap, _ in supports]))
-    return procam_for_support(supports, bank, cfg, pooled)
+    return procam_for_support(supports, known, cfg, pooled)
 
 
 class TestBackgroundEmbedding:
@@ -193,7 +193,7 @@ class TestBackgroundEmbedding:
         # constant activation map -> degenerate range -> zero mask -> no-op
         fvals = np.ones((3, 3, 4)) * np.arange(1.0, 5.0)
         f = FeatureMap(fvals)
-        [(_, bg)] = _mine_supports([(f, 0)], PrototypeBank(np.ones((1, 4))), ProCamConfig(iterations=2))
+        [(_, bg)] = _mine_supports([(f, 0)], np.ones((1, 4)), ProCamConfig(iterations=2))
         np.testing.assert_allclose(bg.values, spatial_avg_pool(fvals), atol=1e-12)
 
     def test_full_mask_gives_zero_vector(self):
@@ -201,7 +201,7 @@ class TestBackgroundEmbedding:
         fvals = np.zeros((2, 2, 3))
         fvals[0, 1] = np.random.default_rng(9).uniform(1.0, 2.0, size=3)
         [(_, bg)] = _mine_supports(
-            [(FeatureMap(fvals), 0)], PrototypeBank(np.ones((1, 3))), ProCamConfig(iterations=2)
+            [(FeatureMap(fvals), 0)], np.ones((1, 3)), ProCamConfig(iterations=2)
         )
         np.testing.assert_array_equal(bg.values, np.zeros(3))
 
@@ -210,7 +210,7 @@ class TestBackgroundEmbedding:
         f = FeatureMap(rng.normal(size=(4, 4, 5)))
         w = rng.normal(size=5)
         cfg = ProCamConfig(iterations=2)
-        [(_, bg)] = _mine_supports([(f, 0)], PrototypeBank(w[None]), cfg)
+        [(_, bg)] = _mine_supports([(f, 0)], w[None], cfg)
         np.testing.assert_allclose(bg.values, procam(f, w, cfg).background, atol=1e-12)
 
 
@@ -218,8 +218,7 @@ class TestProcamForSupport:
     def test_degenerate_cam_keeps_foreground_embedding(self):
         fvals = np.ones((3, 3, 2))
         supports = [(FeatureMap(fvals), 0)]
-        bank = PrototypeBank(np.array([[1.0, 1.0]]))
-        pairs = _mine_supports(supports, bank, ProCamConfig(iterations=2))
+        pairs = _mine_supports(supports, np.array([[1.0, 1.0]]), ProCamConfig(iterations=2))
         fg, bg = pairs[0]
         np.testing.assert_allclose(fg.values, bg.values, atol=1e-12)
 
@@ -231,7 +230,7 @@ class TestProcamForSupport:
             fvals = np.zeros((3, 3, d))
             fvals[c, c, c] = 4.0
             supports.append((FeatureMap(fvals), c))
-        pairs = _mine_supports(supports, PrototypeBank(bank_rows), ProCamConfig(iterations=1))
+        pairs = _mine_supports(supports, bank_rows, ProCamConfig(iterations=1))
         for c, (fg, bg) in enumerate(pairs):
             assert fg.values[c] == pytest.approx(4.0 / 9)
             assert bg.values[c] == pytest.approx(0.0, abs=1e-12)
@@ -241,11 +240,11 @@ class TestProcamForSupport:
         ds, _ = generate_synthetic(cfg)
         supports = [(FeatureMap(ds.values[i]), c) for c in range(5) for i in ds.class_index[c][:5]]
         pooled = spatial_avg_pool(np.stack([f.values for f, _ in supports]))
-        bank = build_known_prototypes(pooled, np.array([c for _, c in supports]), 5, 5)
+        known = build_known_prototypes(pooled, np.array([c for _, c in supports]), 5, 5)
         pc = ProCamConfig(iterations=4)
-        pairs = _mine_supports(supports, bank, pc)
+        pairs = _mine_supports(supports, known, pc)
         for (fmap, label), (fg, bg) in zip(supports, pairs):
-            result = procam(fmap, bank.known_weights[label], pc)
+            result = procam(fmap, known[label], pc)
             np.testing.assert_allclose(fg.values, spatial_avg_pool(fmap.values), atol=1e-12)
             np.testing.assert_allclose(bg.values, result.background, atol=1e-12)
 
@@ -259,8 +258,8 @@ class TestProcamForSupport:
         # maximum of every later pass.
         rng = np.random.default_rng(11)
         d = 6
-        bank = PrototypeBank(rng.normal(size=(3, d)))
-        w = bank.known_weights[1]
+        known = rng.normal(size=(3, d))
+        w = known[1]
         peaked = -rng.uniform(0.5, 1.0, size=(4, 5))
         peaked[2, 3] = 3.0
         maps = [
@@ -272,12 +271,12 @@ class TestProcamForSupport:
         ]
         labels = [0, 1, 0, 2, 1]
         cfg = ProCamConfig(iterations=4, norm_kind=norm_kind)
-        pairs = _mine_supports([(FeatureMap(m), c) for m, c in zip(maps, labels)], bank, cfg)
-        masks, backgrounds, trace = _mine(np.stack(maps), bank.known_weights[labels], cfg)
+        pairs = _mine_supports([(FeatureMap(m), c) for m, c in zip(maps, labels)], known, cfg)
+        masks, backgrounds, trace = _mine(np.stack(maps), known[labels], cfg)
         assert backgrounds.shape == (len(maps), d)
         for i, (fvals, label, (fg, bg)) in enumerate(zip(maps, labels, pairs)):
             final, background, steps = _loop_oracle(
-                fvals, bank.known_weights[label], 4, softmax=norm_kind == "softmax"
+                fvals, known[label], 4, softmax=norm_kind == "softmax"
             )
             np.testing.assert_allclose(masks[i], final, rtol=0, atol=1e-12)
             for step, expected in zip(trace, steps):
@@ -297,7 +296,7 @@ class TestProcamForSupport:
         supports = [(FeatureMap(rng.normal(size=(3, 3, 4))), c) for c in (0, 1, 0)]
         rows = rng.normal(size=(3, 4))
         pairs = procam_for_support(
-            supports, PrototypeBank(rng.normal(size=(2, 4))), ProCamConfig(iterations=2), rows
+            supports, rng.normal(size=(2, 4)), ProCamConfig(iterations=2), rows
         )
         for row, (fg, _) in zip(rows, pairs):
             assert np.shares_memory(fg.values, rows)
@@ -311,15 +310,12 @@ class TestProcamForSupport:
         rng = np.random.default_rng(13)
         supports = [(FeatureMap(rng.normal(size=(3, 3, 4))), c) for c in (0, 1, 0)]
         with pytest.raises(ValueError, match=re.escape(f"foregrounds need shape (3, 4), got {shape}")):
-            procam_for_support(
-                supports, PrototypeBank(np.eye(2, 4)), ProCamConfig(), np.ones(shape)
-            )
+            procam_for_support(supports, np.eye(2, 4), ProCamConfig(), np.ones(shape))
 
     def test_missing_prototype_raises(self):
-        bank = PrototypeBank(np.eye(2))
         supports = [(FeatureMap(np.ones((2, 2, 2))), 5)]
         with pytest.raises(ValueError, match="class 5"):
-            _mine_supports(supports, bank, ProCamConfig())
+            _mine_supports(supports, np.eye(2), ProCamConfig())
 
 
 class TestMaskIou:
