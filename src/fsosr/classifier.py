@@ -93,10 +93,10 @@ def init_background(
 
 
 def row_norms(matrix: np.ndarray, what: str) -> np.ndarray:
-    """Euclidean norm of every row of the matrix. A zero or non-finite norm
-    (a finite row whose sum of squares overflows included) is an error that
-    reads "{what} {row} has zero/non-finite norm"."""
-    return check_norms(np.linalg.norm(matrix, axis=1), what)
+    """Euclidean norm of every row of the matrix, the root of its dot with
+    itself. A zero or non-finite norm (a finite row whose sum of squares
+    overflows included) is an error that reads "{what} {row} has zero/non-finite norm"."""
+    return check_norms(np.sqrt(np.vecdot(matrix, matrix)), what)
 
 
 def check_norms(n: np.ndarray, what: str) -> np.ndarray:
@@ -112,10 +112,11 @@ def cosine_matrix(
     weights: np.ndarray, queries: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unclipped cosine similarities, queries x rows, plus the row norms of
-    the weights and of the queries. A row whose norm is zero or not finite is
-    an error that names it."""
+    the weights and of the queries: the raw queries times the unit rows, each
+    score divided by its query's norm. A row whose norm is zero or not finite
+    is an error that names it."""
     wn, qn = row_norms(weights, "prototype row"), row_norms(queries, "query")
-    return (queries / qn[:, None]) @ (weights / wn[:, None]).T, wn, qn
+    return queries @ (weights / wn[:, None]).T / qn[:, None], wn, qn
 
 
 def predict(

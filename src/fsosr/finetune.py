@@ -137,7 +137,7 @@ def grad_wrt_prototypes(
     g = temperature * scores.T
     _batch_ce(g, _label_positions(labels), item_weights)
     along = np.vecdot(g, scores.T) / wn
-    return (temperature / wn)[:, None] * (g @ (embeddings / qn[:, None]) - along[:, None] * weights)
+    return (temperature / wn)[:, None] * ((g / qn) @ embeddings - along[:, None] * weights)
 
 
 def finetune_bank(
@@ -163,7 +163,7 @@ def finetune_bank(
     the reported losses are the group means, so the reported total is the
     step objective divided by the support count when groups are equal-sized.
 
-    The batch never changes, so it is normalized once; a zero or non-finite
+    The batch never changes, so its norms are taken once; a zero or non-finite
     norm names the support or background item. The weight row norms checked
     after each step divide the next epoch's scores; a zero or non-finite one
     names the joint row and the epoch of the step.
@@ -178,10 +178,9 @@ def finetune_bank(
     if sup_labels.min() < 0 or sup_labels.max() >= num_known:
         raise ValueError(f"support labels must lie in [0, {num_known})")
 
-    unit = np.concatenate([
-        embeddings / row_norms(embeddings, "support")[:, None],
-        backgrounds / row_norms(backgrounds, "background")[:, None],
-    ])
+    # the raw batch rows and their inverse norms: unit = inv[:, None] * raw
+    raw = np.concatenate([embeddings, backgrounds])
+    inv = 1.0 / np.concatenate([row_norms(embeddings, "support"), row_norms(backgrounds, "background")])
     # the step descends the summed batch loss: weight 1 per support item,
     # bkg_loss_weight per background item, both times the learning rate, so
     # the gradient comes out of _batch_ce scaled for the step; the reported
@@ -194,11 +193,12 @@ def finetune_bank(
     # Every step adds a combination of the unit batch rows to each moving
     # row and rescales it, so weights = scale * weights0 + coef @ unit holds
     # exactly, and each epoch needs only the batch's Gram matrix and the
-    # initial rows' dots with it: O(n^2 rows), not O(n dim rows). Dots,
-    # logits and coefficients are laid out rows x items.
+    # initial rows' dots with it: O(n^2 rows), not O(n dim rows). Both come
+    # from the raw rows, scaled by inv on the batch's side. Dots, logits and
+    # coefficients are laid out rows x items.
     weights = np.array(bank, dtype=np.float64)  # the copy the steps write
     lo = num_known if cfg.freeze_known else 0  # rows [lo, num_rows) move
-    gram, proj = unit @ unit.T, weights @ unit.T
+    gram, proj = inv[:, None] * (raw @ raw.T) * inv, (weights @ raw.T) * inv
     sq = (weights * weights).sum(axis=1)
     wn = check_norms(np.sqrt(sq), "before fine-tuning, prototype row")
     # tw = temperature / |w| scales each row's dots into its logits
@@ -242,8 +242,8 @@ def finetune_bank(
         if np.abs(scale).max() > REBASE_SCALE:
             # the rows have turned far enough that scale * weights0 and
             # coef @ unit nearly cancel; carry on from the rows themselves
-            weights_m[:] = scale_col * weights_m + coef @ unit
-            proj_m[:] = weights_m @ unit.T
+            weights_m[:] = scale_col * weights_m + (coef * inv) @ raw
+            proj_m[:] = (weights_m @ raw.T) * inv
             sq_m[:] = (weights_m * weights_m).sum(axis=1)
             scale[:] = 1.0
             coef[:] = 0.0
@@ -258,7 +258,7 @@ def finetune_bank(
         if not (wn_m.min() > EPS_NORM and math.isfinite(wn_m.sum())):
             check_norms(wn, f"after the fine-tune step at epoch {epoch} "
                             f"(learning rate {lr!r}), prototype row")
-    weights_m[:] = scale_col * weights_m + coef @ unit
+    weights_m[:] = scale_col * weights_m + (coef * inv) @ raw
 
     report = LossReport(float(ce[:n_sup].mean()), float(ce[n_sup:].mean()), trace[-1], tuple(trace))
     return weights, report

@@ -200,10 +200,10 @@ def evaluate_episode(
 ) -> dict:
     """Run the full pipeline for episode `index` and return a plain record:
     sample, build known prototypes, mine backgrounds, init and fine-tune the
-    background rows, then score the known and the unknown queries, each group
-    as one matrix. The background rows start from `carried` when given (the
-    previous episode's rows under init=global), else from init_background with
-    the episode's own seed; the record's "background" holds their final
+    background rows, then score the known queries and the unknown ones after
+    them as one matrix. The background rows start from `carried` when given
+    (the previous episode's rows under init=global), else from init_background
+    with the episode's own seed; the record's "background" holds their final
     values in an array of its own. Only the last episode of a run with
     dump_last_bank serialises its bank and loss report. Any failure is
     re-raised as a RuntimeError naming the episode index and sample seed,
@@ -239,17 +239,15 @@ def evaluate_episode(
 
         # a copy: a view would keep every episode's whole bank alive in the records
         background = bank[cfg.n_way :].copy()
-        rows, known_scores = predict(
-            bank, cfg.n_way, ds.embeddings[episode.known_queries], cfg.score_kind
-        )
-        _, unknown_scores = predict(
-            bank, cfg.n_way, ds.embeddings[episode.unknown_queries], cfg.score_kind
-        )
+        n_known = len(episode.known_queries)
+        queries = np.concatenate([episode.known_queries, episode.unknown_queries])
+        rows, scores = predict(bank, cfg.n_way, ds.embeddings[queries], cfg.score_kind)
+        known_scores, unknown_scores = scores[:n_known], scores[n_known:]
         dump = cfg.dump_last_bank and index == cfg.num_episodes - 1
         return {
             "episode": index,
             "seed": sample_seed,
-            "accuracy": accuracy(rows, episode.known_labels),
+            "accuracy": accuracy(rows[:n_known], episode.known_labels),
             "auroc": auroc(known_scores, unknown_scores),
             "known_scores": known_scores,
             "unknown_scores": unknown_scores,

@@ -44,12 +44,16 @@ class ProCamResult:
 
 
 def cam(f: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Per-location weighted channel sum over the trailing axes: the raw
-    activation maps (..., H, W) of features (..., H, W, d) for the classes
-    whose classifier weights are w (..., d), before any normalization."""
+    """Per-location weighted channel sum over the trailing axes, one matmul
+    of each map's (H*W, d) cells: the raw activation maps (..., H, W) of
+    features (..., H, W, d) for the classes whose classifier weights are w
+    (..., d), before any normalization."""
+    if f.ndim < 3:
+        raise ValueError(f"features need shape (..., H, W, d), got {f.shape}")
     if w.shape[-1] != f.shape[-1]:
         raise ValueError(f"weight dim {w.shape[-1]} does not match feature channels {f.shape[-1]}")
-    return np.einsum("...hwd,...d->...hw", f, w)
+    out = f.reshape(*f.shape[:-3], -1, f.shape[-1]) @ w[..., None]
+    return out.reshape(*out.shape[:-2], *f.shape[-3:-1])
 
 
 def _mine(
@@ -64,9 +68,10 @@ def _mine(
     channel sum, cam(f * (1 - m), w) = (1 - m) * cam(f, w), so one cam is scaled
     in place of masked copies of the features. The per-iteration masks are summed
     and min-max normalized into the final masks; the background embeddings are
-    the spatial means of the features suppressed by them. Every normalization
-    is per map. Returns the (n, H, W) final masks, the (n, d) background
-    embeddings and the per-iteration (n, H, W) masks.
+    the spatial means of the features suppressed by them, one matmul per map
+    over its (H*W, d) cells. Every normalization is per map. Returns the
+    (n, H, W) final masks, the (n, d) background embeddings and the
+    per-iteration (n, H, W) masks.
     """
     activation = cam(stack, weights)
     trace: list[np.ndarray] = []
@@ -78,8 +83,8 @@ def _mine(
         trace.append(step)
         activation = activation * (1.0 - step)
     final_masks = minmax_norm(sum(trace))
-    cells = final_masks.shape[-2] * final_masks.shape[-1]
-    backgrounds = np.einsum("nhw,nhwd->nd", 1.0 - final_masks, stack) / cells
+    n, h, w, d = stack.shape
+    backgrounds = ((1.0 - final_masks).reshape(n, 1, h * w) @ stack.reshape(n, h * w, d))[:, 0] / (h * w)
     return final_masks, backgrounds, trace
 
 

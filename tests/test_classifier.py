@@ -154,6 +154,21 @@ class TestCosineScores:
             for j, row in enumerate(rows):
                 assert scores[i, j] == pytest.approx(scalar_cosine(row, q), abs=1e-12)
 
+    @pytest.mark.parametrize("dim", [64, 640])
+    def test_matches_normalized_product_oracle(self, dim):
+        # the scores are the raw queries against the unit rows, divided by the
+        # query norms afterwards; the formula that normalizes both sides first
+        # agrees to rounding, at any scale of either side
+        rng = np.random.default_rng(dim)
+        for scale_w, scale_q in ((1.0, 1.0), (1e-3, 250.0), (40.0, 0.02)):
+            rows = scale_w * rng.normal(size=(11, dim))
+            queries = scale_q * rng.normal(size=(150, dim))
+            expected = (queries / np.linalg.norm(queries, axis=1)[:, None]) @ (
+                rows / np.linalg.norm(rows, axis=1)[:, None]
+            ).T
+            scores, _, _ = cosine_matrix(rows, queries)
+            np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-15)
+
     def test_scores_within_cosine_range(self):
         rng = np.random.default_rng(3)
         scores, _, _ = cosine_matrix(rng.normal(size=(3, 5)), rng.normal(size=(4, 5)))

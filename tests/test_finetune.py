@@ -465,6 +465,73 @@ def test_wide_and_rank_deficient_inputs_match_oracle(
     _check_against_oracle(monkeypatch, inputs, reassign_each_epoch, freeze_known)
 
 
+def _unit_row_reference(bank, num_known, supports, labels, backgrounds, cfg):
+    """The fine-tune loop written on a normalized batch: each epoch takes the
+    cosines of the unit support and background rows against the current
+    rows and steps the rows themselves along the summed-loss gradient. No
+    coefficients, no Gram matrix, no re-base. Returns the rows and the loss
+    curve."""
+    unit = np.concatenate([supports, backgrounds])
+    unit = unit / np.linalg.norm(unit, axis=1)[:, None]
+    n_sup, n_bkg = len(supports), len(backgrounds)
+    lam, lr, t = cfg.bkg_loss_weight, cfg.learning_rate, cfg.temperature
+    step_weights = np.concatenate([np.full(n_sup, lr), np.full(n_bkg, lr * lam)])
+    mean_weights = np.concatenate([np.full(n_sup, 1.0 / n_sup), np.full(n_bkg, lam / n_bkg)])
+    targets = np.concatenate([labels, np.zeros(n_bkg, dtype=int)])
+    items = np.arange(n_sup + n_bkg)
+    w, lo, trace = np.array(bank, dtype=np.float64), num_known if cfg.freeze_known else 0, []
+    for epoch in range(cfg.epochs + 1):
+        wn = np.linalg.norm(w, axis=1)
+        cos = unit @ (w / wn[:, None]).T  # items x rows
+        if epoch == 0 or cfg.reassign_each_epoch:
+            targets[n_sup:] = num_known + np.argmax(cos[n_sup:, num_known:], axis=1)
+        z = t * cos - (t * cos).max(axis=1, keepdims=True)
+        p = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+        trace.append(float(-np.log(p[items, targets]) @ mean_weights))
+        if epoch == cfg.epochs:
+            break
+        g = p.copy()
+        g[items, targets] -= 1.0
+        g *= step_weights[:, None]
+        along = (g * cos).sum(axis=0)[:, None] * w / wn[:, None]
+        w[lo:] -= ((t / wn)[:, None] * (g.T @ unit - along))[lo:]
+    return w, trace
+
+
+def _check_against_unit_rows(inputs, reassign_each_epoch, freeze_known):
+    bank, supports, labels, backgrounds, run_cfg = inputs
+    cfg = dataclasses.replace(
+        run_cfg.finetune_config(), reassign_each_epoch=reassign_each_epoch, freeze_known=freeze_known
+    )
+    num_known = len(bank) - run_cfg.num_background
+    out, report = finetune_bank(bank, num_known, supports, labels, backgrounds, cfg)
+    want, want_trace = _unit_row_reference(bank, num_known, supports, labels, backgrounds, cfg)
+    norms = np.linalg.norm(want, axis=1)
+    assert np.all(np.abs(out - want).max(axis=1) <= 1e-14 * norms)
+    np.testing.assert_allclose(report.per_epoch_totals, want_trace, rtol=1e-14, atol=0)
+    return out, cfg
+
+
+@pytest.mark.parametrize("reassign_each_epoch", [True, False])
+@pytest.mark.parametrize("freeze_known", [False, True])
+def test_episode_inputs_match_unit_row_reference(benchmark_dataset, reassign_each_epoch, freeze_known):
+    # finetune_bank takes its Gram matrix, projections and final rows from the
+    # raw batch rows scaled by their inverse norms; a loop on unit rows agrees
+    # to rounding
+    inputs = _episode_finetune_inputs(benchmark_dataset[1], 5, 3)
+    _check_against_unit_rows(inputs, reassign_each_epoch, freeze_known)
+
+
+def test_rebasing_run_matches_unit_row_reference(monkeypatch):
+    inputs = _toy_finetune_inputs(3)
+    out, cfg = _check_against_unit_rows(inputs, True, False)
+    # the run re-based: without re-basing the same steps round differently
+    monkeypatch.setattr(finetune, "REBASE_SCALE", np.inf)
+    bank, supports, labels, backgrounds, _ = inputs
+    unbased, _ = finetune_bank(bank, 3, supports, labels, backgrounds, cfg)
+    assert not np.array_equal(out, unbased)
+
+
 class TestEpisodicLoss:
     """With a zero learning rate the rows never move, so finetune_bank's report
     is the episodic loss of the supports (known) and backgrounds (unknown,

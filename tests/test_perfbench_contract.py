@@ -58,6 +58,8 @@ def test_traced_run_records_mining_and_loss_curves(spans, benchmark_dataset, tmp
     # rows of the pooled matrix and call no pooling at all
     assert report["featmap.pool_calls"] == 0
     assert report["finetune.epochs"] == cfg.epochs
+    # the known and the unknown queries of an episode are scored in one call
+    assert report["classifier.predict_calls"] == 1
     assert report["pipeline.bundle_bytes"] > 0
     # accuracy and auroc once per episode on its arrays, aggregate once per run
     names = [span.name for span in tracer.spans]

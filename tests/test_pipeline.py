@@ -122,6 +122,38 @@ class TestRunEval:
             pooled = spatial_avg_pool(np.stack([m.values for m, _ in supports], dtype=np.float64))
             assert np.stack([fg.values for fg, _ in pairs]).tobytes() == pooled.tobytes()
 
+    @pytest.mark.parametrize("setting", [{}, {"use_background_classes": False}])
+    def test_each_episode_scored_in_one_pass(self, benchmark_dataset, monkeypatch, setting):
+        # known and unknown queries go to predict as one gathered matrix, the
+        # known ones first; its rows split into what scoring each group alone gives
+        ds = benchmark_dataset[1]
+        calls = []
+        inner = pipeline.predict
+
+        def spy(bank, num_known, queries, score_kind):
+            calls.append((bank, num_known, queries, score_kind))
+            return inner(bank, num_known, queries, score_kind)
+
+        monkeypatch.setattr(pipeline, "predict", spy)
+        cfg = small_cfg("in-memory", num_episodes=3, **setting)
+        records = [evaluate_episode(ds, cfg, index) for index in range(3)]
+        assert len(calls) == 3
+        for index, (bank, num_known, queries, score_kind), record in zip(range(3), calls, records):
+            seed = derive_episode_seed(cfg.master_seed, index, 0)
+            episode = sample_episode(ds, cfg.episode_spec(seed))
+            n_known = len(episode.known_queries)
+            known, unknown = ds.embeddings[episode.known_queries], ds.embeddings[episode.unknown_queries]
+            np.testing.assert_array_equal(queries, np.concatenate([known, unknown]))
+            rows, scores = inner(bank, num_known, queries, score_kind)
+            known_rows, known_scores = inner(bank, num_known, known, score_kind)
+            _, unknown_scores = inner(bank, num_known, unknown, score_kind)
+            np.testing.assert_array_equal(rows[:n_known], known_rows)
+            np.testing.assert_allclose(scores[:n_known], known_scores, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(scores[n_known:], unknown_scores, rtol=0, atol=1e-15)
+            assert record["known_scores"].tobytes() == scores[:n_known].tobytes()
+            assert record["unknown_scores"].tobytes() == scores[n_known:].tobytes()
+            assert record["accuracy"] == accuracy(known_rows, episode.known_labels)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_non_finite_norm_fails_with_episode_context(self, benchmark_dataset, workers):
         path, _, _ = benchmark_dataset

@@ -5,7 +5,7 @@ import pytest
 
 from fsosr.classifier import build_known_prototypes
 from fsosr.episode import SyntheticConfig, generate_synthetic
-from fsosr.featmap import FeatureMap, minmax_norm, spatial_avg_pool
+from fsosr.featmap import FeatureMap, minmax_norm, spatial_avg_pool, spatial_softmax
 from fsosr.procam import ProCamConfig, _mine, cam, mask_iou, procam, procam_for_support
 
 
@@ -34,6 +34,20 @@ def _loop_oracle(fvals, wvals, iterations, softmax=False):
     return final, fvals * (1.0 - final)[:, :, None], steps
 
 
+def _einsum_mine(stack, weights, cfg):
+    """_mine with both contractions written as einsums over the (n, H, W, d)
+    stack: the reference the per-map matmuls are checked against."""
+    activation = np.einsum("...hwd,...d->...hw", stack, weights)
+    trace = []
+    for _ in range(cfg.iterations):
+        step = minmax_norm(activation) if cfg.norm_kind == "minmax" else spatial_softmax(activation)
+        trace.append(step)
+        activation = activation * (1.0 - step)
+    final = minmax_norm(sum(trace))
+    cells = final.shape[-2] * final.shape[-1]
+    return final, np.einsum("nhw,nhwd->nd", 1.0 - final, stack) / cells, trace
+
+
 class TestCam:
     def test_one_hot_selects_channel(self):
         rng = np.random.default_rng(0)
@@ -59,9 +73,58 @@ class TestCam:
                 expected = sum(w[c] * fvals[a, b, c] for c in range(4))
                 assert out[a, b] == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("shape", [(8, 8, 64), (25, 8, 8, 64), (5, 5, 640), (50, 5, 5, 640)])
+    def test_matches_einsum_oracle(self, shape):
+        # one matmul per map over its (H*W, d) cells; the channel sums agree
+        # with the einsum contraction to rounding, relative to |cell| |w|
+        rng = np.random.default_rng(shape[-1])
+        f = rng.normal(size=shape)
+        w = rng.normal(size=shape[:-3] + shape[-1:])
+        out = cam(f, w)
+        expected = np.einsum("...hwd,...d->...hw", f, w)
+        assert out.shape == expected.shape == shape[:-1]
+        scale = np.linalg.norm(f, axis=-1) * np.linalg.norm(w, axis=-1)[..., None, None]
+        assert np.all(np.abs(out - expected) <= 1e-13 * scale)
+
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
             cam(np.zeros((2, 2, 3)), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="does not match"):
+            cam(np.zeros((4, 2, 2, 3)), np.ones((4, 2)))
+
+    def test_fewer_than_three_axes_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("need shape (..., H, W, d), got (4, 3)")):
+            cam(np.zeros((4, 3)), np.ones(3))
+
+
+class TestMineMatchesEinsum:
+    """_mine's per-map matmuls (the activation maps and the background
+    contraction) against the einsum contractions they replace: masks within
+    1e-13, backgrounds within 1e-13 of their row norms. The weights are scaled
+    by 1/sqrt(d) so activations stay of order one, as on the synthetic data."""
+
+    @pytest.mark.parametrize("norm_kind", ["minmax", "softmax"])
+    @pytest.mark.parametrize(
+        "shape,flat", [((1, 8, 8, 64), False), ((25, 8, 8, 64), True), ((50, 5, 5, 640), True)]
+    )
+    def test_masks_and_backgrounds(self, shape, flat, norm_kind):
+        rng = np.random.default_rng(shape[0])
+        stack = rng.normal(size=shape)
+        if flat:  # every cell of one map holds the same features
+            stack[3] = stack[3, :1, :1]
+        weights = rng.normal(size=(shape[0], shape[-1])) / np.sqrt(shape[-1])
+        cfg = ProCamConfig(iterations=4, norm_kind=norm_kind)
+        masks, backgrounds, trace = _mine(stack, weights, cfg)
+        want_masks, want_backgrounds, want_trace = _einsum_mine(stack, weights, cfg)
+        np.testing.assert_allclose(masks, want_masks, rtol=0, atol=1e-13)
+        assert len(trace) == len(want_trace) == 4
+        for step, want in zip(trace, want_trace):
+            np.testing.assert_allclose(step, want, rtol=0, atol=1e-13)
+        norms = np.linalg.norm(want_backgrounds, axis=1)
+        assert np.all(np.abs(backgrounds - want_backgrounds).max(axis=1) <= 1e-13 * norms)
+        if flat:
+            assert not masks[3].any()
+            np.testing.assert_allclose(backgrounds[3], stack[3, 0, 0], rtol=1e-13)
 
 
 class TestProcam:
