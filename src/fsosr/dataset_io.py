@@ -12,7 +12,9 @@ FSOF layout (all integers little-endian):
 
 Values are stored as 32-bit floats and held in memory at that precision, so a
 round trip is lossless; pooling and mining widen them to double precision
-where they compute.
+where they compute. The reader makes one pass: each chunk of items is read
+straight into the dataset's tensor and pooled while in cache, and finiteness
+is checked on the pooled rows.
 """
 
 from __future__ import annotations
@@ -27,12 +29,16 @@ from pathlib import Path
 import numpy as np
 
 from .episode import FeatureDataset
+from .featmap import spatial_avg_pool
 
 MAGIC = b"FSOF"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHI")
 _ITEM_HEADER = struct.Struct("<IHHH")
+_ITEM_HEADER_DTYPE = np.dtype([("label", "<u4"), ("shape", "<u2", 3)])  # as an array row
 CHUNK_BYTES = 1 << 18  # how much of the file read_dataset and write_dataset hold at a time
+# one preadv takes at most SC_IOV_MAX buffers, and read_dataset gives it two per item
+_ITEMS_PER_READ = os.sysconf("SC_IOV_MAX") // 2 if hasattr(os, "preadv") else math.inf
 
 
 class DatasetFormatError(ValueError):
@@ -59,18 +65,11 @@ def sidecar_path(path) -> Path:
     return Path(str(path) + ".json")
 
 
-def _item_dtype(height: int, width: int, channels: int) -> np.dtype:
-    """One packed FSOF item: its 10-byte header, then its float32 values."""
-    return np.dtype(
-        [("label", "<u4"), ("shape", "<u2", 3), ("values", "<f4", (height, width, channels))]
-    )
-
-
 def write_dataset(ds: FeatureDataset, path) -> None:
     """Write the dataset plus a JSON sidecar carrying the class names. The
     items are packed and written in chunks of about CHUNK_BYTES."""
     path = Path(path)
-    item = _item_dtype(ds.height, ds.width, ds.channels)
+    item = np.dtype(_ITEM_HEADER_DTYPE.descr + [("values", "<f4", ds.values.shape[1:])])
     step = max(1, CHUNK_BYTES // item.itemsize)
     records = np.empty(min(step, len(ds)), item)
     records["shape"] = (ds.height, ds.width, ds.channels)
@@ -102,14 +101,28 @@ def _mapped_tensor(shape) -> np.ndarray:
     return np.frombuffer(buffer, dtype=np.float32).reshape(shape)
 
 
+def _read_into(fh, buffers: list, offset: int, nbytes: int) -> int:
+    """Fill `buffers`, nbytes in all, in order from file offset `offset`;
+    returns the bytes read, fewer only at the end of the file."""
+    if hasattr(os, "preadv"):
+        got = os.preadv(fh.fileno(), buffers, offset)
+        if got == nbytes:
+            return got
+    # one buffer at a time: without preadv, or where a preadv stopped short
+    fh.seek(offset)
+    return sum(fh.readinto(buf) for buf in buffers)
+
+
 def read_dataset(path) -> FeatureDataset:
     """Read an FSOF file and its sidecar. Every item must have item 0's shape,
-    so the items are read in chunks of about CHUNK_BYTES: each chunk's headers
-    are checked, its values checked finite and copied as they are into the
-    dataset's float32 tensor, which has a mapping of its own. The file is never
-    held in memory whole."""
+    so the items are read in chunks of about CHUNK_BYTES, each in one pass: one
+    vectored read puts its headers into an array and its values straight into
+    the dataset's float32 tensor (on a mapping of its own), the headers are
+    checked as arrays, and the items are pooled while in cache into the
+    dataset's embeddings, which are checked finite."""
     path = Path(path)
-    with path.open("rb") as fh:
+    # inf - inf in a pooled sum is a NaN that the finiteness check reports
+    with path.open("rb") as fh, np.errstate(invalid="ignore"):
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(_HEADER.size + _ITEM_HEADER.size)
         if len(head) < _HEADER.size:
@@ -127,47 +140,59 @@ def read_dataset(path) -> FeatureDataset:
             raise TruncatedFileError(f"{path}: item 0 header truncated at byte {_HEADER.size}")
         shape = tuple(_ITEM_HEADER.unpack_from(head, _HEADER.size)[1:])
         # item 0 sets the shape, so it must fit the file before anything is sized by it
-        _check_item(path, 0, count, shape, head, 0, _HEADER.size, size)
-        item = _item_dtype(*shape)
-        step = max(1, CHUNK_BYTES // item.itemsize)
+        _check_item(path, 0, count, shape, head[_HEADER.size :], _HEADER.size, size)
+        item_bytes = _ITEM_HEADER.size + 4 * math.prod(shape)
+        step = max(1, min(CHUNK_BYTES // item_bytes, _ITEMS_PER_READ))
         # rows for the items the file can hold: a count beyond them fails as truncated
-        rows = min(count, (size - _HEADER.size) // item.itemsize)
+        rows = min(count, (size - _HEADER.size) // item_bytes)
+        heads = np.empty(rows, _ITEM_HEADER_DTYPE)
         values = _mapped_tensor((rows, *shape))
-        labels = np.empty(rows, dtype=np.uint32)
-        buffer = bytearray(min(step * item.itemsize, size - _HEADER.size))
-        fh.seek(_HEADER.size)
-        offset = _HEADER.size
+        embeddings = np.empty((rows, shape[2]))
+        head_bytes = heads.view(np.uint8).reshape(rows, _ITEM_HEADER.size)
+        value_bytes = values.reshape(rows, -1).view(np.uint8)
         for start in range(0, count, step):
-            stop = min(count, start + step)
-            base = offset
-            end = base + fh.readinto(buffer)
-            for i in range(start, stop):
-                offset = _check_item(path, i, count, shape, buffer, base, offset, end)
-            records = np.frombuffer(buffer, item, count=stop - start)
-            finite = np.isfinite(records["values"].reshape(stop - start, -1)).all(axis=1)
-            if not finite.all():
-                raise NonFiniteValueError(
-                    f"{path}: item {start + int(np.argmin(finite))} contains non-finite values"
-                )
-            values[start:stop] = records["values"]
-            labels[start:stop] = records["label"]
-    if offset != size:
-        raise DatasetFormatError(f"{path}: {size - offset} trailing bytes after {count} items")
+            stop, held = min(count, start + step), min(rows, start + step)
+            buffers = [None] * (2 * (held - start))
+            buffers[::2], buffers[1::2] = head_bytes[start:held], value_bytes[start:held]
+            offset = _HEADER.size + start * item_bytes
+            got = start + _read_into(fh, buffers, offset, (held - start) * item_bytes) // item_bytes
+            # a shape equal to item 0's has no zero dimension, since item 0's has none
+            bad = (heads["label"][start:got] >= count) | (heads["shape"][start:got] != shape).any(1)
+            if got < stop or bad.any():
+                # the first bad or short item, whose bytes _check_item reads again
+                i = start + int(np.argmax(np.append(bad, True)))
+                offset = _HEADER.size + i * item_bytes
+                fh.seek(offset)
+                record = fh.read(item_bytes)
+                _check_item(path, i, count, shape, record, offset, offset + len(record))
+                raise DatasetFormatError(f"{path}: item {i} changed while the file was read")
+            # an item's float64 means are finite exactly when its float32 values
+            # are: 2**32 cells of at most 3.4e38 cannot overflow a float64 sum,
+            # and an inf or NaN makes its channel's mean inf or NaN
+            pooled = embeddings[start:stop]
+            pooled[...] = spatial_avg_pool(values[start:stop])
+            if not np.isfinite(pooled).all():
+                i = start + int(np.argmin(np.isfinite(pooled).all(axis=1)))
+                raise NonFiniteValueError(f"{path}: item {i} contains non-finite values")
+    end = _HEADER.size + count * item_bytes
+    if end != size:
+        raise DatasetFormatError(f"{path}: {size - end} trailing bytes after {count} items")
 
     values.flags.writeable = False
     class_names = _read_class_names(sidecar_path(path))
     try:
-        return FeatureDataset(values, labels, class_names=class_names)
+        return FeatureDataset(values, heads["label"], class_names, embeddings)
     except ValueError as exc:
         raise DatasetFormatError(f"{path}: {exc}") from exc
 
 
-def _check_item(path, i: int, count: int, shape, buffer, base: int, offset: int, end: int) -> int:
-    """Check item i, whose header starts at file offset `offset`, against the
-    file bytes [base, end) held in buffer; returns the offset after it."""
+def _check_item(path, i: int, count: int, shape, record, offset: int, end: int) -> None:
+    """Raise the format error of item i, if it has one. Its header starts at
+    file offset `offset` and at the start of `record`; the bytes that could be
+    read end at file offset `end`."""
     if offset + _ITEM_HEADER.size > end:
         raise TruncatedFileError(f"{path}: item {i} header truncated at byte {offset}")
-    label, *item_shape = _ITEM_HEADER.unpack_from(buffer, offset - base)
+    label, *item_shape = _ITEM_HEADER.unpack_from(record)
     # dense labels over at most `count` items cannot exceed count - 1; checking
     # here keeps the dataset's label index bounded by the file size
     if label >= count:
@@ -187,7 +212,6 @@ def _check_item(path, i: int, count: int, shape, buffer, base: int, offset: int,
             f"{path}: item {i} payload truncated "
             f"(need {n_bytes} bytes at offset {offset}, have {end - offset})"
         )
-    return offset + n_bytes
 
 
 def _read_class_names(sidecar: Path) -> list[str] | None:

@@ -55,10 +55,12 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 class FeatureDataset:
     """N labeled feature maps as one read-only (N, H, W, d) float32 tensor,
     the precision FSOF stores, their (N,) dense labels, and the (N, d) float64
-    embeddings pooled from the tensor once, at construction. A read-only
-    float32 tensor is kept as is; anything else is converted or copied once."""
+    embeddings pooled from the tensor once: here, or by the caller, who has
+    checked them finite (read_dataset pools each chunk as it reads it). A
+    read-only float32 tensor is kept as is; anything else is converted or
+    copied once."""
 
-    def __init__(self, values, labels, class_names: list[str] | None = None) -> None:
+    def __init__(self, values, labels, class_names: list[str] | None = None, embeddings=None) -> None:
         if getattr(values, "dtype", None) != np.float32 or values.flags.writeable:
             values = _read_only(np.array(values, dtype=np.float32))
         if values.ndim != 4 or values.shape[0] < 1 or min(values.shape) < 1:
@@ -86,12 +88,13 @@ class FeatureDataset:
             raise ValueError(
                 f"got {len(class_names)} class names for {num_classes} classes"
             )
-        embeddings = spatial_avg_pool(values)
-        finite = np.isfinite(embeddings).all(axis=1)
-        if not finite.all():
-            raise ValueError(
-                f"item {int(np.argmin(finite))} has a non-finite value or spatial mean"
-            )
+        if embeddings is None:
+            embeddings = spatial_avg_pool(values)
+            finite = np.isfinite(embeddings).all(axis=1)
+            if not finite.all():
+                raise ValueError(
+                    f"item {int(np.argmin(finite))} has a non-finite value or spatial mean"
+                )
         order = np.argsort(labels, kind="stable")
         groups = np.split(order, np.cumsum(counts)[:-1])
         self._values = values

@@ -4,6 +4,8 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -282,7 +284,8 @@ def _worker_run(index: int) -> dict:
 def run_eval(cfg: RunConfig, ds: FeatureDataset | None = None) -> ResultsBundle:
     """Evaluate num_episodes episodes and assemble (and optionally write) the
     results bundle. ds is cfg.dataset when the caller has read it already;
-    pool workers evaluate on this same ds, which they inherit when forked.
+    pool workers evaluate on this same ds, which they inherit when forked (on
+    Linux; spawn or forkserver would pickle it into every worker).
     Under init=global each episode starts
     from the previous episode's final background rows, so it always runs on a
     single worker."""
@@ -298,8 +301,9 @@ def run_eval(cfg: RunConfig, ds: FeatureDataset | None = None) -> ResultsBundle:
             if cfg.init_kind == INIT_GLOBAL:
                 carried = records[-1]["background"]
     else:
+        context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init, initargs=(cfg, ds)
+            max_workers=workers, mp_context=context, initializer=_worker_init, initargs=(cfg, ds)
         ) as pool:
             records = list(pool.map(_worker_run, range(cfg.num_episodes), chunksize=8))
 

@@ -29,6 +29,7 @@ from fsosr.featmap import spatial_avg_pool
 
 
 STATM = Path("/proc/self/statm")
+F32_MAX = float(np.finfo(np.float32).max)
 
 
 def resident_mb() -> float:
@@ -175,6 +176,17 @@ class TestFormatErrors:
             ):
                 read_dataset(path)
 
+    @pytest.mark.parametrize("chunk_bytes", [1, 1 << 20])
+    def test_first_of_two_bad_items_is_named(self, tmp_path, monkeypatch, chunk_bytes):
+        monkeypatch.setattr(dataset_io, "CHUNK_BYTES", chunk_bytes)
+        items = [(k % 2, np.zeros((2, 2, 3))) for k in range(6)]
+        items[2] = (9, np.zeros((2, 2, 3)))
+        items[4] = (0, np.zeros((2, 3, 3)))
+        path = tmp_path / "two-bad.fsof"
+        path.write_bytes(pack_items(items))
+        with pytest.raises(DatasetFormatError, match=r"item 2 has label 9, but 6 items allow at most 5"):
+            read_dataset(path)
+
     def test_sidecar_class_name_count(self, tmp_path):
         path = self._write_valid(tmp_path)
         sidecar_path(path).write_text(json.dumps({"class_names": ["a", "b", "c"]}))
@@ -255,15 +267,77 @@ class TestChunkedRead:
     @pytest.mark.parametrize("chunk_bytes", [1, 500, 1 << 20])
     @pytest.mark.parametrize("bad", [0, 3, 6])
     def test_non_finite_value_names_its_item(self, tmp_path, monkeypatch, chunk_bytes, bad):
+        # finiteness is checked on the pooled rows, which are finite exactly
+        # when every value is; values 17 and 22 of an item are channel 2 of two
+        # cells, so inf and -inf there give that channel a NaN mean
         monkeypatch.setattr(dataset_io, "CHUNK_BYTES", chunk_bytes)
         ds = random_dataset(n_items=7)
         path = tmp_path / "data.fsof"
         write_dataset(ds, path)
-        blob = bytearray(path.read_bytes())
+        clean = path.read_bytes()
+        item_values = 10 + bad * (10 + 4 * 3 * 4 * 5) + 10
+        for cells in ({17: np.nan}, {17: np.inf, 22: -np.inf}, {17: -np.inf}):
+            blob = bytearray(clean)
+            for cell, value in cells.items():
+                struct.pack_into("<f", blob, item_values + 4 * cell, value)
+            path.write_bytes(bytes(blob))
+            with pytest.raises(NonFiniteValueError, match=rf"item {bad} contains non-finite"):
+                read_dataset(path)
+        # float32's largest magnitude in every cell still has a finite mean
+        for big in (F32_MAX, -F32_MAX):
+            blob = bytearray(clean)
+            struct.pack_into("<60f", blob, item_values, *[big] * 60)
+            path.write_bytes(bytes(blob))
+            back = read_dataset(path)
+            assert np.array_equal(back.embeddings[bad], np.full(5, big))
+            assert np.isfinite(back.embeddings).all()
+
+    def test_more_items_per_chunk_than_one_vectored_read_takes(self, tmp_path, monkeypatch):
+        # 3000 buffers for 1500 items, beyond SC_IOV_MAX (1024 on Linux); one
+        # preadv with all of them fails with EINVAL
+        monkeypatch.setattr(dataset_io, "CHUNK_BYTES", 1 << 20)
+        ds = FeatureDataset(np.arange(1500, dtype=np.float32).reshape(1500, 1, 1, 1), np.arange(1500) % 3)
+        write_dataset(ds, tmp_path / "data.fsof")
+        back = read_dataset(tmp_path / "data.fsof")
+        np.testing.assert_array_equal(back.values, ds.values)
+        np.testing.assert_array_equal(back.labels, ds.labels)
+        assert np.array_equal(back.embeddings, ds.embeddings)
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 500, 1 << 20])
+    def test_reads_alike_without_preadv(self, tmp_path, monkeypatch, chunk_bytes):
+        # platforms without os.preadv fill the same buffers one read at a time
+        monkeypatch.setattr(dataset_io, "CHUNK_BYTES", chunk_bytes)
+        path = tmp_path / "data.fsof"
+        write_dataset(random_dataset(n_items=7), path)
+        blob = path.read_bytes()
         item_bytes = 10 + 4 * 3 * 4 * 5
-        struct.pack_into("<f", blob, 10 + bad * item_bytes + 10 + 4 * 17, np.nan)
-        path.write_bytes(bytes(blob))
-        with pytest.raises(NonFiniteValueError, match=rf"item {bad} contains non-finite"):
+        nan, label = bytearray(blob), bytearray(blob)
+        struct.pack_into("<f", nan, 10 + 3 * item_bytes + 10 + 4 * 17, np.nan)
+        struct.pack_into("<I", label, 10 + 4 * item_bytes, 99)
+        files = [blob, blob[:-7], blob[: 10 + 5 * item_bytes + 4], nan, label, blob + b"xx"]
+
+        def outcomes():
+            for content in files:
+                path.write_bytes(bytes(content))
+                try:
+                    back = read_dataset(path)
+                except DatasetFormatError as exc:
+                    yield type(exc), str(exc)
+                else:
+                    yield back.values.tobytes(), back.labels.tobytes(), back.embeddings.tobytes()
+
+        with_preadv = list(outcomes())
+        assert [len(outcome) for outcome in with_preadv] == [3, 2, 2, 2, 2, 2]
+        monkeypatch.delattr(os, "preadv", raising=False)
+        assert list(outcomes()) == with_preadv
+
+    def test_item_changed_while_the_file_was_read(self, tmp_path, monkeypatch):
+        # a read that comes up short, of an item found whole when read again
+        path = tmp_path / "data.fsof"
+        write_dataset(random_dataset(n_items=7), path)
+        read_into = dataset_io._read_into
+        monkeypatch.setattr(dataset_io, "_read_into", lambda *args: read_into(*args) - 1)
+        with pytest.raises(DatasetFormatError, match="item 6 changed while the file was read"):
             read_dataset(path)
 
     @pytest.mark.parametrize("chunk_bytes", [1, 500])

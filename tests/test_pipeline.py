@@ -1,6 +1,9 @@
 import argparse
 import dataclasses
 import json
+import multiprocessing
+import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from fsosr.classifier import build_known_prototypes, init_background, predict
 from fsosr.dataset_io import DatasetFormatError, read_dataset, write_dataset
 from fsosr.episode import (
+    FeatureDataset,
     SyntheticConfig,
     benchmark_config,
     derive_episode_seed,
@@ -64,6 +68,28 @@ class TestRunEval:
             run_eval(small_cfg(gone, num_episodes=12, workers=w, dump_last_bank=True), ds)
             for w in (1, 2)
         )
+        assert one.episodes_csv_text() == two.episodes_csv_text()
+        assert one.summary_json_text() == two.summary_json_text()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="pool workers are forked on Linux only")
+    def test_pool_workers_inherit_the_dataset_whatever_the_default_start_method(
+        self, benchmark_dataset, monkeypatch
+    ):
+        # Python 3.14 makes forkserver the default on Linux, which would pickle
+        # the dataset into every worker
+        path, _, _ = benchmark_dataset
+        ds = read_dataset(path)
+
+        def refuse(self):
+            raise pickle.PicklingError("the dataset must be inherited, not pickled")
+
+        monkeypatch.setattr(FeatureDataset, "__reduce__", refuse)
+        default = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method("forkserver", force=True)
+        try:
+            one, two = (run_eval(small_cfg(path, num_episodes=12, workers=w), ds) for w in (1, 2))
+        finally:
+            multiprocessing.set_start_method(default, force=True)
         assert one.episodes_csv_text() == two.episodes_csv_text()
         assert one.summary_json_text() == two.summary_json_text()
 
