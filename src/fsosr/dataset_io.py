@@ -101,14 +101,12 @@ def _mapped_tensor(shape) -> np.ndarray:
     return np.frombuffer(buffer, dtype=np.float32).reshape(shape)
 
 
-def _read_into(fh, buffers: list, offset: int, nbytes: int) -> int:
-    """Fill `buffers`, nbytes in all, in order from file offset `offset`;
-    returns the bytes read, fewer only at the end of the file."""
+def _read_into(fh, buffers: list, offset: int) -> int:
+    """Fill `buffers` in order from file offset `offset`; returns the bytes
+    read. One preadv where the platform has one: a readinto per buffer reads
+    files of small maps 12-24 % slower (BENCH_15.json, read_loop)."""
     if hasattr(os, "preadv"):
-        got = os.preadv(fh.fileno(), buffers, offset)
-        if got == nbytes:
-            return got
-    # one buffer at a time: without preadv, or where a preadv stopped short
+        return os.preadv(fh.fileno(), buffers, offset)
     fh.seek(offset)
     return sum(fh.readinto(buf) for buf in buffers)
 
@@ -155,7 +153,7 @@ def read_dataset(path) -> FeatureDataset:
             buffers = [None] * (2 * (held - start))
             buffers[::2], buffers[1::2] = head_bytes[start:held], value_bytes[start:held]
             offset = _HEADER.size + start * item_bytes
-            got = start + _read_into(fh, buffers, offset, (held - start) * item_bytes) // item_bytes
+            got = start + _read_into(fh, buffers, offset) // item_bytes
             # a shape equal to item 0's has no zero dimension, since item 0's has none
             bad = (heads["label"][start:got] >= count) | (heads["shape"][start:got] != shape).any(1)
             if got < stop or bad.any():

@@ -56,9 +56,9 @@ class FeatureDataset:
     """N labeled feature maps as one read-only (N, H, W, d) float32 tensor,
     the precision FSOF stores, their (N,) dense labels, and the (N, d) float64
     embeddings pooled from the tensor once: here, or by the caller, who has
-    checked them finite (read_dataset pools each chunk as it reads it). A
-    read-only float32 tensor is kept as is; anything else is converted or
-    copied once."""
+    checked them finite (read_dataset pools each chunk as it reads it); their
+    shape and dtype are checked here. A read-only float32 tensor is kept as
+    is; anything else is converted or copied once."""
 
     def __init__(self, values, labels, class_names: list[str] | None = None, embeddings=None) -> None:
         if getattr(values, "dtype", None) != np.float32 or values.flags.writeable:
@@ -94,6 +94,13 @@ class FeatureDataset:
             if not finite.all():
                 raise ValueError(
                     f"item {int(np.argmin(finite))} has a non-finite value or spatial mean"
+                )
+        else:
+            embeddings = np.asarray(embeddings)
+            if embeddings.dtype != np.float64 or embeddings.shape != (len(values), values.shape[3]):
+                raise ValueError(
+                    f"need ({len(values)}, {values.shape[3]}) float64 embeddings, "
+                    f"got {embeddings.dtype} of shape {embeddings.shape}"
                 )
         order = np.argsort(labels, kind="stable")
         groups = np.split(order, np.cumsum(counts)[:-1])
