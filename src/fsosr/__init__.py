@@ -2,6 +2,12 @@
 maps: prototype classifiers with extra background rows, progressive
 activation-map mining of background features, and episodic fine-tuning."""
 
+import os
+
+# One BLAS thread per process, whatever the environment: OpenBLAS's bytes for
+# the fine-tune Gram product depend on its thread count. Read at numpy's import.
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+
 from .classifier import build_known_prototypes, init_background, predict
 from .episode import (
     EpisodeSpec,

@@ -10,21 +10,22 @@ FSOF layout (all integers little-endian):
       label u32, height u16, width u16, channels u16,
       height*width*channels float32 values in (h, w, c) row-major order
 
-Values are stored as 32-bit floats and held in memory at that precision, so a
-round trip is lossless; pooling and mining widen them to double precision
-where they compute. The reader makes one pass: each chunk of items is read
-straight into the dataset's tensor and pooled while in cache, and finiteness
-is checked on the pooled rows.
+Values are stored as 32-bit floats and used at that precision, so a round
+trip is lossless; pooling and mining widen them to double precision where they
+compute. The reader maps the file and reads no payload: the dataset's tensor is
+a read-only view of the mapped records, checked and pooled chunk by chunk, with
+finiteness checked on the pooled rows.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import mmap
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
+from stat import S_ISREG
 
 import numpy as np
 
@@ -36,9 +37,7 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHI")
 _ITEM_HEADER = struct.Struct("<IHHH")
 _ITEM_HEADER_DTYPE = np.dtype([("label", "<u4"), ("shape", "<u2", 3)])  # as an array row
-CHUNK_BYTES = 1 << 18  # how much of the file read_dataset and write_dataset hold at a time
-# one preadv takes at most SC_IOV_MAX buffers, and read_dataset gives it two per item
-_ITEMS_PER_READ = os.sysconf("SC_IOV_MAX") // 2 if hasattr(os, "preadv") else math.inf
+CHUNK_BYTES = 1 << 18  # how much of the file read_dataset checks and write_dataset packs at a time
 
 
 class DatasetFormatError(ValueError):
@@ -69,11 +68,11 @@ def write_dataset(ds: FeatureDataset, path) -> None:
     """Write the dataset plus a JSON sidecar carrying the class names. The
     items are packed and written in chunks of about CHUNK_BYTES."""
     path = Path(path)
-    item = np.dtype(_ITEM_HEADER_DTYPE.descr + [("values", "<f4", ds.values.shape[1:])])
+    item = _record_dtype(ds.values.shape[1:])
     step = max(1, CHUNK_BYTES // item.itemsize)
     records = np.empty(min(step, len(ds)), item)
     records["shape"] = (ds.height, ds.width, ds.channels)
-    with path.open("wb") as fh:
+    with _replacing(path) as fh:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, len(ds)))
         for start in range(0, len(ds), step):
             chunk = records[: min(step, len(ds) - start)]
@@ -82,46 +81,43 @@ def write_dataset(ds: FeatureDataset, path) -> None:
             chunk.tofile(fh)
     names = ds.class_names or [f"class_{c}" for c in range(ds.num_classes)]
     sidecar = {"format_version": FORMAT_VERSION, "class_names": names}
-    sidecar_path(path).write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    with _replacing(sidecar_path(path)) as fh:
+        fh.write((json.dumps(sidecar, sort_keys=True, indent=2) + "\n").encode())
 
 
-def _mapped_tensor(shape) -> np.ndarray:
-    """A float32 array of `shape`, for the caller to fill, on a private
-    anonymous mapping of its own, advised for huge pages as numpy advises its
-    own large allocations. The mapping goes back to the system when the last
-    view of the array goes. From the C heap, a tensor freed by one load is kept
-    there for the next, and a small allocation left inside it makes a later
-    load grow the heap by a second tensor: peak RSS then depends on how many
-    loads a process made."""
-    if not hasattr(mmap, "MAP_ANONYMOUS"):
-        return np.empty(shape, dtype=np.float32)
-    buffer = mmap.mmap(-1, 4 * math.prod(shape), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-    if hasattr(mmap, "MADV_HUGEPAGE"):
-        buffer.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(buffer, dtype=np.float32).reshape(shape)
+@contextmanager
+def _replacing(path: Path):
+    """A new file beside `path`, renamed onto it when the block succeeds. A file
+    truncated in place would fault (SIGBUS) any process that has it mapped."""
+    temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with temp.open("wb") as fh:
+            yield fh
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
 
 
-def _read_into(fh, buffers: list, offset: int) -> int:
-    """Fill `buffers` in order from file offset `offset`; returns the bytes
-    read. One preadv where the platform has one: a readinto per buffer reads
-    files of small maps 12-24 % slower (BENCH_15.json, read_loop)."""
-    if hasattr(os, "preadv"):
-        return os.preadv(fh.fileno(), buffers, offset)
-    fh.seek(offset)
-    return sum(fh.readinto(buf) for buf in buffers)
+def _record_dtype(shape) -> np.dtype:
+    """An item's record in the file: its header, then its float32 values."""
+    return np.dtype(_ITEM_HEADER_DTYPE.descr + [("values", "<f4", tuple(shape))])
 
 
+# inf - inf in a pooled sum is a NaN that the finiteness check reports
+@np.errstate(invalid="ignore")
 def read_dataset(path) -> FeatureDataset:
-    """Read an FSOF file and its sidecar. Every item must have item 0's shape,
-    so the items are read in chunks of about CHUNK_BYTES, each in one pass: one
-    vectored read puts its headers into an array and its values straight into
-    the dataset's float32 tensor (on a mapping of its own), the headers are
-    checked as arrays, and the items are pooled while in cache into the
-    dataset's embeddings, which are checked finite."""
+    """Map an FSOF file and read its sidecar. Items share item 0's shape, so
+    the dataset's float32 tensor is a read-only view of the mapped records: no
+    payload is read or copied. Each chunk of about CHUNK_BYTES has its headers
+    checked as arrays and is pooled into the embeddings, which are checked
+    finite. The checks cover the file as it was at load."""
     path = Path(path)
-    # inf - inf in a pooled sum is a NaN that the finiteness check reports
-    with path.open("rb") as fh, np.errstate(invalid="ignore"):
-        size = os.fstat(fh.fileno()).st_size
+    # a FIFO would block the open without O_NONBLOCK, and cannot be mapped
+    with open(os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0)), "rb") as fh:
+        stat = os.fstat(fh.fileno())
+        if not S_ISREG(stat.st_mode):
+            raise DatasetFormatError(f"{path}: not a regular file")
+        size = stat.st_size
         head = fh.read(_HEADER.size + _ITEM_HEADER.size)
         if len(head) < _HEADER.size:
             raise TruncatedFileError(f"{path}: {size} bytes, header needs {_HEADER.size}")
@@ -139,47 +135,40 @@ def read_dataset(path) -> FeatureDataset:
         shape = tuple(_ITEM_HEADER.unpack_from(head, _HEADER.size)[1:])
         # item 0 sets the shape, so it must fit the file before anything is sized by it
         _check_item(path, 0, count, shape, head[_HEADER.size :], _HEADER.size, size)
-        item_bytes = _ITEM_HEADER.size + 4 * math.prod(shape)
-        step = max(1, min(CHUNK_BYTES // item_bytes, _ITEMS_PER_READ))
-        # rows for the items the file can hold: a count beyond them fails as truncated
-        rows = min(count, (size - _HEADER.size) // item_bytes)
-        heads = np.empty(rows, _ITEM_HEADER_DTYPE)
-        values = _mapped_tensor((rows, *shape))
-        embeddings = np.empty((rows, shape[2]))
-        head_bytes = heads.view(np.uint8).reshape(rows, _ITEM_HEADER.size)
-        value_bytes = values.reshape(rows, -1).view(np.uint8)
-        for start in range(0, count, step):
-            stop, held = min(count, start + step), min(rows, start + step)
-            buffers = [None] * (2 * (held - start))
-            buffers[::2], buffers[1::2] = head_bytes[start:held], value_bytes[start:held]
-            offset = _HEADER.size + start * item_bytes
-            got = start + _read_into(fh, buffers, offset) // item_bytes
-            # a shape equal to item 0's has no zero dimension, since item 0's has none
-            bad = (heads["label"][start:got] >= count) | (heads["shape"][start:got] != shape).any(1)
-            if got < stop or bad.any():
-                # the first bad or short item, whose bytes _check_item reads again
-                i = start + int(np.argmax(np.append(bad, True)))
-                offset = _HEADER.size + i * item_bytes
-                fh.seek(offset)
-                record = fh.read(item_bytes)
-                _check_item(path, i, count, shape, record, offset, offset + len(record))
-                raise DatasetFormatError(f"{path}: item {i} changed while the file was read")
-            # an item's float64 means are finite exactly when its float32 values
-            # are: 2**32 cells of at most 3.4e38 cannot overflow a float64 sum,
-            # and an inf or NaN makes its channel's mean inf or NaN
-            pooled = embeddings[start:stop]
-            pooled[...] = spatial_avg_pool(values[start:stop])
-            if not np.isfinite(pooled).all():
-                i = start + int(np.argmin(np.isfinite(pooled).all(axis=1)))
-                raise NonFiniteValueError(f"{path}: item {i} contains non-finite values")
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    record = _record_dtype(shape)
+    item_bytes = record.itemsize
+    step = max(1, CHUNK_BYTES // item_bytes)
+    # the records the file can hold: a count beyond them fails as truncated
+    rows = min(count, (size - _HEADER.size) // item_bytes)
+    records = np.frombuffer(mapped, record, rows, _HEADER.size)
+    values, labels, shapes = records["values"], records["label"], records["shape"]
+    embeddings = np.empty((rows, shape[2]))
+    for start in range(0, count, step):
+        stop, held = min(count, start + step), min(rows, start + step)
+        # a shape equal to item 0's has no zero dimension, since item 0's has none
+        bad = (labels[start:held] >= count) | (shapes[start:held] != shape).any(1)
+        if held < stop or bad.any():
+            # _check_item raises the error of the first bad item, or of the
+            # short one after the last whole record
+            i = start + int(np.argmax(np.append(bad, True)))
+            offset = _HEADER.size + i * item_bytes
+            _check_item(path, i, count, shape, mapped[offset : offset + item_bytes], offset, size)
+        # an item's float64 means are finite exactly when its float32 values
+        # are: 2**32 cells of at most 3.4e38 cannot overflow a float64 sum,
+        # and an inf or NaN makes its channel's mean inf or NaN
+        pooled = embeddings[start:stop]
+        pooled[...] = spatial_avg_pool(values[start:stop])
+        if not np.isfinite(pooled).all():
+            i = start + int(np.argmin(np.isfinite(pooled).all(axis=1)))
+            raise NonFiniteValueError(f"{path}: item {i} contains non-finite values")
     end = _HEADER.size + count * item_bytes
     if end != size:
         raise DatasetFormatError(f"{path}: {size - end} trailing bytes after {count} items")
 
-    values.flags.writeable = False
     class_names = _read_class_names(sidecar_path(path))
     try:
-        return FeatureDataset(values, heads["label"], class_names, embeddings)
+        return FeatureDataset(values, labels, class_names, embeddings)
     except ValueError as exc:
         raise DatasetFormatError(f"{path}: {exc}") from exc
 

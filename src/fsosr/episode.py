@@ -56,7 +56,7 @@ class FeatureDataset:
     """N labeled feature maps as one read-only (N, H, W, d) float32 tensor,
     the precision FSOF stores, their (N,) dense labels, and the (N, d) float64
     embeddings pooled from the tensor once: here, or by the caller, who has
-    checked them finite (read_dataset pools each chunk as it reads it); their
+    checked them finite (read_dataset pools each chunk as it checks it); their
     shape and dtype are checked here. A read-only float32 tensor is kept as
     is; anything else is converted or copied once."""
 

@@ -2,8 +2,11 @@ import argparse
 import dataclasses
 import json
 import multiprocessing
+import os
 import pickle
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from fsosr.finetune import finetune_bank, gradcheck_command, gradcheck_report
 from fsosr.metrics import accuracy, auroc
 from fsosr.pipeline import RunConfig, evaluate_episode, run_eval, validate_dataset_for_config
 from fsosr.procam import ProCamConfig, procam_for_support
+import fsosr
 from fsosr import cli, finetune, pipeline
 
 
@@ -434,6 +438,34 @@ class TestCli:
         assert sum(1 for f in files if "iter" in f) == 3
         for f in heat_dir.iterdir():
             assert f.read_bytes().startswith(b"P5\n")
+
+    def test_bundles_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # OpenBLAS gives thread-dependent bytes for the fine-tune Gram product of
+        # a 10-way episode's 640-channel rows; each run is a fresh process, since
+        # BLAS takes its thread count when numpy is first imported
+        data = tmp_path / "wide.fsof"
+        assert cli.main([
+            "gen-synthetic", "--out", str(data), "--classes", "12", "--items-per-class", "10",
+            "--height", "5", "--width", "5", "--channels", "640", "--seed", "1",
+        ]) == 0
+        src = str(Path(fsosr.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        bundles = []
+        for threads in (None, "1", "2"):
+            out = tmp_path / f"run-{threads}"
+            subprocess.run(
+                [
+                    sys.executable, "-m", "fsosr.cli", "eval", "--dataset", str(data),
+                    "--out", str(out), "--n-way", "10", "--open-classes", "2", "--n-query", "5",
+                    "--open-query", "5", "--n-background", "1", "--num-episodes", "2",
+                    "--seed", "1", "--dump-last-bank",
+                ],
+                env=env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads},
+                check=True, capture_output=True, timeout=120,
+            )
+            bundles.append([(out / name).read_bytes() for name in ("episodes.csv", "summary.json")])
+        assert bundles[0] == bundles[1] == bundles[2]
 
     def test_gradcheck_command(self, capsys):
         assert cli.main(["gradcheck", "--seed", "2", "--trials", "2"]) == 0
