@@ -5,6 +5,8 @@ whose row-norm check fine-tuning also uses."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .featmap import EPS_NORM
@@ -93,14 +95,17 @@ def init_background(
 
 
 def row_norms(matrix: np.ndarray, what: str) -> np.ndarray:
-    """Euclidean norm of every row of the matrix, the root of its dot with
-    itself. A zero or non-finite norm (a finite row whose sum of squares
-    overflows included) is an error that reads "{what} {row} has zero/non-finite norm"."""
+    """Euclidean norm of every row, the root of its dot with itself, through check_norms."""
     return check_norms(np.sqrt(np.vecdot(matrix, matrix)), what)
 
 
 def check_norms(n: np.ndarray, what: str) -> np.ndarray:
-    """The norms n, unchanged, after row_norms' zero/non-finite check."""
+    """The norms n, unchanged. A zero or non-finite norm (a finite row whose
+    sum of squares overflows included) is an error that reads "{what} {row}
+    has zero/non-finite norm"; the scan for it runs only when the min test or
+    the finite-sum test fails."""
+    if n.min(initial=math.inf) > EPS_NORM and math.isfinite(n.sum()):
+        return n
     bad = np.flatnonzero(~((n > EPS_NORM) & np.isfinite(n)))
     if bad.size:
         kind = "zero" if n[bad[0]] <= EPS_NORM else "non-finite"

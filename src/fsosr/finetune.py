@@ -19,8 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .classifier import check_norms, cosine_matrix, row_norms
-from .featmap import EPS_NORM
+from .classifier import check_norms, cosine_matrix
 
 
 # Largest |scale| of a moving row in weights = scale * weights0 + coef @ unit
@@ -55,7 +54,7 @@ class FinetuneConfig:
 class LossReport:
     """loss_known and loss_background are the mean cross-entropy of the two
     query groups; total = loss_known + weight * loss_background, summed by the
-    fine-tune loop as one dot over the items. per_epoch_totals[e] is the total
+    fine-tune loop as one product over the items. per_epoch_totals[e] is the total
     before the e-th step and the last entry is the total after the final step
     (epochs + 1 entries), so it equals total."""
 
@@ -178,14 +177,19 @@ def finetune_bank(
     if sup_labels.min() < 0 or sup_labels.max() >= num_known:
         raise ValueError(f"support labels must lie in [0, {num_known})")
 
-    # the raw batch rows and their inverse norms: unit = inv[:, None] * raw
+    # the raw batch rows, their Gram matrix and, from its diagonal, their
+    # inverse norms: unit = inv[:, None] * raw
+    n_sup, n_bkg = len(embeddings), len(backgrounds)
     raw = np.concatenate([embeddings, backgrounds])
-    inv = 1.0 / np.concatenate([row_norms(embeddings, "support"), row_norms(backgrounds, "background")])
+    raw_gram = raw @ raw.T
+    norms = np.sqrt(raw_gram.diagonal())
+    check_norms(norms[:n_sup], "support")
+    check_norms(norms[n_sup:], "background")
+    inv = 1.0 / norms
     # the step descends the summed batch loss: weight 1 per support item,
     # bkg_loss_weight per background item, both times the learning rate, so
     # the gradient comes out of _batch_ce scaled for the step; the reported
-    # total weighs each group by its mean, as one dot with the cross-entropies
-    n_sup, n_bkg = len(embeddings), len(backgrounds)
+    # curve weighs each group by its mean, one product with the cross-entropies
     n, lam, lr = n_sup + n_bkg, cfg.bkg_loss_weight, cfg.learning_rate
     step_weights = np.concatenate([np.full(n_sup, lr), np.full(n_bkg, lr * lam)])
     mean_weights = np.concatenate([np.full(n_sup, 1.0 / n_sup), np.full(n_bkg, lam / n_bkg)])
@@ -195,72 +199,75 @@ def finetune_bank(
     # exactly, and each epoch needs only the batch's Gram matrix and the
     # initial rows' dots with it: O(n^2 rows), not O(n dim rows). Both come
     # from the raw rows, scaled by inv on the batch's side. Dots, logits and
-    # coefficients are laid out rows x items.
+    # coefficients are laid out rows x items, plus one column: half of |w0|^2
+    # in dots and projections, the scale in coefficients (zero in the Gram
+    # matrix), so one multiply rescales coefficients and scale together.
     weights = np.array(bank, dtype=np.float64)  # the copy the steps write
     lo = num_known if cfg.freeze_known else 0  # rows [lo, num_rows) move
-    gram, proj = inv[:, None] * (raw @ raw.T) * inv, (weights @ raw.T) * inv
-    sq = (weights * weights).sum(axis=1)
-    wn = check_norms(np.sqrt(sq), "before fine-tuning, prototype row")
+    gram = np.zeros((n + 1, n + 1))
+    gram[:n, :n] = inv[:, None] * raw_gram * inv
+    proj = np.column_stack([(weights @ raw.T) * inv, 0.5 * np.vecdot(weights, weights)])
+    wn = check_norms(np.sqrt(2.0 * proj[:, n]), "before fine-tuning, prototype row")
     # tw = temperature / |w| scales each row's dots into its logits
-    dots, sq_now, logits, tw = proj.copy(), sq.copy(), np.empty_like(proj), np.empty_like(wn)
+    dots, sq_now, tw, logits = proj.copy(), 2.0 * proj[:, n], np.empty_like(wn), np.empty((len(wn), n))
     positions = _label_positions(np.concatenate([sup_labels, np.full(n_bkg, num_known)]))
-    # views made once: the moving rows of every row array, and the background
-    # items' logits against the background rows and their label positions,
-    # which start at row num_known's (bkg_base)
-    weights_m, proj_m, sq_m, dots_m, sq_now_m, wn_m, g_m = (
-        a[lo:] for a in (weights, proj, sq, dots, sq_now, wn, logits)
+    # views made once: the moving rows of every row array, the background items'
+    # logits against the background rows and their label positions (from row
+    # num_known's, bkg_base); a lone background row is every item's nearest
+    weights_m, proj_m, dots_m, sq_now_m, wn_m, g_m = (
+        a[lo:] for a in (weights, proj, dots, sq_now, wn, logits)
     )
+    reassign = len(bank) - num_known > 1
     bkg_logits, bkg_positions = logits[num_known:, n_sup:], positions[n_sup:]
     bkg_base, nearest = bkg_positions.copy(), np.empty(n_bkg, dtype=np.intp)
-    scale, grow, coef = np.ones(len(wn_m)), np.empty(len(wn_m)), np.zeros(g_m.shape)
-    scaled = np.empty_like(coef)
-    tw_col, tw_m_col, scale_col, grow_col = tw[:, None], tw[lo:, None], scale[:, None], grow[:, None]
-    trace: list[float] = []
+    coef_scale, step, scaled = np.zeros(proj_m.shape), np.zeros(proj_m.shape), np.empty(proj_m.shape)
+    coef_scale[:, n], grow = 1.0, np.empty(len(proj_m))
+    coef, scale, scale_col, step_g = coef_scale[:, :n], coef_scale[:, n], coef_scale[:, n:], step[:, :n]
+    dots_n, tw_col, tw_m_col, grow_col = dots[:, :n], tw[:, None], tw[lo:, None], grow[:, None]
+    ces = np.empty((cfg.epochs + 1, n))  # each evaluation's cross-entropies
+    rate = f"(learning rate {lr!r}), prototype row"
     for epoch in range(cfg.epochs + 1):
         np.divide(cfg.temperature, wn, out=tw)
-        np.multiply(dots, tw_col, out=logits)
-        if epoch == 0 or cfg.reassign_each_epoch:
+        np.multiply(dots_n, tw_col, out=logits)
+        if reassign and (epoch == 0 or cfg.reassign_each_epoch):
             # the nearest background row of each background item
             np.argmax(bkg_logits, axis=0, out=nearest)
             np.multiply(nearest, n, out=bkg_positions)
             bkg_positions += bkg_base
         last = epoch == cfg.epochs
-        ce = _batch_ce(logits, positions, step_weights, gradient=not last)
-        trace.append(float(ce @ mean_weights))
+        ces[epoch] = _batch_ce(logits, positions, step_weights, gradient=not last)
         if last:
             break
         # logits holds g, learning_rate times the loss gradient w.r.t. the
         # logits; a moving row w steps to
         # (1 + tw (g . dots) / |w|^2) w - tw g @ unit
-        g_m *= tw_m_col
-        np.vecdot(g_m, dots_m, out=grow)
+        np.multiply(g_m, tw_m_col, out=step_g)
+        np.vecdot(step, dots_m, out=grow)
         grow /= sq_now_m
         grow += 1.0
-        scale *= grow
-        coef *= grow_col
-        coef -= g_m
+        coef_scale *= grow_col
+        coef_scale -= step
         if np.abs(scale).max() > REBASE_SCALE:
             # the rows have turned far enough that scale * weights0 and
             # coef @ unit nearly cancel; carry on from the rows themselves
             weights_m[:] = scale_col * weights_m + (coef * inv) @ raw
-            proj_m[:] = (weights_m @ raw.T) * inv
-            sq_m[:] = (weights_m * weights_m).sum(axis=1)
-            scale[:] = 1.0
+            proj_m[:] = np.column_stack([(weights_m @ raw.T) * inv, 0.5 * np.vecdot(weights_m, weights_m)])
             coef[:] = 0.0
+            scale[:] = 1.0
+        # scaled = [scale proj | scale |w0|^2 / 2], dots = coef_scale @ gram + scaled:
+        # |scale w0 + coef @ unit|^2 = coef . (dots + scale proj) + scale^2 |w0|^2
+        #                            = coef_scale . (dots + scaled)
         np.multiply(scale_col, proj_m, out=scaled)
-        np.matmul(coef, gram, out=dots_m)
+        np.matmul(coef_scale, gram, out=dots_m)
         dots_m += scaled
-        # |scale w0 + coef @ unit|^2 = scale^2 |w0|^2 + coef . (dots + scale proj)
         scaled += dots_m
-        np.vecdot(coef, scaled, out=sq_now_m)
-        sq_now_m += scale * scale * sq_m
+        np.vecdot(coef_scale, scaled, out=sq_now_m)
         np.sqrt(np.maximum(sq_now_m, 0.0, out=sq_now_m), out=wn_m)
-        if not (wn_m.min() > EPS_NORM and math.isfinite(wn_m.sum())):
-            check_norms(wn, f"after the fine-tune step at epoch {epoch} "
-                            f"(learning rate {lr!r}), prototype row")
+        check_norms(wn, f"after the fine-tune step at epoch {epoch} {rate}")
     weights_m[:] = scale_col * weights_m + (coef * inv) @ raw
 
-    report = LossReport(float(ce[:n_sup].mean()), float(ce[n_sup:].mean()), trace[-1], tuple(trace))
+    trace = (ces @ mean_weights).tolist()
+    report = LossReport(float(ces[-1, :n_sup].mean()), float(ces[-1, n_sup:].mean()), trace[-1], tuple(trace))
     return weights, report
 
 

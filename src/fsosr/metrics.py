@@ -19,30 +19,18 @@ def accuracy(rows, labels) -> float:
     return float(np.mean(rows == labels))
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """Fractional ranks starting at 1; tied values share the mean of the ranks
-    they span. A tie run starts wherever the stably sorted values change."""
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    starts = np.flatnonzero(np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1])))
-    lengths = np.diff(np.append(starts, values.size))
-    ranks = np.empty(values.size)
-    ranks[order] = np.repeat((2 * starts + lengths - 1) / 2.0 + 1.0, lengths)
-    return ranks
-
-
 def auroc(known_scores, unknown_scores) -> float:
-    """Rank-based estimate of the probability that a random unknown query
-    scores above a random known one, ties counting half. Equals the area under
-    the threshold-swept ROC curve with unknown as the positive class."""
-    known = np.asarray(known_scores, dtype=np.float64)
+    """Probability that a random unknown query scores above a random known one
+    (the area under the ROC curve, unknown positive): each unknown score counts
+    the sorted known scores below it and half of those equal to it; all must be finite."""
+    known = np.sort(np.asarray(known_scores, dtype=np.float64))
     unknown = np.asarray(unknown_scores, dtype=np.float64)
     if known.size == 0 or unknown.size == 0:
         raise ValueError("auroc needs at least one known and one unknown score")
-    ranks = _midranks(np.concatenate([known, unknown]))
-    rank_sum = float(ranks[known.size :].sum())
-    n_u = unknown.size
-    return (rank_sum - n_u * (n_u + 1) / 2.0) / (n_u * known.size)
+    if not (np.isfinite(known[[0, -1]]).all() and np.isfinite(unknown).all()):
+        raise ValueError("auroc needs finite scores")
+    below, upto = (np.searchsorted(known, unknown, side).sum() for side in ("left", "right"))
+    return float(below + upto) / (2 * unknown.size * known.size)
 
 
 def _ci95(values: np.ndarray) -> float:

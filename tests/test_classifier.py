@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from fsosr.classifier import build_known_prototypes, cosine_matrix, init_background, predict
+from fsosr.classifier import build_known_prototypes, check_norms, cosine_matrix, init_background, predict
 
 
 class TestBuildKnownPrototypes:
@@ -189,6 +189,32 @@ class TestCosineScores:
             cosine_matrix(huge, np.array([[1.0, 1.0]]))
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="query 0 has non-finite norm"):
             cosine_matrix(np.ones((1, 2)), huge[::-1])
+
+
+class TestCheckNorms:
+    def test_fine_norms_come_back_unchanged(self):
+        norms = np.array([0.5, 2.0, 3.0])
+        assert check_norms(norms, "row") is norms
+
+    @pytest.mark.parametrize("norms, message", [
+        ([1.0, 2.0, 0.0, 0.0], "row 2 has zero norm"),
+        ([1.0, 2.0, 3.0, np.inf], "row 3 has non-finite norm"),
+        ([1.0, 2.0, np.nan, 0.0], "row 2 has non-finite norm"),
+        ([1.0, np.inf, 0.0], "row 1 has non-finite norm"),
+    ])
+    def test_only_later_rows_bad_names_the_first(self, norms, message):
+        # the first rows are fine, so the min/sum test fails only through a
+        # later row, and the full scan names the first bad one
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_norms(np.array(norms), "row")
+
+    def test_sum_overflow_on_finite_norms_passes(self):
+        norms = np.array([1e308, 1e308, 1.0])
+        with np.errstate(over="ignore"):
+            assert check_norms(norms, "row") is norms
+
+    def test_empty_passes(self):
+        assert check_norms(np.empty(0), "row").size == 0
 
 
 class TestPredict:

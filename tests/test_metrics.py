@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fsosr.metrics import _midranks, accuracy, aggregate, auroc
+from fsosr.metrics import accuracy, aggregate, auroc
 
 
 def pairwise_auroc(known, unknown):
     """Brute-force oracle: fraction of (unknown, known) pairs with the unknown
-    scoring higher, ties counting half."""
+    scoring higher, ties counting half. The count is a sum of halves, exact in
+    float, so auroc must equal it bit for bit."""
     total = 0.0
     for u in unknown:
         for k in known:
@@ -16,21 +17,6 @@ def pairwise_auroc(known, unknown):
             elif u == k:
                 total += 0.5
     return total / (len(known) * len(unknown))
-
-
-def loop_midranks(values):
-    """Oracle: the tie-run loop the vectorized ranks replaced."""
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
 
 
 def sweep_auroc(known, unknown, n_thresholds=10001):
@@ -96,7 +82,7 @@ class TestAuroc:
                 known = np.round(rng.normal(0, 1, 40), 3)
                 unknown = np.round(rng.normal(0.5, 1, 40), 3)
             got = auroc(known.tolist(), unknown.tolist())
-            assert got == pytest.approx(pairwise_auroc(known, unknown), abs=1e-9)
+            assert got == pairwise_auroc(known, unknown)
             assert got == pytest.approx(sweep_auroc(known, unknown), abs=1e-6)
 
     def test_complement_symmetry(self):
@@ -127,33 +113,39 @@ class TestAuroc:
         base = auroc(known, unknown)
         assert auroc(known[::-1], sorted(unknown)) == base
 
+    def test_signed_zeros_tie(self):
+        # -0.0 == 0.0, so each zero pair counts half
+        assert auroc([0.0, -1.0], [-0.0, 1.0]) == 0.875
+        assert auroc([-0.0, 0.0], [0.0]) == 0.5
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.floats(-3, 3, allow_nan=False), st.sampled_from([0.0, -0.0])),
+            min_size=2,
+            max_size=40,
+        ),
+        st.integers(1, 39),
+    )
+    def test_tie_grid_matches_pair_count(self, values, split):
+        # a 0.5 grid makes most values tie, and -0.0 ties with 0.0
+        values = np.round(np.array(values) * 2.0) / 2.0
+        split = min(split, len(values) - 1)
+        known, unknown = values[:split], values[split:]
+        assert auroc(known, unknown) == pairwise_auroc(known, unknown)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            auroc([0.1, bad, 0.3], [0.2])
+        with pytest.raises(ValueError, match="finite"):
+            auroc([0.1, 0.3], [0.2, bad])
+
     def test_empty_side_rejected(self):
         with pytest.raises(ValueError):
             auroc([], [1.0])
         with pytest.raises(ValueError):
             auroc([1.0], [])
-
-
-class TestMidranks:
-    def test_signed_zeros_tie(self):
-        ranks = _midranks(np.array([0.0, -0.0, 1.0, -1.0]))
-        np.testing.assert_array_equal(ranks, [2.5, 2.5, 4.0, 1.0])
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(
-            st.one_of(
-                st.floats(-3, 3, allow_nan=False),
-                st.sampled_from([0.0, -0.0, float("nan")]),
-            ),
-            min_size=1,
-            max_size=40,
-        )
-    )
-    def test_matches_loop_oracle(self, values):
-        # a 0.5 grid makes most values tie; -0.0 ties with 0.0, NaN with nothing
-        values = np.round(np.array(values) * 2.0) / 2.0
-        np.testing.assert_array_equal(_midranks(values), loop_midranks(values))
 
 
 class TestAggregate:
