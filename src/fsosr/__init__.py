@@ -20,7 +20,7 @@ from .episode import (
 from .featmap import EmbeddingVector, FeatureMap, minmax_norm, spatial_avg_pool
 from .finetune import FinetuneConfig, finetune_bank
 from .pipeline import RunConfig, run_eval
-from .procam import ProCamConfig, cam, procam, procam_for_support
+from .procam import ProCamConfig, cam, mine, procam_for_support
 
 __all__ = [
     "EmbeddingVector",
@@ -37,9 +37,9 @@ __all__ = [
     "finetune_bank",
     "generate_synthetic",
     "init_background",
+    "mine",
     "minmax_norm",
     "predict",
-    "procam",
     "procam_for_support",
     "run_eval",
     "sample_episode",

@@ -4,19 +4,21 @@ heatmap export, and gradient checking."""
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .classifier import INIT_KINDS, SCORE_KINDS
+from .classifier import INIT_KINDS, SCORE_KINDS, build_known_prototypes
 from .dataset_io import export_heatmap, read_dataset, write_dataset
 from .episode import FeatureDataset, SyntheticConfig, benchmark_config, generate_synthetic
-from .featmap import NORM_KINDS, FeatureMap, minmax_norm
+from .episode import derive_episode_seed, sample_episode
+from .featmap import NORM_KINDS
 from .finetune import gradcheck_command
-from .pipeline import RunConfig, run_eval, validate_dataset_for_config
-from .procam import ProCamConfig, cam, procam
+from .pipeline import BUNDLE_FORMAT_VERSION, RunConfig, run_eval, validate_dataset_for_config
+from .procam import mask_iou, mine
 
 OUTPUT_DIR_ENV = "FSOSR_OUTPUT_DIR"
 
@@ -52,13 +54,13 @@ def _settings(args: argparse.Namespace, *other: str) -> dict:
     return {k: v for k, v in vars(args).items() if k not in ("command", "func", *other)}
 
 
-def _read(args: argparse.Namespace, path) -> FeatureDataset:
-    """read_dataset(path), where a file that cannot be opened is a usage
-    error; a malformed one still raises DatasetFormatError."""
+def _read(args: argparse.Namespace, path, load=read_dataset, what="dataset"):
+    """load(path), where a file that cannot be opened is a usage error naming
+    it as `what`; a malformed one still raises (a dataset DatasetFormatError)."""
     try:
-        return read_dataset(path)
+        return load(path)
     except OSError as exc:
-        raise _usage_error(args, f"cannot open dataset {path}: {exc.strerror or exc}") from exc
+        raise _usage_error(args, f"cannot open {what} {path}: {exc.strerror or exc}") from exc
 
 
 def _cmd_gen_synthetic(args: argparse.Namespace) -> int:
@@ -112,24 +114,37 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_heatmap(args: argparse.Namespace) -> int:
-    cfg = _config(args, ProCamConfig, **_settings(args, "dataset", "item", "out"))
-    ds = _read(args, args.dataset)
-    if not 0 <= args.item < len(ds):
-        raise _usage_error(args, f"item {args.item} outside [0, {len(ds)})")
-    # the one item mined, widened to double precision
-    fmap, label = FeatureMap(ds.values[args.item]), int(ds.labels[args.item])
-    # class prototype = mean pooled embedding over every item of the class
-    weight = ds.embeddings[ds.class_index[label]].mean(axis=0)
-    result = procam(fmap, weight, cfg)
+    summary = Path(args.bundle) / "summary.json"
+    bundle = json.loads(_read(args, summary, Path.read_text, "bundle summary"))
+    version = bundle.get("format_version")
+    if version != BUNDLE_FORMAT_VERSION:
+        raise _usage_error(args, f"{summary} has format version {version}, expected {BUNDLE_FORMAT_VERSION}")
+    # the run's episode and mining settings, as its snapshot recorded them
+    snap = bundle["config"]
+    cfg = _config(args, RunConfig, dataset=snap["dataset"], master_seed=snap["master_seed"],
+                  num_episodes=snap["num_episodes"], **snap["episode"], **snap["procam"])
+    if not 0 <= args.episode < cfg.num_episodes:
+        raise _usage_error(args, f"episode {args.episode} outside [0, {cfg.num_episodes})")
+    ds = _read(args, cfg.dataset)
+    # the calls evaluate_episode makes: the same sample, prototypes and mining stack
+    seed = derive_episode_seed(cfg.master_seed, args.episode, stream=0)
+    episode = _config(args, sample_episode, ds=ds, spec=cfg.episode_spec(seed))
+    support, labels = episode.support, episode.support_labels
+    known = build_known_prototypes(ds.embeddings[support], labels, cfg.n_way, cfg.k_shot)
+    masks, _, trace = mine(ds.values[support].astype(np.float64), known[labels], cfg.procam_config())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    stem = f"item{args.item:04d}"
-    export_heatmap(minmax_norm(cam(fmap.values, weight)), out / f"{stem}_cam.pgm")
-    export_heatmap(result.final_mask, out / f"{stem}_mask.pgm")
-    for i, mask in enumerate(result.per_iteration_masks):
-        export_heatmap(mask, out / f"{stem}_iter{i}.pgm")
-    print(f"wrote {2 + len(result.per_iteration_masks)} heatmaps for item {args.item} "
-          f"(class {label}) to {out}")
+    for j, mask in enumerate(masks):
+        export_heatmap(mask, out / f"support{j:02d}_mask.pgm")
+        for t, step in enumerate(trace):
+            export_heatmap(step[j], out / f"support{j:02d}_iter{t}.pgm")
+    print(f"wrote {len(masks) * (1 + len(trace))} heatmaps for episode {args.episode} to {out}")
+    if masks_path(cfg.dataset).exists():  # gen-synthetic's ground truth, one H x W x 1 map per item
+        truth = _read(args, masks_path(cfg.dataset)).values[support, ..., 0]
+        ious = [mask_iou(mask, gt) for mask, gt in zip(masks, truth)]
+        for j, (item, iou) in enumerate(zip(support, ious)):
+            print(f"support {j} (item {item}): IoU {iou:.3f}")
+        print(f"mean IoU {np.mean(ious):.3f}")
     return 0
 
 
@@ -144,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # On gen-synthetic, eval and heatmap a flag left out is absent from the
+    # On gen-synthetic and eval a flag left out is absent from the
     # namespace, so each setting takes its default from its config class alone.
     gen = sub.add_parser("gen-synthetic", help="generate a synthetic benchmark dataset",
                          argument_default=argparse.SUPPRESS)
@@ -208,13 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="include the last episode's classifier bank in summary.json")
     ev.set_defaults(func=_cmd_eval)
 
-    hm = sub.add_parser("heatmap", help="export mining masks for one item as PGM images",
-                        argument_default=argparse.SUPPRESS)
-    hm.add_argument("--dataset", required=True)
-    hm.add_argument("--item", type=int, required=True)
+    hm = sub.add_parser("heatmap", help="export one episode's mined support masks as PGM images")
+    hm.add_argument("--bundle", required=True, help="output directory of a finished eval run")
+    hm.add_argument("--episode", type=int, required=True, help="index of the run's episode to replay")
     hm.add_argument("--out", default=_default_output_dir())
-    hm.add_argument("--iterations", type=int)
-    hm.add_argument("--norm", dest="norm_kind", choices=NORM_KINDS)
     hm.set_defaults(func=_cmd_heatmap)
 
     gc = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")

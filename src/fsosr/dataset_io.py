@@ -112,11 +112,14 @@ def read_dataset(path) -> FeatureDataset:
     checked as arrays and is pooled into the embeddings, which are checked
     finite. The checks cover the file as it was at load."""
     path = Path(path)
-    # a FIFO would block the open without O_NONBLOCK, and cannot be mapped
-    with open(os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0)), "rb") as fh:
-        stat = os.fstat(fh.fileno())
-        if not S_ISREG(stat.st_mode):
-            raise DatasetFormatError(f"{path}: not a regular file")
+    # a FIFO would block the open without O_NONBLOCK, and cannot be mapped; the
+    # check comes before open(), which would leave a directory's descriptor open
+    fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+    stat = os.fstat(fd)
+    if not S_ISREG(stat.st_mode):
+        os.close(fd)
+        raise DatasetFormatError(f"{path}: not a regular file")
+    with open(fd, "rb") as fh:
         size = stat.st_size
         head = fh.read(_HEADER.size + _ITEM_HEADER.size)
         if len(head) < _HEADER.size:

@@ -33,16 +33,6 @@ class ProCamConfig:
             raise ValueError(f"unknown norm kind {self.norm_kind!r}, expected one of {NORM_KINDS}")
 
 
-@dataclass(frozen=True)
-class ProCamResult:
-    """Mining output for one map: the (H, W) foreground mask, the (d,)
-    background embedding and the per-iteration (H, W) masks."""
-
-    final_mask: np.ndarray
-    background: np.ndarray
-    per_iteration_masks: tuple[np.ndarray, ...]
-
-
 def cam(f: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Per-location weighted channel sum over the trailing axes, one matmul
     of each map's (H*W, d) cells: the raw activation maps (..., H, W) of
@@ -56,7 +46,7 @@ def cam(f: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out.reshape(*out.shape[:-2], *f.shape[-3:-1])
 
 
-def _mine(
+def mine(
     stack: np.ndarray, weights: np.ndarray, cfg: ProCamConfig
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Progressive activation mining of n maps (n, H, W, d) at once, map i with
@@ -88,17 +78,6 @@ def _mine(
     return final_masks, backgrounds, trace
 
 
-def procam(f: FeatureMap, w: np.ndarray, cfg: ProCamConfig) -> ProCamResult:
-    """Progressive activation mining of one feature map with the (d,) class
-    weights w."""
-    masks, backgrounds, trace = _mine(f.values[None], w[None], cfg)
-    return ProCamResult(
-        final_mask=masks[0],
-        background=backgrounds[0],
-        per_iteration_masks=tuple(step[0] for step in trace),
-    )
-
-
 def procam_for_support(
     supports: list[tuple[FeatureMap, int]],
     known: np.ndarray,
@@ -119,7 +98,7 @@ def procam_for_support(
     want = (len(stack), stack.shape[-1])
     if foregrounds.shape != want:
         raise ValueError(f"foregrounds need shape {want}, got {foregrounds.shape}")
-    _, backgrounds, _ = _mine(stack, known[labels], cfg)
+    _, backgrounds, _ = mine(stack, known[labels], cfg)
     foregrounds = foregrounds.view()
     foregrounds.flags.writeable = backgrounds.flags.writeable = False
     return [

@@ -18,7 +18,7 @@ from fsosr.finetune import (
 )
 from fsosr.metrics import auroc
 from fsosr.pipeline import RunConfig, run_eval
-from fsosr.procam import ProCamConfig, cam, mask_iou, procam, procam_for_support
+from fsosr.procam import ProCamConfig, cam, mask_iou, mine, procam_for_support
 from fsosr.dataset_io import read_dataset, write_dataset
 from fsosr.episode import FeatureDataset
 
@@ -91,22 +91,20 @@ def test_criterion_3_procam_reductions_and_invariants():
     for _ in range(50):
         fvals = rng.normal(size=(5, 5, 6))
         w = rng.normal(size=6)
-        f = FeatureMap(fvals)
-        # tau=1 min-max reduction equality (exact)
-        single = procam(f, w, ProCamConfig(iterations=1))
+        # tau=1 min-max reduction equality (exact), mining a one-map stack
+        [single], _, _ = mine(fvals[None], w[None], ProCamConfig(iterations=1))
         expected = minmax_norm(cam(fvals, w))
-        if not np.array_equal(single.final_mask, expected):
+        if not np.array_equal(single, expected):
             ok, detail = False, "tau=1 reduction mismatch"
             break
-        base = procam(f, w, ProCamConfig(iterations=4))
+        [vals], _, trace = mine(fvals[None], w[None], ProCamConfig(iterations=4))
         # mask range
-        vals = base.final_mask
         if vals.min() < 0.0 or vals.max() > 1.0:
             ok, detail = False, "mask out of range"
             break
         # coverage monotonicity of the running sum
         running = np.zeros((5, 5))
-        for mask in base.per_iteration_masks:
+        for [mask] in trace:
             nxt = running + mask
             if not np.all(nxt >= running - 1e-15):
                 ok, detail = False, "coverage not monotone"
@@ -114,8 +112,8 @@ def test_criterion_3_procam_reductions_and_invariants():
             running = nxt
         # scale invariance across three orders of magnitude
         for alpha in (0.01, 1.0, 100.0):
-            scaled = procam(FeatureMap(alpha * fvals), w, ProCamConfig(iterations=4))
-            if np.abs(scaled.final_mask - base.final_mask).max() > 1e-9:
+            [scaled], _, _ = mine(alpha * fvals[None], w[None], ProCamConfig(iterations=4))
+            if np.abs(scaled - vals).max() > 1e-9:
                 ok, detail = False, f"scale invariance broken at alpha={alpha}"
                 break
         if not ok:
@@ -153,8 +151,9 @@ def test_criterion_5_tau_sweep_direction(benchmark_dataset):
     mean_ious = []
     for tau in (1, 2, 3, 4):
         cfg = ProCamConfig(iterations=tau)
+        # each item mined as a one-map stack
         vals = [
-            mask_iou(procam(FeatureMap(ds.values[i]), signatures[label], cfg).final_mask, masks[i])
+            mask_iou(mine(ds.values[[i]].astype(np.float64), signatures[[label]], cfg)[0][0], masks[i])
             for i, label in enumerate(ds.labels)
         ]
         mean_ious.append(float(np.mean(vals)))

@@ -215,6 +215,16 @@ class TestFormatErrors:
         assert isinstance(error, DatasetFormatError)
         assert str(error) == f"{path}: not a regular file"
 
+    def test_directory_fails_typed_and_closes_its_descriptor(self, tmp_path):
+        fds = Path("/proc/self/fd")
+        before = len(os.listdir(fds)) if fds.exists() else None
+        for _ in range(5):
+            with pytest.raises(DatasetFormatError) as info:
+                read_dataset(tmp_path)
+            assert str(info.value) == f"{tmp_path}: not a regular file"
+        if before is not None:
+            assert len(os.listdir(fds)) == before
+
     def test_sidecar_class_name_count(self, tmp_path):
         path = self._write_valid(tmp_path)
         sidecar_path(path).write_text(json.dumps({"class_names": ["a", "b", "c"]}))

@@ -25,9 +25,25 @@ from fsosr.featmap import FeatureMap, spatial_avg_pool
 from fsosr.finetune import finetune_bank, gradcheck_command, gradcheck_report
 from fsosr.metrics import accuracy, auroc
 from fsosr.pipeline import RunConfig, evaluate_episode, run_eval, validate_dataset_for_config
-from fsosr.procam import ProCamConfig, procam_for_support
+from fsosr.procam import mask_iou, procam_for_support
 import fsosr
-from fsosr import cli, finetune, pipeline
+from fsosr import cli, finetune, pipeline, procam
+
+
+@pytest.fixture(scope="module")
+def heatmap_bundles(benchmark_dataset, tmp_path_factory):
+    """A directory holding a 3-episode run of the benchmark file (run/), a
+    directory without summary.json (empty/) and the run's summary under
+    another format version (future/)."""
+    path, _, _ = benchmark_dataset
+    root = tmp_path_factory.mktemp("bundles")
+    run_eval(small_cfg(path, num_episodes=3, output_dir=str(root / "run")))
+    (root / "empty").mkdir()
+    summary = json.loads((root / "run" / "summary.json").read_text())
+    (root / "future").mkdir()
+    summary["format_version"] = pipeline.BUNDLE_FORMAT_VERSION + 1
+    (root / "future" / "summary.json").write_text(json.dumps(summary))
+    return root
 
 
 def small_cfg(path, **kw):
@@ -429,15 +445,17 @@ class TestCli:
         assert summary["config"]["episode"]["n_query"] == 4
 
         heat_dir = tmp_path / "heat"
-        assert cli.main([
-            "heatmap", "--dataset", str(data), "--item", "0", "--out", str(heat_dir),
-            "--iterations", "3",
-        ]) == 0
+        argv = ["heatmap", "--bundle", str(run_dir), "--episode", "2", "--out", str(heat_dir)]
+        assert cli.main(argv) == 0
         files = sorted(p.name for p in heat_dir.iterdir())
-        assert "item0000_cam.pgm" in files and "item0000_mask.pgm" in files
-        assert sum(1 for f in files if "iter" in f) == 3
+        # 25 supports, each with its final mask and one mask per mining pass
+        assert len(files) == 25 * 5
+        assert "support00_mask.pgm" in files and "support24_iter3.pgm" in files
         for f in heat_dir.iterdir():
-            assert f.read_bytes().startswith(b"P5\n")
+            assert f.read_bytes().startswith(b"P5\n8 8\n255\n")
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"wrote 125 heatmaps for episode 2 to {heat_dir}"
+        assert len(lines) == 27 and lines[-1].startswith("mean IoU ")
 
     def test_bundles_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # OpenBLAS gives thread-dependent bytes for the fine-tune Gram product of
@@ -496,7 +514,6 @@ class TestCli:
         [
             ("eval", RunConfig, {"out"}),
             ("gen-synthetic", SyntheticConfig, {"out", "benchmark"}),
-            ("heatmap", ProCamConfig, {"dataset", "item", "out"}),
         ],
     )
     def test_every_flag_sets_a_config_field(self, command, config, other):
@@ -519,7 +536,7 @@ class TestCli:
             (["eval", "--epochs", "0"], "epochs must be >= 1"),
             (["eval", "--n-way", "1"], "n_way must be >= 2"),
             (["eval", "--workers", "0"], "workers must be >= 1"),
-            (["heatmap", "--item", "0", "--iterations", "0"], "iterations must be >= 1"),
+            (["heatmap", "--bundle", "run", "--episode", "3"], "episode 3 outside [0, 3)"),
             (["gen-synthetic", "--classes", "0"], "num_classes must be >= 1"),
             (
                 ["gen-synthetic", "--channels", "2"],
@@ -530,7 +547,10 @@ class TestCli:
                 ["eval", "--n-way", "12"],
                 "dataset has 12 classes but episodes need 17 (12 closed + 5 open)",
             ),
-            (["heatmap", "--item", "360"], "item 360 outside [0, 360)"),
+            (
+                ["heatmap", "--bundle", "empty", "--episode", "0"],
+                "cannot open bundle summary empty/summary.json: No such file or directory",
+            ),
             (["eval", "--learning-rate", "nan"], "learning_rate must be finite and >= 0"),
             (["eval", "--bkg-loss-weight", "inf"], "bkg_loss_weight must be finite and > 0"),
             (
@@ -550,15 +570,23 @@ class TestCli:
                 "avg initialization averages the n_way * k_shot = 25 mined backgrounds, "
                 "so num_background must be <= 25 (got 30)",
             ),
+            (
+                ["heatmap", "--bundle", "future", "--episode", "0"],
+                f"future/summary.json has format version {pipeline.BUNDLE_FORMAT_VERSION + 1}, "
+                f"expected {pipeline.BUNDLE_FORMAT_VERSION}",
+            ),
+            (["heatmap", "--bundle", "run", "--episode", "-1"], "episode -1 outside [0, 3)"),
         ],
     )
     def test_rejected_setting_is_a_usage_error(
-        self, benchmark_dataset, tmp_path, capsys, argv, message
+        self, benchmark_dataset, heatmap_bundles, tmp_path, monkeypatch, capsys, argv, message
     ):
         path, _, _ = benchmark_dataset
         where = ["--out", str(tmp_path / "out")]
         if argv[0] == "gradcheck":
             where = []
+        elif argv[0] == "heatmap":  # bundles named relative to their directory
+            monkeypatch.chdir(heatmap_bundles)
         elif argv[0] != "gen-synthetic":
             where += ["--dataset", str(path)]
         with pytest.raises(SystemExit) as info:
@@ -572,10 +600,16 @@ class TestCli:
     def test_missing_dataset_is_a_usage_error(self, tmp_path, capsys, command):
         missing = str(tmp_path / "missing.fsof")
         out = ["--out", str(tmp_path / "out")]
+        # the heatmap reads the dataset a finished run names in its summary
+        bundle = tmp_path / "run"
+        bundle.mkdir()
+        summary = {"format_version": pipeline.BUNDLE_FORMAT_VERSION,
+                   "config": RunConfig(dataset=missing).snapshot()}
+        (bundle / "summary.json").write_text(json.dumps(summary))
         argv = {
             "inspect": [missing],
             "eval": ["--dataset", missing] + out,
-            "heatmap": ["--dataset", missing, "--item", "0"] + out,
+            "heatmap": ["--bundle", str(bundle), "--episode", "0"] + out,
         }[command]
         with pytest.raises(SystemExit) as info:
             cli.main([command] + argv)
@@ -595,3 +629,89 @@ class TestCli:
         parser = cli.build_parser()
         args = parser.parse_args(["eval", "--dataset", "x"])
         assert args.out == "/some/dir"
+
+
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestHeatmap:
+    """`fsosr heatmap` replays the mining of one episode of a finished run."""
+
+    @staticmethod
+    def _recording(calls: list, fn):
+        def record(*args):
+            calls.append(fn(*args))
+            return calls[-1]
+
+        return record
+
+    @pytest.mark.parametrize("iterations", [1, 4])
+    @pytest.mark.parametrize("norm", ["minmax", "softmax"])
+    def test_masks_and_backgrounds_are_the_evals(
+        self, benchmark_dataset, tmp_path, monkeypatch, capsys, norm, iterations
+    ):
+        path, _, _ = benchmark_dataset
+        mine = procam.mine
+        # every mining call of a 3-episode eval, and the pairs procam_for_support returns
+        eval_mined, eval_pairs = [], []
+        monkeypatch.setattr(procam, "mine", self._recording(eval_mined, mine))
+        monkeypatch.setattr(
+            pipeline, "procam_for_support", self._recording(eval_pairs, procam_for_support)
+        )
+        run = tmp_path / "run"
+        assert cli.main([
+            "eval", "--dataset", str(path), "--out", str(run), "--num-episodes", "3",
+            "--seed", "123", "--iterations", str(iterations), "--norm", norm, "--epochs", "2",
+        ]) == 0
+        assert len(eval_mined) == len(eval_pairs) == 3
+        monkeypatch.undo()
+        # the heatmap's mining call and the maps it writes
+        mined, written = [], {}
+        monkeypatch.setattr(cli, "mine", self._recording(mined, mine))
+        monkeypatch.setattr(cli, "export_heatmap", lambda m, p: written.setdefault(Path(p).name, m))
+        capsys.readouterr()
+        out = tmp_path / "heat"
+        assert cli.main(["heatmap", "--bundle", str(run), "--episode", "2", "--out", str(out)]) == 0
+        [(masks, backgrounds, trace)] = mined
+        want_masks, want_backgrounds, want_trace = eval_mined[2]
+        assert _same_bits(masks, want_masks) and _same_bits(backgrounds, want_backgrounds)
+        assert len(trace) == len(want_trace) == iterations
+        assert all(_same_bits(step, want) for step, want in zip(trace, want_trace))
+        assert _same_bits(backgrounds, np.stack([bg.values for _, bg in eval_pairs[2]]))
+        assert len(written) == 25 * (1 + iterations)
+        for j in range(25):
+            assert _same_bits(written[f"support{j:02d}_mask.pgm"], masks[j])
+            for t in range(iterations):
+                assert _same_bits(written[f"support{j:02d}_iter{t}.pgm"], trace[t][j])
+        # the benchmark file has no ground-truth masks beside it
+        assert capsys.readouterr().out == f"wrote {len(written)} heatmaps for episode 2 to {out}\n"
+
+    def test_iou_printed_beside_a_masks_file(self, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "synth.fsof"
+        assert cli.main(["gen-synthetic", "--out", str(data), "--seed", "4"]) == 0
+        run = tmp_path / "run"
+        assert cli.main([
+            "eval", "--dataset", str(data), "--out", str(run), "--num-episodes", "2",
+            "--n-way", "2", "--k-shot", "3", "--open-classes", "2", "--epochs", "2",
+        ]) == 0
+        mined = []
+        monkeypatch.setattr(cli, "mine", self._recording(mined, procam.mine))
+        argv = ["heatmap", "--bundle", str(run), "--episode", "1", "--out", str(tmp_path / "heat")]
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # episode 1 of the run: its supports' ground truth against the masks mined
+        cfg = RunConfig(dataset=str(data), n_way=2, k_shot=3, n_open_classes=2)
+        support = sample_episode(read_dataset(data), cfg.episode_spec(derive_episode_seed(0, 1))).support
+        truth = read_dataset(cli.masks_path(data)).values[support, ..., 0]
+        ious = [mask_iou(mask, gt) for mask, gt in zip(mined[0][0], truth)]
+        assert len(ious) == 6
+        assert lines[1:] == [
+            *(f"support {j} (item {i}): IoU {iou:.3f}" for j, (i, iou) in enumerate(zip(support, ious))),
+            f"mean IoU {np.mean(ious):.3f}",
+        ]
+        # without the masks file there is nothing to score against
+        cli.masks_path(data).unlink()
+        assert cli.main(argv) == 0
+        assert "IoU" not in capsys.readouterr().out

@@ -6,7 +6,7 @@ import pytest
 from fsosr.classifier import build_known_prototypes
 from fsosr.episode import SyntheticConfig, generate_synthetic
 from fsosr.featmap import FeatureMap, minmax_norm, spatial_avg_pool, spatial_softmax
-from fsosr.procam import ProCamConfig, _mine, cam, mask_iou, procam, procam_for_support
+from fsosr.procam import ProCamConfig, cam, mask_iou, mine, procam_for_support
 
 
 def _loop_oracle(fvals, wvals, iterations, softmax=False):
@@ -35,7 +35,7 @@ def _loop_oracle(fvals, wvals, iterations, softmax=False):
 
 
 def _einsum_mine(stack, weights, cfg):
-    """_mine with both contractions written as einsums over the (n, H, W, d)
+    """mine with both contractions written as einsums over the (n, H, W, d)
     stack: the reference the per-map matmuls are checked against."""
     activation = np.einsum("...hwd,...d->...hw", stack, weights)
     trace = []
@@ -98,7 +98,7 @@ class TestCam:
 
 
 class TestMineMatchesEinsum:
-    """_mine's per-map matmuls (the activation maps and the background
+    """mine's per-map matmuls (the activation maps and the background
     contraction) against the einsum contractions they replace: masks within
     1e-13, backgrounds within 1e-13 of their row norms. The weights are scaled
     by 1/sqrt(d) so activations stay of order one, as on the synthetic data."""
@@ -114,7 +114,7 @@ class TestMineMatchesEinsum:
             stack[3] = stack[3, :1, :1]
         weights = rng.normal(size=(shape[0], shape[-1])) / np.sqrt(shape[-1])
         cfg = ProCamConfig(iterations=4, norm_kind=norm_kind)
-        masks, backgrounds, trace = _mine(stack, weights, cfg)
+        masks, backgrounds, trace = mine(stack, weights, cfg)
         want_masks, want_backgrounds, want_trace = _einsum_mine(stack, weights, cfg)
         np.testing.assert_allclose(masks, want_masks, rtol=0, atol=1e-13)
         assert len(trace) == len(want_trace) == 4
@@ -128,54 +128,57 @@ class TestMineMatchesEinsum:
 
 
 class TestProcam:
+    """mine on one-map stacks, f[None] with w[None]."""
+
     def test_single_iteration_reduction(self):
         rng = np.random.default_rng(2)
-        f = FeatureMap(rng.normal(size=(4, 4, 6)))
+        f = rng.normal(size=(4, 4, 6))
         w = rng.normal(size=6)
-        result = procam(f, w, ProCamConfig(iterations=1))
-        expected_mask = minmax_norm(cam(f.values, w))
-        np.testing.assert_array_equal(result.final_mask, expected_mask)
-        expected_background = (f.values * (1.0 - expected_mask)[:, :, None]).mean(axis=(0, 1))
-        np.testing.assert_allclose(result.background, expected_background, rtol=0, atol=1e-12)
+        [mask], [background], _ = mine(f[None], w[None], ProCamConfig(iterations=1))
+        expected_mask = minmax_norm(cam(f, w))
+        np.testing.assert_array_equal(mask, expected_mask)
+        expected_background = (f * (1.0 - expected_mask)[:, :, None]).mean(axis=(0, 1))
+        np.testing.assert_allclose(background, expected_background, rtol=0, atol=1e-12)
 
     def test_point_activation(self):
         fvals = np.zeros((3, 3, 2))
         fvals[1, 2, 0] = 5.0
-        f = FeatureMap(fvals)
-        result = procam(f, np.array([1.0, 0.0]), ProCamConfig(iterations=3))
-        assert result.final_mask[1, 2] == pytest.approx(1.0)
-        others = result.final_mask.copy()
+        [mask], [background], _ = mine(fvals[None], np.array([[1.0, 0.0]]), ProCamConfig(iterations=3))
+        assert mask[1, 2] == pytest.approx(1.0)
+        others = mask.copy()
         others[1, 2] = 0.0
         assert np.all(others == 0.0)
         # the only nonzero feature sits under the mask
-        np.testing.assert_array_equal(result.background, np.zeros(2))
+        np.testing.assert_array_equal(background, np.zeros(2))
 
     def test_loop_oracle_minmax(self):
         rng = np.random.default_rng(3)
         fvals = rng.normal(size=(6, 6, 8))
         wvals = rng.normal(size=8)
-        result = procam(FeatureMap(fvals), wvals, ProCamConfig(iterations=4))
-        final, background, steps = _loop_oracle(fvals, wvals, 4)
-        np.testing.assert_allclose(result.final_mask, final, atol=1e-9)
-        np.testing.assert_allclose(result.background, background.mean(axis=(0, 1)), atol=1e-9)
-        assert len(result.per_iteration_masks) == 4
-        for got, expected in zip(result.per_iteration_masks, steps):
+        [mask], [background], trace = mine(fvals[None], wvals[None], ProCamConfig(iterations=4))
+        final, expected_background, steps = _loop_oracle(fvals, wvals, 4)
+        np.testing.assert_allclose(mask, final, atol=1e-9)
+        np.testing.assert_allclose(background, expected_background.mean(axis=(0, 1)), atol=1e-9)
+        assert len(trace) == 4
+        for [got], expected in zip(trace, steps):
             np.testing.assert_allclose(got, expected, atol=1e-9)
 
     def test_loop_oracle_softmax_mode(self):
         rng = np.random.default_rng(4)
         fvals = rng.normal(size=(5, 5, 6))
         wvals = rng.normal(size=6)
-        result = procam(
-            FeatureMap(fvals), wvals, ProCamConfig(iterations=3, norm_kind="softmax")
+        [mask], [background], _ = mine(
+            fvals[None], wvals[None], ProCamConfig(iterations=3, norm_kind="softmax")
         )
-        final, background, _ = _loop_oracle(fvals, wvals, 3, softmax=True)
-        np.testing.assert_allclose(result.final_mask, final, atol=1e-9)
-        np.testing.assert_allclose(result.background, background.mean(axis=(0, 1)), atol=1e-9)
+        final, expected_background, _ = _loop_oracle(fvals, wvals, 3, softmax=True)
+        np.testing.assert_allclose(mask, final, atol=1e-9)
+        np.testing.assert_allclose(background, expected_background.mean(axis=(0, 1)), atol=1e-9)
 
     def test_trace_kept_by_default(self):
-        f = FeatureMap(np.random.default_rng(5).normal(size=(3, 3, 2)))
-        assert len(procam(f, np.array([1.0, 0.0]), ProCamConfig(iterations=2)).per_iteration_masks) == 2
+        f = np.random.default_rng(5).normal(size=(3, 3, 2))
+        _, _, trace = mine(f[None], np.array([[1.0, 0.0]]), ProCamConfig(iterations=2))
+        assert len(trace) == 2
+        assert all(step.shape == (1, 3, 3) for step in trace)
 
     def test_invalid_config(self):
         with pytest.raises(ValueError, match="iterations"):
@@ -207,21 +210,18 @@ class TestProcamInvariants:
         fvals = rng.normal(size=(4, 4, 5))
         wvals = rng.normal(size=5)
         cfg = ProCamConfig(iterations=3)
-        base = procam(FeatureMap(fvals), wvals, cfg)
+        base_mask, _, base_trace = mine(fvals[None], wvals[None], cfg)
         for alpha in (0.01, 1.0, 100.0):
-            scaled = procam(FeatureMap(alpha * fvals), wvals, cfg)
-            np.testing.assert_allclose(
-                scaled.final_mask, base.final_mask, atol=1e-9
-            )
-            for got, expected in zip(scaled.per_iteration_masks, base.per_iteration_masks):
+            mask, _, trace = mine(alpha * fvals[None], wvals[None], cfg)
+            np.testing.assert_allclose(mask, base_mask, atol=1e-9)
+            for got, expected in zip(trace, base_trace):
                 np.testing.assert_allclose(got, expected, atol=1e-9)
 
     def test_final_mask_range(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
-            f = FeatureMap(rng.normal(size=(4, 4, 3)))
-            result = procam(f, rng.normal(size=3), ProCamConfig(iterations=4))
-            vals = result.final_mask
+            f = rng.normal(size=(4, 4, 3))
+            [vals], _, _ = mine(f[None], rng.normal(size=3)[None], ProCamConfig(iterations=4))
             assert vals.min() >= 0.0 and vals.max() <= 1.0
             assert vals.min() == 0.0 and vals.max() == pytest.approx(1.0)
 
@@ -235,7 +235,7 @@ class TestProcamInvariants:
             for c in range(ds.num_classes):
                 fg_means, bkg_means = [], []
                 for i in ds.class_index[c]:
-                    mask = procam(FeatureMap(ds.values[i]), protos[c], cfg).final_mask
+                    [mask], _, _ = mine(ds.values[i][None].astype(np.float64), protos[c][None], cfg)
                     gt = masks[i]
                     fg_means.append(mask[gt].mean())
                     bkg_means.append(mask[~gt].mean())
@@ -274,7 +274,7 @@ class TestBackgroundEmbedding:
         w = rng.normal(size=5)
         cfg = ProCamConfig(iterations=2)
         [(_, bg)] = _mine_supports([(f, 0)], w[None], cfg)
-        np.testing.assert_allclose(bg.values, procam(f, w, cfg).background, atol=1e-12)
+        np.testing.assert_allclose(bg.values, mine(f.values[None], w[None], cfg)[1][0], atol=1e-12)
 
 
 class TestProcamForSupport:
@@ -307,9 +307,9 @@ class TestProcamForSupport:
         pc = ProCamConfig(iterations=4)
         pairs = _mine_supports(supports, known, pc)
         for (fmap, label), (fg, bg) in zip(supports, pairs):
-            result = procam(fmap, known[label], pc)
+            [background] = mine(fmap.values[None], known[label][None], pc)[1]
             np.testing.assert_allclose(fg.values, spatial_avg_pool(fmap.values), atol=1e-12)
-            np.testing.assert_allclose(bg.values, result.background, atol=1e-12)
+            np.testing.assert_allclose(bg.values, background, atol=1e-12)
 
     @pytest.mark.parametrize("norm_kind", ["minmax", "softmax"])
     def test_mixed_flat_batch_matches_loop_oracle(self, norm_kind):
@@ -335,7 +335,7 @@ class TestProcamForSupport:
         labels = [0, 1, 0, 2, 1]
         cfg = ProCamConfig(iterations=4, norm_kind=norm_kind)
         pairs = _mine_supports([(FeatureMap(m), c) for m, c in zip(maps, labels)], known, cfg)
-        masks, backgrounds, trace = _mine(np.stack(maps), known[labels], cfg)
+        masks, backgrounds, trace = mine(np.stack(maps), known[labels], cfg)
         assert backgrounds.shape == (len(maps), d)
         for i, (fvals, label, (fg, bg)) in enumerate(zip(maps, labels, pairs)):
             final, background, steps = _loop_oracle(
