@@ -115,17 +115,25 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_heatmap(args: argparse.Namespace) -> int:
     summary = Path(args.bundle) / "summary.json"
-    bundle = json.loads(_read(args, summary, Path.read_text, "bundle summary"))
-    version = bundle.get("format_version")
-    if version != BUNDLE_FORMAT_VERSION:
-        raise _usage_error(args, f"{summary} has format version {version}, expected {BUNDLE_FORMAT_VERSION}")
-    # the run's episode and mining settings, as its snapshot recorded them
-    snap = bundle["config"]
-    cfg = _config(args, RunConfig, dataset=snap["dataset"], master_seed=snap["master_seed"],
-                  num_episodes=snap["num_episodes"], **snap["episode"], **snap["procam"])
+    try:  # a summary.json that is not a bundle's (not JSON, no config) is a usage error
+        bundle = json.loads(_read(args, summary, Path.read_text, "bundle summary"))
+        version = bundle.get("format_version")
+        if version != BUNDLE_FORMAT_VERSION:
+            raise _usage_error(args, f"{summary} has format version {version}, expected {BUNDLE_FORMAT_VERSION}")
+        # the run's episode and mining settings, as its snapshot recorded them
+        snap = bundle["config"]
+        cfg = _config(args, RunConfig, dataset=snap["dataset"], master_seed=snap["master_seed"],
+                      num_episodes=snap["num_episodes"], **snap["episode"], **snap["procam"])
+    except (ValueError, AttributeError, KeyError, TypeError) as exc:
+        raise _usage_error(args, f"{summary} is not a bundle summary ({type(exc).__name__}: {exc})") from exc
     if not 0 <= args.episode < cfg.num_episodes:
         raise _usage_error(args, f"episode {args.episode} outside [0, {cfg.num_episodes})")
     ds = _read(args, cfg.dataset)
+    truth_path = masks_path(cfg.dataset)  # gen-synthetic's ground truth, an H x W x 1 map per item
+    truth = _read(args, truth_path).values if truth_path.exists() else None
+    if truth is not None and truth.shape != (len(ds), ds.height, ds.width, 1):
+        raise _usage_error(args, f"{truth_path} holds masks of shape {truth.shape}, "
+                                 f"expected {(len(ds), ds.height, ds.width, 1)}")
     # the calls evaluate_episode makes: the same sample, prototypes and mining stack
     seed = derive_episode_seed(cfg.master_seed, args.episode, stream=0)
     episode = _config(args, sample_episode, ds=ds, spec=cfg.episode_spec(seed))
@@ -139,9 +147,8 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
         for t, step in enumerate(trace):
             export_heatmap(step[j], out / f"support{j:02d}_iter{t}.pgm")
     print(f"wrote {len(masks) * (1 + len(trace))} heatmaps for episode {args.episode} to {out}")
-    if masks_path(cfg.dataset).exists():  # gen-synthetic's ground truth, one H x W x 1 map per item
-        truth = _read(args, masks_path(cfg.dataset)).values[support, ..., 0]
-        ious = [mask_iou(mask, gt) for mask, gt in zip(masks, truth)]
+    if truth is not None:
+        ious = [mask_iou(mask, gt) for mask, gt in zip(masks, truth[support, ..., 0])]
         for j, (item, iou) in enumerate(zip(support, ious)):
             print(f"support {j} (item {item}): IoU {iou:.3f}")
         print(f"mean IoU {np.mean(ious):.3f}")

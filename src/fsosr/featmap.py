@@ -1,7 +1,7 @@
-"""Grid data types and the pooling / normalization primitives the rest of the
-engine is built on. Everything here is pure and operates in double precision;
-pooling and normalization act on plain arrays over their trailing axes, so
-one call covers a whole stack of maps."""
+"""The pooling / normalization primitives the rest of the engine is built on:
+pure, double precision, on plain arrays over their trailing axes, so one call
+covers a whole stack of maps. Also two holders of one item's map or embedding
+array, which copy and check nothing (data is checked where it comes in)."""
 
 from __future__ import annotations
 
@@ -15,78 +15,34 @@ NORM_SOFTMAX = "softmax"
 NORM_KINDS = (NORM_MINMAX, NORM_SOFTMAX)
 
 
-def _finite_f64(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
-    return arr
+class FeatureMap:
+    """An H x W x d activation grid for one image: the array it is given, as it is."""
 
+    __slots__ = ("values",)
 
-class _Frozen:
-    """A read-only array behind `.values`: float64, or as it is when `view` wraps it."""
-
-    __slots__ = ("_values",)
-
-    @classmethod
-    def view(cls, values: np.ndarray):
-        """Wrap an already validated read-only array as it is: no copy, no check."""
-        obj = object.__new__(cls)
-        obj._values = values
-        return obj
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._values
-
-
-class FeatureMap(_Frozen):
-    """An H x W x d activation grid for one image. Immutable after construction."""
-
-    __slots__ = ()
-
-    def __init__(self, values) -> None:
-        arr = _finite_f64(values, "FeatureMap")
-        if arr.ndim != 3:
-            raise ValueError(f"FeatureMap needs an H x W x d array, got shape {arr.shape}")
-        if min(arr.shape) < 1:
-            raise ValueError(f"FeatureMap dimensions must all be >= 1, got shape {arr.shape}")
-        arr.flags.writeable = False
-        self._values = arr
+    def __init__(self, values: np.ndarray) -> None:
+        self.values = values
 
     @property
     def height(self) -> int:
-        return self._values.shape[0]
+        return self.values.shape[0]
 
     @property
     def width(self) -> int:
-        return self._values.shape[1]
+        return self.values.shape[1]
 
     @property
     def channels(self) -> int:
-        return self._values.shape[2]
-
-    def __repr__(self) -> str:
-        return f"FeatureMap(height={self.height}, width={self.width}, channels={self.channels})"
+        return self.values.shape[2]
 
 
-class EmbeddingVector(_Frozen):
-    """A length-d embedding, the pooled representation of one image."""
+class EmbeddingVector:
+    """A length-d embedding of one image: the array it is given, as it is."""
 
-    __slots__ = ()
+    __slots__ = ("values",)
 
-    def __init__(self, values) -> None:
-        arr = _finite_f64(values, "EmbeddingVector")
-        if arr.ndim != 1 or arr.shape[0] < 1:
-            raise ValueError(f"EmbeddingVector needs a 1-d array, got shape {arr.shape}")
-        arr.flags.writeable = False
-        self._values = arr
-
-    @property
-    def dim(self) -> int:
-        return self._values.shape[0]
-
-    def __repr__(self) -> str:
-        return f"EmbeddingVector(dim={self.dim})"
+    def __init__(self, values: np.ndarray) -> None:
+        self.values = values
 
 
 def spatial_avg_pool(f: np.ndarray) -> np.ndarray:

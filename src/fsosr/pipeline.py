@@ -222,7 +222,7 @@ def evaluate_episode(
             bg_embeddings = None
             if needs_mining:
                 maps = [
-                    (FeatureMap.view(ds.values[i]), c)
+                    (FeatureMap(ds.values[i]), c)
                     for i, c in zip(episode.support, episode.support_labels)
                 ]
                 pairs = procam_for_support(maps, bank, cfg.procam_config(), support)

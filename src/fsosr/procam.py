@@ -101,10 +101,7 @@ def procam_for_support(
     _, backgrounds, _ = mine(stack, known[labels], cfg)
     foregrounds = foregrounds.view()
     foregrounds.flags.writeable = backgrounds.flags.writeable = False
-    return [
-        (EmbeddingVector.view(fg), EmbeddingVector.view(bg))
-        for fg, bg in zip(foregrounds, backgrounds)
-    ]
+    return [(EmbeddingVector(fg), EmbeddingVector(bg)) for fg, bg in zip(foregrounds, backgrounds)]
 
 
 def mask_iou(mask: np.ndarray, truth, threshold: float = 0.5) -> float:

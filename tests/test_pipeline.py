@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -33,16 +34,32 @@ from fsosr import cli, finetune, pipeline, procam
 @pytest.fixture(scope="module")
 def heatmap_bundles(benchmark_dataset, tmp_path_factory):
     """A directory holding a 3-episode run of the benchmark file (run/), a
-    directory without summary.json (empty/) and the run's summary under
-    another format version (future/)."""
+    directory without summary.json (empty/), the run's summary under another
+    format version (future/), three malformed summaries (notjson/, list/,
+    noconfig/), and the run's summary naming copies of the benchmark file
+    beside ground-truth masks that do not fit them: 60 items (short/) and two
+    channels (wide/)."""
     path, _, _ = benchmark_dataset
     root = tmp_path_factory.mktemp("bundles")
     run_eval(small_cfg(path, num_episodes=3, output_dir=str(root / "run")))
     (root / "empty").mkdir()
-    summary = json.loads((root / "run" / "summary.json").read_text())
-    (root / "future").mkdir()
-    summary["format_version"] = pipeline.BUNDLE_FORMAT_VERSION + 1
-    (root / "future" / "summary.json").write_text(json.dumps(summary))
+    text = (root / "run" / "summary.json").read_text()
+    summaries = {
+        "future": {**json.loads(text), "format_version": pipeline.BUNDLE_FORMAT_VERSION + 1},
+        "notjson": "{not json",
+        "list": [1, 2],
+        "noconfig": {"format_version": pipeline.BUNDLE_FORMAT_VERSION},
+    }
+    for name, shape in [("short", (60, 8, 8, 1)), ("wide", (360, 8, 8, 2))]:
+        shutil.copyfile(path, root / f"{name}.fsof")
+        masks = FeatureDataset(np.zeros(shape, np.float32), np.arange(shape[0]) % 12)
+        write_dataset(masks, cli.masks_path(root / f"{name}.fsof"))
+        summaries[name] = json.loads(text)
+        summaries[name]["config"]["dataset"] = f"{name}.fsof"
+    for name, summary in summaries.items():
+        (root / name).mkdir()
+        body = summary if isinstance(summary, str) else json.dumps(summary)
+        (root / name / "summary.json").write_text(body)
     return root
 
 
@@ -576,6 +593,28 @@ class TestCli:
                 f"expected {pipeline.BUNDLE_FORMAT_VERSION}",
             ),
             (["heatmap", "--bundle", "run", "--episode", "-1"], "episode -1 outside [0, 3)"),
+            (
+                ["heatmap", "--bundle", "notjson", "--episode", "0"],
+                "notjson/summary.json is not a bundle summary (JSONDecodeError: Expecting "
+                "property name enclosed in double quotes: line 1 column 2 (char 1))",
+            ),
+            (
+                ["heatmap", "--bundle", "list", "--episode", "0"],
+                "list/summary.json is not a bundle summary "
+                "(AttributeError: 'list' object has no attribute 'get')",
+            ),
+            (
+                ["heatmap", "--bundle", "noconfig", "--episode", "0"],
+                "noconfig/summary.json is not a bundle summary (KeyError: 'config')",
+            ),
+            (
+                ["heatmap", "--bundle", "short", "--episode", "0"],
+                "short.masks.fsof holds masks of shape (60, 8, 8, 1), expected (360, 8, 8, 1)",
+            ),
+            (
+                ["heatmap", "--bundle", "wide", "--episode", "0"],
+                "wide.masks.fsof holds masks of shape (360, 8, 8, 2), expected (360, 8, 8, 1)",
+            ),
         ],
     )
     def test_rejected_setting_is_a_usage_error(
