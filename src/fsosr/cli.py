@@ -74,7 +74,7 @@ def _cmd_gen_synthetic(args: argparse.Namespace) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     write_dataset(ds, out)
     # ground-truth masks ride along as a second dataset of H x W x 1 maps
-    mask_values = np.stack(masks, dtype=np.float32)[..., None]
+    mask_values = masks[..., None].astype(np.float32)
     mask_file = masks_path(out)
     write_dataset(FeatureDataset(mask_values, ds.labels, class_names=ds.class_names), mask_file)
     print(f"wrote {len(ds)} items ({ds.num_classes} classes, "
@@ -118,7 +118,7 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     try:  # a summary.json that is not a bundle's (not JSON, no config) is a usage error
         bundle = json.loads(_read(args, summary, Path.read_text, "bundle summary"))
         version = bundle.get("format_version")
-        if version != BUNDLE_FORMAT_VERSION:
+        if type(version) is not int or version != BUNDLE_FORMAT_VERSION:  # True and 1.0 equal 1
             raise _usage_error(args, f"{summary} has format version {version}, expected {BUNDLE_FORMAT_VERSION}")
         # the run's episode and mining settings, as its snapshot recorded them
         snap = bundle["config"]

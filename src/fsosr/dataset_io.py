@@ -12,9 +12,10 @@ FSOF layout (all integers little-endian):
 
 Values are stored as 32-bit floats and used at that precision, so a round
 trip is lossless; pooling and mining widen them to double precision where they
-compute. The reader maps the file and reads no payload: the dataset's tensor is
-a read-only view of the mapped records, checked and pooled chunk by chunk, with
-finiteness checked on the pooled rows.
+compute. The reader maps the file and copies no payload: the dataset's tensor
+is a read-only view of the mapped records. It checks every header in one pass,
+then pools every item in another and checks the pooled rows finite. Only the
+writer works in chunks.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHI")
 _ITEM_HEADER = struct.Struct("<IHHH")
 _ITEM_HEADER_DTYPE = np.dtype([("label", "<u4"), ("shape", "<u2", 3)])  # as an array row
-CHUNK_BYTES = 1 << 18  # how much of the file read_dataset checks and write_dataset packs at a time
+CHUNK_BYTES = 1 << 18  # how much of the file write_dataset packs at a time
 
 
 class DatasetFormatError(ValueError):
@@ -108,9 +109,10 @@ def _record_dtype(shape) -> np.dtype:
 def read_dataset(path) -> FeatureDataset:
     """Map an FSOF file and read its sidecar. Items share item 0's shape, so
     the dataset's float32 tensor is a read-only view of the mapped records: no
-    payload is read or copied. Each chunk of about CHUNK_BYTES has its headers
-    checked as arrays and is pooled into the embeddings, which are checked
-    finite. The checks cover the file as it was at load."""
+    payload is copied. All item headers are checked as arrays, then all items
+    are pooled into the embeddings, which are checked finite; so a header fault
+    anywhere is reported before a non-finite value anywhere. The checks cover
+    the file as it was at load."""
     path = Path(path)
     # a FIFO would block the open without O_NONBLOCK, and cannot be mapped; the
     # check comes before open(), which would leave a directory's descriptor open
@@ -141,30 +143,25 @@ def read_dataset(path) -> FeatureDataset:
         mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     record = _record_dtype(shape)
     item_bytes = record.itemsize
-    step = max(1, CHUNK_BYTES // item_bytes)
     # the records the file can hold: a count beyond them fails as truncated
     rows = min(count, (size - _HEADER.size) // item_bytes)
     records = np.frombuffer(mapped, record, rows, _HEADER.size)
-    values, labels, shapes = records["values"], records["label"], records["shape"]
-    embeddings = np.empty((rows, shape[2]))
-    for start in range(0, count, step):
-        stop, held = min(count, start + step), min(rows, start + step)
-        # a shape equal to item 0's has no zero dimension, since item 0's has none
-        bad = (labels[start:held] >= count) | (shapes[start:held] != shape).any(1)
-        if held < stop or bad.any():
-            # _check_item raises the error of the first bad item, or of the
-            # short one after the last whole record
-            i = start + int(np.argmax(np.append(bad, True)))
-            offset = _HEADER.size + i * item_bytes
-            _check_item(path, i, count, shape, mapped[offset : offset + item_bytes], offset, size)
-        # an item's float64 means are finite exactly when its float32 values
-        # are: 2**32 cells of at most 3.4e38 cannot overflow a float64 sum,
-        # and an inf or NaN makes its channel's mean inf or NaN
-        pooled = embeddings[start:stop]
-        pooled[...] = spatial_avg_pool(values[start:stop])
-        if not np.isfinite(pooled).all():
-            i = start + int(np.argmin(np.isfinite(pooled).all(axis=1)))
-            raise NonFiniteValueError(f"{path}: item {i} contains non-finite values")
+    values, labels = records["values"], records["label"]
+    # a shape equal to item 0's has no zero dimension, since item 0's has none
+    bad = (labels >= count) | (records["shape"] != shape).any(1)
+    if rows < count or bad.any():
+        # _check_item raises the error of the first bad item, or of the short
+        # one after the last whole record
+        i = int(np.argmax(np.append(bad, True)))
+        offset = _HEADER.size + i * item_bytes
+        _check_item(path, i, count, shape, mapped[offset : offset + item_bytes], offset, size)
+    # an item's float64 means are finite exactly when its float32 values are:
+    # 2**32 cells of at most 3.4e38 cannot overflow a float64 sum, and an inf
+    # or NaN makes its channel's mean inf or NaN
+    embeddings = spatial_avg_pool(values)
+    finite = np.isfinite(embeddings).all(axis=1)
+    if not finite.all():
+        raise NonFiniteValueError(f"{path}: item {int(np.argmin(finite))} contains non-finite values")
     end = _HEADER.size + count * item_bytes
     if end != size:
         raise DatasetFormatError(f"{path}: {size - end} trailing bytes after {count} items")

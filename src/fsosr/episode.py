@@ -53,12 +53,14 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 class FeatureDataset:
-    """N labeled feature maps as one read-only (N, H, W, d) float32 tensor,
-    the precision FSOF stores, their (N,) dense labels, and the (N, d) float64
-    embeddings pooled from the tensor once: here, or by the caller, who has
-    checked them finite (read_dataset pools each chunk as it checks it); their
-    shape and dtype are checked here. A read-only float32 tensor is kept as
-    is; anything else is converted or copied once."""
+    """N labeled feature maps: `values`, one (N, H, W, d) float32 tensor, the
+    precision FSOF stores; their (N,) dense `labels`; the (N, d) float64
+    `embeddings`, each map's spatial mean, pooled once: here, or by the caller,
+    who has checked them finite (read_dataset pools the whole mapped file); and
+    `class_index[c]`, class c's item indices in dataset order. Every array is
+    read-only. A read-only float32 tensor is kept as is; anything else is
+    converted or copied once. Given embeddings have their shape and dtype
+    checked."""
 
     def __init__(self, values, labels, class_names: list[str] | None = None, embeddings=None) -> None:
         if getattr(values, "dtype", None) != np.float32 or values.flags.writeable:
@@ -103,56 +105,30 @@ class FeatureDataset:
                     f"got {embeddings.dtype} of shape {embeddings.shape}"
                 )
         order = np.argsort(labels, kind="stable")
-        groups = np.split(order, np.cumsum(counts)[:-1])
-        self._values = values
-        self._labels = _read_only(labels.astype(np.intp))
-        self._embeddings = _read_only(embeddings)
-        self._class_index = {c: _read_only(g) for c, g in enumerate(groups)}
+        self.values = values
+        self.labels = _read_only(labels.astype(np.intp))
+        self.embeddings = _read_only(embeddings)
+        self.class_index = tuple(_read_only(g) for g in np.split(order, np.cumsum(counts)[:-1]))
         self.class_names = list(class_names) if class_names is not None else None
 
     @property
-    def values(self) -> np.ndarray:
-        """The read-only (N, H, W, d) feature maps."""
-        return self._values
-
-    @property
-    def labels(self) -> np.ndarray:
-        return self._labels
-
-    @property
-    def embeddings(self) -> np.ndarray:
-        """The (N, d) spatial means of the maps: each item's pooled feature."""
-        return self._embeddings
-
-    @property
-    def class_index(self) -> dict[int, np.ndarray]:
-        """Per class, the indices of its items in dataset order."""
-        return self._class_index
-
-    @property
     def num_classes(self) -> int:
-        return len(self._class_index)
+        return len(self.class_index)
 
     @property
     def height(self) -> int:
-        return self._values.shape[1]
+        return self.values.shape[1]
 
     @property
     def width(self) -> int:
-        return self._values.shape[2]
+        return self.values.shape[2]
 
     @property
     def channels(self) -> int:
-        return self._values.shape[3]
+        return self.values.shape[3]
 
     def __len__(self) -> int:
-        return len(self._values)
-
-    def __repr__(self) -> str:
-        return (
-            f"FeatureDataset({len(self)} items, {self.num_classes} classes, "
-            f"{self.height}x{self.width}x{self.channels})"
-        )
+        return len(self.values)
 
 
 def derive_episode_seed(master_seed: int, index: int, stream: int = 0) -> int:
@@ -325,8 +301,8 @@ def benchmark_config(seed: int = 7) -> SyntheticConfig:
     )
 
 
-def generate_synthetic(cfg: SyntheticConfig) -> tuple[FeatureDataset, list[np.ndarray]]:
-    """Build the dataset and the per-item binary ground-truth foreground masks.
+def generate_synthetic(cfg: SyntheticConfig) -> tuple[FeatureDataset, np.ndarray]:
+    """Build the dataset and its (N, H, W) bool ground-truth foreground masks.
 
     Channel layout: class c uses channel c, the static shared background
     pattern uses channel num_classes, the per-item background-energy shift
@@ -343,7 +319,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[FeatureDataset, list[np.nd
 
     labels = np.repeat(np.arange(cfg.num_classes), cfg.items_per_class)
     values = np.empty((len(labels), cfg.height, cfg.width, cfg.channels), dtype=np.float32)
-    masks: list[np.ndarray] = []
+    masks = np.empty(values.shape[:3], dtype=bool)
     i = 0
     for c in range(cfg.num_classes):
         profile = foreground_profile(regions[c], cfg.height, cfg.width)
@@ -359,8 +335,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[FeatureDataset, list[np.nd
                     cfg.bkg_noise_mean + cfg.bkg_noise_scale * rng.standard_normal()
                 )
                 item[:, :, shift_channel] += shift
-            values[i] = item
-            masks.append(mask.copy())
+            values[i], masks[i] = item, mask
             i += 1
     names = [f"synthetic_{c}" for c in range(cfg.num_classes)]
     return FeatureDataset(_read_only(values), labels, class_names=names), masks

@@ -190,7 +190,7 @@ def validate_dataset_for_config(ds: FeatureDataset, cfg: RunConfig) -> None:
             f"({cfg.n_way} closed + {cfg.n_open_classes} open)"
         )
     need_items = max(cfg.k_shot + cfg.n_query, cfg.resolved_open_query())
-    smallest = min((len(idx), c) for c, idx in ds.class_index.items())
+    smallest = min((len(idx), c) for c, idx in enumerate(ds.class_index))
     if smallest[0] < need_items:
         raise ValueError(
             f"class {smallest[1]} has {smallest[0]} items but episodes may need {need_items}"

@@ -200,6 +200,32 @@ class TestFormatErrors:
         with pytest.raises(DatasetFormatError, match=r"item 2 has label 9, but 6 items allow at most 5"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("chunk_bytes", [1, 1 << 20])
+    def test_header_fault_is_reported_before_an_earlier_non_finite_item(
+        self, tmp_path, monkeypatch, chunk_bytes
+    ):
+        # headers are checked over the whole file before any item is pooled
+        monkeypatch.setattr(dataset_io, "CHUNK_BYTES", chunk_bytes)
+        items = [(k % 2, np.zeros((2, 2, 3))) for k in range(6)]
+        items[1] = (1, np.full((2, 2, 3), np.nan))
+        items[4] = (9, np.zeros((2, 2, 3)))
+        path = tmp_path / "nan-then-label.fsof"
+        path.write_bytes(pack_items(items))
+        with pytest.raises(DatasetFormatError, match=r"item 4 has label 9, but 6 items allow at most 5"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 1 << 20])
+    def test_truncated_tail_is_reported_before_an_earlier_non_finite_item(
+        self, tmp_path, monkeypatch, chunk_bytes
+    ):
+        monkeypatch.setattr(dataset_io, "CHUNK_BYTES", chunk_bytes)
+        items = [(k % 2, np.zeros((2, 2, 3))) for k in range(6)]
+        items[1] = (1, np.full((2, 2, 3), np.nan))
+        path = tmp_path / "nan-then-short.fsof"
+        path.write_bytes(pack_items(items)[:-5])
+        with pytest.raises(TruncatedFileError, match="item 5 payload truncated"):
+            read_dataset(path)
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_fifo_fails_without_blocking(self, tmp_path):
         # a FIFO with no writer blocks a plain open, and cannot be mapped
@@ -254,8 +280,9 @@ def pack_items(items):
 
 
 class TestChunkedRead:
-    """read_dataset and write_dataset hold the payload CHUNK_BYTES at a time; a
-    chunk of one byte still holds one item."""
+    """write_dataset packs the payload CHUNK_BYTES at a time, and a chunk of one
+    byte still holds one item; read_dataset checks and pools the mapped file
+    whole, so no chunk size changes what it returns or raises."""
 
     @pytest.mark.parametrize("chunk_bytes", [1, 250, 500, 1 << 20])
     def test_round_trip_at_any_chunk_size(self, tmp_path, monkeypatch, chunk_bytes):

@@ -6,6 +6,9 @@ fixed-input check runs here too, on every workload."""
 import dataclasses
 import importlib.util
 import json
+import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -97,3 +100,19 @@ def test_golden_values_match_baseline(golden_input, workload):
         assert len(values) == len(expected[key]), key
         for a, b in zip(values, expected[key]):
             assert abs(a - b) <= tol * max(1.0, abs(b)), (key, a, b)
+
+
+def test_setup_entry_prints_one_set_up_time(benchmark_dataset):
+    # perfbench/measure.py's second form loads and validates the input with
+    # read_dataset and validate_dataset_for_config, outside run_eval
+    path, _, _ = benchmark_dataset
+    measure = SPANS.with_name("measure.py")
+    child = subprocess.run(
+        [sys.executable, str(measure), "setup", "std-full", "1", str(path)],
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    [line] = child.stdout.splitlines()
+    seconds = float(line)
+    assert math.isfinite(seconds) and seconds > 0

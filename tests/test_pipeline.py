@@ -35,7 +35,8 @@ from fsosr import cli, finetune, pipeline, procam
 def heatmap_bundles(benchmark_dataset, tmp_path_factory):
     """A directory holding a 3-episode run of the benchmark file (run/), a
     directory without summary.json (empty/), the run's summary under another
-    format version (future/), three malformed summaries (notjson/, list/,
+    format version (future/) and with a version of another type that equals 1
+    (boolversion/, floatversion/), three malformed summaries (notjson/, list/,
     noconfig/), and the run's summary naming copies of the benchmark file
     beside ground-truth masks that do not fit them: 60 items (short/) and two
     channels (wide/)."""
@@ -49,6 +50,8 @@ def heatmap_bundles(benchmark_dataset, tmp_path_factory):
         "notjson": "{not json",
         "list": [1, 2],
         "noconfig": {"format_version": pipeline.BUNDLE_FORMAT_VERSION},
+        "boolversion": {**json.loads(text), "format_version": True},
+        "floatversion": {**json.loads(text), "format_version": 1.0},
     }
     for name, shape in [("short", (60, 8, 8, 1)), ("wide", (360, 8, 8, 2))]:
         shutil.copyfile(path, root / f"{name}.fsof")
@@ -614,6 +617,16 @@ class TestCli:
             (
                 ["heatmap", "--bundle", "wide", "--episode", "0"],
                 "wide.masks.fsof holds masks of shape (360, 8, 8, 2), expected (360, 8, 8, 1)",
+            ),
+            (
+                ["heatmap", "--bundle", "boolversion", "--episode", "0"],
+                "boolversion/summary.json has format version True, "
+                f"expected {pipeline.BUNDLE_FORMAT_VERSION}",
+            ),
+            (
+                ["heatmap", "--bundle", "floatversion", "--episode", "0"],
+                "floatversion/summary.json has format version 1.0, "
+                f"expected {pipeline.BUNDLE_FORMAT_VERSION}",
             ),
         ],
     )
