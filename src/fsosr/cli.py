@@ -102,7 +102,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     cfg = _config(args, RunConfig, output_dir=args.out, **_settings(args, "out"))
     ds = _read(args, cfg.dataset)
     _config(args, validate_dataset_for_config, ds=ds, cfg=cfg)
-    bundle = run_eval(cfg, ds)
+    try:
+        bundle = run_eval(cfg, ds)
+    except RuntimeError as exc:  # a failed episode, named with its seed: exit 1, not a usage error
+        sys.stderr.write(f"fsosr {args.command}: error: {exc}\n")
+        return 1
     agg = bundle.aggregate
     print(f"episodes: {agg['n_episodes']}")
     print(f"accuracy: {100 * agg['mean_accuracy']:.2f}% +/- {100 * agg['ci95_accuracy']:.2f}")
@@ -129,17 +133,17 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     if not 0 <= args.episode < cfg.num_episodes:
         raise _usage_error(args, f"episode {args.episode} outside [0, {cfg.num_episodes})")
     ds = _read(args, cfg.dataset)
+    _config(args, validate_dataset_for_config, ds=ds, cfg=cfg)
     truth_path = masks_path(cfg.dataset)  # gen-synthetic's ground truth, an H x W x 1 map per item
     truth = _read(args, truth_path).values if truth_path.exists() else None
     if truth is not None and truth.shape != (len(ds), ds.height, ds.width, 1):
         raise _usage_error(args, f"{truth_path} holds masks of shape {truth.shape}, "
                                  f"expected {(len(ds), ds.height, ds.width, 1)}")
     # the calls evaluate_episode makes: the same sample, prototypes and mining stack
-    seed = derive_episode_seed(cfg.master_seed, args.episode, stream=0)
-    episode = _config(args, sample_episode, ds=ds, spec=cfg.episode_spec(seed))
+    episode = sample_episode(ds, cfg.episode, derive_episode_seed(cfg.master_seed, args.episode, stream=0))
     support, labels = episode.support, episode.support_labels
     known = build_known_prototypes(ds.embeddings[support], labels, cfg.n_way, cfg.k_shot)
-    masks, _, trace = mine(ds.values[support].astype(np.float64), known[labels], cfg.procam_config())
+    masks, _, trace = mine(ds.values[support].astype(np.float64), known[labels], cfg.procam)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for j, mask in enumerate(masks):

@@ -22,7 +22,6 @@ class EpisodeSpec:
     n_query: int = 10
     n_open_classes: int = 5
     n_open_query: int = 10
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_way < 2:
@@ -35,16 +34,14 @@ class EpisodeSpec:
 
 @dataclass(frozen=True)
 class Episode:
-    """Sampled task as dataset item indices. Supports and known queries run
-    class by class; support_labels and known_labels hold their episode-local
-    classes 0..N-1, and class_mapping[i] is the dataset label behind class i."""
+    """Sampled task as dataset item indices. Supports and known queries run class
+    by class; support_labels and known_labels hold episode-local classes 0..N-1."""
 
     support: np.ndarray
     support_labels: np.ndarray
     known_queries: np.ndarray
     known_labels: np.ndarray
     unknown_queries: np.ndarray
-    class_mapping: tuple[int, ...]
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -140,8 +137,8 @@ def derive_episode_seed(master_seed: int, index: int, stream: int = 0) -> int:
     return int.from_bytes(ss.generate_state(2).tobytes(), "little")
 
 
-def sample_episode(ds: FeatureDataset, spec: EpisodeSpec) -> Episode:
-    """Draw one episode from the seeded generator.
+def sample_episode(ds: FeatureDataset, spec: EpisodeSpec, seed: int) -> Episode:
+    """Draw one episode from a generator seeded with `seed`.
 
     Closed and open classes are drawn together without replacement, so they are
     always disjoint; per closed class, k_shot + n_query distinct items are
@@ -153,7 +150,7 @@ def sample_episode(ds: FeatureDataset, spec: EpisodeSpec) -> Episode:
             f"dataset has {ds.num_classes} classes, episode needs {need_classes} "
             f"({spec.n_way} closed + {spec.n_open_classes} open)"
         )
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     chosen = rng.choice(ds.num_classes, size=need_classes, replace=False).tolist()
     picks = []
     for i, label in enumerate(chosen):
@@ -175,7 +172,6 @@ def sample_episode(ds: FeatureDataset, spec: EpisodeSpec) -> Episode:
         known_queries=known[:, spec.k_shot :].ravel(),
         known_labels=np.repeat(classes, spec.n_query),
         unknown_queries=np.concatenate(picks[spec.n_way :]),
-        class_mapping=tuple(chosen[: spec.n_way]),
     )
 
 

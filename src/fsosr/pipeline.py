@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -33,6 +34,7 @@ from .metrics import accuracy, aggregate, auroc
 from .procam import ProCamConfig, procam_for_support
 
 BUNDLE_FORMAT_VERSION = 1
+CHUNK_EPISODES = 8  # episodes a pool worker takes at a time
 
 
 @dataclass(frozen=True)
@@ -72,14 +74,16 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         """Fail at construction on any setting an episode would reject: the
-        episode, mining and fine-tune configs validate themselves here once."""
+        episode, mining and fine-tune configs validate themselves here once,
+        and stay as the attributes `episode`, `procam` and `finetune`."""
         if self.init_kind not in INIT_KINDS:
             raise ValueError(f"unknown init kind {self.init_kind!r}, expected one of {INIT_KINDS}")
         if self.score_kind not in SCORE_KINDS:
             raise ValueError(f"unknown score kind {self.score_kind!r}, expected one of {SCORE_KINDS}")
-        self.episode_spec(0)
-        object.__setattr__(self, "_procam", self._stage(ProCamConfig))
-        object.__setattr__(self, "_finetune", self._stage(FinetuneConfig))
+        open_query = self.n_query if self.n_open_query is None else self.n_open_query
+        self._stage("episode", EpisodeSpec, n_open_query=open_query)
+        self._stage("procam", ProCamConfig)
+        self._stage("finetune", FinetuneConfig)
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
         if self.num_episodes < 1:
@@ -95,37 +99,21 @@ class RunConfig:
                 f"so num_background must be <= {mined} (got {self.num_background})"
             )
 
-    def resolved_open_query(self) -> int:
-        return self.n_query if self.n_open_query is None else self.n_open_query
-
-    def _stage(self, config, **given):
-        """A stage config whose fields are this config's fields of the same
-        names, except those given."""
-        return config(
-            **{f.name: getattr(self, f.name) for f in fields(config) if f.name not in given},
-            **given,
-        )
-
-    def episode_spec(self, seed: int) -> EpisodeSpec:
-        return self._stage(EpisodeSpec, n_open_query=self.resolved_open_query(), seed=seed)
-
-    def procam_config(self) -> ProCamConfig:
-        return self._procam
-
-    def finetune_config(self) -> FinetuneConfig:
-        return self._finetune
+    def _stage(self, name: str, config, **given) -> None:
+        """Set attribute `name` to a stage config whose fields are this
+        config's fields of the same names, except those given."""
+        fixed = {f.name: getattr(self, f.name) for f in fields(config) if f.name not in given}
+        object.__setattr__(self, name, config(**fixed, **given))
 
     def snapshot(self) -> dict:
         """Result-affecting configuration only. Execution details (workers,
         output paths, dump flags) are excluded so identical configs yield
         byte-identical bundles no matter how the run was executed."""
-        episode = asdict(self.episode_spec(0))
-        del episode["seed"]
         return {
             "dataset": self.dataset,
-            "episode": episode,
-            "procam": asdict(self.procam_config()),
-            "finetune": asdict(self.finetune_config()),
+            "episode": asdict(self.episode),
+            "procam": asdict(self.procam),
+            "finetune": asdict(self.finetune),
             "init": {"kind": self.init_kind, "num_background": self.num_background},
             "stages": {
                 "use_background_classes": self.use_background_classes,
@@ -143,7 +131,6 @@ class ResultsBundle:
     """Per-episode rows plus the aggregate, reproducible bit-for-bit from the
     config snapshot and master seed."""
 
-    format_version: int
     config: dict
     episodes: list[dict]
     aggregate: dict
@@ -159,7 +146,7 @@ class ResultsBundle:
 
     def summary_json_text(self) -> str:
         payload = {
-            "format_version": self.format_version,
+            "format_version": BUNDLE_FORMAT_VERSION,
             "config": self.config,
             "aggregate": self.aggregate,
         }
@@ -189,7 +176,7 @@ def validate_dataset_for_config(ds: FeatureDataset, cfg: RunConfig) -> None:
             f"dataset has {ds.num_classes} classes but episodes need {need_classes} "
             f"({cfg.n_way} closed + {cfg.n_open_classes} open)"
         )
-    need_items = max(cfg.k_shot + cfg.n_query, cfg.resolved_open_query())
+    need_items = max(cfg.k_shot + cfg.n_query, cfg.episode.n_open_query)
     smallest = min((len(idx), c) for c, idx in enumerate(ds.class_index))
     if smallest[0] < need_items:
         raise ValueError(
@@ -212,7 +199,7 @@ def evaluate_episode(
     chained to the original exception."""
     sample_seed = derive_episode_seed(cfg.master_seed, index, stream=0)
     try:
-        episode = sample_episode(ds, cfg.episode_spec(sample_seed))
+        episode = sample_episode(ds, cfg.episode, sample_seed)
         support = ds.embeddings[episode.support]
         bank = build_known_prototypes(support, episode.support_labels, cfg.n_way, cfg.k_shot)
 
@@ -225,7 +212,7 @@ def evaluate_episode(
                     (FeatureMap(ds.values[i]), c)
                     for i, c in zip(episode.support, episode.support_labels)
                 ]
-                pairs = procam_for_support(maps, bank, cfg.procam_config(), support)
+                pairs = procam_for_support(maps, bank, cfg.procam, support)
                 bg_embeddings = np.stack([bg.values for _, bg in pairs])
             if carried is None:
                 init_seed = derive_episode_seed(cfg.master_seed, index, stream=1)
@@ -235,8 +222,7 @@ def evaluate_episode(
             bank = np.concatenate([bank, carried])
             if cfg.use_procam_finetune:
                 bank, loss_report = finetune_bank(
-                    bank, cfg.n_way, support, episode.support_labels, bg_embeddings,
-                    cfg.finetune_config(),
+                    bank, cfg.n_way, support, episode.support_labels, bg_embeddings, cfg.finetune
                 )
 
         # a copy: a view would keep every episode's whole bank alive in the records
@@ -285,8 +271,9 @@ def run_eval(cfg: RunConfig, ds: FeatureDataset | None = None) -> ResultsBundle:
     """Evaluate num_episodes episodes and assemble (and optionally write) the
     results bundle. ds is cfg.dataset when the caller has read it already;
     pool workers evaluate on this same ds, which they inherit when forked (on
-    Linux; spawn or forkserver would pickle it into every worker).
-    Under init=global each episode starts
+    Linux; spawn or forkserver would pickle it into every worker). The pool
+    starts no more workers than there are chunks of CHUNK_EPISODES episodes
+    or CPUs this process may run on. Under init=global each episode starts
     from the previous episode's final background rows, so it always runs on a
     single worker."""
     if ds is None:
@@ -301,11 +288,13 @@ def run_eval(cfg: RunConfig, ds: FeatureDataset | None = None) -> ResultsBundle:
             if cfg.init_kind == INIT_GLOBAL:
                 carried = records[-1]["background"]
     else:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        workers = min(workers, -(-cfg.num_episodes // CHUNK_EPISODES), cpus)
         context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=context, initializer=_worker_init, initargs=(cfg, ds)
         ) as pool:
-            records = list(pool.map(_worker_run, range(cfg.num_episodes), chunksize=8))
+            records = list(pool.map(_worker_run, range(cfg.num_episodes), chunksize=CHUNK_EPISODES))
 
     agg = aggregate([r["accuracy"] for r in records], [r["auroc"] for r in records])
 
@@ -317,7 +306,6 @@ def run_eval(cfg: RunConfig, ds: FeatureDataset | None = None) -> ResultsBundle:
         )
 
     bundle = ResultsBundle(
-        format_version=BUNDLE_FORMAT_VERSION,
         config=cfg.snapshot(),
         episodes=[
             {"episode": r["episode"], "seed": r["seed"], "accuracy": r["accuracy"], "auroc": r["auroc"]}

@@ -104,10 +104,10 @@ def procam_for_support(
     return [(EmbeddingVector(fg), EmbeddingVector(bg)) for fg, bg in zip(foregrounds, backgrounds)]
 
 
-def mask_iou(mask: np.ndarray, truth, threshold: float = 0.5) -> float:
-    """Intersection over union between the mask thresholded at `threshold` and
-    a binary ground-truth map. Both empty counts as perfect agreement."""
-    pred = np.asarray(mask) >= threshold
+def mask_iou(mask: np.ndarray, truth) -> float:
+    """Intersection over union between the mask thresholded at 0.5 and a
+    binary ground-truth map. Both empty counts as perfect agreement."""
+    pred = np.asarray(mask) >= 0.5
     gt = np.asarray(truth, dtype=bool)
     if gt.shape != pred.shape:
         raise ValueError(f"truth shape {gt.shape} does not match mask {pred.shape}")

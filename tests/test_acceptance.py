@@ -10,7 +10,6 @@ from fsosr.classifier import build_known_prototypes, init_background
 from fsosr.episode import EpisodeSpec, derive_episode_seed, sample_episode
 from fsosr.featmap import FeatureMap, minmax_norm
 from fsosr.finetune import (
-    DEFAULT_PROTOTYPE_SHAPES,
     GRADCHECK_THRESHOLD,
     FinetuneConfig,
     finetune_bank,
@@ -30,7 +29,7 @@ def _verdict(name, passed, elapsed, detail=""):
 
 def test_criterion_1_gradient_correctness():
     start = time.time()
-    report = gradcheck_report(seed=2024, trials=20, prototype_shapes=DEFAULT_PROTOTYPE_SHAPES)
+    report = gradcheck_report(seed=2024, trials=20)
     elapsed = time.time() - start
     detail = f"prototype max rel err {report['prototype_gradient']:.2e}"
     ok = report["prototype_gradient"] < GRADCHECK_THRESHOLD and elapsed < 10.0
@@ -179,8 +178,7 @@ def test_criterion_6_finetune_descent(benchmark_dataset):
     descended = 0
     n_episodes = 200
     for i in range(n_episodes):
-        spec = EpisodeSpec(seed=derive_episode_seed(123, i, 0))
-        episode = sample_episode(ds, spec)
+        episode = sample_episode(ds, EpisodeSpec(), derive_episode_seed(123, i, 0))
         sup = ds.embeddings[episode.support]
         labels = episode.support_labels
         known = build_known_prototypes(sup, labels, 5, 5)

@@ -26,12 +26,18 @@ def tiny_dataset(num_classes=10, items_per_class=8, h=2, w=2, d=3, seed=0):
     return FeatureDataset(values, np.repeat(np.arange(num_classes), items_per_class))
 
 
-def tuple_sampler_oracle(ds, spec):
+def closed_classes(ds, ep, k_shot):
+    """The dataset labels of an episode's closed classes in episode-class
+    order: the label of each class's first support."""
+    return ds.labels[ep.support[::k_shot]]
+
+
+def tuple_sampler_oracle(ds, spec, seed):
     """The sampler as it was when episodes were tuples of items: the same rng
     calls in the same order, with each item given by its dataset index.
-    Returns (support, known_queries, unknown_queries, class_mapping), the first
-    two as (index, episode class) pairs."""
-    rng = np.random.default_rng(spec.seed)
+    Returns (support, known_queries, unknown_queries, closed classes), the
+    first two as (index, episode class) pairs."""
+    rng = np.random.default_rng(seed)
     chosen = rng.choice(ds.num_classes, size=spec.n_way + spec.n_open_classes, replace=False)
     closed = [int(c) for c in chosen[: spec.n_way]]
     support, known = [], []
@@ -135,50 +141,50 @@ class TestFeatureDataset:
 class TestSampleEpisode:
     def test_forced_selection_uses_every_class(self):
         ds = tiny_dataset(num_classes=7, items_per_class=4)
-        spec = EpisodeSpec(n_way=2, k_shot=2, n_query=2, n_open_classes=5, n_open_query=4, seed=11)
-        ep = sample_episode(ds, spec)
+        spec = EpisodeSpec(n_way=2, k_shot=2, n_query=2, n_open_classes=5, n_open_query=4)
+        ep = sample_episode(ds, spec, 11)
         # 2 closed + 5 open = all 7 classes in play; closed classes use all 4 items
-        assert len(set(ep.class_mapping)) == 2
+        assert len(set(closed_classes(ds, ep, spec.k_shot).tolist())) == 2
         assert len(ep.support) == 4 and len(ep.known_queries) == 4
         assert len(ep.unknown_queries) == 20
 
     def test_determinism_and_seed_sensitivity(self):
         ds = tiny_dataset()
-        spec = EpisodeSpec(n_way=3, k_shot=2, n_query=2, n_open_classes=2, n_open_query=2, seed=5)
-        a = sample_episode(ds, spec)
-        b = sample_episode(ds, spec)
-        assert a.class_mapping == b.class_mapping
+        spec = EpisodeSpec(n_way=3, k_shot=2, n_query=2, n_open_classes=2, n_open_query=2)
+        a = sample_episode(ds, spec, 5)
+        b = sample_episode(ds, spec, 5)
+        np.testing.assert_array_equal(closed_classes(ds, a, 2), closed_classes(ds, b, 2))
         for field in ("support", "support_labels", "known_queries", "known_labels", "unknown_queries"):
             np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
-        c = sample_episode(ds, EpisodeSpec(n_way=3, k_shot=2, n_query=2, n_open_classes=2, n_open_query=2, seed=6))
-        same = a.class_mapping == c.class_mapping and np.array_equal(a.support, c.support)
-        assert not same
+        c = sample_episode(ds, spec, 6)
+        same_classes = np.array_equal(closed_classes(ds, a, 2), closed_classes(ds, c, 2))
+        assert not (same_classes and np.array_equal(a.support, c.support))
 
     def test_no_item_reused_within_episode(self):
         ds = tiny_dataset()
-        spec = EpisodeSpec(n_way=4, k_shot=3, n_query=3, n_open_classes=3, n_open_query=5, seed=3)
-        ep = sample_episode(ds, spec)
+        spec = EpisodeSpec(n_way=4, k_shot=3, n_query=3, n_open_classes=3, n_open_query=5)
+        ep = sample_episode(ds, spec, 3)
         seen = np.concatenate([ep.support, ep.known_queries, ep.unknown_queries]).tolist()
         assert len(seen) == len(set(seen))
 
     def test_labels_match_class_mapping(self):
         ds = tiny_dataset()
-        spec = EpisodeSpec(n_way=4, k_shot=3, n_query=2, n_open_classes=3, n_open_query=5, seed=8)
-        ep = sample_episode(ds, spec)
-        mapping = np.array(ep.class_mapping)
+        spec = EpisodeSpec(n_way=4, k_shot=3, n_query=2, n_open_classes=3, n_open_query=5)
+        ep = sample_episode(ds, spec, 8)
+        mapping = closed_classes(ds, ep, spec.k_shot)
+        assert len(set(mapping.tolist())) == spec.n_way
         np.testing.assert_array_equal(ds.labels[ep.support], mapping[ep.support_labels])
         np.testing.assert_array_equal(ds.labels[ep.known_queries], mapping[ep.known_labels])
-        assert not set(ds.labels[ep.unknown_queries].tolist()) & set(ep.class_mapping)
+        assert not set(ds.labels[ep.unknown_queries].tolist()) & set(mapping.tolist())
 
     def test_index_arrays_match_tuple_sampler_oracle(self):
         ds = tiny_dataset(num_classes=12, items_per_class=9)
         for seed in range(200):
             spec = EpisodeSpec(n_way=1 + 1 + seed % 5, k_shot=1 + seed % 4, n_query=1 + seed % 3,
-                               n_open_classes=1 + seed % 5, n_open_query=1 + seed % 9,
-                               seed=derive_episode_seed(31, seed))
-            ep = sample_episode(ds, spec)
-            support, known, unknown, mapping = tuple_sampler_oracle(ds, spec)
-            assert ep.class_mapping == mapping
+                               n_open_classes=1 + seed % 5, n_open_query=1 + seed % 9)
+            ep = sample_episode(ds, spec, derive_episode_seed(31, seed))
+            support, known, unknown, mapping = tuple_sampler_oracle(ds, spec, derive_episode_seed(31, seed))
+            assert tuple(closed_classes(ds, ep, spec.k_shot).tolist()) == mapping
             assert list(zip(ep.support.tolist(), ep.support_labels.tolist())) == support
             assert list(zip(ep.known_queries.tolist(), ep.known_labels.tolist())) == known
             assert ep.unknown_queries.tolist() == unknown
@@ -189,8 +195,8 @@ class TestSampleEpisode:
         counts = np.zeros(20)
         n_episodes = 600
         for i in range(n_episodes):
-            ep = sample_episode(ds, EpisodeSpec(**{**spec_base.__dict__, "seed": derive_episode_seed(42, i)}))
-            for label in ep.class_mapping:
+            ep = sample_episode(ds, spec_base, derive_episode_seed(42, i))
+            for label in closed_classes(ds, ep, spec_base.k_shot):
                 counts[label] += 1
         expected = n_episodes * 5 / 20
         sigma = np.sqrt(n_episodes * (5 / 20) * (15 / 20))
@@ -199,12 +205,12 @@ class TestSampleEpisode:
     def test_insufficient_classes_error(self):
         ds = tiny_dataset(num_classes=5)
         with pytest.raises(ValueError, match="5 classes"):
-            sample_episode(ds, EpisodeSpec(n_way=3, n_open_classes=3, seed=0))
+            sample_episode(ds, EpisodeSpec(n_way=3, n_open_classes=3), 0)
 
     def test_insufficient_items_error(self):
         ds = tiny_dataset(num_classes=10, items_per_class=8)
         with pytest.raises(ValueError, match="items"):
-            sample_episode(ds, EpisodeSpec(n_way=2, k_shot=5, n_query=5, n_open_classes=2, n_open_query=2, seed=0))
+            sample_episode(ds, EpisodeSpec(n_way=2, k_shot=5, n_query=5, n_open_classes=2, n_open_query=2), 0)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -264,7 +270,7 @@ class TestGenerateSynthetic:
         hits = []
         for i in range(60):
             ep = sample_episode(ds, EpisodeSpec(n_way=5, k_shot=5, n_query=5, n_open_classes=5,
-                                                n_open_query=5, seed=derive_episode_seed(9, i)))
+                                                n_open_query=5), derive_episode_seed(9, i))
             known = build_known_prototypes(ds.embeddings[ep.support], ep.support_labels, 5, 5)
             rows, _ = predict(known, 5, ds.embeddings[ep.known_queries])
             hits.append(accuracy(rows, ep.known_labels))

@@ -378,12 +378,12 @@ def _episode_finetune_inputs(ds, n_way, num_background, index=0):
     """finetune_bank's inputs for one episode of the dataset, built as
     evaluate_episode builds them with RunConfig's defaults."""
     cfg = RunConfig(dataset="in-memory", n_way=n_way, num_background=num_background)
-    episode = sample_episode(ds, cfg.episode_spec(derive_episode_seed(cfg.master_seed, index, 0)))
+    episode = sample_episode(ds, cfg.episode, derive_episode_seed(cfg.master_seed, index, 0))
     supports = ds.embeddings[episode.support]
     labels = episode.support_labels
     known = build_known_prototypes(supports, labels, cfg.n_way, cfg.k_shot)
     maps = [(FeatureMap(ds.values[i]), c) for i, c in zip(episode.support, labels)]
-    pairs = procam_for_support(maps, known, cfg.procam_config(), supports)
+    pairs = procam_for_support(maps, known, cfg.procam, supports)
     backgrounds = np.stack([bg.values for _, bg in pairs])
     seed = derive_episode_seed(cfg.master_seed, index, 1)
     bank = np.vstack([known, init_background(ds.channels, "random", num_background, seed, backgrounds)])
@@ -501,7 +501,7 @@ def _unit_row_reference(bank, num_known, supports, labels, backgrounds, cfg):
 def _check_against_unit_rows(inputs, reassign_each_epoch, freeze_known):
     bank, supports, labels, backgrounds, run_cfg = inputs
     cfg = dataclasses.replace(
-        run_cfg.finetune_config(), reassign_each_epoch=reassign_each_epoch, freeze_known=freeze_known
+        run_cfg.finetune, reassign_each_epoch=reassign_each_epoch, freeze_known=freeze_known
     )
     num_known = len(bank) - run_cfg.num_background
     out, report = finetune_bank(bank, num_known, supports, labels, backgrounds, cfg)

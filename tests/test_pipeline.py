@@ -37,9 +37,10 @@ def heatmap_bundles(benchmark_dataset, tmp_path_factory):
     directory without summary.json (empty/), the run's summary under another
     format version (future/) and with a version of another type that equals 1
     (boolversion/, floatversion/), three malformed summaries (notjson/, list/,
-    noconfig/), and the run's summary naming copies of the benchmark file
+    noconfig/), the run's summary naming copies of the benchmark file
     beside ground-truth masks that do not fit them: 60 items (short/) and two
-    channels (wide/)."""
+    channels (wide/), and the run's summary with 12 closed classes, more
+    than the file has room for beside 5 open ones (shortfall/)."""
     path, _, _ = benchmark_dataset
     root = tmp_path_factory.mktemp("bundles")
     run_eval(small_cfg(path, num_episodes=3, output_dir=str(root / "run")))
@@ -52,7 +53,9 @@ def heatmap_bundles(benchmark_dataset, tmp_path_factory):
         "noconfig": {"format_version": pipeline.BUNDLE_FORMAT_VERSION},
         "boolversion": {**json.loads(text), "format_version": True},
         "floatversion": {**json.loads(text), "format_version": 1.0},
+        "shortfall": json.loads(text),
     }
+    summaries["shortfall"]["config"]["episode"]["n_way"] = 12
     for name, shape in [("short", (60, 8, 8, 1)), ("wide", (360, 8, 8, 2))]:
         shutil.copyfile(path, root / f"{name}.fsof")
         masks = FeatureDataset(np.zeros(shape, np.float32), np.arange(shape[0]) % 12)
@@ -140,17 +143,17 @@ class TestRunEval:
         ds = read_dataset(path)
         for index in range(3):
             seed = derive_episode_seed(cfg.master_seed, index, 0)
-            episode = sample_episode(ds, cfg.episode_spec(seed))
+            episode = sample_episode(ds, cfg.episode, seed)
             sup = ds.embeddings[episode.support]
             labels = episode.support_labels
             known = build_known_prototypes(sup, labels, cfg.n_way, cfg.k_shot)
             maps = [(FeatureMap(ds.values[i]), c) for i, c in zip(episode.support, labels)]
-            pairs = procam_for_support(maps, known, cfg.procam_config(), sup)
+            pairs = procam_for_support(maps, known, cfg.procam, sup)
             bgs = np.stack([b.values for _, b in pairs])
             init_seed = derive_episode_seed(cfg.master_seed, index, 1)
             background = init_background(ds.channels, "random", cfg.num_background, init_seed, bgs)
             bank = np.vstack([known, background])
-            bank, _ = finetune_bank(bank, cfg.n_way, sup, labels, bgs, cfg.finetune_config())
+            bank, _ = finetune_bank(bank, cfg.n_way, sup, labels, bgs, cfg.finetune)
             rows, ks = predict(bank, cfg.n_way, ds.embeddings[episode.known_queries], cfg.score_kind)
             _, us = predict(bank, cfg.n_way, ds.embeddings[episode.unknown_queries], cfg.score_kind)
             truths = episode.known_labels
@@ -206,7 +209,7 @@ class TestRunEval:
         assert len(calls) == 3
         for index, (bank, num_known, queries, score_kind), record in zip(range(3), calls, records):
             seed = derive_episode_seed(cfg.master_seed, index, 0)
-            episode = sample_episode(ds, cfg.episode_spec(seed))
+            episode = sample_episode(ds, cfg.episode, seed)
             n_known = len(episode.known_queries)
             known, unknown = ds.embeddings[episode.known_queries], ds.embeddings[episode.unknown_queries]
             np.testing.assert_array_equal(queries, np.concatenate([known, unknown]))
@@ -235,6 +238,53 @@ class TestRunEval:
         # in a pool worker the chained cause arrives as the remote traceback
         cause = info.value.__cause__
         assert isinstance(cause, ValueError) if workers == 1 else "ValueError" in str(cause)
+
+    @pytest.mark.parametrize(
+        "workers, episodes, cpus, started",
+        [
+            (2, 100, 2, 2),  # the two-worker benchmark workload on a 2-CPU host
+            (100000, 100, 2, 2),
+            (100000, 20, 64, 3),  # ceil(20 / 8) chunks
+            (3, 600, 64, 3),
+            (2, 8, 64, 1),
+            (100000, 600, ("cpu_count", 4), 4),  # no sched_getaffinity on this platform
+            (100000, 600, ("cpu_count", None), 1),
+        ],
+    )
+    def test_pool_starts_no_more_workers_than_chunks_or_cpus(
+        self, benchmark_dataset, monkeypatch, workers, episodes, cpus, started
+    ):
+        path, ds, _ = benchmark_dataset
+        seen = {}
+
+        class Stop(Exception):
+            pass
+
+        class StandIn:
+            """Records the pool's size and chunk size, and starts nothing."""
+
+            def __init__(self, max_workers, **kwargs):
+                seen["max_workers"] = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                seen["chunksize"] = chunksize
+                raise Stop
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", StandIn)
+        if isinstance(cpus, tuple):
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus[1])
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        with pytest.raises(Stop):
+            run_eval(small_cfg(path, num_episodes=episodes, workers=workers), ds)
+        assert seen == {"max_workers": started, "chunksize": pipeline.CHUNK_EPISODES}
 
     def test_validation_errors_before_running(self, benchmark_dataset):
         path, ds, _ = benchmark_dataset
@@ -356,7 +406,7 @@ class TestRunEval:
     def test_open_query_defaults_to_n_query(self, benchmark_dataset):
         path, _, _ = benchmark_dataset
         cfg = small_cfg(path, n_open_query=None)
-        assert cfg.resolved_open_query() == cfg.n_query
+        assert cfg.episode.n_open_query == cfg.n_query
 
     def test_config_validation(self, benchmark_dataset):
         path, _, _ = benchmark_dataset
@@ -377,13 +427,15 @@ class TestRunEval:
     def test_stage_configs_built_once(self, benchmark_dataset):
         path, _, _ = benchmark_dataset
         cfg = small_cfg(path, epochs=3, iterations=2)
-        assert cfg.procam_config() is cfg.procam_config()
-        assert cfg.finetune_config() is cfg.finetune_config()
-        assert (cfg.procam_config().iterations, cfg.finetune_config().epochs) == (2, 3)
+        assert cfg.procam is cfg.procam
+        assert cfg.finetune is cfg.finetune
+        assert (cfg.procam.iterations, cfg.finetune.epochs) == (2, 3)
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.epochs = 5
         # a changed copy builds its own
-        assert dataclasses.replace(cfg, epochs=5).finetune_config().epochs == 5
+        changed = dataclasses.replace(cfg, epochs=5, n_query=7, n_open_query=None)
+        assert changed.finetune.epochs == 5 and changed.finetune is not cfg.finetune
+        assert changed.procam == cfg.procam and changed.episode.n_open_query == 7
 
     @pytest.mark.parametrize(
         "setting, message",
@@ -403,13 +455,13 @@ class TestRunEval:
 
 class TestGradcheck:
     def test_default_check_passes(self):
-        report = gradcheck_report(seed=1, trials=4, prototype_shapes=((3, 1, 4), (3, 2, 4)))
+        report = gradcheck_report(seed=1, trials=4)
         assert report["passed"]
         assert report["prototype_gradient"] < 1e-4
 
     def test_passes_across_seeds(self):
         for seed in range(10):
-            report = gradcheck_report(seed=seed, trials=2, prototype_shapes=((4, 2, 6),))
+            report = gradcheck_report(seed=seed, trials=2)
             assert report["passed"], f"seed {seed}: {report}"
 
     def test_default_seed_has_wide_margin(self):
@@ -628,6 +680,10 @@ class TestCli:
                 "floatversion/summary.json has format version 1.0, "
                 f"expected {pipeline.BUNDLE_FORMAT_VERSION}",
             ),
+            (
+                ["heatmap", "--bundle", "shortfall", "--episode", "0"],
+                "dataset has 12 classes but episodes need 17 (12 closed + 5 open)",
+            ),
         ],
     )
     def test_rejected_setting_is_a_usage_error(
@@ -647,6 +703,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"fsosr {argv[0]}: error: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    # a warning (numpy's overflow) would print a second line outside pytest; as
+    # an error, in forked workers too, it replaces the message
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failed_episode_is_one_error_line_and_exit_code_1(
+        self, benchmark_dataset, tmp_path, capfd, workers
+    ):
+        # capfd: a forked worker writes to the inherited descriptor, not to sys.stderr
+        path, _, _ = benchmark_dataset
+        out = tmp_path / "out"
+        argv = ["eval", "--dataset", str(path), "--out", str(out), "--num-episodes", "16",
+                "--learning-rate", "1e300", "--workers", workers]
+        assert cli.main(argv) == 1
+        seed = derive_episode_seed(0, 0, 0)
+        assert capfd.readouterr().err == (
+            f"fsosr eval: error: episode 0 (sample seed {seed}) failed: ValueError: after the "
+            "fine-tune step at epoch 0 (learning rate 1e+300), prototype row 0 has non-finite norm\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["inspect", "eval", "heatmap"])
     def test_missing_dataset_is_a_usage_error(self, tmp_path, capsys, command):
@@ -755,7 +831,7 @@ class TestHeatmap:
         lines = capsys.readouterr().out.splitlines()
         # episode 1 of the run: its supports' ground truth against the masks mined
         cfg = RunConfig(dataset=str(data), n_way=2, k_shot=3, n_open_classes=2)
-        support = sample_episode(read_dataset(data), cfg.episode_spec(derive_episode_seed(0, 1))).support
+        support = sample_episode(read_dataset(data), cfg.episode, derive_episode_seed(0, 1)).support
         truth = read_dataset(cli.masks_path(data)).values[support, ..., 0]
         ious = [mask_iou(mask, gt) for mask, gt in zip(mined[0][0], truth)]
         assert len(ious) == 6

@@ -394,6 +394,5 @@ class TestMaskIou:
 
     def test_threshold(self):
         gt = np.array([[True, False]])
-        m = np.array([[0.4, 0.0]])
-        assert mask_iou(m, gt, threshold=0.5) == 0.0
-        assert mask_iou(m, gt, threshold=0.3) == 1.0
+        assert mask_iou(np.array([[0.4, 0.0]]), gt) == 0.0
+        assert mask_iou(np.array([[0.5, 0.0]]), gt) == 1.0
