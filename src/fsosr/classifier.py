@@ -28,14 +28,11 @@ def build_known_prototypes(
     exactly k_shot rows per class label in [0, n_way), as float64.
 
     Shots are summed in a canonical lexicographic order, so any permutation of
-    the support rows produces bit-identical prototypes.
+    the support rows produces bit-identical prototypes. Precondition: n_way,
+    k_shot >= 1 and one label per row (EpisodeSpec); else numpy raises.
     """
-    if n_way < 1 or k_shot < 1:
-        raise ValueError("n_way and k_shot must be >= 1")
     labels = np.asarray(labels)
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    if embeddings.ndim != 2 or labels.shape != embeddings.shape[:1]:
-        raise ValueError(f"need n x d embeddings and n labels, got {embeddings.shape}/{labels.shape}")
     outside = labels[(labels < 0) | (labels >= n_way)]
     if outside.size:
         raise ValueError(f"support label {outside[0]} outside [0, {n_way})")
@@ -71,14 +68,11 @@ def init_background(
     initializer gives a dim-input linear layer. avg: rows are means of a
     round-robin partition of the mined background embeddings (a single row is
     the mean of all of them). Later global episodes reuse the previous episode's rows,
-    which the evaluation driver carries in place of these.
+    which the evaluation driver carries in place of these. Precondition:
+    num_background >= 0, and >= 1 for avg (RunConfig); else numpy raises.
     """
     if kind not in INIT_KINDS:
         raise ValueError(f"unknown init kind {kind!r}, expected one of {INIT_KINDS}")
-    if num_background < 0:
-        raise ValueError("num_background must be >= 0")
-    if num_background == 0:
-        return np.zeros((0, dim))
     if kind != INIT_AVG:
         bound = 1.0 / np.sqrt(dim)
         return np.random.default_rng(seed).uniform(-bound, bound, size=(num_background, dim))
@@ -136,14 +130,13 @@ def predict(
     margin: best background similarity minus best known similarity, monotone in
     the decision boundary the joint argmax induces. neg_max_known: negated best
     known similarity. A bank without background rows always uses the latter,
-    since no margin exists, and never judges a query unknown.
+    since no margin exists, and never judges a query unknown. Precondition:
+    queries of the bank's width; else numpy raises.
     """
     if score_kind not in SCORE_KINDS:
         raise ValueError(f"unknown score kind {score_kind!r}, expected one of {SCORE_KINDS}")
     if not 0 < num_known <= len(bank):
         raise ValueError(f"num_known must lie in [1, {len(bank)}], got {num_known}")
-    if queries.ndim != 2 or queries.shape[1] != bank.shape[1]:
-        raise ValueError(f"queries need shape n x {bank.shape[1]}, got {queries.shape}")
     scores, _, _ = cosine_matrix(bank, queries)
     best_known = scores[:, :num_known].max(axis=1)
     if score_kind == SCORE_NEG_MAX_KNOWN or num_known == len(bank):

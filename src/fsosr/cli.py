@@ -54,13 +54,14 @@ def _settings(args: argparse.Namespace, *other: str) -> dict:
     return {k: v for k, v in vars(args).items() if k not in ("command", "func", *other)}
 
 
-def _read(args: argparse.Namespace, path, load=read_dataset, what="dataset"):
+def _read(args: argparse.Namespace, path, load=read_dataset, what="dataset", hint=""):
     """load(path), where a file that cannot be opened is a usage error naming
-    it as `what`; a malformed one still raises (a dataset DatasetFormatError)."""
+    it as `what`, then the hint; a malformed one still raises (a dataset
+    DatasetFormatError)."""
     try:
         return load(path)
     except OSError as exc:
-        raise _usage_error(args, f"cannot open {what} {path}: {exc.strerror or exc}") from exc
+        raise _usage_error(args, f"cannot open {what} {path}: {exc.strerror or exc}{hint}") from exc
 
 
 def _cmd_gen_synthetic(args: argparse.Namespace) -> int:
@@ -69,7 +70,7 @@ def _cmd_gen_synthetic(args: argparse.Namespace) -> int:
         cfg = _config(args, benchmark_config, **({"seed": args.seed} if "seed" in args else {}))
     else:
         cfg = _config(args, SyntheticConfig, **_settings(args, "out"))
-    ds, masks = generate_synthetic(cfg)
+    ds, masks = _config(args, generate_synthetic, cfg=cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_dataset(ds, out)
@@ -132,7 +133,8 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
         raise _usage_error(args, f"{summary} is not a bundle summary ({type(exc).__name__}: {exc})") from exc
     if not 0 <= args.episode < cfg.num_episodes:
         raise _usage_error(args, f"episode {args.episode} outside [0, {cfg.num_episodes})")
-    ds = _read(args, cfg.dataset)
+    ds = _read(args, cfg.dataset, hint="" if Path(cfg.dataset).is_absolute() else
+               f" (a relative path in {summary} is taken from the directory fsosr eval ran in)")
     _config(args, validate_dataset_for_config, ds=ds, cfg=cfg)
     truth_path = masks_path(cfg.dataset)  # gen-synthetic's ground truth, an H x W x 1 map per item
     truth = _read(args, truth_path).values if truth_path.exists() else None

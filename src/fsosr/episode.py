@@ -142,26 +142,15 @@ def sample_episode(ds: FeatureDataset, spec: EpisodeSpec, seed: int) -> Episode:
 
     Closed and open classes are drawn together without replacement, so they are
     always disjoint; per closed class, k_shot + n_query distinct items are
-    split into support and queries.
+    split into support and queries. Precondition: the dataset fits the spec, as
+    validate_dataset_for_config checks once per run; else rng.choice raises.
     """
-    need_classes = spec.n_way + spec.n_open_classes
-    if ds.num_classes < need_classes:
-        raise ValueError(
-            f"dataset has {ds.num_classes} classes, episode needs {need_classes} "
-            f"({spec.n_way} closed + {spec.n_open_classes} open)"
-        )
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(ds.num_classes, size=need_classes, replace=False).tolist()
+    chosen = rng.choice(ds.num_classes, size=spec.n_way + spec.n_open_classes, replace=False).tolist()
     picks = []
     for i, label in enumerate(chosen):
-        closed = i < spec.n_way
-        count = spec.k_shot + spec.n_query if closed else spec.n_open_query
+        count = spec.k_shot + spec.n_query if i < spec.n_way else spec.n_open_query
         pool = ds.class_index[label]
-        if len(pool) < count:
-            raise ValueError(
-                f"class {label} has {len(pool)} items, "
-                f"{'closed' if closed else 'open'}-class sampling needs {count}"
-            )
         picks.append(pool[rng.choice(len(pool), size=count, replace=False)])
     known = np.array(picks[: spec.n_way])
 
@@ -297,6 +286,7 @@ def benchmark_config(seed: int = 7) -> SyntheticConfig:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a value float32 cannot hold fails FeatureDataset's check
 def generate_synthetic(cfg: SyntheticConfig) -> tuple[FeatureDataset, np.ndarray]:
     """Build the dataset and its (N, H, W) bool ground-truth foreground masks.
 

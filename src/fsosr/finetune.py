@@ -107,11 +107,6 @@ def _batch_ce(
     return ce
 
 
-def _check_rows(embeddings: np.ndarray, dim: int, what: str) -> None:
-    if embeddings.ndim != 2 or embeddings.shape[1] != dim or len(embeddings) == 0:
-        raise ValueError(f"{what} need a nonempty n x {dim} matrix, got shape {embeddings.shape}")
-
-
 def grad_wrt_prototypes(
     weights: np.ndarray,
     embeddings: np.ndarray,
@@ -123,7 +118,8 @@ def grad_wrt_prototypes(
     (n x dim) embeddings with joint row label labels[i], with respect to every
     row of the (num_rows x dim) prototype weights, returned as a matrix of that
     shape. Weights and embeddings are inputs only and are never modified."""
-    _check_rows(embeddings, weights.shape[1], "embeddings")
+    if embeddings.ndim != 2 or embeddings.shape[1] != weights.shape[1] or len(embeddings) == 0:
+        raise ValueError(f"embeddings need a nonempty n x {weights.shape[1]} matrix, got shape {embeddings.shape}")
     labels = np.asarray(labels, dtype=np.intp)
     item_weights = np.asarray(item_weights, dtype=np.float64)
     if labels.shape != embeddings.shape[:1] or item_weights.shape != labels.shape:
@@ -167,14 +163,10 @@ def finetune_bank(
     norm names the support or background item. The weight row norms checked
     after each step divide the next epoch's scores; a zero or non-finite one
     names the joint row and the epoch of the step.
+    Precondition: a background row, one label per support and nonempty batches
+    of the bank's width (a validated run's episode); else numpy or Python raises.
     """
-    if len(bank) <= num_known:
-        raise ValueError("fine-tuning needs at least one background row")
-    _check_rows(embeddings, bank.shape[1], "supports")
-    _check_rows(backgrounds, bank.shape[1], "backgrounds")
     sup_labels = np.asarray(labels, dtype=np.intp)
-    if sup_labels.shape != embeddings.shape[:1]:
-        raise ValueError(f"need {len(embeddings)} support labels, got shape {sup_labels.shape}")
     if sup_labels.min() < 0 or sup_labels.max() >= num_known:
         raise ValueError(f"support labels must lie in [0, {num_known})")
 

@@ -37,11 +37,9 @@ def cam(f: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Per-location weighted channel sum over the trailing axes, one matmul
     of each map's (H*W, d) cells: the raw activation maps (..., H, W) of
     features (..., H, W, d) for the classes whose classifier weights are w
-    (..., d), before any normalization."""
+    (..., d), before any normalization. Precondition: w's d is the features'."""
     if f.ndim < 3:
         raise ValueError(f"features need shape (..., H, W, d), got {f.shape}")
-    if w.shape[-1] != f.shape[-1]:
-        raise ValueError(f"weight dim {w.shape[-1]} does not match feature channels {f.shape[-1]}")
     out = f.reshape(*f.shape[:-3], -1, f.shape[-1]) @ w[..., None]
     return out.reshape(*out.shape[:-2], *f.shape[-3:-1])
 

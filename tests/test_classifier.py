@@ -286,10 +286,6 @@ class TestPredict:
         with pytest.raises(ValueError, match="score kind"):
             predict(bank, 3, queries, "whatever")
 
-    def test_query_shape_checked(self):
-        with pytest.raises(ValueError, match="queries need shape n x 4"):
-            predict(self._bank(), 3, np.ones(4))
-
     @pytest.mark.parametrize("num_known", [0, -1, 5])
     def test_known_row_count_checked(self, num_known):
         with pytest.raises(ValueError, match=re.escape(f"num_known must lie in [1, 4], got {num_known}")):

@@ -497,6 +497,72 @@ def test_corrupted_file_loads_or_raises_format_error(small_fsof, data):
         pass
 
 
+def corrupted_copies(blob: bytes, item_bytes: int, per_kind: int, seed: int) -> list[bytes]:
+    """Seeded corruptions of an FSOF file whose records are item_bytes long,
+    per_kind of each kind: random bytes, a NaN or inf cell, a label, a shape
+    field, the item count, a truncation and appended bytes."""
+    rng = np.random.default_rng(seed)
+    count = (len(blob) - 10) // item_bytes
+
+    def patched(offset: int, fmt: str, value) -> bytes:
+        out = bytearray(blob)
+        struct.pack_into(fmt, out, offset, value)
+        return bytes(out)
+
+    def record(field: int) -> int:  # offset of a random item's field, counted in its record
+        return 10 + int(rng.integers(count)) * item_bytes + field
+
+    def edge_or_any(values: list, bits: int) -> int:  # mostly an edge value, else any `bits`-bit one
+        return int(values[rng.integers(len(values))]) if rng.random() < 0.7 else int(rng.integers(2**bits))
+
+    def scrambled() -> bytes:
+        out = np.frombuffer(blob, np.uint8).copy()
+        at = rng.integers(len(blob), size=int(rng.integers(1, 5)))
+        out[at] = rng.integers(256, size=len(at))
+        return out.tobytes()
+
+    kinds = [
+        scrambled,
+        lambda: patched(record(10 + 4 * int(rng.integers((item_bytes - 10) // 4))), "<f",
+                        [np.nan, np.inf, -np.inf][rng.integers(3)]),
+        lambda: patched(record(0), "<I", edge_or_any([0, 1, 2, 3, count - 1, count, 2**32 - 1], 32)),
+        lambda: patched(record(4 + 2 * int(rng.integers(3))), "<H", edge_or_any([0, 1, 2, 3, 4, 65535], 16)),
+        lambda: patched(6, "<I", edge_or_any([0, 1, count - 1, count + 1, 2 * count, 2**32 - 1], 32)),
+        lambda: blob[: rng.integers(len(blob))],
+        lambda: blob + rng.bytes(int(rng.integers(1, 2 * item_bytes))),
+    ]
+    return [make() for make in kinds for _ in range(per_kind)]
+
+
+CORPUS_DIGEST = "890e5a1002fab861708ad3adafcbe2ac154db9363dccea81fcb402f78dac5703"
+
+
+def test_corruption_outcomes_are_pinned(tmp_path):
+    """Every read of a seeded corpus of corrupted copies of a 7-item file
+    either loads or fails with a DatasetFormatError, and one sha256 over the
+    outcomes, each the loaded data's digest or the error's class and message,
+    pins them: a changed message, check order or accepted file changes it."""
+    base = tmp_path / "base.fsof"
+    values = (np.arange(7 * 12, dtype=np.float32).reshape(7, 2, 2, 3) - 40) / 8
+    write_dataset(FeatureDataset(values, np.arange(7) % 3), base)
+    outcomes, kinds = [], set()
+    for i, blob in enumerate(corrupted_copies(base.read_bytes(), 10 + 4 * 12, per_kind=300, seed=23)):
+        path = tmp_path / f"{i}.fsof"  # no sidecar beside it
+        path.write_bytes(blob)
+        try:
+            ds = read_dataset(path)
+        except DatasetFormatError as exc:
+            kinds.add(type(exc))
+            outcomes.append(f"{type(exc).__name__}: {str(exc).replace(str(path), 'data.fsof')}")
+            continue
+        data = ds.values.tobytes() + ds.labels.astype("<i8").tobytes() + repr(ds.values.shape).encode()
+        outcomes.append(hashlib.sha256(data).hexdigest())
+    assert kinds == {
+        BadMagicError, UnsupportedVersionError, TruncatedFileError, NonFiniteValueError, DatasetFormatError
+    }
+    assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == CORPUS_DIGEST
+
+
 class TestHeatmapExport:
     def _read_pgm(self, path):
         blob = path.read_bytes()

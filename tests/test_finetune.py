@@ -238,12 +238,6 @@ class TestFinetuneBank:
             for after, expected in zip((bank, supports, labels, backgrounds), before):
                 assert after.tobytes() == expected.tobytes()
 
-    def test_requires_background_rows(self):
-        with pytest.raises(ValueError, match="background row"):
-            finetune_bank(
-                np.eye(2), 2, np.array([[1.0, 0.0]]), np.array([0]), np.array([[0.0, 1.0]]), FinetuneConfig()
-            )
-
     def test_loss_report_additivity(self):
         bank, supports, labels, backgrounds = self._toy_inputs(seed=9)
         cfg = FinetuneConfig(epochs=3, bkg_loss_weight=0.37)

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import multiprocessing
 import os
@@ -7,14 +9,18 @@ import pickle
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fsosr.classifier import build_known_prototypes, init_background, predict
+from fsosr.classifier import INIT_KINDS, SCORE_KINDS, build_known_prototypes, init_background, predict
 from fsosr.dataset_io import DatasetFormatError, read_dataset, write_dataset
 from fsosr.episode import (
+    EpisodeSpec,
     FeatureDataset,
     SyntheticConfig,
     benchmark_config,
@@ -22,11 +28,11 @@ from fsosr.episode import (
     generate_synthetic,
     sample_episode,
 )
-from fsosr.featmap import FeatureMap, spatial_avg_pool
-from fsosr.finetune import finetune_bank, gradcheck_command, gradcheck_report
+from fsosr.featmap import NORM_KINDS, FeatureMap, spatial_avg_pool
+from fsosr.finetune import FinetuneConfig, finetune_bank, gradcheck_command, gradcheck_report
 from fsosr.metrics import accuracy, auroc
 from fsosr.pipeline import RunConfig, evaluate_episode, run_eval, validate_dataset_for_config
-from fsosr.procam import mask_iou, procam_for_support
+from fsosr.procam import cam, mask_iou, procam_for_support
 import fsosr
 from fsosr import cli, finetune, pipeline, procam
 
@@ -39,8 +45,9 @@ def heatmap_bundles(benchmark_dataset, tmp_path_factory):
     (boolversion/, floatversion/), three malformed summaries (notjson/, list/,
     noconfig/), the run's summary naming copies of the benchmark file
     beside ground-truth masks that do not fit them: 60 items (short/) and two
-    channels (wide/), and the run's summary with 12 closed classes, more
-    than the file has room for beside 5 open ones (shortfall/)."""
+    channels (wide/), the run's summary with 12 closed classes, more
+    than the file has room for beside 5 open ones (shortfall/), and the run's
+    summary naming a relative path that is not there (moved/)."""
     path, _, _ = benchmark_dataset
     root = tmp_path_factory.mktemp("bundles")
     run_eval(small_cfg(path, num_episodes=3, output_dir=str(root / "run")))
@@ -56,6 +63,8 @@ def heatmap_bundles(benchmark_dataset, tmp_path_factory):
         "shortfall": json.loads(text),
     }
     summaries["shortfall"]["config"]["episode"]["n_way"] = 12
+    summaries["moved"] = json.loads(text)
+    summaries["moved"]["config"]["dataset"] = "moved.fsof"
     for name, shape in [("short", (60, 8, 8, 1)), ("wide", (360, 8, 8, 2))]:
         shutil.copyfile(path, root / f"{name}.fsof")
         masks = FeatureDataset(np.zeros(shape, np.float32), np.arange(shape[0]) % 12)
@@ -83,6 +92,60 @@ def small_cfg(path, **kw):
     )
     defaults.update(kw)
     return RunConfig(**defaults)
+
+
+def _uniform_dataset(num_classes, items_per_class):
+    labels = np.arange(num_classes * items_per_class) % num_classes
+    return FeatureDataset(np.ones((len(labels), 1, 1, 2), np.float32), labels)
+
+
+_BANK = np.eye(3)[:, :2] + 0.1  # two known rows and one background row, d = 2
+
+# inputs a validated RunConfig never hands a stage function, by the check that
+# once rejected each inside it, with the error numpy or Python raises instead
+PRECONDITION_BREACHES = {
+    "sample-classes": (
+        lambda: sample_episode(_uniform_dataset(5, 8), EpisodeSpec(n_way=3, n_open_classes=3), 0),
+        ValueError,
+    ),
+    "sample-items": (
+        lambda: sample_episode(
+            _uniform_dataset(10, 8), EpisodeSpec(n_way=2, k_shot=5, n_query=5, n_open_classes=2), 0
+        ),
+        ValueError,
+    ),
+    "prototypes-n-way": (lambda: build_known_prototypes(np.zeros((0, 3)), np.zeros(0, int), 0, 1), ValueError),
+    "prototypes-k-shot": (lambda: build_known_prototypes(np.zeros((0, 3)), np.zeros(0, int), 2, 0), ValueError),
+    "prototypes-rank": (lambda: build_known_prototypes(np.ones(4), [0, 0, 1, 1], 2, 2), IndexError),
+    "prototypes-label-count": (
+        lambda: build_known_prototypes(np.ones((3, 2)), [0, 0, 1, 1], 2, 2), ValueError
+    ),
+    "init-negative": (lambda: init_background(2, "random", -1, 0), ValueError),
+    "init-avg-zero": (lambda: init_background(2, "avg", 0, 0, np.ones((3, 2))), ValueError),
+    "predict-rank": (lambda: predict(np.eye(4), 3, np.ones(4)), IndexError),
+    "predict-width": (lambda: predict(np.eye(4), 3, np.ones((1, 5))), ValueError),
+    "finetune-no-background-row": (
+        lambda: finetune_bank(_BANK[:2], 2, np.ones((1, 2)), [0], np.ones((1, 2)), FinetuneConfig()),
+        IndexError,
+    ),
+    "finetune-no-supports": (
+        lambda: finetune_bank(_BANK, 2, np.zeros((0, 2)), [], np.ones((1, 2)), FinetuneConfig()),
+        ValueError,
+    ),
+    "finetune-no-backgrounds": (
+        lambda: finetune_bank(_BANK, 2, np.ones((1, 2)), [0], np.zeros((0, 2)), FinetuneConfig()),
+        ZeroDivisionError,
+    ),
+    "finetune-width": (
+        lambda: finetune_bank(_BANK, 2, np.ones((1, 3)), [0], np.ones((1, 3)), FinetuneConfig()),
+        ValueError,
+    ),
+    "finetune-label-count": (
+        lambda: finetune_bank(_BANK, 2, np.eye(2), [0], np.ones((1, 2)), FinetuneConfig()),
+        ValueError,
+    ),
+    "cam-width": (lambda: cam(np.zeros((4, 2, 2, 3)), np.ones((4, 2))), ValueError),
+}
 
 
 class TestRunEval:
@@ -292,6 +355,13 @@ class TestRunEval:
             validate_dataset_for_config(ds, small_cfg(path, n_way=10, n_open_classes=10))
         with pytest.raises(ValueError, match="items"):
             validate_dataset_for_config(ds, small_cfg(path, k_shot=20, n_query=20))
+
+    @pytest.mark.parametrize("call, error", PRECONDITION_BREACHES.values(), ids=PRECONDITION_BREACHES)
+    def test_stage_precondition_breach_still_raises(self, call, error):
+        # the stage functions leave these inputs to the run boundary's checks;
+        # called directly they must still raise, never return a result
+        with pytest.raises(error):
+            call()
 
     def test_pooled_auroc_mode(self, benchmark_dataset):
         path, _, _ = benchmark_dataset
@@ -684,6 +754,12 @@ class TestCli:
                 ["heatmap", "--bundle", "shortfall", "--episode", "0"],
                 "dataset has 12 classes but episodes need 17 (12 closed + 5 open)",
             ),
+            (
+                ["heatmap", "--bundle", "moved", "--episode", "0"],
+                "cannot open dataset moved.fsof: No such file or directory (a relative path in "
+                "moved/summary.json is taken from the directory fsosr eval ran in)",
+            ),
+            (["gen-synthetic", "--signal-strength", "1e39"], "item 0 has a non-finite value or spatial mean"),
         ],
     )
     def test_rejected_setting_is_a_usage_error(
@@ -761,6 +837,131 @@ class TestCli:
 
 def _same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_SWITCH = (None, None)  # a flag without a value
+_AT_LEAST_1 = (st.integers(1, 4), st.integers(-1, 0))
+_NON_NEGATIVE = (
+    st.sampled_from(["0", "1e-3", "0.5", "2", "1e39", "1e300"]), st.sampled_from(["-1", "nan", "inf", "-inf"])
+)
+_POSITIVE = (st.sampled_from(["1e-3", "0.5", "2", "10", "1e300"]), st.sampled_from(["0", "-1", "nan", "inf"]))
+
+# per flag, values its config accepts and values it rejects. Small sizes keep
+# a generated dataset tiny (the benchmark preset's 6 MB file is left to
+# test_gen_synthetic_benchmark_preset); every run has at most 5 episodes and
+# 2 workers, so it starts at most one pool process
+GEN_FLAGS = {
+    "--classes": (st.integers(1, 8), st.integers(-1, 0)),
+    "--items-per-class": (st.integers(1, 8), st.integers(-1, 0)),
+    "--height": _AT_LEAST_1,
+    "--width": _AT_LEAST_1,
+    "--channels": (st.integers(1, 12), st.integers(-1, 0)),
+    **dict.fromkeys(
+        ("--signal-strength", "--noise-sigma", "--bkg-strength", "--bkg-noise-mean", "--bkg-noise-scale"),
+        _NON_NEGATIVE,
+    ),
+    "--seed": (st.integers(0, 3), st.just(-1)),
+}
+_EPISODE_SIZE = (st.integers(1, 2), st.integers(-1, 0))
+EVAL_FLAGS = {  # the first six always given: an episode shape most draws' datasets fit
+    "--num-episodes": (st.integers(1, 5), st.integers(-1, 0)),
+    "--n-way": (st.integers(2, 3), st.integers(0, 1)),
+    "--k-shot": _EPISODE_SIZE,
+    "--n-query": _EPISODE_SIZE,
+    "--open-classes": _EPISODE_SIZE,
+    "--open-query": _EPISODE_SIZE,
+    "--iterations": _AT_LEAST_1,
+    "--norm": (st.sampled_from(NORM_KINDS), None),
+    "--epochs": _AT_LEAST_1,
+    "--learning-rate": _NON_NEGATIVE,
+    "--bkg-loss-weight": _POSITIVE,
+    "--temperature": _POSITIVE,
+    "--fixed-pseudo-labels": _SWITCH,
+    "--init": (st.sampled_from(INIT_KINDS), None),
+    "--n-background": (st.integers(1, 6), st.integers(-1, 0)),
+    "--seed": (st.integers(0, 3), st.just(-1)),
+    "--no-background": _SWITCH,
+    "--no-finetune": _SWITCH,
+    "--freeze-known": _SWITCH,
+    "--score-kind": (st.sampled_from(SCORE_KINDS), None),
+    "--pooled-auroc": _SWITCH,
+    "--workers": (st.integers(1, 2), st.just(0)),
+    "--dump-last-bank": _SWITCH,
+}
+
+
+@st.composite
+def _flag_set(draw, flags: dict, given: int = 0) -> list[str]:
+    """Some of `flags` (the first `given` always), each with a value it
+    accepts, and at most one of them with a value it rejects. A value is given
+    as --name=value, which argparse takes even when it starts with a minus."""
+    bad = draw(st.none() | st.sampled_from([name for name, (_, rejected) in flags.items() if rejected is not None]))
+    argv = []
+    for i, (name, (accepted, rejected)) in enumerate(flags.items()):
+        if i >= given and name != bad and not draw(st.booleans()):
+            continue
+        argv.append(name if accepted is None else f"{name}={draw(rejected if name == bad else accepted)}")
+    return argv
+
+
+def _ends_as_contracted(argv: list[str], out: Path) -> tuple[int, list[bytes]]:
+    """Run `fsosr argv`, check that it ended one of the three allowed ways
+    and return its exit code and, on success, the files it wrote to `out`."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    err = err.getvalue()
+    if code == 0:
+        files = sorted(out.iterdir()) if out.is_dir() else [out]
+        return code, [f.read_bytes() for f in files]
+    # a usage error (2) or, from eval alone, a failed episode (1): one line, no output
+    assert code == 2 or (code == 1 and argv[0] == "eval"), (code, argv, err)
+    failed = argv[0] == "eval" and code == 1
+    assert err.startswith(f"fsosr {argv[0]}: error: {'episode ' if failed else ''}"), (argv, err)
+    assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+    assert not out.exists(), argv
+    return code, []
+
+
+@pytest.fixture(scope="module")
+def tiny_fsof(tmp_path_factory):
+    """A 10-class file of 3 x 3 x 12 maps, room for any drawn episode shape,
+    for eval draws whose generation failed."""
+    path = tmp_path_factory.mktemp("tiny") / "tiny.fsof"
+    ds, _ = generate_synthetic(SyntheticConfig(num_classes=10, items_per_class=10, height=3, width=3, channels=12))
+    write_dataset(ds, path)
+    return path
+
+
+# a numpy warning (an overflow, say) would print more lines outside pytest; as
+# an error, in a forked worker too, it takes the place of the message
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(gen=_flag_set(GEN_FLAGS), ev=_flag_set(EVAL_FLAGS, given=6))
+@example(  # a failed episode in a pool worker, which few draws reach
+    gen=[], ev=["--num-episodes=2", "--n-way=2", "--k-shot=1", "--n-query=1", "--open-classes=1",
+                "--open-query=1", "--learning-rate=1e300", "--workers=2"],
+)
+def test_cli_run_ends_one_of_three_ways(tiny_fsof, gen, ev):
+    """Any gen-synthetic and eval flag set ends with exit 0 and output that a
+    rerun reproduces byte for byte, exit 2 and one usage-error line, or (eval)
+    exit 1 and the one-line episode failure: never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        data = tmp / "gen.fsof"
+        code, written = _ends_as_contracted(["gen-synthetic", "--out", str(data), *gen], data)
+        if code == 0:
+            rerun = tmp / "again.fsof"
+            assert _ends_as_contracted(["gen-synthetic", "--out", str(rerun), *gen], rerun) == (0, written)
+        else:
+            data = tiny_fsof
+        runs = [["eval", "--dataset", str(data), "--out", str(tmp / name), *ev] for name in ("a", "b")]
+        code, written = _ends_as_contracted(runs[0], tmp / "a")
+        if code == 0:
+            assert _ends_as_contracted(runs[1], tmp / "b") == (0, written)
 
 
 class TestHeatmap:
