@@ -27,9 +27,9 @@ def build_known_prototypes(
     """The (n_way x d) class-mean prototypes of the (n x d) support embeddings,
     exactly k_shot rows per class label in [0, n_way), as float64.
 
-    Shots are summed in a canonical lexicographic order, so any permutation of
-    the support rows produces bit-identical prototypes. Precondition: n_way,
-    k_shot >= 1 and one label per row (EpisodeSpec); else numpy raises.
+    Shots are summed in a canonical lexicographic order, so any permutation of the rows gives
+    bit-identical prototypes; one of zero or non-finite norm fails, naming its class.
+    Precondition: n_way, k_shot >= 1 and one label per row (EpisodeSpec); else numpy raises.
     """
     labels = np.asarray(labels)
     embeddings = np.asarray(embeddings, dtype=np.float64)
@@ -44,13 +44,11 @@ def build_known_prototypes(
     # sort by label, then by every coordinate in turn; without a tie in column
     # 0 inside a class, the label and column 0 alone give that order
     order = np.lexsort((embeddings[:, 0], labels))
-    first, classes = embeddings[order, 0], labels[order]
-    if np.any((first[1:] == first[:-1]) & (classes[1:] == classes[:-1])):
+    first = embeddings[order, 0].reshape(n_way, k_shot)  # row c: class c's shots, by the counts
+    if np.any(first[:, 1:] == first[:, :-1]):
         order = np.lexsort(np.vstack([embeddings.T[::-1], labels]))
     protos = embeddings[order].reshape(n_way, k_shot, -1).sum(axis=1) / k_shot
-    zero = np.flatnonzero(np.linalg.norm(protos, axis=1) <= EPS_NORM)
-    if zero.size:
-        raise ValueError(f"class {zero[0]} prototype has zero norm")
+    row_norms(protos, "prototype of class")
     return protos
 
 
@@ -76,8 +74,6 @@ def init_background(
     if kind != INIT_AVG:
         bound = 1.0 / np.sqrt(dim)
         return np.random.default_rng(seed).uniform(-bound, bound, size=(num_background, dim))
-    if bkg_embeddings is None or len(bkg_embeddings) == 0:
-        raise ValueError("avg initialization needs at least one background embedding")
     if bkg_embeddings.ndim != 2 or bkg_embeddings.shape[1] != dim:
         raise ValueError(f"background embeddings need shape n x {dim}, got {bkg_embeddings.shape}")
     if len(bkg_embeddings) < num_background:

@@ -206,6 +206,11 @@ class SyntheticConfig:
         ):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
+        f32_max = np.finfo(np.float32).max  # items are stored as float32
+        for name in ("signal_strength", "bkg_strength", "noise_sigma",
+                     "noise_sigma * bkg_noise_mean", "noise_sigma * bkg_noise_scale"):
+            if math.prod(getattr(self, part) for part in name.split(" * ")) >= float(f32_max):
+                raise ValueError(f"{name} must be below {f32_max!s}, float32's largest value")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.channels < self.num_classes + 1:
@@ -254,11 +259,8 @@ def foreground_profile(region: tuple[int, int, int, int], height: int, width: in
     strictly weaker parts of the region on later passes."""
     top, left, rh, rw = region
     profile = np.zeros((height, width))
-    n = rh * rw
-    scales = np.geomspace(0.0625, 1.0, n) if n > 1 else np.array([1.0])
-    for k in range(n):
-        a, b = divmod(k, rw)
-        profile[top + a, left + b] = scales[k]
+    ramp = np.geomspace(0.0625, 1.0, rh * rw) if rh * rw > 1 else np.array([1.0])
+    profile[top:top + rh, left:left + rw] = ramp.reshape(rh, rw)
     return profile
 
 

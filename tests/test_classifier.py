@@ -69,6 +69,10 @@ class TestBuildKnownPrototypes:
         with pytest.raises(ValueError, match="zero norm"):
             build_known_prototypes(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0, 0]), 1, 2)
 
+    def test_non_finite_support_row_raises_by_class(self):
+        with pytest.raises(ValueError, match="prototype of class 0 has non-finite norm"):
+            build_known_prototypes(np.array([[np.inf, 0.0], [1.0, 0.0]]), np.array([0, 0]), 1, 2)
+
 
 class TestInitBackground:
     def test_random_is_deterministic(self):
@@ -99,8 +103,6 @@ class TestInitBackground:
         assert np.all(out <= bound)
 
     def test_avg_requires_embeddings(self):
-        with pytest.raises(ValueError, match="background embedding"):
-            init_background(2, "avg", 1, 0, None)
         with pytest.raises(ValueError, match="every row"):
             init_background(2, "avg", 3, 0, np.array([[1.0, 0.0]]))
         with pytest.raises(ValueError, match="shape n x 2"):

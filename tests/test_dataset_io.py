@@ -105,6 +105,13 @@ class TestGeneratedFile:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "a2ab9e96fac82e94a32fbcadd64976d781a45572555d5ecce504749c57700b77"
 
+    def test_seeded_region_file_bytes_are_pinned(self, tmp_path):
+        # 2x2 ramps placed by resolve_fg_regions' draws, not fixed regions
+        cfg = SyntheticConfig(num_classes=3, items_per_class=2, height=5, width=5, channels=8)
+        write_dataset(generate_synthetic(cfg)[0], tmp_path / "seeded.fsof")
+        digest = hashlib.sha256((tmp_path / "seeded.fsof").read_bytes()).hexdigest()
+        assert digest == "4c74176e40f4fee0b9b4b957355a3175975d95f62ca409fd67a2e473aa322030"
+
 
 class TestFormatErrors:
     def _write_valid(self, tmp_path):

@@ -145,6 +145,8 @@ PRECONDITION_BREACHES = {
         ValueError,
     ),
     "cam-width": (lambda: cam(np.zeros((4, 2, 2, 3)), np.ones((4, 2))), ValueError),
+    "init-avg-none": (lambda: init_background(2, "avg", 1, 0, None), AttributeError),
+    "init-avg-empty": (lambda: init_background(2, "avg", 1, 0, np.empty((0, 2))), ValueError),
 }
 
 
@@ -759,7 +761,15 @@ class TestCli:
                 "cannot open dataset moved.fsof: No such file or directory (a relative path in "
                 "moved/summary.json is taken from the directory fsosr eval ran in)",
             ),
-            (["gen-synthetic", "--signal-strength", "1e39"], "item 0 has a non-finite value or spatial mean"),
+            pytest.param(
+                ["gen-synthetic", "--signal-strength", "1e39"],
+                "signal_strength must be below 3.4028235e+38, float32's largest value",
+                id="argv31-item 0 has a non-finite value or spatial mean",
+            ),
+            (
+                ["gen-synthetic", "--noise-sigma", "1e20", "--bkg-noise-mean", "1e20"],
+                "noise_sigma * bkg_noise_mean must be below 3.4028235e+38, float32's largest value",
+            ),
         ],
     )
     def test_rejected_setting_is_a_usage_error(
