@@ -201,15 +201,16 @@ class SyntheticConfig:
         for name in ("num_classes", "items_per_class", "height", "width", "channels"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in (
-            "signal_strength", "noise_sigma", "bkg_strength", "bkg_noise_mean", "bkg_noise_scale"
-        ):
+        for name in ("signal_strength", "noise_sigma", "bkg_strength", "bkg_noise_mean",
+                     "bkg_noise_scale"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
-        f32_max = np.finfo(np.float32).max  # items are stored as float32
-        for name in ("signal_strength", "bkg_strength", "noise_sigma",
-                     "noise_sigma * bkg_noise_mean", "noise_sigma * bkg_noise_scale"):
-            if math.prod(getattr(self, part) for part in name.split(" * ")) >= float(f32_max):
+        f32_max, sigma = np.finfo(np.float32).max, self.noise_sigma  # items are stored as float32
+        for name, value in (("signal_strength", self.signal_strength),
+                            ("bkg_strength", self.bkg_strength), ("noise_sigma", sigma),
+                            ("noise_sigma * bkg_noise_mean", sigma * self.bkg_noise_mean),
+                            ("noise_sigma * bkg_noise_scale", sigma * self.bkg_noise_scale)):
+            if value >= float(f32_max):
                 raise ValueError(f"{name} must be below {f32_max!s}, float32's largest value")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")

@@ -54,15 +54,11 @@ def spatial_avg_pool(f: np.ndarray) -> np.ndarray:
 def minmax_norm(m: np.ndarray) -> np.ndarray:
     """Affine rescale of each map over the trailing (H, W) axes into [0, 1].
 
-    A map whose range is below EPS_NORM both in absolute terms and relative to
-    its largest magnitude carries no localization signal and maps to all
-    zeros, which makes the (1 - mask) suppression that follows a no-op. The
-    relative half keeps the rule scale-invariant for small maps: a map and
-    its exact power-of-two rescaling normalize alike. The rule holds per map,
-    so one flat map in a stack leaves the others untouched.
+    A map whose range is below EPS_NORM both absolutely and relative to its
+    largest magnitude (so the rule is scale-invariant) is flat: it maps to all
+    zeros, making the (1 - mask) suppression after it a no-op. Maps are judged alone.
     """
-    lo = m.min(axis=(-2, -1), keepdims=True)
-    hi = m.max(axis=(-2, -1), keepdims=True)
+    lo, hi = m.min(axis=(-2, -1), keepdims=True), m.max(axis=(-2, -1), keepdims=True)
     span = hi - lo
     flat = (span < EPS_NORM) & (span <= EPS_NORM * np.maximum(-lo, hi))
     return np.where(flat, 0.0, (m - lo) / np.where(flat, 1.0, span))

@@ -109,15 +109,17 @@ class TestMinmaxNorm:
     @given(small_maps(), st.floats(0.01, 100), st.floats(-100, 100))
     def test_positive_affine_invariance(self, vals, alpha, beta):
         shifted = alpha * vals + beta
-        # Rounding in alpha * vals + beta moves each cell by a few ulps of the
-        # largest magnitude involved. Where that is not far below the map's
-        # range (e.g. [0, 1e-300] + 1 == [1, 1]) the transform itself has lost
-        # the map's shape and no normalization can recover it.
+        # Rounding in alpha * vals + beta moves each cell by up to eps * scale,
+        # scale being the largest magnitude involved, and normalizing divides
+        # that error by the new range alpha * ptp. Where the range is under a
+        # few times eps * scale / atol (e.g. [0, 1e-300] + 1 == [1, 1]) the
+        # transform itself has lost the map's shape and nothing can recover it.
+        atol = 1e-9
         scale = max(np.abs(shifted).max(), alpha * np.abs(vals).max(), np.finfo(float).tiny)
-        assume(np.ptp(vals) == 0 or alpha * np.ptp(vals) >= 1e-4 * scale)
+        assume(np.ptp(vals) == 0 or alpha * np.ptp(vals) >= 5 * np.finfo(float).eps * scale / atol)
         base = minmax_norm(vals)
         scaled = minmax_norm(shifted)
-        np.testing.assert_allclose(base, scaled, atol=1e-9)
+        np.testing.assert_allclose(base, scaled, atol=atol)
 
     def test_small_map_and_its_power_of_two_rescale_agree(self):
         vals = np.array([[0.0, 1.13720475e-11]])
