@@ -7,6 +7,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from .dataset_io import export_heatmap, read_dataset, write_dataset
 from .episode import FeatureDataset, SyntheticConfig, benchmark_config, generate_synthetic
 from .episode import derive_episode_seed, sample_episode
 from .featmap import NORM_KINDS
-from .finetune import gradcheck_command
+from .finetune import gradcheck_report
 from .pipeline import BUNDLE_FORMAT_VERSION, RunConfig, run_eval, validate_dataset_for_config
 from .procam import mask_iou, mine
 
@@ -54,14 +55,21 @@ def _settings(args: argparse.Namespace, *other: str) -> dict:
     return {k: v for k, v in vars(args).items() if k not in ("command", "func", *other)}
 
 
+@contextmanager
+def _file_errors(args: argparse.Namespace, message: str, hint=""):
+    """A block where an OSError is a usage error: message, its reason, hint."""
+    try:
+        yield
+    except OSError as exc:
+        raise _usage_error(args, f"{message}: {exc.strerror or exc}{hint}") from exc
+
+
 def _read(args: argparse.Namespace, path, load=read_dataset, what="dataset", hint=""):
     """load(path), where a file that cannot be opened is a usage error naming
     it as `what`, then the hint; a malformed one still raises (a dataset
     DatasetFormatError)."""
-    try:
+    with _file_errors(args, f"cannot open {what} {path}", hint):
         return load(path)
-    except OSError as exc:
-        raise _usage_error(args, f"cannot open {what} {path}: {exc.strerror or exc}{hint}") from exc
 
 
 def _cmd_gen_synthetic(args: argparse.Namespace) -> int:
@@ -71,13 +79,13 @@ def _cmd_gen_synthetic(args: argparse.Namespace) -> int:
     else:
         cfg = _config(args, SyntheticConfig, **_settings(args, "out"))
     ds, masks = _config(args, generate_synthetic, cfg=cfg)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_dataset(ds, out)
+    out, mask_file = Path(args.out), masks_path(args.out)
     # ground-truth masks ride along as a second dataset of H x W x 1 maps
-    mask_values = masks[..., None].astype(np.float32)
-    mask_file = masks_path(out)
-    write_dataset(FeatureDataset(mask_values, ds.labels, class_names=ds.class_names), mask_file)
+    mask_ds = FeatureDataset(masks[..., None].astype(np.float32), ds.labels, class_names=ds.class_names)
+    for path, data in ((out, ds), (mask_file, mask_ds)):
+        with _file_errors(args, f"cannot write {path}"):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            write_dataset(data, path)
     print(f"wrote {len(ds)} items ({ds.num_classes} classes, "
           f"{ds.height}x{ds.width}x{ds.channels}) to {out}")
     print(f"wrote ground-truth masks to {mask_file}")
@@ -103,10 +111,16 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     cfg = _config(args, RunConfig, output_dir=args.out, **_settings(args, "out"))
     ds = _read(args, cfg.dataset)
     _config(args, validate_dataset_for_config, ds=ds, cfg=cfg)
+    out = Path(args.out)
+    made = [d for d in (out, *out.parents) if not d.exists()]  # a failed run removes them again
+    with _file_errors(args, f"cannot write {out}"):  # before episode 0, so a bad path costs no run
+        out.mkdir(parents=True, exist_ok=True)
     try:
         bundle = run_eval(cfg, ds)
     except RuntimeError as exc:  # a failed episode, named with its seed: exit 1, not a usage error
         sys.stderr.write(f"fsosr {args.command}: error: {exc}\n")
+        for d in made:
+            d.rmdir()
         return 1
     agg = bundle.aggregate
     print(f"episodes: {agg['n_episodes']}")
@@ -147,11 +161,12 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     known = build_known_prototypes(ds.embeddings[support], labels, cfg.n_way, cfg.k_shot)
     masks, _, trace = mine(ds.values[support].astype(np.float64), known[labels], cfg.procam)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for j, mask in enumerate(masks):
-        export_heatmap(mask, out / f"support{j:02d}_mask.pgm")
-        for t, step in enumerate(trace):
-            export_heatmap(step[j], out / f"support{j:02d}_iter{t}.pgm")
+    with _file_errors(args, f"cannot write {out}"):
+        out.mkdir(parents=True, exist_ok=True)
+        for j, mask in enumerate(masks):
+            export_heatmap(mask, out / f"support{j:02d}_mask.pgm")
+            for t, step in enumerate(trace):
+                export_heatmap(step[j], out / f"support{j:02d}_iter{t}.pgm")
     print(f"wrote {len(masks) * (1 + len(trace))} heatmaps for episode {args.episode} to {out}")
     if truth is not None:
         ious = [mask_iou(mask, gt) for mask, gt in zip(masks, truth[support, ..., 0])]
@@ -162,7 +177,11 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
 
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
-    return _config(args, gradcheck_command, seed=args.seed, trials=args.trials)
+    report = _config(args, gradcheck_report, **_settings(args))
+    verdict = "PASS" if report["passed"] else "FAIL"
+    print(f"prototype_gradient: max relative error {report['prototype_gradient']:.3e} "
+          f"(threshold {report['threshold']:.0e}) {verdict}")
+    return 0 if report["passed"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,8 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # On gen-synthetic and eval a flag left out is absent from the
-    # namespace, so each setting takes its default from its config class alone.
+    # On gen-synthetic, eval and gradcheck a flag left out is absent from the
+    # namespace, so each setting takes its default from its config class or
+    # function alone.
     gen = sub.add_parser("gen-synthetic", help="generate a synthetic benchmark dataset",
                          argument_default=argparse.SUPPRESS)
     gen.add_argument("--out", required=True, help="output dataset file")
@@ -242,9 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     hm.add_argument("--out", default=_default_output_dir())
     hm.set_defaults(func=_cmd_heatmap)
 
-    gc = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
-    gc.add_argument("--seed", type=int, default=0)
-    gc.add_argument("--trials", type=int, default=20)
+    gc = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences",
+                        argument_default=argparse.SUPPRESS)
+    gc.add_argument("--seed", type=int)
+    gc.add_argument("--trials", type=int)
     gc.set_defaults(func=_cmd_gradcheck)
 
     return parser

@@ -114,33 +114,30 @@ def read_dataset(path) -> FeatureDataset:
     anywhere is reported before a non-finite value anywhere. The checks cover
     the file as it was at load."""
     path = Path(path)
-    # a FIFO would block the open without O_NONBLOCK, and cannot be mapped; the
-    # check comes before open(), which would leave a directory's descriptor open
+    # a FIFO would block the open without O_NONBLOCK, and cannot be mapped
     fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
-    stat = os.fstat(fd)
-    if not S_ISREG(stat.st_mode):
-        os.close(fd)
-        raise DatasetFormatError(f"{path}: not a regular file")
-    with open(fd, "rb") as fh:
+    try:
+        stat = os.fstat(fd)
+        if not S_ISREG(stat.st_mode):
+            raise DatasetFormatError(f"{path}: not a regular file")
         size = stat.st_size
-        head = fh.read(_HEADER.size + _ITEM_HEADER.size)
-        if len(head) < _HEADER.size:
+        if size < _HEADER.size:  # an empty file cannot be mapped
             raise TruncatedFileError(f"{path}: {size} bytes, header needs {_HEADER.size}")
-        magic, version, count = _HEADER.unpack_from(head, 0)
-        if magic != MAGIC:
-            raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        if version != FORMAT_VERSION:
-            raise UnsupportedVersionError(
-                f"{path}: format version {version}, supported: {FORMAT_VERSION}"
-            )
-        if count == 0:
-            raise DatasetFormatError(f"{path}: no items")
-        if len(head) < _HEADER.size + _ITEM_HEADER.size:
-            raise TruncatedFileError(f"{path}: item 0 header truncated at byte {_HEADER.size}")
-        shape = tuple(_ITEM_HEADER.unpack_from(head, _HEADER.size)[1:])
-        # item 0 sets the shape, so it must fit the file before anything is sized by it
-        _check_item(path, 0, count, shape, head[_HEADER.size :], _HEADER.size, size)
-        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        mapped = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)  # it keeps a duplicate of fd
+    finally:
+        os.close(fd)
+    magic, version, count = _HEADER.unpack_from(mapped)
+    if magic != MAGIC:
+        raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+    if version != FORMAT_VERSION:
+        raise UnsupportedVersionError(
+            f"{path}: format version {version}, supported: {FORMAT_VERSION}"
+        )
+    if count == 0:
+        raise DatasetFormatError(f"{path}: no items")
+    # item 0 sets the shape, so it must fit the file before anything is sized by it
+    _check_item(path, 0, count, None, mapped, _HEADER.size, size)
+    shape = tuple(_ITEM_HEADER.unpack_from(mapped, _HEADER.size)[1:])
     record = _record_dtype(shape)
     item_bytes = record.itemsize
     # the records the file can hold: a count beyond them fails as truncated
@@ -153,8 +150,7 @@ def read_dataset(path) -> FeatureDataset:
         # _check_item raises the error of the first bad item, or of the short
         # one after the last whole record
         i = int(np.argmax(np.append(bad, True)))
-        offset = _HEADER.size + i * item_bytes
-        _check_item(path, i, count, shape, mapped[offset : offset + item_bytes], offset, size)
+        _check_item(path, i, count, shape, mapped, _HEADER.size + i * item_bytes, size)
     # an item's float64 means are finite exactly when its float32 values are:
     # 2**32 cells of at most 3.4e38 cannot overflow a float64 sum, and an inf
     # or NaN makes its channel's mean inf or NaN
@@ -173,13 +169,12 @@ def read_dataset(path) -> FeatureDataset:
         raise DatasetFormatError(f"{path}: {exc}") from exc
 
 
-def _check_item(path, i: int, count: int, shape, record, offset: int, end: int) -> None:
+def _check_item(path, i: int, count: int, shape, mapped, offset: int, end: int) -> None:
     """Raise the format error of item i, if it has one. Its header starts at
-    file offset `offset` and at the start of `record`; the bytes that could be
-    read end at file offset `end`."""
+    `offset` of the mapped bytes, which end at `end`; shape is item 0's (None for item 0)."""
     if offset + _ITEM_HEADER.size > end:
         raise TruncatedFileError(f"{path}: item {i} header truncated at byte {offset}")
-    label, *item_shape = _ITEM_HEADER.unpack_from(record)
+    label, *item_shape = _ITEM_HEADER.unpack_from(mapped, offset)
     # dense labels over at most `count` items cannot exceed count - 1; checking
     # here keeps the dataset's label index bounded by the file size
     if label >= count:
@@ -188,12 +183,12 @@ def _check_item(path, i: int, count: int, shape, record, offset: int, end: int) 
         )
     if min(item_shape) < 1:
         raise DatasetFormatError(f"{path}: item {i} has zero-sized shape {tuple(item_shape)}")
-    if tuple(item_shape) != shape:
+    if shape is not None and tuple(item_shape) != shape:
         raise DatasetFormatError(
             f"{path}: item {i} at byte {offset} has shape {tuple(item_shape)}, item 0 has {shape}"
         )
     offset += _ITEM_HEADER.size
-    n_bytes = 4 * shape[0] * shape[1] * shape[2]
+    n_bytes = 4 * item_shape[0] * item_shape[1] * item_shape[2]
     if offset + n_bytes > end:
         raise TruncatedFileError(
             f"{path}: item {i} payload truncated "

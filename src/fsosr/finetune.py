@@ -14,7 +14,7 @@ gradcheck harness at the end of this module (the `fsosr gradcheck` command).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -63,9 +63,6 @@ class LossReport:
     total: float
     per_epoch_totals: tuple[float, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "per_epoch_totals": list(self.per_epoch_totals)}
-
 
 def prototype_batch_loss(
     weights: np.ndarray,
@@ -112,7 +109,7 @@ def grad_wrt_prototypes(
     embeddings: np.ndarray,
     labels: np.ndarray,
     item_weights: np.ndarray,
-    temperature: float = 10.0,
+    temperature: float = FinetuneConfig.temperature,
 ) -> np.ndarray:
     """Exact gradient of sum_i item_weights[i] * CE_i, item i being row i of the
     (n x dim) embeddings with joint row label labels[i], with respect to every
@@ -320,24 +317,10 @@ def gradcheck_report(seed: int = 0, trials: int = 20) -> dict:
         )
         analytic = grad_wrt_prototypes(weights, embeddings, labels, item_weights, temperature)
         numeric = finite_difference(
-            lambda w: prototype_batch_loss(
-                w.reshape(weights.shape), embeddings, labels, item_weights, temperature
-            ),
-            weights.reshape(-1),
-        ).reshape(weights.shape)
+            lambda w: prototype_batch_loss(w, embeddings, labels, item_weights, temperature), weights
+        )
         proto_err = max(proto_err, max_relative_error(analytic, numeric))
 
     return {"prototype_gradient": proto_err, "threshold": GRADCHECK_THRESHOLD,
             "passed": proto_err < GRADCHECK_THRESHOLD}
 
-
-def gradcheck_command(seed: int = 0, trials: int = 20) -> int:
-    """Run the gradient check, print one result line, return a shell exit code
-    (0 pass, 1 fail)."""
-    report = gradcheck_report(seed=seed, trials=trials)
-    verdict = "PASS" if report["passed"] else "FAIL"
-    print(
-        f"prototype_gradient: max relative error {report['prototype_gradient']:.3e} "
-        f"(threshold {report['threshold']:.0e}) {verdict}"
-    )
-    return 0 if report["passed"] else 1

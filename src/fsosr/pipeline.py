@@ -247,7 +247,7 @@ def evaluate_episode(
                 "known_weights": bank[: cfg.n_way].tolist(),
                 "background_weights": background.tolist(),
             } if dump else None,
-            "loss": loss_report.to_dict() if dump and loss_report else None,
+            "loss": asdict(loss_report) if dump and loss_report else None,
         }
     except Exception as exc:
         raise RuntimeError(

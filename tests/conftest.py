@@ -1,8 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from fsosr.dataset_io import write_dataset
 from fsosr.episode import SyntheticConfig, benchmark_config, generate_synthetic
+
+pytest_plugins = ["pytester"]
+
+# Hypothesis imports libcst, when installed, to print a failing example. Its
+# first import warns (DeprecationWarning), and under filterwarnings("error")
+# that warning is raised inside pytest's report hook: an INTERNALERROR in place
+# of the failure report. Imported once here, it has warned before any test runs.
+try:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import libcst  # noqa: F401
+except ImportError:
+    pass
 
 
 @pytest.fixture(scope="session")

@@ -29,7 +29,7 @@ from fsosr.episode import (
     sample_episode,
 )
 from fsosr.featmap import NORM_KINDS, FeatureMap, spatial_avg_pool
-from fsosr.finetune import FinetuneConfig, finetune_bank, gradcheck_command, gradcheck_report
+from fsosr.finetune import FinetuneConfig, finetune_bank, gradcheck_report
 from fsosr.metrics import accuracy, auroc
 from fsosr.pipeline import RunConfig, evaluate_episode, run_eval, validate_dataset_for_config
 from fsosr.procam import cam, mask_iou, procam_for_support
@@ -544,17 +544,26 @@ class TestGradcheck:
     def test_perturbed_gradient_fails(self, capsys, monkeypatch):
         exact = finetune.grad_wrt_prototypes
         monkeypatch.setattr(finetune, "grad_wrt_prototypes", lambda *a: exact(*a) + 1e-2)
-        code = gradcheck_command(seed=1, trials=2)
+        code = cli.main(["gradcheck", "--seed", "1", "--trials", "2"])
         assert code == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
 
     def test_command_reports_pass(self, capsys):
-        code = gradcheck_command(seed=1, trials=2)
+        code = cli.main(["gradcheck", "--seed", "1", "--trials", "2"])
         assert code == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 1
         assert out.startswith("prototype_gradient:")
+
+    def test_command_defaults_are_the_report_defaults(self, capsys):
+        # seed and trial count are declared by gradcheck_report alone; the
+        # digits depend on the BLAS build, so they are compared, not pinned
+        assert cli.main(["gradcheck"]) == 0
+        error = gradcheck_report()["prototype_gradient"]
+        assert capsys.readouterr().out == (
+            f"prototype_gradient: max relative error {error:.3e} (threshold 1e-04) PASS\n"
+        )
 
 
 class TestCli:
@@ -789,6 +798,43 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"fsosr {argv[0]}: error: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, target, reason",
+        [
+            (["eval", "--out", "file"], "file", "File exists"),
+            (["eval", "--out", "file/sub"], "file/sub", "Not a directory"),
+            (["heatmap", "--bundle", "run", "--episode", "0", "--out", "file"], "file", "File exists"),
+            (["gen-synthetic", "--out", "dir"], "dir", "Is a directory"),
+        ],
+    )
+    def test_unwritable_output_is_a_usage_error(
+        self, benchmark_dataset, heatmap_bundles, tmp_path, monkeypatch, capsys, argv, target, reason
+    ):
+        path, _, _ = benchmark_dataset
+        monkeypatch.chdir(tmp_path)
+        Path("file").write_text("")
+        Path("dir").mkdir()
+        if argv[0] == "eval":
+            argv = argv + ["--dataset", str(path)]
+            # the path is checked before episode 0 runs
+            monkeypatch.setattr(pipeline, "evaluate_episode", lambda *a: pytest.fail("an episode ran"))
+        argv = [str(heatmap_bundles / "run") if a == "run" else a for a in argv]
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        assert capsys.readouterr().err == f"fsosr {argv[0]}: error: cannot write {target}: {reason}\n"
+
+    def test_failed_episode_removes_the_directories_eval_made(self, benchmark_dataset, tmp_path, capsys):
+        path, _, _ = benchmark_dataset
+        (tmp_path / "kept").mkdir()
+        out = tmp_path / "kept" / "new" / "run"
+        argv = ["eval", "--dataset", str(path), "--out", str(out), "--num-episodes", "1",
+                "--learning-rate", "1e300"]
+        assert cli.main(argv) == 1
+        assert "episode 0" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["kept"]
+        assert not any((tmp_path / "kept").iterdir())
 
     # a warning (numpy's overflow) would print a second line outside pytest; as
     # an error, in forked workers too, it replaces the message
