@@ -18,7 +18,7 @@ from .episode import FeatureDataset, SyntheticConfig, benchmark_config, generate
 from .episode import derive_episode_seed, sample_episode
 from .featmap import NORM_KINDS
 from .finetune import gradcheck_report
-from .pipeline import BUNDLE_FORMAT_VERSION, RunConfig, run_eval, validate_dataset_for_config
+from .pipeline import BUNDLE_FILES, BUNDLE_FORMAT_VERSION, RunConfig, run_eval, validate_dataset_for_config
 from .procam import mask_iou, mine
 
 OUTPUT_DIR_ENV = "FSOSR_OUTPUT_DIR"
@@ -78,8 +78,10 @@ def _cmd_gen_synthetic(args: argparse.Namespace) -> int:
         cfg = _config(args, benchmark_config, **({"seed": args.seed} if "seed" in args else {}))
     else:
         cfg = _config(args, SyntheticConfig, **_settings(args, "out"))
-    ds, masks = _config(args, generate_synthetic, cfg=cfg)
     out, mask_file = Path(args.out), masks_path(args.out)
+    if out.is_dir():  # "." and "/" too, every path with an empty name; checked before the data is made
+        raise _usage_error(args, f"cannot write {out}: Is a directory")
+    ds, masks = _config(args, generate_synthetic, cfg=cfg)
     # ground-truth masks ride along as a second dataset of H x W x 1 maps
     mask_ds = FeatureDataset(masks[..., None].astype(np.float32), ds.labels, class_names=ds.class_names)
     for path, data in ((out, ds), (mask_file, mask_ds)):
@@ -112,16 +114,22 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     ds = _read(args, cfg.dataset)
     _config(args, validate_dataset_for_config, ds=ds, cfg=cfg)
     out = Path(args.out)
-    made = [d for d in (out, *out.parents) if not d.exists()]  # a failed run removes them again
-    with _file_errors(args, f"cannot write {out}"):  # before episode 0, so a bad path costs no run
-        out.mkdir(parents=True, exist_ok=True)
+    files = [out / name for name in BUNDLE_FILES]
+    made = [p for p in (*files, out, *out.parents) if not p.exists()]  # a failed run removes them again
+    bundle = None
     try:
+        with _file_errors(args, f"cannot write {out}"):  # before episode 0, so a bad path costs no run
+            out.mkdir(parents=True, exist_ok=True)
+        for path in files:  # opened, not truncated: a failed run leaves an earlier bundle as it was
+            with _file_errors(args, f"cannot write {path}"):
+                path.open("a").close()
         bundle = run_eval(cfg, ds)
     except RuntimeError as exc:  # a failed episode, named with its seed: exit 1, not a usage error
         sys.stderr.write(f"fsosr {args.command}: error: {exc}\n")
-        for d in made:
-            d.rmdir()
         return 1
+    finally:  # unless the run ended, remove the bundle files and then the directories, innermost first
+        for p in filter(Path.exists, made if bundle is None else ()):
+            p.rmdir() if p.is_dir() else p.unlink()
     agg = bundle.aggregate
     print(f"episodes: {agg['n_episodes']}")
     print(f"accuracy: {100 * agg['mean_accuracy']:.2f}% +/- {100 * agg['ci95_accuracy']:.2f}")
@@ -143,7 +151,7 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
         snap = bundle["config"]
         cfg = _config(args, RunConfig, dataset=snap["dataset"], master_seed=snap["master_seed"],
                       num_episodes=snap["num_episodes"], **snap["episode"], **snap["procam"])
-    except (ValueError, AttributeError, KeyError, TypeError) as exc:
+    except (ValueError, AttributeError, KeyError, TypeError, RecursionError) as exc:  # RecursionError: deep JSON
         raise _usage_error(args, f"{summary} is not a bundle summary ({type(exc).__name__}: {exc})") from exc
     if not 0 <= args.episode < cfg.num_episodes:
         raise _usage_error(args, f"episode {args.episode} outside [0, {cfg.num_episodes})")

@@ -203,7 +203,7 @@ def _read_class_names(sidecar: Path) -> list[str] | None:
         return None
     try:
         meta = json.loads(sidecar.read_text())
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting deeper than the parser's limit
         raise DatasetFormatError(f"{sidecar}: not valid JSON ({exc})") from exc
     if not isinstance(meta, dict):
         raise DatasetFormatError(f"{sidecar}: expected a JSON object, got {type(meta).__name__}")

@@ -60,6 +60,8 @@ def minmax_norm(m: np.ndarray) -> np.ndarray:
     """
     lo, hi = m.min(axis=(-2, -1), keepdims=True), m.max(axis=(-2, -1), keepdims=True)
     span = hi - lo
+    if span.min() >= EPS_NORM:  # no map is flat, and the masked formula below gives these bytes
+        return (m - lo) / span
     flat = (span < EPS_NORM) & (span <= EPS_NORM * np.maximum(-lo, hi))
     return np.where(flat, 0.0, (m - lo) / np.where(flat, 1.0, span))
 

@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .classifier import check_norms, cosine_matrix
+from .featmap import EPS_NORM
 
 
 # Largest |scale| of a moving row in weights = scale * weights0 + coef @ unit
@@ -132,7 +133,7 @@ def grad_wrt_prototypes(
     return (temperature / wn)[:, None] * ((g / qn) @ embeddings - along[:, None] * weights)
 
 
-@np.errstate(over="ignore")  # an overflowing step fails the norm check after it, naming the epoch
+@np.errstate(all="ignore")  # a bad step fails the norm check after the loop, naming its epoch
 def finetune_bank(
     bank: np.ndarray,
     num_known: int,
@@ -157,9 +158,10 @@ def finetune_bank(
     step objective divided by the support count when groups are equal-sized.
 
     The batch never changes, so its norms are taken once; a zero or non-finite
-    norm names the support or background item. The weight row norms checked
-    after each step divide the next epoch's scores; a zero or non-finite one
-    names the joint row and the epoch of the step.
+    norm names the support or background item. The weight row norms after each
+    step divide the next epoch's scores; they are checked once, after the last
+    step, and the first zero or non-finite one names the epoch of its step and
+    its joint row.
     Precondition: a background row, one label per support and nonempty batches
     of the bank's width (a validated run's episode); else numpy or Python raises.
     """
@@ -215,7 +217,7 @@ def finetune_bank(
     coef, scale, scale_col, step_g = coef_scale[:, :n], coef_scale[:, n], coef_scale[:, n:], step[:, :n]
     dots_n, tw_col, tw_m_col, grow_col = dots[:, :n], tw[:, None], tw[lo:, None], grow[:, None]
     ces = np.empty((cfg.epochs + 1, n))  # each evaluation's cross-entropies
-    rate = f"(learning rate {lr!r}), prototype row"
+    step_norms = np.empty((cfg.epochs, len(wn)))  # the row norms after each step
     for epoch in range(cfg.epochs + 1):
         np.divide(cfg.temperature, wn, out=tw)
         np.multiply(dots_n, tw_col, out=logits)
@@ -237,7 +239,8 @@ def finetune_bank(
         grow += 1.0
         coef_scale *= grow_col
         coef_scale -= step
-        if np.abs(scale).max() > REBASE_SCALE:
+        # np.abs(scale).max() > REBASE_SCALE on Python floats, which a NaN scale fails there too
+        if max(map(abs, scales := scale.tolist())) > REBASE_SCALE and not any(map(math.isnan, scales)):
             # the rows have turned far enough that scale * weights0 and
             # coef @ unit nearly cancel; carry on from the rows themselves
             weights_m[:] = scale_col * weights_m + (coef * inv) @ raw
@@ -253,7 +256,10 @@ def finetune_bank(
         scaled += dots_m
         np.vecdot(coef_scale, scaled, out=sq_now_m)
         np.sqrt(np.maximum(sq_now_m, 0.0, out=sq_now_m), out=wn_m)
-        check_norms(wn, f"after the fine-tune step at epoch {epoch} {rate}")
+        step_norms[epoch] = wn
+    if not (step_norms.min() > EPS_NORM and math.isfinite(step_norms.sum())):
+        for epoch, norms in enumerate(step_norms):
+            check_norms(norms, f"after the fine-tune step at epoch {epoch} (learning rate {lr!r}), prototype row")
     weights_m[:] = scale_col * weights_m + (coef * inv) @ raw
 
     trace = (ces @ mean_weights).tolist()

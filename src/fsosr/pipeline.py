@@ -35,6 +35,7 @@ from .procam import ProCamConfig, procam_for_support
 
 BUNDLE_FORMAT_VERSION = 1
 CHUNK_EPISODES = 8  # episodes a pool worker takes at a time
+BUNDLE_FILES = ("episodes.csv", "summary.json")  # what ResultsBundle.write writes into its directory
 
 
 @dataclass(frozen=True)
@@ -161,8 +162,7 @@ class ResultsBundle:
     def write(self, output_dir) -> tuple[Path, Path]:
         out = Path(output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        csv_path = out / "episodes.csv"
-        json_path = out / "summary.json"
+        csv_path, json_path = (out / name for name in BUNDLE_FILES)
         csv_path.write_text(self.episodes_csv_text())
         json_path.write_text(self.summary_json_text())
         return csv_path, json_path
@@ -208,9 +208,10 @@ def evaluate_episode(
             needs_mining = cfg.use_procam_finetune or cfg.init_kind == INIT_AVG
             bg_embeddings = None
             if needs_mining:
+                # Python ints: procam_for_support checks and indexes by them per item
                 maps = [
                     (FeatureMap(ds.values[i]), c)
-                    for i, c in zip(episode.support, episode.support_labels)
+                    for i, c in zip(episode.support.tolist(), episode.support_labels.tolist())
                 ]
                 pairs = procam_for_support(maps, bank, cfg.procam, support)
                 bg_embeddings = np.stack([bg.values for _, bg in pairs])

@@ -63,14 +63,16 @@ def mine(
     """
     activation = cam(stack, weights)
     trace: list[np.ndarray] = []
+    total = 0.0  # 0.0 + the first mask, then the rest added in place: sum(trace), bit for bit
     for _ in range(cfg.iterations):
         if cfg.norm_kind == NORM_MINMAX:
             step = minmax_norm(activation)
         else:
             step = spatial_softmax(activation)
         trace.append(step)
+        total += step
         activation = activation * (1.0 - step)
-    final_masks = minmax_norm(sum(trace))
+    final_masks = minmax_norm(total)
     n, h, w, d = stack.shape
     backgrounds = ((1.0 - final_masks).reshape(n, 1, h * w) @ stack.reshape(n, h * w, d))[:, 0] / (h * w)
     return final_masks, backgrounds, trace

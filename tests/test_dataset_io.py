@@ -276,6 +276,15 @@ class TestFormatErrors:
         with pytest.raises(DatasetFormatError, match="not valid JSON"):
             read_dataset(path)
 
+    def test_sidecar_nested_past_the_parser_limit(self, tmp_path):
+        # json.loads raises RecursionError here; Python 3.12 counts C recursion
+        # apart from sys.getrecursionlimit(), so the nesting goes past both
+        path = self._write_valid(tmp_path)
+        sidecar_path(path).write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(DatasetFormatError, match="not valid JSON") as info:
+            read_dataset(path)
+        assert isinstance(info.value.__cause__, RecursionError)
+
 
 def pack_items(items):
     """FSOF bytes for (label, values) items, each of its own shape."""

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fsosr.featmap import (
+    EPS_NORM,
     EmbeddingVector,
     FeatureMap,
     minmax_norm,
@@ -19,6 +20,14 @@ def small_maps(max_side=5):
             ).map(lambda vals: np.array(vals).reshape(h, w))
         )
     )
+
+
+def _masked_minmax(m):
+    """minmax_norm's rule as one masked formula, whether a map is flat or not."""
+    lo, hi = m.min(axis=(-2, -1), keepdims=True), m.max(axis=(-2, -1), keepdims=True)
+    span = hi - lo
+    flat = (span < EPS_NORM) & (span <= EPS_NORM * np.maximum(-lo, hi))
+    return np.where(flat, 0.0, (m - lo) / np.where(flat, 1.0, span))
 
 
 class TestHolders:
@@ -126,6 +135,23 @@ class TestMinmaxNorm:
         for alpha in (0.0625, 0.5, 16.0):
             np.testing.assert_array_equal(minmax_norm(alpha * vals), [[0.0, 1.0]])
         assert minmax_norm(np.zeros((2, 2))).tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
+    def test_shortcut_gives_the_masked_formulas_bytes(self):
+        # Stacks of 1-5 maps at scales 1e-14 to 1e10, half of them with flat
+        # maps: constant, or of range 1e-13 or 1e-300 about 0, 1 or 2.5. A
+        # stack whose every range is EPS_NORM or more takes the shortcut; a
+        # range below it, flat or not (a map at scale 1e-14), the masked formula.
+        rng = np.random.default_rng(26)
+        shortcut = 0
+        for _ in range(300):
+            n, h, w = rng.integers(1, 6, size=3)
+            stack = rng.normal(size=(n, h, w)) * 10.0 ** rng.uniform(-14, 10, size=(n, 1, 1))
+            for i in rng.choice(n, size=rng.integers(0, n + 1) * int(rng.integers(2)), replace=False):
+                stack[i] = rng.choice([0.0, 1.0, 2.5]) + rng.choice([0.0, 1e-13, 1e-300]) * rng.random((h, w))
+            spans = stack.max(axis=(1, 2)) - stack.min(axis=(1, 2))
+            shortcut += bool(spans.min() >= EPS_NORM)
+            assert minmax_norm(stack).tobytes() == _masked_minmax(stack).tobytes()
+        assert 50 < shortcut < 250  # both branches ran
 
     @settings(max_examples=50, deadline=None)
     @given(small_maps())

@@ -258,16 +258,19 @@ class TestFinetuneBank:
         assert report.total == report.per_epoch_totals[-1]
         assert len(report.per_epoch_totals) == 5
 
+    # The norm-failure tests below run with numpy warnings as errors and under
+    # no errstate of their own: finetune_bank stays silent from a bad row or
+    # step on, through the steps it still takes before the norm check.
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("row, kind", [(0.0, "zero"), (1e300, "non-finite")])
     def test_bad_weight_row_named_by_joint_index(self, row, kind):
         # 3 known rows, so background row 1 is joint row 4
         bank, supports, labels, backgrounds = self._toy_inputs(seed=12)
         bank[3 + 1] = row
-        with np.errstate(over="ignore"), pytest.raises(
-            ValueError, match=f"before fine-tuning, prototype row 4 has {kind} norm"
-        ):
+        with pytest.raises(ValueError, match=f"before fine-tuning, prototype row 4 has {kind} norm"):
             finetune_bank(bank, 3, supports, labels, backgrounds, FinetuneConfig())
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("freeze_known, row", [(False, 0), (True, 1)])
     def test_zero_norm_after_step_names_joint_row_and_epoch(self, freeze_known, row):
         # In one dimension every cosine is +-1 and the row gradient is zero,
@@ -284,25 +287,48 @@ class TestFinetuneBank:
         )):
             finetune_bank(bank, 1, np.array([[1.0]]), np.array([0]), np.array([[-1.0]]), cfg)
 
+    @pytest.mark.filterwarnings("error")
     def test_diverged_step_names_joint_row_and_epoch(self):
+        # every step after epoch 0's is NaN as well; the first bad one is named
         bank, supports, labels, backgrounds = self._toy_inputs(seed=13)
         cfg = FinetuneConfig(epochs=3, learning_rate=1e308, freeze_known=True)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        with pytest.raises(
             ValueError,
             match=r"fine-tune step at epoch 0 \(learning rate 1e\+308\), prototype row 3 "
             r"has non-finite norm",
         ):
             finetune_bank(bank, 3, supports, labels, backgrounds, cfg)
 
+    @pytest.mark.filterwarnings("error")
+    def test_first_bad_step_is_named_though_later_steps_are_bad(self, monkeypatch):
+        # A NaN gradient row makes joint row 4 NaN after the step at epoch 2.
+        # From epoch 3 on its NaN logits reach every row through the softmax,
+        # so every later step is bad in every row, row 0 first.
+        core, calls = finetune._batch_ce, []
+
+        def poisoned(logits, positions, item_weights, gradient=True):
+            calls.append(gradient)
+            ce = core(logits, positions, item_weights, gradient)
+            if len(calls) == 3:
+                logits[4] = np.nan
+            return ce
+
+        monkeypatch.setattr(finetune, "_batch_ce", poisoned)
+        bank, supports, labels, backgrounds = self._toy_inputs(seed=18)
+        with pytest.raises(ValueError, match=re.escape(
+            "after the fine-tune step at epoch 2 (learning rate 0.002), prototype row 4 has non-finite norm"
+        )):
+            finetune_bank(bank, 3, supports, labels, backgrounds, FinetuneConfig(epochs=6))
+        assert len(calls) == 7  # the steps after the bad one still ran
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("group, index", [("support", 1), ("background", 2)])
     @pytest.mark.parametrize("value, kind", [(0.0, "zero"), (1e300, "non-finite")])
     def test_bad_batch_item_named_by_group(self, group, index, value, kind):
         bank, supports, labels, backgrounds = self._toy_inputs(seed=14)
         supports, backgrounds = supports.copy(), backgrounds.copy()
         (supports if group == "support" else backgrounds)[index] = value
-        with np.errstate(over="ignore"), pytest.raises(
-            ValueError, match=f"^{group} {index} has {kind} norm"
-        ):
+        with pytest.raises(ValueError, match=f"^{group} {index} has {kind} norm"):
             finetune_bank(bank, 3, supports, labels, backgrounds, FinetuneConfig())
 
     def test_one_epoch_steps_along_grad_wrt_prototypes(self):

@@ -37,17 +37,29 @@ import fsosr
 from fsosr import cli, finetune, pipeline, procam
 
 
+# JSON nested past the parser's recursion limit, and the error json.loads
+# gives for it. Python 3.12 counts C recursion apart from sys.getrecursionlimit(),
+# so the nesting goes well past both.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+try:
+    json.loads(DEEP_JSON)
+    DEEP_JSON_ERROR = None  # parsed: the heatmap case below fails
+except RecursionError as exc:
+    DEEP_JSON_ERROR = f"RecursionError: {exc}"
+
+
 @pytest.fixture(scope="module")
 def heatmap_bundles(benchmark_dataset, tmp_path_factory):
     """A directory holding a 3-episode run of the benchmark file (run/), a
     directory without summary.json (empty/), the run's summary under another
     format version (future/) and with a version of another type that equals 1
-    (boolversion/, floatversion/), three malformed summaries (notjson/, list/,
-    noconfig/), the run's summary naming copies of the benchmark file
-    beside ground-truth masks that do not fit them: 60 items (short/) and two
-    channels (wide/), the run's summary with 12 closed classes, more
-    than the file has room for beside 5 open ones (shortfall/), and the run's
-    summary naming a relative path that is not there (moved/)."""
+    (boolversion/, floatversion/), four malformed summaries (notjson/, list/,
+    noconfig/, and deep/, nested past the JSON parser's limit), the run's
+    summary naming copies of the benchmark file beside ground-truth masks
+    that do not fit them: 60 items (short/) and two channels (wide/), the
+    run's summary with 12 closed classes, more than the file has room for
+    beside 5 open ones (shortfall/), and the run's summary naming a relative
+    path that is not there (moved/)."""
     path, _, _ = benchmark_dataset
     root = tmp_path_factory.mktemp("bundles")
     run_eval(small_cfg(path, num_episodes=3, output_dir=str(root / "run")))
@@ -56,6 +68,7 @@ def heatmap_bundles(benchmark_dataset, tmp_path_factory):
     summaries = {
         "future": {**json.loads(text), "format_version": pipeline.BUNDLE_FORMAT_VERSION + 1},
         "notjson": "{not json",
+        "deep": DEEP_JSON,
         "list": [1, 2],
         "noconfig": {"format_version": pipeline.BUNDLE_FORMAT_VERSION},
         "boolversion": {**json.loads(text), "format_version": True},
@@ -779,6 +792,10 @@ class TestCli:
                 ["gen-synthetic", "--noise-sigma", "1e20", "--bkg-noise-mean", "1e20"],
                 "noise_sigma * bkg_noise_mean must be below 3.4028235e+38, float32's largest value",
             ),
+            (
+                ["heatmap", "--bundle", "deep", "--episode", "0"],
+                f"deep/summary.json is not a bundle summary ({DEEP_JSON_ERROR})",
+            ),
         ],
     )
     def test_rejected_setting_is_a_usage_error(
@@ -806,6 +823,10 @@ class TestCli:
             (["eval", "--out", "file/sub"], "file/sub", "Not a directory"),
             (["heatmap", "--bundle", "run", "--episode", "0", "--out", "file"], "file", "File exists"),
             (["gen-synthetic", "--out", "dir"], "dir", "Is a directory"),
+            # a bundle file's slot taken by a directory
+            (["eval", "--out", "taken-csv"], "taken-csv/episodes.csv", "Is a directory"),
+            (["eval", "--out", "taken-json"], "taken-json/summary.json", "Is a directory"),
+            (["gen-synthetic", "--out", "."], ".", "Is a directory"),
         ],
     )
     def test_unwritable_output_is_a_usage_error(
@@ -815,15 +836,22 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         Path("file").write_text("")
         Path("dir").mkdir()
+        Path("taken-csv/episodes.csv").mkdir(parents=True)
+        Path("taken-json/summary.json").mkdir(parents=True)
+        before = sorted(Path().rglob("*"))
         if argv[0] == "eval":
             argv = argv + ["--dataset", str(path)]
-            # the path is checked before episode 0 runs
+            # the paths are checked before episode 0 runs
             monkeypatch.setattr(pipeline, "evaluate_episode", lambda *a: pytest.fail("an episode ran"))
+        # gen-synthetic checks its path before it makes the data
+        monkeypatch.setattr(cli, "generate_synthetic", lambda **kw: pytest.fail("data generated"))
         argv = [str(heatmap_bundles / "run") if a == "run" else a for a in argv]
         with pytest.raises(SystemExit) as info:
             cli.main(argv)
         assert info.value.code == 2
         assert capsys.readouterr().err == f"fsosr {argv[0]}: error: cannot write {target}: {reason}\n"
+        # nothing made is left: taken-json/episodes.csv, opened before summary.json, is removed
+        assert sorted(Path().rglob("*")) == before
 
     def test_failed_episode_removes_the_directories_eval_made(self, benchmark_dataset, tmp_path, capsys):
         path, _, _ = benchmark_dataset

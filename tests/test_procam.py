@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from fsosr import procam
 from fsosr.classifier import build_known_prototypes
 from fsosr.episode import SyntheticConfig, generate_synthetic
 from fsosr.featmap import FeatureMap, minmax_norm, spatial_avg_pool, spatial_softmax
@@ -167,6 +168,19 @@ class TestProcam:
         final, expected_background, _ = _loop_oracle(fvals, wvals, 3, softmax=True)
         np.testing.assert_allclose(mask, final, atol=1e-9)
         np.testing.assert_allclose(background, expected_background.mean(axis=(0, 1)), atol=1e-9)
+
+    @pytest.mark.parametrize("norm_kind", ["minmax", "softmax"])
+    def test_running_mask_sum_is_the_sum_of_the_trace(self, monkeypatch, norm_kind):
+        # the final normalization gets the masks summed as mine goes, which
+        # must be sum(trace) bit for bit; the stack holds a zero map and a flat one
+        totals = []
+        monkeypatch.setattr(procam, "minmax_norm", lambda m: totals.append(m) or minmax_norm(m))
+        rng = np.random.default_rng(21)
+        stack = rng.normal(size=(6, 5, 4, 8))
+        stack[2], stack[4] = 0.0, stack[4, :1, :1]
+        masks, _, trace = mine(stack, rng.normal(size=(6, 8)), ProCamConfig(iterations=4, norm_kind=norm_kind))
+        assert totals[-1].tobytes() == sum(trace).tobytes()
+        assert masks.tobytes() == minmax_norm(sum(trace)).tobytes()
 
     def test_trace_kept_by_default(self):
         f = np.random.default_rng(5).normal(size=(3, 3, 2))
