@@ -64,6 +64,19 @@ def _file_errors(args: argparse.Namespace, message: str, hint=""):
         raise _usage_error(args, f"{message}: {exc.strerror or exc}{hint}") from exc
 
 
+@contextmanager
+def _removed_on_failure(paths):
+    """A block that, unless it ends normally, removes those of `paths` it made.
+    They are removed in the order given: files, then directories innermost first."""
+    made = [p for p in paths if not p.exists()]
+    try:
+        yield
+    except BaseException:
+        for p in filter(Path.exists, made):
+            p.rmdir() if p.is_dir() else p.unlink()
+        raise
+
+
 def _read(args: argparse.Namespace, path, load=read_dataset, what="dataset", hint=""):
     """load(path), where a file that cannot be opened is a usage error naming
     it as `what`, then the hint; a malformed one still raises (a dataset
@@ -83,11 +96,12 @@ def _cmd_gen_synthetic(args: argparse.Namespace) -> int:
         raise _usage_error(args, f"cannot write {out}: Is a directory")
     ds, masks = _config(args, generate_synthetic, cfg=cfg)
     # ground-truth masks ride along as a second dataset of H x W x 1 maps
-    mask_ds = FeatureDataset(masks[..., None].astype(np.float32), ds.labels, class_names=ds.class_names)
-    for path, data in ((out, ds), (mask_file, mask_ds)):
-        with _file_errors(args, f"cannot write {path}"):
-            path.parent.mkdir(parents=True, exist_ok=True)
-            write_dataset(data, path)
+    mask_ds = FeatureDataset(masks[..., None].astype(np.float32), ds.labels)
+    with _removed_on_failure([out, mask_file, *out.parents]):
+        for path, data in ((out, ds), (mask_file, mask_ds)):
+            with _file_errors(args, f"cannot write {path}"):
+                path.parent.mkdir(parents=True, exist_ok=True)
+                write_dataset(data, path)
     print(f"wrote {len(ds)} items ({ds.num_classes} classes, "
           f"{ds.height}x{ds.width}x{ds.channels}) to {out}")
     print(f"wrote ground-truth masks to {mask_file}")
@@ -103,9 +117,8 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     values = ds.values
     print(f"value range: [{values.min():.6g}, {values.max():.6g}], "
           f"mean {values.mean(dtype=np.float64):.6g}")
-    for c in range(ds.num_classes):
-        name = ds.class_names[c] if ds.class_names else f"class_{c}"
-        print(f"  {c}: {name} ({len(ds.class_index[c])} items)")
+    for c, items in enumerate(ds.class_index):
+        print(f"class {c}: {len(items)} items")
     return 0
 
 
@@ -115,21 +128,17 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     _config(args, validate_dataset_for_config, ds=ds, cfg=cfg)
     out = Path(args.out)
     files = [out / name for name in BUNDLE_FILES]
-    made = [p for p in (*files, out, *out.parents) if not p.exists()]  # a failed run removes them again
-    bundle = None
     try:
-        with _file_errors(args, f"cannot write {out}"):  # before episode 0, so a bad path costs no run
-            out.mkdir(parents=True, exist_ok=True)
-        for path in files:  # opened, not truncated: a failed run leaves an earlier bundle as it was
-            with _file_errors(args, f"cannot write {path}"):
-                path.open("a").close()
-        bundle = run_eval(cfg, ds)
+        with _removed_on_failure([*files, out, *out.parents]):
+            with _file_errors(args, f"cannot write {out}"):  # before episode 0, so a bad path costs no run
+                out.mkdir(parents=True, exist_ok=True)
+            for path in files:  # opened, not truncated: a failed run leaves an earlier bundle as it was
+                with _file_errors(args, f"cannot write {path}"):
+                    path.open("a").close()
+            bundle = run_eval(cfg, ds)
     except RuntimeError as exc:  # a failed episode, named with its seed: exit 1, not a usage error
         sys.stderr.write(f"fsosr {args.command}: error: {exc}\n")
         return 1
-    finally:  # unless the run ended, remove the bundle files and then the directories, innermost first
-        for p in filter(Path.exists, made if bundle is None else ()):
-            p.rmdir() if p.is_dir() else p.unlink()
     agg = bundle.aggregate
     print(f"episodes: {agg['n_episodes']}")
     print(f"accuracy: {100 * agg['mean_accuracy']:.2f}% +/- {100 * agg['ci95_accuracy']:.2f}")
@@ -147,10 +156,14 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
         version = bundle.get("format_version")
         if type(version) is not int or version != BUNDLE_FORMAT_VERSION:  # True and 1.0 equal 1
             raise _usage_error(args, f"{summary} has format version {version}, expected {BUNDLE_FORMAT_VERSION}")
-        # the run's episode and mining settings, as its snapshot recorded them
-        snap = bundle["config"]
-        cfg = _config(args, RunConfig, dataset=snap["dataset"], master_seed=snap["master_seed"],
-                      num_episodes=snap["num_episodes"], **snap["episode"], **snap["procam"])
+        # the run's episode and mining settings, each of the type a run's own snapshot gives it
+        settings, typed = ({k: snap[k] for k in ("dataset", "master_seed", "num_episodes")}
+                           | snap["episode"] | snap["procam"]
+                           for snap in (bundle["config"], RunConfig(dataset="").snapshot()))
+        for key, value in typed.items():
+            if type(settings[key]) is not type(value):  # JSON keeps 2, 2.0, true and null apart
+                raise TypeError(f"config {key} is {type(settings[key]).__name__}, expected {type(value).__name__}")
+        cfg = _config(args, RunConfig, **settings)
     except (ValueError, AttributeError, KeyError, TypeError, RecursionError) as exc:  # RecursionError: deep JSON
         raise _usage_error(args, f"{summary} is not a bundle summary ({type(exc).__name__}: {exc})") from exc
     if not 0 <= args.episode < cfg.num_episodes:
@@ -169,13 +182,15 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     known = build_known_prototypes(ds.embeddings[support], labels, cfg.n_way, cfg.k_shot)
     masks, _, trace = mine(ds.values[support].astype(np.float64), known[labels], cfg.procam)
     out = Path(args.out)
-    with _file_errors(args, f"cannot write {out}"):
-        out.mkdir(parents=True, exist_ok=True)
-        for j, mask in enumerate(masks):
-            export_heatmap(mask, out / f"support{j:02d}_mask.pgm")
-            for t, step in enumerate(trace):
-                export_heatmap(step[j], out / f"support{j:02d}_iter{t}.pgm")
-    print(f"wrote {len(masks) * (1 + len(trace))} heatmaps for episode {args.episode} to {out}")
+    maps = {out / f"support{j:02d}_{kind}.pgm": m for j, mask in enumerate(masks)
+            for kind, m in (("mask", mask), *((f"iter{t}", step[j]) for t, step in enumerate(trace)))}
+    with _removed_on_failure([*maps, out, *out.parents]):
+        with _file_errors(args, f"cannot write {out}"):
+            out.mkdir(parents=True, exist_ok=True)
+        for path, m in maps.items():
+            with _file_errors(args, f"cannot write {path}"):
+                export_heatmap(m, path)
+    print(f"wrote {len(maps)} heatmaps for episode {args.episode} to {out}")
     if truth is not None:
         ious = [mask_iou(mask, gt) for mask, gt in zip(masks, truth[support, ..., 0])]
         for j, (item, iou) in enumerate(zip(support, ious)):

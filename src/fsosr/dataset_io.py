@@ -1,5 +1,5 @@
-"""On-disk formats: the FSOF binary feature dataset, its JSON sidecar with
-class names, and binary PGM heatmap export.
+"""On-disk formats: the FSOF binary feature dataset and binary PGM heatmap
+export.
 
 FSOF layout (all integers little-endian):
 
@@ -20,7 +20,6 @@ writer works in chunks.
 
 from __future__ import annotations
 
-import json
 import mmap
 import os
 import struct
@@ -61,13 +60,9 @@ class NonFiniteValueError(DatasetFormatError):
     pass
 
 
-def sidecar_path(path) -> Path:
-    return Path(str(path) + ".json")
-
-
 def write_dataset(ds: FeatureDataset, path) -> None:
-    """Write the dataset plus a JSON sidecar carrying the class names. The
-    items are packed and written in chunks of about CHUNK_BYTES."""
+    """Write the dataset as one FSOF file. The items are packed and written in
+    chunks of about CHUNK_BYTES."""
     path = Path(path)
     item = _record_dtype(ds.values.shape[1:])
     step = max(1, CHUNK_BYTES // item.itemsize)
@@ -80,10 +75,6 @@ def write_dataset(ds: FeatureDataset, path) -> None:
             chunk["label"] = ds.labels[start : start + step]
             chunk["values"] = ds.values[start : start + step]
             chunk.tofile(fh)
-    names = ds.class_names or [f"class_{c}" for c in range(ds.num_classes)]
-    sidecar = {"format_version": FORMAT_VERSION, "class_names": names}
-    with _replacing(sidecar_path(path)) as fh:
-        fh.write((json.dumps(sidecar, sort_keys=True, indent=2) + "\n").encode())
 
 
 @contextmanager
@@ -107,12 +98,12 @@ def _record_dtype(shape) -> np.dtype:
 # inf - inf in a pooled sum is a NaN that the finiteness check reports
 @np.errstate(invalid="ignore")
 def read_dataset(path) -> FeatureDataset:
-    """Map an FSOF file and read its sidecar. Items share item 0's shape, so
-    the dataset's float32 tensor is a read-only view of the mapped records: no
-    payload is copied. All item headers are checked as arrays, then all items
-    are pooled into the embeddings, which are checked finite; so a header fault
-    anywhere is reported before a non-finite value anywhere. The checks cover
-    the file as it was at load."""
+    """Map an FSOF file. Items share item 0's shape, so the dataset's float32
+    tensor is a read-only view of the mapped records: no payload is copied.
+    All item headers are checked as arrays, then all items are pooled into the
+    embeddings, which are checked finite; so a header fault anywhere is
+    reported before a non-finite value anywhere. The checks cover the file as
+    it was at load."""
     path = Path(path)
     # a FIFO would block the open without O_NONBLOCK, and cannot be mapped
     fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
@@ -161,10 +152,8 @@ def read_dataset(path) -> FeatureDataset:
     end = _HEADER.size + count * item_bytes
     if end != size:
         raise DatasetFormatError(f"{path}: {size - end} trailing bytes after {count} items")
-
-    class_names = _read_class_names(sidecar_path(path))
     try:
-        return FeatureDataset(values, labels, class_names, embeddings)
+        return FeatureDataset(values, labels, embeddings)
     except ValueError as exc:
         raise DatasetFormatError(f"{path}: {exc}") from exc
 
@@ -194,25 +183,6 @@ def _check_item(path, i: int, count: int, shape, mapped, offset: int, end: int) 
             f"{path}: item {i} payload truncated "
             f"(need {n_bytes} bytes at offset {offset}, have {end - offset})"
         )
-
-
-def _read_class_names(sidecar: Path) -> list[str] | None:
-    """Class names from the JSON sidecar; None when there is no sidecar or it
-    has no class_names entry."""
-    if not sidecar.exists():
-        return None
-    try:
-        meta = json.loads(sidecar.read_text())
-    except (ValueError, RecursionError) as exc:  # RecursionError: nesting deeper than the parser's limit
-        raise DatasetFormatError(f"{sidecar}: not valid JSON ({exc})") from exc
-    if not isinstance(meta, dict):
-        raise DatasetFormatError(f"{sidecar}: expected a JSON object, got {type(meta).__name__}")
-    names = meta.get("class_names")
-    if names is not None and not (
-        isinstance(names, list) and all(isinstance(n, str) for n in names)
-    ):
-        raise DatasetFormatError(f"{sidecar}: class_names must be a list of strings")
-    return names
 
 
 def export_heatmap(m, path) -> None:

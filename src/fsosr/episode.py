@@ -59,7 +59,7 @@ class FeatureDataset:
     converted or copied once. Given embeddings have their shape and dtype
     checked."""
 
-    def __init__(self, values, labels, class_names: list[str] | None = None, embeddings=None) -> None:
+    def __init__(self, values, labels, embeddings=None) -> None:
         if getattr(values, "dtype", None) != np.float32 or values.flags.writeable:
             values = _read_only(np.array(values, dtype=np.float32))
         if values.ndim != 4 or values.shape[0] < 1 or min(values.shape) < 1:
@@ -83,10 +83,6 @@ class FeatureDataset:
                 f"labels must be dense in [0, {num_classes}), "
                 f"{num_classes - len(classes)} missing, first {first}"
             )
-        if class_names is not None and len(class_names) != num_classes:
-            raise ValueError(
-                f"got {len(class_names)} class names for {num_classes} classes"
-            )
         if embeddings is None:
             embeddings = spatial_avg_pool(values)
             finite = np.isfinite(embeddings).all(axis=1)
@@ -106,7 +102,6 @@ class FeatureDataset:
         self.labels = _read_only(labels.astype(np.intp))
         self.embeddings = _read_only(embeddings)
         self.class_index = tuple(_read_only(g) for g in np.split(order, np.cumsum(counts)[:-1]))
-        self.class_names = list(class_names) if class_names is not None else None
 
     @property
     def num_classes(self) -> int:
@@ -326,5 +321,4 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[FeatureDataset, np.ndarray
                 item[:, :, shift_channel] += shift
             values[i], masks[i] = item, mask
             i += 1
-    names = [f"synthetic_{c}" for c in range(cfg.num_classes)]
-    return FeatureDataset(_read_only(values), labels, class_names=names), masks
+    return FeatureDataset(_read_only(values), labels), masks

@@ -1,6 +1,5 @@
 import gc
 import hashlib
-import json
 import os
 import struct
 import subprocess
@@ -15,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fsosr
-from fsosr import dataset_io
+from fsosr import cli, dataset_io
 from fsosr.dataset_io import (
     FORMAT_VERSION,
     MAGIC,
@@ -26,7 +25,6 @@ from fsosr.dataset_io import (
     UnsupportedVersionError,
     export_heatmap,
     read_dataset,
-    sidecar_path,
     write_dataset,
 )
 from fsosr.episode import FeatureDataset, SyntheticConfig, generate_synthetic
@@ -53,7 +51,7 @@ def random_dataset(n_items=12, num_classes=3, h=3, w=4, d=5, seed=0):
     rng = np.random.default_rng(seed)
     vals = rng.normal(size=(n_items, h, w, d)).astype(np.float32).astype(np.float64)
     labels = np.arange(n_items) % num_classes
-    return FeatureDataset(vals, labels, class_names=[f"c{k}" for k in range(num_classes)])
+    return FeatureDataset(vals, labels)
 
 
 class TestRoundTrip:
@@ -65,7 +63,6 @@ class TestRoundTrip:
         assert len(back) == len(ds)
         np.testing.assert_array_equal(back.labels, ds.labels)
         np.testing.assert_array_equal(back.values, ds.values)
-        assert back.class_names == ["c0", "c1", "c2"]
 
     def test_size_formula(self, tmp_path):
         ds = random_dataset(n_items=20, h=3, w=4, d=5)
@@ -74,21 +71,20 @@ class TestRoundTrip:
         expected = 10 + 20 * (10 + 4 * 3 * 4 * 5)
         assert path.stat().st_size == expected
 
-    def test_sidecar_written(self, tmp_path):
+    @pytest.mark.parametrize("leftover", ["{not json", "[" * 100_000 + "]" * 100_000], ids=["not-json", "deep"])
+    def test_leftover_sidecar_is_never_opened(self, tmp_path, capsys, leftover):
+        # earlier versions wrote class names to <file>.json; such a file, however
+        # malformed, changes neither the load nor inspect's report
         ds = random_dataset()
         path = tmp_path / "data.fsof"
         write_dataset(ds, path)
-        meta = json.loads(sidecar_path(path).read_text())
-        assert meta["class_names"] == ["c0", "c1", "c2"]
-        assert meta["format_version"] == FORMAT_VERSION
-
-    def test_missing_sidecar_is_fine(self, tmp_path):
-        ds = random_dataset()
-        path = tmp_path / "data.fsof"
-        write_dataset(ds, path)
-        sidecar_path(path).unlink()
-        back = read_dataset(path)
-        assert back.class_names is None
+        assert cli.main(["inspect", str(path)]) == 0
+        report = capsys.readouterr().out
+        assert report.endswith("class 0: 4 items\nclass 1: 4 items\nclass 2: 4 items\n")
+        Path(f"{path}.json").write_text(leftover)
+        np.testing.assert_array_equal(read_dataset(path).values, ds.values)
+        assert cli.main(["inspect", str(path)]) == 0
+        assert capsys.readouterr().out == report
 
 
 class TestGeneratedFile:
@@ -258,33 +254,6 @@ class TestFormatErrors:
         if before is not None:
             assert len(os.listdir(fds)) == before
 
-    def test_sidecar_class_name_count(self, tmp_path):
-        path = self._write_valid(tmp_path)
-        sidecar_path(path).write_text(json.dumps({"class_names": ["a", "b", "c"]}))
-        with pytest.raises(DatasetFormatError, match="3 class names for 2 classes"):
-            read_dataset(path)
-
-    def test_sidecar_not_an_object(self, tmp_path):
-        path = self._write_valid(tmp_path)
-        sidecar_path(path).write_text("[1, 2]")
-        with pytest.raises(DatasetFormatError, match="JSON object"):
-            read_dataset(path)
-
-    def test_sidecar_not_json(self, tmp_path):
-        path = self._write_valid(tmp_path)
-        sidecar_path(path).write_text("{not json")
-        with pytest.raises(DatasetFormatError, match="not valid JSON"):
-            read_dataset(path)
-
-    def test_sidecar_nested_past_the_parser_limit(self, tmp_path):
-        # json.loads raises RecursionError here; Python 3.12 counts C recursion
-        # apart from sys.getrecursionlimit(), so the nesting goes past both
-        path = self._write_valid(tmp_path)
-        sidecar_path(path).write_text("[" * 100_000 + "]" * 100_000)
-        with pytest.raises(DatasetFormatError, match="not valid JSON") as info:
-            read_dataset(path)
-        assert isinstance(info.value.__cause__, RecursionError)
-
 
 def pack_items(items):
     """FSOF bytes for (label, values) items, each of its own shape."""
@@ -383,7 +352,7 @@ class TestChunkedRead:
             [sys.executable, "-c", script, str(path)], env=env, capture_output=True, text=True, timeout=60
         )
         assert child.returncode == 0, child.stderr
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.fsof", "data.fsof.json"]
+        assert [p.name for p in tmp_path.iterdir()] == ["data.fsof"]
 
     @pytest.mark.parametrize("chunk_bytes", [1, 500, 1 << 20])
     @pytest.mark.parametrize("bad", [0, 3, 6])
@@ -563,7 +532,7 @@ def test_corruption_outcomes_are_pinned(tmp_path):
     write_dataset(FeatureDataset(values, np.arange(7) % 3), base)
     outcomes, kinds = [], set()
     for i, blob in enumerate(corrupted_copies(base.read_bytes(), 10 + 4 * 12, per_kind=300, seed=23)):
-        path = tmp_path / f"{i}.fsof"  # no sidecar beside it
+        path = tmp_path / f"{i}.fsof"
         path.write_bytes(blob)
         try:
             ds = read_dataset(path)

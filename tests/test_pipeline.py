@@ -1,9 +1,11 @@
 import argparse
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import multiprocessing
+import operator
 import os
 import pickle
 import shutil
@@ -588,7 +590,7 @@ class TestCli:
         ]) == 0
         assert data.exists()
         assert cli.masks_path(data).exists()
-        # mask sidecar holds one H x W x 1 map per item
+        # the masks file holds one H x W x 1 map per item
         masks_ds = read_dataset(cli.masks_path(data))
         assert masks_ds.channels == 1
         assert len(masks_ds) == 120
@@ -827,6 +829,10 @@ class TestCli:
             (["eval", "--out", "taken-csv"], "taken-csv/episodes.csv", "Is a directory"),
             (["eval", "--out", "taken-json"], "taken-json/summary.json", "Is a directory"),
             (["gen-synthetic", "--out", "."], ".", "Is a directory"),
+            # a later file's slot taken, after the dataset or the first 15 PGMs are written
+            (["gen-synthetic", "--out", "d.fsof", "--classes", "6"], "d.masks.fsof", "Is a directory"),
+            (["heatmap", "--bundle", "run", "--episode", "0", "--out", "heat"], "heat/support03_mask.pgm",
+             "Is a directory"),
         ],
     )
     def test_unwritable_output_is_a_usage_error(
@@ -838,13 +844,15 @@ class TestCli:
         Path("dir").mkdir()
         Path("taken-csv/episodes.csv").mkdir(parents=True)
         Path("taken-json/summary.json").mkdir(parents=True)
+        Path("d.masks.fsof").mkdir()
+        Path("heat/support03_mask.pgm").mkdir(parents=True)
         before = sorted(Path().rglob("*"))
         if argv[0] == "eval":
             argv = argv + ["--dataset", str(path)]
             # the paths are checked before episode 0 runs
             monkeypatch.setattr(pipeline, "evaluate_episode", lambda *a: pytest.fail("an episode ran"))
-        # gen-synthetic checks its path before it makes the data
-        monkeypatch.setattr(cli, "generate_synthetic", lambda **kw: pytest.fail("data generated"))
+        if argv[0] == "gen-synthetic" and argv[2] == target:  # checked before the data is made
+            monkeypatch.setattr(cli, "generate_synthetic", lambda **kw: pytest.fail("data generated"))
         argv = [str(heatmap_bundles / "run") if a == "run" else a for a in argv]
         with pytest.raises(SystemExit) as info:
             cli.main(argv)
@@ -991,6 +999,7 @@ def _flag_set(draw, flags: dict, given: int = 0) -> list[str]:
 def _ends_as_contracted(argv: list[str], out: Path) -> tuple[int, list[bytes]]:
     """Run `fsosr argv`, check that it ended one of the three allowed ways
     and return its exit code and, on success, the files it wrote to `out`."""
+    before = sorted(out.parent.rglob("*"))
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         try:
@@ -1006,7 +1015,7 @@ def _ends_as_contracted(argv: list[str], out: Path) -> tuple[int, list[bytes]]:
     failed = argv[0] == "eval" and code == 1
     assert err.startswith(f"fsosr {argv[0]}: error: {'episode ' if failed else ''}"), (argv, err)
     assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
-    assert not out.exists(), argv
+    assert sorted(out.parent.rglob("*")) == before, argv  # nothing made is left
     return code, []
 
 
@@ -1024,19 +1033,32 @@ def tiny_fsof(tmp_path_factory):
 # an error, in a forked worker too, it takes the place of the message
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(gen=_flag_set(GEN_FLAGS), ev=_flag_set(EVAL_FLAGS, given=6))
+@given(
+    gen=_flag_set(GEN_FLAGS), ev=_flag_set(EVAL_FLAGS, given=6), masks_taken=st.booleans(),
+    episode=st.integers(0, 5), pgm_taken=st.sampled_from([None, "support00_mask.pgm", "support01_iter0.pgm"]),
+)
 @example(  # a failed episode in a pool worker, which few draws reach
     gen=[], ev=["--num-episodes=2", "--n-way=2", "--k-shot=1", "--n-query=1", "--open-classes=1",
                 "--open-query=1", "--learning-rate=1e300", "--workers=2"],
+    masks_taken=False, episode=0, pgm_taken=None,
 )
-def test_cli_run_ends_one_of_three_ways(tiny_fsof, gen, ev):
-    """Any gen-synthetic and eval flag set ends with exit 0 and output that a
-    rerun reproduces byte for byte, exit 2 and one usage-error line, or (eval)
-    exit 1 and the one-line episode failure: never a traceback."""
+@example(  # both slots taken, with files written before each failing write
+    gen=[], ev=["--num-episodes=1", "--n-way=2", "--k-shot=1", "--n-query=1", "--open-classes=1", "--open-query=1"],
+    masks_taken=True, episode=0, pgm_taken="support01_iter0.pgm",
+)
+def test_cli_run_ends_one_of_three_ways(tiny_fsof, gen, ev, masks_taken, episode, pgm_taken):
+    """Any gen-synthetic and eval flag set, and a heatmap of one episode of a
+    finished eval, ends with exit 0 and output that a rerun reproduces byte for
+    byte, exit 2 and one usage-error line, or (eval) exit 1 and the one-line
+    episode failure: never a traceback. A failure leaves nothing it made, also
+    when a directory holds the place of the masks file or of a PGM."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         data = tmp / "gen.fsof"
+        if masks_taken:
+            cli.masks_path(data).mkdir()
         code, written = _ends_as_contracted(["gen-synthetic", "--out", str(data), *gen], data)
+        assert code == 2 or not masks_taken
         if code == 0:
             rerun = tmp / "again.fsof"
             assert _ends_as_contracted(["gen-synthetic", "--out", str(rerun), *gen], rerun) == (0, written)
@@ -1046,6 +1068,12 @@ def test_cli_run_ends_one_of_three_ways(tiny_fsof, gen, ev):
         code, written = _ends_as_contracted(runs[0], tmp / "a")
         if code == 0:
             assert _ends_as_contracted(runs[1], tmp / "b") == (0, written)
+            heat = tmp / "heat"
+            if pgm_taken:
+                (heat / pgm_taken).mkdir(parents=True)
+            argv = ["heatmap", "--bundle", str(tmp / "a"), "--episode", str(episode), "--out", str(heat)]
+            num_episodes = int(ev[0].split("=")[1])  # the first flag given, always --num-episodes
+            assert _ends_as_contracted(argv, heat)[0] == (0 if episode < num_episodes and not pgm_taken else 2)
 
 
 class TestHeatmap:
@@ -1099,6 +1127,37 @@ class TestHeatmap:
                 assert _same_bits(written[f"support{j:02d}_iter{t}.pgm"], trace[t][j])
         # the benchmark file has no ground-truth masks beside it
         assert capsys.readouterr().out == f"wrote {len(written)} heatmaps for episode 2 to {out}\n"
+
+    def test_corrupted_summary_is_one_usage_error_line(self, heatmap_bundles, tmp_path, capsys):
+        """Every value the heatmap reads from a run's summary.json, and each
+        object holding them, swapped for a seeded value of another JSON type,
+        deleted, or nested past the parser's limit: each corruption ends in exit
+        code 2 and one usage-error line, and writes nothing."""
+        summary = json.loads((heatmap_bundles / "run" / "summary.json").read_text())
+        read = [("format_version",), ("config",)]
+        read += [("config", key) for key in ("dataset", "master_seed", "num_episodes", "episode", "procam")]
+        read += [("config", part, key) for part in ("episode", "procam") for key in summary["config"][part]]
+        others = [None, True, 2, 2.5, "2", [2], {"n_way": 2}]
+        rng = np.random.default_rng(29)
+        out = tmp_path / "out"
+        for i, (path, kind) in enumerate((path, kind) for path in read for kind in ("swap", "delete", "deep")):
+            doc = json.loads(json.dumps(summary))
+            *parents, last = path
+            holder = functools.reduce(operator.getitem, parents, doc)
+            if kind == "delete":
+                del holder[last]
+            else:
+                swaps = [v for v in others if type(v) is not type(holder[last])]
+                holder[last] = swaps[rng.integers(len(swaps))] if kind == "swap" else "@deep@"
+            bundle = tmp_path / str(i)
+            bundle.mkdir()
+            (bundle / "summary.json").write_text(json.dumps(doc).replace('"@deep@"', DEEP_JSON))
+            with pytest.raises(SystemExit) as info:
+                cli.main(["heatmap", "--bundle", str(bundle), "--episode", "0", "--out", str(out)])
+            err = capsys.readouterr().err
+            assert info.value.code == 2, (path, kind)
+            assert err.startswith("fsosr heatmap: error: ") and err.count("\n") == 1, (path, kind, err)
+            assert not out.exists(), (path, kind)
 
     def test_iou_printed_beside_a_masks_file(self, tmp_path, monkeypatch, capsys):
         data = tmp_path / "synth.fsof"
