@@ -65,14 +65,22 @@ def _file_errors(args: argparse.Namespace, message: str, hint=""):
 
 
 @contextmanager
-def _removed_on_failure(paths):
-    """A block that, unless it ends normally, removes those of `paths` it made.
-    They are removed in the order given: files, then directories innermost first."""
-    made = [p for p in paths if not p.exists()]
+def _writing(args: argparse.Namespace, files):
+    """A block that writes `files`, each claimed first: its directory made and
+    the file opened to append, which never truncates nor waits on a FIFO, so an
+    unwritable slot is a usage error before any work, and earlier outputs stay
+    as they were. A block that fails removes what was made here, last first."""
+    made = []
     try:
+        for path in files:
+            made += reversed([p for p in (path, path.parent, *path.parent.parents) if not p.exists()])
+            with _file_errors(args, f"cannot write {path.parent}"):
+                path.parent.mkdir(parents=True, exist_ok=True)
+            with _file_errors(args, f"cannot write {path}"):
+                os.close(os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT | getattr(os, "O_NONBLOCK", 0)))
         yield
     except BaseException:
-        for p in filter(Path.exists, made):
+        for p in filter(Path.exists, reversed(made)):
             p.rmdir() if p.is_dir() else p.unlink()
         raise
 
@@ -92,16 +100,11 @@ def _cmd_gen_synthetic(args: argparse.Namespace) -> int:
     else:
         cfg = _config(args, SyntheticConfig, **_settings(args, "out"))
     out, mask_file = Path(args.out), masks_path(args.out)
-    if out.is_dir():  # "." and "/" too, every path with an empty name; checked before the data is made
-        raise _usage_error(args, f"cannot write {out}: Is a directory")
-    ds, masks = _config(args, generate_synthetic, cfg=cfg)
-    # ground-truth masks ride along as a second dataset of H x W x 1 maps
-    mask_ds = FeatureDataset(masks[..., None].astype(np.float32), ds.labels)
-    with _removed_on_failure([out, mask_file, *out.parents]):
-        for path, data in ((out, ds), (mask_file, mask_ds)):
-            with _file_errors(args, f"cannot write {path}"):
-                path.parent.mkdir(parents=True, exist_ok=True)
-                write_dataset(data, path)
+    with _writing(args, [out, mask_file]):
+        ds, masks = _config(args, generate_synthetic, cfg=cfg)
+        write_dataset(ds, out)
+        # ground-truth masks ride along as a second dataset of H x W x 1 maps
+        write_dataset(FeatureDataset(masks[..., None].astype(np.float32), ds.labels), mask_file)
     print(f"wrote {len(ds)} items ({ds.num_classes} classes, "
           f"{ds.height}x{ds.width}x{ds.channels}) to {out}")
     print(f"wrote ground-truth masks to {mask_file}")
@@ -126,15 +129,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     cfg = _config(args, RunConfig, output_dir=args.out, **_settings(args, "out"))
     ds = _read(args, cfg.dataset)
     _config(args, validate_dataset_for_config, ds=ds, cfg=cfg)
-    out = Path(args.out)
-    files = [out / name for name in BUNDLE_FILES]
     try:
-        with _removed_on_failure([*files, out, *out.parents]):
-            with _file_errors(args, f"cannot write {out}"):  # before episode 0, so a bad path costs no run
-                out.mkdir(parents=True, exist_ok=True)
-            for path in files:  # opened, not truncated: a failed run leaves an earlier bundle as it was
-                with _file_errors(args, f"cannot write {path}"):
-                    path.open("a").close()
+        with _writing(args, [Path(args.out) / name for name in BUNDLE_FILES]):  # before episode 0
             bundle = run_eval(cfg, ds)
     except RuntimeError as exc:  # a failed episode, named with its seed: exit 1, not a usage error
         sys.stderr.write(f"fsosr {args.command}: error: {exc}\n")
@@ -184,12 +180,9 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     out = Path(args.out)
     maps = {out / f"support{j:02d}_{kind}.pgm": m for j, mask in enumerate(masks)
             for kind, m in (("mask", mask), *((f"iter{t}", step[j]) for t, step in enumerate(trace)))}
-    with _removed_on_failure([*maps, out, *out.parents]):
-        with _file_errors(args, f"cannot write {out}"):
-            out.mkdir(parents=True, exist_ok=True)
+    with _writing(args, maps):
         for path, m in maps.items():
-            with _file_errors(args, f"cannot write {path}"):
-                export_heatmap(m, path)
+            export_heatmap(m, path)
     print(f"wrote {len(maps)} heatmaps for episode {args.episode} to {out}")
     if truth is not None:
         ious = [mask_iou(mask, gt) for mask, gt in zip(masks, truth[support, ..., 0])]
@@ -296,7 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # here, not at exit, so a reader that has gone is caught below
+    except BrokenPipeError:  # stdout's reader has gone: exit 1, and nothing more is printed
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -653,6 +653,25 @@ class TestCli:
             bundles.append([(out / name).read_bytes() for name in ("episodes.csv", "summary.json")])
         assert bundles[0] == bundles[1] == bundles[2]
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"])  # the first print fails, or the last flush
+    @pytest.mark.parametrize("command", ["inspect", "gen-synthetic"])
+    def test_closed_stdout_is_exit_1_and_nothing_on_stderr(self, benchmark_dataset, tmp_path, command, unbuffered):
+        data = tmp_path / "d.fsof"
+        argv = {"inspect": [str(benchmark_dataset[0])], "gen-synthetic": ["--out", str(data)]}[command]
+        src = str(Path(fsosr.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               "PYTHONUNBUFFERED": unbuffered}
+        read, write = os.pipe()
+        os.close(read)  # the reader has gone before the command prints
+        try:
+            child = subprocess.run([sys.executable, "-m", "fsosr.cli", command, *argv], stdout=write,
+                                   stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write)
+        assert (child.returncode, child.stderr) == (1, b"")
+        if command == "gen-synthetic":  # what was written before the print stays
+            assert len(read_dataset(data)) == len(read_dataset(cli.masks_path(data)))
+
     def test_gradcheck_command(self, capsys):
         assert cli.main(["gradcheck", "--seed", "2", "--trials", "2"]) == 0
         assert "PASS" in capsys.readouterr().out
@@ -829,10 +848,12 @@ class TestCli:
             (["eval", "--out", "taken-csv"], "taken-csv/episodes.csv", "Is a directory"),
             (["eval", "--out", "taken-json"], "taken-json/summary.json", "Is a directory"),
             (["gen-synthetic", "--out", "."], ".", "Is a directory"),
-            # a later file's slot taken, after the dataset or the first 15 PGMs are written
+            # a later file's slot taken: claimed with the others, before the data or the first PGM is written
             (["gen-synthetic", "--out", "d.fsof", "--classes", "6"], "d.masks.fsof", "Is a directory"),
             (["heatmap", "--bundle", "run", "--episode", "0", "--out", "heat"], "heat/support03_mask.pgm",
              "Is a directory"),
+            # a FIFO in a bundle file's slot, opened without waiting for a reader
+            (["eval", "--out", "fifo"], "fifo/episodes.csv", "No such device or address"),
         ],
     )
     def test_unwritable_output_is_a_usage_error(
@@ -845,21 +866,26 @@ class TestCli:
         Path("taken-csv/episodes.csv").mkdir(parents=True)
         Path("taken-json/summary.json").mkdir(parents=True)
         Path("d.masks.fsof").mkdir()
+        Path("d.fsof").write_bytes(b"an earlier dataset")
         Path("heat/support03_mask.pgm").mkdir(parents=True)
-        before = sorted(Path().rglob("*"))
+        Path("heat/support00_mask.pgm").write_bytes(b"P5\n1 1\n255\n\x07")  # an earlier PGM
+        Path("fifo").mkdir()
+        os.mkfifo("fifo/episodes.csv")
+        before = _tree(Path())
         if argv[0] == "eval":
             argv = argv + ["--dataset", str(path)]
             # the paths are checked before episode 0 runs
             monkeypatch.setattr(pipeline, "evaluate_episode", lambda *a: pytest.fail("an episode ran"))
-        if argv[0] == "gen-synthetic" and argv[2] == target:  # checked before the data is made
+        if argv[0] == "gen-synthetic":  # both files are checked before the data is made
             monkeypatch.setattr(cli, "generate_synthetic", lambda **kw: pytest.fail("data generated"))
         argv = [str(heatmap_bundles / "run") if a == "run" else a for a in argv]
         with pytest.raises(SystemExit) as info:
             cli.main(argv)
         assert info.value.code == 2
         assert capsys.readouterr().err == f"fsosr {argv[0]}: error: cannot write {target}: {reason}\n"
-        # nothing made is left: taken-json/episodes.csv, opened before summary.json, is removed
-        assert sorted(Path().rglob("*")) == before
+        # nothing made is left (taken-json/episodes.csv, opened before summary.json, is
+        # removed), and no earlier file is rewritten
+        assert _tree(Path()) == before
 
     def test_failed_episode_removes_the_directories_eval_made(self, benchmark_dataset, tmp_path, capsys):
         path, _, _ = benchmark_dataset
@@ -996,18 +1022,27 @@ def _flag_set(draw, flags: dict, given: int = 0) -> list[str]:
     return argv
 
 
-def _ends_as_contracted(argv: list[str], out: Path) -> tuple[int, list[bytes]]:
-    """Run `fsosr argv`, check that it ended one of the three allowed ways
-    and return its exit code and, on success, the files it wrote to `out`."""
-    before = sorted(out.parent.rglob("*"))
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        try:
+def _tree(root: Path) -> dict:
+    """Every path under `root`, with a regular file's bytes (None for a
+    directory or a FIFO, which is never opened)."""
+    return {p: p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
+
+
+def _ends_as_contracted(argv: list[str], out: str, cwd: Path) -> tuple[int, list[bytes]]:
+    """Run `fsosr argv` in `cwd`, check that it ended one of the three allowed
+    ways and return its exit code and, on success, the files it wrote to `out`."""
+    before, home, err = _tree(cwd), os.getcwd(), io.StringIO()
+    os.chdir(cwd)
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        os.chdir(home)
     err = err.getvalue()
     if code == 0:
+        out = cwd / out
         files = sorted(out.iterdir()) if out.is_dir() else [out]
         return code, [f.read_bytes() for f in files]
     # a usage error (2) or, from eval alone, a failed episode (1): one line, no output
@@ -1015,8 +1050,26 @@ def _ends_as_contracted(argv: list[str], out: Path) -> tuple[int, list[bytes]]:
     failed = argv[0] == "eval" and code == 1
     assert err.startswith(f"fsosr {argv[0]}: error: {'episode ' if failed else ''}"), (argv, err)
     assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
-    assert sorted(out.parent.rglob("*")) == before, argv  # nothing made is left
+    assert _tree(cwd) == before, argv  # nothing made is left, and no earlier file is rewritten
     return code, []
+
+
+# the shapes an --out is drawn from, and those a directory output can be written to
+OUT_SHAPES = ("new", "file", "dir", ".", "under-file", "fifo")
+DIR_SHAPES = ("new", "dir", ".")
+
+
+def _out_slot(cwd: Path, name: str, shape: str) -> str:
+    """In a new directory `cwd`, an --out of the given shape: `name` new, or
+    taken by a file, a directory or a FIFO; `.`; or a path under a file."""
+    cwd.mkdir()
+    if shape in ("file", "under-file"):
+        (cwd / name).write_bytes(b"an earlier file")
+    elif shape == "dir":
+        (cwd / name).mkdir()
+    elif shape == "fifo":
+        os.mkfifo(cwd / name)
+    return {".": ".", "under-file": f"{name}/sub"}.get(shape, name)
 
 
 @pytest.fixture(scope="module")
@@ -1036,44 +1089,55 @@ def tiny_fsof(tmp_path_factory):
 @given(
     gen=_flag_set(GEN_FLAGS), ev=_flag_set(EVAL_FLAGS, given=6), masks_taken=st.booleans(),
     episode=st.integers(0, 5), pgm_taken=st.sampled_from([None, "support00_mask.pgm", "support01_iter0.pgm"]),
+    gen_out=st.sampled_from(OUT_SHAPES), eval_out=st.sampled_from(OUT_SHAPES), heat_out=st.sampled_from(OUT_SHAPES),
 )
 @example(  # a failed episode in a pool worker, which few draws reach
     gen=[], ev=["--num-episodes=2", "--n-way=2", "--k-shot=1", "--n-query=1", "--open-classes=1",
                 "--open-query=1", "--learning-rate=1e300", "--workers=2"],
-    masks_taken=False, episode=0, pgm_taken=None,
+    masks_taken=False, episode=0, pgm_taken=None, gen_out="new", eval_out="new", heat_out="new",
 )
-@example(  # both slots taken, with files written before each failing write
+@example(  # both slots taken, with earlier files beside them
     gen=[], ev=["--num-episodes=1", "--n-way=2", "--k-shot=1", "--n-query=1", "--open-classes=1", "--open-query=1"],
-    masks_taken=True, episode=0, pgm_taken="support01_iter0.pgm",
+    masks_taken=True, episode=0, pgm_taken="support01_iter0.pgm", gen_out="file", eval_out="dir", heat_out="dir",
 )
-def test_cli_run_ends_one_of_three_ways(tiny_fsof, gen, ev, masks_taken, episode, pgm_taken):
-    """Any gen-synthetic and eval flag set, and a heatmap of one episode of a
-    finished eval, ends with exit 0 and output that a rerun reproduces byte for
-    byte, exit 2 and one usage-error line, or (eval) exit 1 and the one-line
-    episode failure: never a traceback. A failure leaves nothing it made, also
-    when a directory holds the place of the masks file or of a PGM."""
+def test_cli_run_ends_one_of_three_ways(
+    tiny_fsof, gen, ev, masks_taken, episode, pgm_taken, gen_out, eval_out, heat_out
+):
+    """Any gen-synthetic and eval flag set, an inspect of the generated file,
+    and a heatmap of one episode of a finished eval, each writing to an --out
+    drawn from OUT_SHAPES, ends with exit 0 and output that a rerun reproduces
+    byte for byte, exit 2 and one usage-error line, or (eval) exit 1 and the
+    one-line episode failure: never a traceback. A failure leaves the tree
+    beside its output as it was, also when a directory holds the place of the
+    masks file or of a PGM."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        data = tmp / "gen.fsof"
-        if masks_taken:
-            cli.masks_path(data).mkdir()
-        code, written = _ends_as_contracted(["gen-synthetic", "--out", str(data), *gen], data)
-        assert code == 2 or not masks_taken
+        out = _out_slot(tmp / "gen", "gen.fsof", gen_out)
+        masks = tmp / "gen" / cli.masks_path(out)
+        if masks_taken and masks.parent.is_dir():
+            masks.mkdir()
+        code, written = _ends_as_contracted(["gen-synthetic", "--out", out, *gen], out, tmp / "gen")
+        assert code == 2 or (gen_out in ("new", "file") and not masks_taken)
         if code == 0:
-            rerun = tmp / "again.fsof"
-            assert _ends_as_contracted(["gen-synthetic", "--out", str(rerun), *gen], rerun) == (0, written)
+            data = tmp / "gen" / out
+            assert _ends_as_contracted(["inspect", str(data)], out, tmp / "gen") == (0, written)
+            rerun = _out_slot(tmp / "gen2", "gen.fsof", gen_out)
+            assert _ends_as_contracted(["gen-synthetic", "--out", rerun, *gen], rerun, tmp / "gen2") == (0, written)
         else:
             data = tiny_fsof
-        runs = [["eval", "--dataset", str(data), "--out", str(tmp / name), *ev] for name in ("a", "b")]
-        code, written = _ends_as_contracted(runs[0], tmp / "a")
+        runs = [["eval", "--dataset", str(data), "--out", _out_slot(tmp / name, "run", eval_out), *ev]
+                for name in ("a", "b")]
+        code, written = _ends_as_contracted(runs[0], runs[0][4], tmp / "a")
+        assert code == 2 or eval_out in DIR_SHAPES
         if code == 0:
-            assert _ends_as_contracted(runs[1], tmp / "b") == (0, written)
-            heat = tmp / "heat"
-            if pgm_taken:
-                (heat / pgm_taken).mkdir(parents=True)
-            argv = ["heatmap", "--bundle", str(tmp / "a"), "--episode", str(episode), "--out", str(heat)]
+            assert _ends_as_contracted(runs[1], runs[1][4], tmp / "b") == (0, written)
+            heat = _out_slot(tmp / "h", "heat", heat_out)
+            if pgm_taken and heat_out in DIR_SHAPES:
+                (tmp / "h" / heat / pgm_taken).mkdir(parents=True)
+            argv = ["heatmap", "--bundle", str(tmp / "a" / runs[0][4]), "--episode", str(episode), "--out", heat]
             num_episodes = int(ev[0].split("=")[1])  # the first flag given, always --num-episodes
-            assert _ends_as_contracted(argv, heat)[0] == (0 if episode < num_episodes and not pgm_taken else 2)
+            ok = episode < num_episodes and heat_out in DIR_SHAPES and not pgm_taken
+            assert _ends_as_contracted(argv, heat, tmp / "h")[0] == (0 if ok else 2)
 
 
 class TestHeatmap:
