@@ -103,15 +103,12 @@ def check_norms(n: np.ndarray, what: str) -> np.ndarray:
     return n
 
 
-def cosine_matrix(
-    weights: np.ndarray, queries: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unclipped cosine similarities, queries x rows, plus the row norms of
-    the weights and of the queries: the raw queries times the unit rows, each
-    score divided by its query's norm. A row whose norm is zero or not finite
-    is an error that names it."""
+def cosine_matrix(weights: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Unclipped cosine similarities, queries x rows: the raw queries times
+    the unit rows, each score divided by its query's norm. A row whose norm
+    is zero or not finite is an error that names it."""
     wn, qn = row_norms(weights, "prototype row"), row_norms(queries, "query")
-    return queries @ (weights / wn[:, None]).T / qn[:, None], wn, qn
+    return queries @ (weights / wn[:, None]).T / qn[:, None]
 
 
 def predict(
@@ -133,7 +130,7 @@ def predict(
         raise ValueError(f"unknown score kind {score_kind!r}, expected one of {SCORE_KINDS}")
     if not 0 < num_known <= len(bank):
         raise ValueError(f"num_known must lie in [1, {len(bank)}], got {num_known}")
-    scores, _, _ = cosine_matrix(bank, queries)
+    scores = cosine_matrix(bank, queries)
     best_known = scores[:, :num_known].max(axis=1)
     if score_kind == SCORE_NEG_MAX_KNOWN or num_known == len(bank):
         unknownness = -best_known

@@ -1,14 +1,15 @@
-"""Cross-entropy losses over cosine scores, their analytic gradients, and
-the episodic classifier fine-tuning loop that treats mined background
-embeddings as pseudo-unknowns.
+"""The cross-entropy over cosine scores and the episodic classifier
+fine-tuning loop that steps along its analytic gradient, treating mined
+background embeddings as pseudo-unknowns.
 
-No autograd framework is used. Gradients are derived by composing the
+No autograd framework is used. The gradient is derived by composing the
 softmax cross-entropy gradient with the cosine-similarity Jacobian
 
     d/dw [ (w.q) / (|w||q|) ] = q / (|w||q|) - (w.q) w / (|w|^3 |q|)
 
-and checked against central finite differences in the test suite and by the
-gradcheck harness at the end of this module (the `fsosr gradcheck` command).
+and the gradcheck harness at the end of this module (the `fsosr gradcheck`
+command) checks the step finetune_bank takes against central finite
+differences of the batch loss.
 """
 
 from __future__ import annotations
@@ -72,10 +73,10 @@ def prototype_batch_loss(
     item_weights: np.ndarray,
     temperature: float,
 ) -> float:
-    """Weighted sum of per-item cross-entropies over cosine scores. This is the
-    scalar the analytic prototype gradient differentiates; gradcheck probes it
-    with finite differences."""
-    scores, _, _ = cosine_matrix(weights, embeddings)
+    """Weighted sum of per-item cross-entropies over cosine scores, the scalar
+    whose gradient finetune_bank steps along; gradcheck probes it with finite
+    differences."""
+    scores = cosine_matrix(weights, embeddings)
     ce = _batch_ce(temperature * scores.T, _label_positions(labels), item_weights, gradient=False)
     return float(np.dot(item_weights, ce))
 
@@ -103,34 +104,6 @@ def _batch_ce(
         logits *= item_weights / z
         logits.put(positions, logits.take(positions) - item_weights)
     return ce
-
-
-def grad_wrt_prototypes(
-    weights: np.ndarray,
-    embeddings: np.ndarray,
-    labels: np.ndarray,
-    item_weights: np.ndarray,
-    temperature: float = FinetuneConfig.temperature,
-) -> np.ndarray:
-    """Exact gradient of sum_i item_weights[i] * CE_i, item i being row i of the
-    (n x dim) embeddings with joint row label labels[i], with respect to every
-    row of the (num_rows x dim) prototype weights, returned as a matrix of that
-    shape. Weights and embeddings are inputs only and are never modified."""
-    if embeddings.ndim != 2 or embeddings.shape[1] != weights.shape[1] or len(embeddings) == 0:
-        raise ValueError(f"embeddings need a nonempty n x {weights.shape[1]} matrix, got shape {embeddings.shape}")
-    labels = np.asarray(labels, dtype=np.intp)
-    item_weights = np.asarray(item_weights, dtype=np.float64)
-    if labels.shape != embeddings.shape[:1] or item_weights.shape != labels.shape:
-        raise ValueError("need one label and one item weight per embedding")
-    if np.any(item_weights <= 0):
-        raise ValueError("item weights must be > 0")
-    if labels.min() < 0 or labels.max() >= len(weights):
-        raise ValueError(f"batch labels must lie in [0, {len(weights)})")
-    scores, wn, qn = cosine_matrix(weights, embeddings)
-    g = temperature * scores.T
-    _batch_ce(g, _label_positions(labels), item_weights)
-    along = np.vecdot(g, scores.T) / wn
-    return (temperature / wn)[:, None] * ((g / qn) @ embeddings - along[:, None] * weights)
 
 
 @np.errstate(all="ignore")  # a bad step fails the norm check after the loop, naming its epoch
@@ -296,37 +269,35 @@ DEFAULT_PROTOTYPE_SHAPES: tuple[tuple[int, int, int], ...] = tuple(
 GRADCHECK_THRESHOLD = 1e-4
 
 
-def _random_prototype_case(rng: np.random.Generator, shape: tuple[int, int, int]):
-    """Random prototype weights and batch: embeddings, joint row labels, item weights."""
-    n_known, n_background, dim = shape
-    num_rows = n_known + n_background
-    weights = rng.normal(size=(num_rows, dim))
-    draws = [(int(rng.integers(0, num_rows)), rng.normal(size=dim)) for _ in range(num_rows)]
-    labels = np.array([label for label, _ in draws])
-    return weights, np.array([e for _, e in draws]), labels, np.where(labels < n_known, 1.0, 0.05)
-
-
 def gradcheck_report(seed: int = 0, trials: int = 20) -> dict:
-    """Randomized finite-difference check of the analytic prototype gradient,
-    the one finetune_bank steps along at the default temperature, over
-    `trials` (>= 1) random cases drawn from `seed` (>= 0), their shapes taken
-    in turn from DEFAULT_PROTOTYPE_SHAPES."""
+    """Randomized finite-difference check of the step finetune_bank takes,
+    over `trials` (>= 1) random cases drawn from `seed` (>= 0), their shapes
+    taken in turn from DEFAULT_PROTOTYPE_SHAPES. Each case draws a bank, as
+    many supports as it has rows, with known-class labels, and one background
+    item per support, and runs one epoch at learning rate 1, so bank - stepped
+    is the gradient of the summed batch loss. The reference is finite differences of
+    prototype_batch_loss with each background item labeled with its nearest
+    background row at the start, the pseudo-label the step itself takes; a
+    probe that re-ran that argmax could flip a label."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    rng, temperature = np.random.default_rng(seed), FinetuneConfig.temperature
+    rng, cfg = np.random.default_rng(seed), FinetuneConfig(epochs=1, learning_rate=1.0)
     proto_err = 0.0
     for t in range(trials):
-        weights, embeddings, labels, item_weights = _random_prototype_case(
-            rng, DEFAULT_PROTOTYPE_SHAPES[t % len(DEFAULT_PROTOTYPE_SHAPES)]
-        )
-        analytic = grad_wrt_prototypes(weights, embeddings, labels, item_weights, temperature)
+        n_known, n_background, dim = DEFAULT_PROTOTYPE_SHAPES[t % len(DEFAULT_PROTOTYPE_SHAPES)]
+        n = n_known + n_background
+        bank, supports, backgrounds = (rng.normal(size=(n, dim)) for _ in range(3))
+        labels = rng.integers(0, n_known, size=n)
+        stepped, _ = finetune_bank(bank, n_known, supports, labels, backgrounds, cfg)
+        pseudo = n_known + np.argmax(cosine_matrix(bank[n_known:], backgrounds), axis=1)
+        items, item_labels = np.vstack([supports, backgrounds]), np.concatenate([labels, pseudo])
+        item_weights = np.repeat([1.0, cfg.bkg_loss_weight], n)
         numeric = finite_difference(
-            lambda w: prototype_batch_loss(w, embeddings, labels, item_weights, temperature), weights
+            lambda w: prototype_batch_loss(w, items, item_labels, item_weights, cfg.temperature), bank
         )
-        proto_err = max(proto_err, max_relative_error(analytic, numeric))
+        proto_err = max(proto_err, max_relative_error(bank - stepped, numeric))
 
     return {"prototype_gradient": proto_err, "threshold": GRADCHECK_THRESHOLD,
             "passed": proto_err < GRADCHECK_THRESHOLD}
-

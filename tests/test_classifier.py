@@ -3,7 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from fsosr.classifier import build_known_prototypes, check_norms, cosine_matrix, init_background, predict
+from fsosr.classifier import (
+    build_known_prototypes, check_norms, cosine_matrix, init_background, predict, row_norms,
+)
 
 
 class TestBuildKnownPrototypes:
@@ -137,19 +139,20 @@ class TestCosineScores:
     def test_self_similarity_is_one_at_any_scale(self):
         rows = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 0.0]])
         for scale in (0.001, 1.0, 250.0):
-            scores, _, _ = cosine_matrix(rows, scale * np.array([[1.0, 2.0, 3.0]]))
+            scores = cosine_matrix(rows, scale * np.array([[1.0, 2.0, 3.0]]))
             assert scores[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_is_zero(self):
-        scores, _, _ = cosine_matrix(np.array([[1.0, 0.0]]), np.array([[0.0, 5.0]]))
+        scores = cosine_matrix(np.array([[1.0, 0.0]]), np.array([[0.0, 5.0]]))
         assert scores[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_scalar_oracle(self):
         rng = np.random.default_rng(2)
         rows = rng.normal(size=(6, 7))
         queries = rng.normal(size=(5, 7))
-        scores, wn, qn = cosine_matrix(rows, queries)
+        scores = cosine_matrix(rows, queries)
         assert scores.shape == (5, 6)
+        wn, qn = row_norms(rows, "row"), row_norms(queries, "query")
         np.testing.assert_allclose(wn, [np.linalg.norm(r) for r in rows], rtol=0, atol=1e-12)
         np.testing.assert_allclose(qn, [np.linalg.norm(q) for q in queries], rtol=0, atol=1e-12)
         for i, q in enumerate(queries):
@@ -168,12 +171,12 @@ class TestCosineScores:
             expected = (queries / np.linalg.norm(queries, axis=1)[:, None]) @ (
                 rows / np.linalg.norm(rows, axis=1)[:, None]
             ).T
-            scores, _, _ = cosine_matrix(rows, queries)
+            scores = cosine_matrix(rows, queries)
             np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-15)
 
     def test_scores_within_cosine_range(self):
         rng = np.random.default_rng(3)
-        scores, _, _ = cosine_matrix(rng.normal(size=(3, 5)), rng.normal(size=(4, 5)))
+        scores = cosine_matrix(rng.normal(size=(3, 5)), rng.normal(size=(4, 5)))
         assert np.all(scores >= -1.0) and np.all(scores <= 1.0)
 
     def test_zero_norm_query_raises(self):
@@ -282,7 +285,7 @@ class TestPredict:
     def test_neg_max_known_score_kind(self):
         bank = self._bank()
         queries = np.array([[0.5, 0.1, 0.0, 0.4], [0.0, 0.2, 0.3, 0.9]])
-        scores, _, _ = cosine_matrix(bank, queries)
+        scores = cosine_matrix(bank, queries)
         _, unknownness = predict(bank, 3, queries, "neg_max_known")
         np.testing.assert_allclose(unknownness, -scores[:, :3].max(axis=1), rtol=0, atol=1e-15)
         with pytest.raises(ValueError, match="score kind"):

@@ -12,7 +12,6 @@ from fsosr.finetune import (
     FinetuneConfig,
     finetune_bank,
     finite_difference,
-    grad_wrt_prototypes,
     max_relative_error,
     prototype_batch_loss,
 )
@@ -67,47 +66,44 @@ class TestCeLossCosine:
         assert scaled == pytest.approx(base, abs=1e-9)
 
 
+def _one_step_and_reference(bank, num_known, supports, labels, backgrounds, **settings):
+    """bank minus finetune_bank's rows after one epoch at learning rate 1, and
+    finite differences of the summed batch loss, with each background item
+    labeled with its nearest background row at the start."""
+    cfg = FinetuneConfig(epochs=1, learning_rate=1.0, **settings)
+    out, _ = finetune_bank(bank, num_known, supports, labels, backgrounds, cfg)
+    pseudo = [num_known + int(np.argmax([_cos(w, b) for w in bank[num_known:]])) for b in backgrounds]
+    items, item_labels = np.vstack([supports, backgrounds]), np.concatenate([labels, pseudo])
+    weights = np.concatenate([np.ones(len(supports)), np.full(len(backgrounds), cfg.bkg_loss_weight)])
+    numeric = finite_difference(
+        lambda w: prototype_batch_loss(w, items, item_labels, weights, cfg.temperature), bank
+    )
+    return bank - out, numeric
+
+
 class TestGradWrtPrototypes:
+    """The gradient with respect to the prototype rows, read off the step
+    finetune_bank takes in one epoch at learning rate 1."""
+
     def test_saturated_correct_prediction_has_tiny_gradient(self):
-        grad = grad_wrt_prototypes(
-            np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[2.0, 0.0]]), np.array([0]), np.array([1.0]), temperature=400.0
+        step, _ = _one_step_and_reference(
+            np.array([[1.0, 0.0], [0.0, 1.0]]), 1, np.array([[2.0, 0.0]]), np.array([0]),
+            np.array([[0.0, 3.0]]), temperature=400.0,
         )
-        assert np.abs(grad).max() < 1e-8
+        assert np.abs(step).max() < 1e-8
 
     def test_two_class_finite_difference(self):
         rng = np.random.default_rng(2)
-        rows = rng.normal(size=(2, 2))
-        embeddings = rng.normal(size=(1, 2))
-        analytic = grad_wrt_prototypes(
-            rows, embeddings, np.array([1]), np.array([0.05]), temperature=10.0
+        step, numeric = _one_step_and_reference(
+            rng.normal(size=(2, 2)), 1, rng.normal(size=(1, 2)), np.array([0]), rng.normal(size=(1, 2))
         )
-        numeric = finite_difference(
-            lambda w: prototype_batch_loss(
-                w.reshape(2, 2), embeddings, np.array([1]), np.array([0.05]), 10.0
-            ),
-            rows.reshape(-1),
-        ).reshape(2, 2)
-        assert max_relative_error(analytic, numeric) < 1e-4
+        assert max_relative_error(step, numeric) < 1e-4
 
     def test_random_batch_finite_difference(self):
         rng = np.random.default_rng(3)
-        rows = rng.normal(size=(7, 16))
-        labels, rows_of_batch = [], []
-        for _ in range(9):
-            labels.append(int(rng.integers(0, 7)))
-            rows_of_batch.append(rng.normal(size=16))
-        embeddings, labels = np.array(rows_of_batch), np.array(labels)
-        weights = np.where(labels < 5, 1.0, 0.05)
-        analytic = grad_wrt_prototypes(rows, embeddings, labels, weights, temperature=10.0)
-        numeric = finite_difference(
-            lambda w: prototype_batch_loss(w.reshape(7, 16), embeddings, labels, weights, 10.0),
-            rows.reshape(-1),
-        ).reshape(7, 16)
-        assert max_relative_error(analytic, numeric) < 1e-4
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            grad_wrt_prototypes(np.eye(2), np.zeros((0, 2)), [], [])
+        bank, supports, backgrounds = rng.normal(size=(7, 16)), rng.normal(size=(9, 16)), rng.normal(size=(4, 16))
+        step, numeric = _one_step_and_reference(bank, 5, supports, rng.integers(0, 5, size=9), backgrounds)
+        assert max_relative_error(step, numeric) < 1e-4
 
 
 def _oracle_finetune(weights0, num_known, supports, labels, backgrounds, cfg, pseudo_log=None):
@@ -331,23 +327,11 @@ class TestFinetuneBank:
         with pytest.raises(ValueError, match=f"^{group} {index} has {kind} norm"):
             finetune_bank(bank, 3, supports, labels, backgrounds, FinetuneConfig())
 
-    def test_one_epoch_steps_along_grad_wrt_prototypes(self):
-        # the gradient fsosr gradcheck checks is the one the loop descends
+    def test_one_epoch_step_is_the_batch_loss_gradient(self):
+        # the step fsosr gradcheck checks, at a background weight of its own
         bank, supports, labels, backgrounds = self._toy_inputs(seed=15)
-        lr, lam = 0.5, 0.2
-        cfg = FinetuneConfig(epochs=1, learning_rate=lr, bkg_loss_weight=lam)
-        out, _ = finetune_bank(bank, 3, supports, labels, backgrounds, cfg)
-        pseudo = [3 + int(np.argmax([_cos(w, b) for w in bank[3:]])) for b in backgrounds]
-        expected = grad_wrt_prototypes(
-            bank,
-            np.vstack([supports, backgrounds]),
-            np.concatenate([labels, pseudo]),
-            np.concatenate([np.ones(len(supports)), np.full(len(backgrounds), lam)]),
-            cfg.temperature,
-        )
-        np.testing.assert_allclose(
-            (bank - out) / lr, expected, rtol=0, atol=1e-12
-        )
+        step, numeric = _one_step_and_reference(bank, 3, supports, labels, backgrounds, bkg_loss_weight=0.2)
+        assert max_relative_error(step, numeric) < 1e-6
 
     def test_no_cosine_matrix_calls(self, monkeypatch):
         # the batch is normalized once at entry; every epoch builds its one
@@ -364,7 +348,7 @@ class TestFinetuneBank:
         finetune_bank(bank, 3, supports, labels, backgrounds, FinetuneConfig(epochs=5))
         assert calls == []
         # the patch does take effect on the module's lookups
-        grad_wrt_prototypes(bank, supports, labels, np.ones(len(labels)))
+        prototype_batch_loss(bank, supports, labels, np.ones(len(labels)), 10.0)
         assert calls == [1]
 
     def test_last_evaluation_computes_no_coefficients(self, monkeypatch):

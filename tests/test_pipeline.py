@@ -557,12 +557,28 @@ class TestGradcheck:
         assert gradcheck_report(seed=0)["prototype_gradient"] < 1e-5
 
     def test_perturbed_gradient_fails(self, capsys, monkeypatch):
-        exact = finetune.grad_wrt_prototypes
-        monkeypatch.setattr(finetune, "grad_wrt_prototypes", lambda *a: exact(*a) + 1e-2)
+        exact = finetune.finetune_bank
+
+        def perturbed(*args):
+            bank, report = exact(*args)
+            return bank + 1e-2, report
+
+        monkeypatch.setattr(finetune, "finetune_bank", perturbed)
         code = cli.main(["gradcheck", "--seed", "1", "--trials", "2"])
         assert code == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("change", [
+        lambda cfg: dataclasses.replace(cfg, bkg_loss_weight=2 * cfg.bkg_loss_weight),
+        lambda cfg: dataclasses.replace(cfg, freeze_known=True),
+    ], ids=["doubled-background-weight", "frozen-known-rows"])
+    def test_check_covers_background_loss_and_every_row(self, monkeypatch, change):
+        # a step that weighs the pseudo-unknowns twice, or leaves the known
+        # rows in place, fails: gradcheck checks the step finetune_bank takes
+        exact = finetune.finetune_bank
+        monkeypatch.setattr(finetune, "finetune_bank", lambda *a: exact(*a[:-1], change(a[-1])))
+        assert not gradcheck_report(seed=1, trials=2)["passed"]
 
     def test_command_reports_pass(self, capsys):
         code = cli.main(["gradcheck", "--seed", "1", "--trials", "2"])
