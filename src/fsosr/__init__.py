@@ -17,16 +17,14 @@ from .episode import (
     generate_synthetic,
     sample_episode,
 )
-from .featmap import EmbeddingVector, FeatureMap, minmax_norm, spatial_avg_pool
+from .featmap import minmax_norm, spatial_avg_pool
 from .finetune import FinetuneConfig, finetune_bank
 from .pipeline import RunConfig, run_eval
-from .procam import ProCamConfig, cam, mine, procam_for_support
+from .procam import ProCamConfig, cam, mine
 
 __all__ = [
-    "EmbeddingVector",
     "EpisodeSpec",
     "FeatureDataset",
-    "FeatureMap",
     "FinetuneConfig",
     "ProCamConfig",
     "RunConfig",
@@ -40,7 +38,6 @@ __all__ = [
     "mine",
     "minmax_norm",
     "predict",
-    "procam_for_support",
     "run_eval",
     "sample_episode",
     "spatial_avg_pool",

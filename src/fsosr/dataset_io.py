@@ -23,6 +23,7 @@ from __future__ import annotations
 import mmap
 import os
 import struct
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 from stat import S_ISREG
@@ -38,6 +39,8 @@ _HEADER = struct.Struct("<4sHI")
 _ITEM_HEADER = struct.Struct("<IHHH")
 _ITEM_HEADER_DTYPE = np.dtype([("label", "<u4"), ("shape", "<u2", 3)])  # as an array row
 CHUNK_BYTES = 1 << 18  # how much of the file write_dataset packs at a time
+# from Python 3.13 a mapping need not keep a duplicate of the descriptor it maps
+_UNTRACKED_FD = {"trackfd": False} if sys.version_info >= (3, 13) else {}
 
 
 class DatasetFormatError(ValueError):
@@ -114,7 +117,7 @@ def read_dataset(path) -> FeatureDataset:
         size = stat.st_size
         if size < _HEADER.size:  # an empty file cannot be mapped
             raise TruncatedFileError(f"{path}: {size} bytes, header needs {_HEADER.size}")
-        mapped = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)  # it keeps a duplicate of fd
+        mapped = mmap.mmap(fd, 0, access=mmap.ACCESS_READ, **_UNTRACKED_FD)  # below 3.13 it keeps a dup of fd
     finally:
         os.close(fd)
     magic, version, count = _HEADER.unpack_from(mapped)
@@ -127,8 +130,7 @@ def read_dataset(path) -> FeatureDataset:
     if count == 0:
         raise DatasetFormatError(f"{path}: no items")
     # item 0 sets the shape, so it must fit the file before anything is sized by it
-    _check_item(path, 0, count, None, mapped, _HEADER.size, size)
-    shape = tuple(_ITEM_HEADER.unpack_from(mapped, _HEADER.size)[1:])
+    shape = _check_item(path, 0, count, None, mapped, _HEADER.size, size)
     record = _record_dtype(shape)
     item_bytes = record.itemsize
     # the records the file can hold: a count beyond them fails as truncated
@@ -158,9 +160,10 @@ def read_dataset(path) -> FeatureDataset:
         raise DatasetFormatError(f"{path}: {exc}") from exc
 
 
-def _check_item(path, i: int, count: int, shape, mapped, offset: int, end: int) -> None:
-    """Raise the format error of item i, if it has one. Its header starts at
-    `offset` of the mapped bytes, which end at `end`; shape is item 0's (None for item 0)."""
+def _check_item(path, i: int, count: int, shape, mapped, offset: int, end: int) -> tuple[int, int, int]:
+    """Raise the format error of item i, if it has one, else return its shape.
+    Its header starts at `offset` of the mapped bytes, which end at `end`;
+    shape is item 0's (None for item 0)."""
     if offset + _ITEM_HEADER.size > end:
         raise TruncatedFileError(f"{path}: item {i} header truncated at byte {offset}")
     label, *item_shape = _ITEM_HEADER.unpack_from(mapped, offset)
@@ -183,6 +186,7 @@ def _check_item(path, i: int, count: int, shape, mapped, offset: int, end: int) 
             f"{path}: item {i} payload truncated "
             f"(need {n_bytes} bytes at offset {offset}, have {end - offset})"
         )
+    return tuple(item_shape)
 
 
 def export_heatmap(m, path) -> None:

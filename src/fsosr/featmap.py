@@ -1,7 +1,6 @@
 """The pooling / normalization primitives the rest of the engine is built on:
 pure, double precision, on plain arrays over their trailing axes, so one call
-covers a whole stack of maps. Also two holders of one item's map or embedding
-array, which copy and check nothing (data is checked where it comes in)."""
+covers a whole stack of maps."""
 
 from __future__ import annotations
 
@@ -13,36 +12,6 @@ EPS_NORM = 1e-12
 NORM_MINMAX = "minmax"
 NORM_SOFTMAX = "softmax"
 NORM_KINDS = (NORM_MINMAX, NORM_SOFTMAX)
-
-
-class FeatureMap:
-    """An H x W x d activation grid for one image: the array it is given, as it is."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: np.ndarray) -> None:
-        self.values = values
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.values.shape[2]
-
-
-class EmbeddingVector:
-    """A length-d embedding of one image: the array it is given, as it is."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: np.ndarray) -> None:
-        self.values = values
 
 
 def spatial_avg_pool(f: np.ndarray) -> np.ndarray:

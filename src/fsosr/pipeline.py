@@ -24,14 +24,13 @@ from .classifier import (
 )
 from .dataset_io import read_dataset
 from .episode import EpisodeSpec, FeatureDataset, derive_episode_seed, sample_episode
-from .featmap import FeatureMap
 # Pooling happens once, when the dataset is built, and no episode calls this;
 # it stays importable here because the benchmark's tracer wraps every name it
 # times (perfbench/spans.py TRACED) on this module.
 from .featmap import spatial_avg_pool  # noqa: F401
 from .finetune import FinetuneConfig, finetune_bank
 from .metrics import accuracy, aggregate, auroc
-from .procam import ProCamConfig, procam_for_support
+from .procam import ProCamConfig, mine
 
 BUNDLE_FORMAT_VERSION = 1
 CHUNK_EPISODES = 8  # episodes a pool worker takes at a time
@@ -184,6 +183,41 @@ def validate_dataset_for_config(ds: FeatureDataset, cfg: RunConfig) -> None:
         )
 
 
+class _Held:
+    """One item's map or embedding array, held as it is, for the benchmark's
+    tracer: it reads a map's height, width and channels and each pair's values
+    from procam_for_support's arguments and return."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: np.ndarray) -> None:
+        self.values = values
+
+    @property
+    def height(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.values.shape[1]
+
+    @property
+    def channels(self) -> int:
+        return self.values.shape[2]
+
+
+def procam_for_support(
+    supports: list[tuple[_Held, int]], known: np.ndarray, cfg: ProCamConfig, foregrounds: np.ndarray
+) -> list[tuple[_Held, _Held]]:
+    """The (foreground, background) pair of every (map, label) support, in
+    order: the maps are mined as one stack, widened to float64 as it is built,
+    each with its label's row of the known prototypes, and the foregrounds are
+    the caller's pooled (n, d) rows."""
+    stack = np.stack([fmap.values for fmap, _ in supports], dtype=np.float64)
+    _, backgrounds, _ = mine(stack, known[[label for _, label in supports]], cfg)
+    return [(_Held(fg), _Held(bg)) for fg, bg in zip(foregrounds, backgrounds)]
+
+
 def evaluate_episode(
     ds: FeatureDataset, cfg: RunConfig, index: int, carried: np.ndarray | None = None
 ) -> dict:
@@ -208,9 +242,9 @@ def evaluate_episode(
             needs_mining = cfg.use_procam_finetune or cfg.init_kind == INIT_AVG
             bg_embeddings = None
             if needs_mining:
-                # Python ints: procam_for_support checks and indexes by them per item
+                # Python ints: the maps are indexed one at a time
                 maps = [
-                    (FeatureMap(ds.values[i]), c)
+                    (_Held(ds.values[i]), c)
                     for i, c in zip(episode.support.tolist(), episode.support_labels.tolist())
                 ]
                 pairs = procam_for_support(maps, bank, cfg.procam, support)

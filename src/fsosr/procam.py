@@ -7,14 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .featmap import (
-    NORM_KINDS,
-    NORM_MINMAX,
-    EmbeddingVector,
-    FeatureMap,
-    minmax_norm,
-    spatial_softmax,
-)
+from .featmap import NORM_KINDS, NORM_MINMAX, minmax_norm, spatial_softmax
 
 
 @dataclass(frozen=True)
@@ -76,32 +69,6 @@ def mine(
     n, h, w, d = stack.shape
     backgrounds = ((1.0 - final_masks).reshape(n, 1, h * w) @ stack.reshape(n, h * w, d))[:, 0] / (h * w)
     return final_masks, backgrounds, trace
-
-
-def procam_for_support(
-    supports: list[tuple[FeatureMap, int]],
-    known: np.ndarray,
-    cfg: ProCamConfig,
-    foregrounds: np.ndarray,
-) -> list[tuple[EmbeddingVector, EmbeddingVector]]:
-    """(foreground, background) embedding pairs for every support item, mining
-    each item with its label's row of the (n_way x d) known prototypes. The
-    foregrounds are the supports' pooled (n, d) rows, which the caller holds
-    already; the pairs view them read-only, as they are. All items are mined as one stack, widened to
-    float64 as it is built; order follows the input, and the backgrounds view
-    rows of one read-only (n, d) result."""
-    labels = [label for _, label in supports]
-    for label in labels:
-        if not 0 <= label < len(known):
-            raise ValueError(f"no known prototype for class {label} (there are {len(known)})")
-    stack = np.stack([fmap.values for fmap, _ in supports], dtype=np.float64)
-    want = (len(stack), stack.shape[-1])
-    if foregrounds.shape != want:
-        raise ValueError(f"foregrounds need shape {want}, got {foregrounds.shape}")
-    _, backgrounds, _ = mine(stack, known[labels], cfg)
-    foregrounds = foregrounds.view()
-    foregrounds.flags.writeable = backgrounds.flags.writeable = False
-    return [(EmbeddingVector(fg), EmbeddingVector(bg)) for fg, bg in zip(foregrounds, backgrounds)]
 
 
 def mask_iou(mask: np.ndarray, truth) -> float:

@@ -8,7 +8,7 @@ import pytest
 
 from fsosr.classifier import build_known_prototypes, init_background
 from fsosr.episode import EpisodeSpec, derive_episode_seed, sample_episode
-from fsosr.featmap import FeatureMap, minmax_norm
+from fsosr.featmap import minmax_norm
 from fsosr.finetune import (
     GRADCHECK_THRESHOLD,
     FinetuneConfig,
@@ -17,7 +17,7 @@ from fsosr.finetune import (
 )
 from fsosr.metrics import auroc
 from fsosr.pipeline import RunConfig, run_eval
-from fsosr.procam import ProCamConfig, cam, mask_iou, mine, procam_for_support
+from fsosr.procam import ProCamConfig, cam, mask_iou, mine
 from fsosr.dataset_io import read_dataset, write_dataset
 from fsosr.episode import FeatureDataset
 
@@ -182,10 +182,9 @@ def test_criterion_6_finetune_descent(benchmark_dataset):
         sup = ds.embeddings[episode.support]
         labels = episode.support_labels
         known = build_known_prototypes(sup, labels, 5, 5)
-        maps = [(FeatureMap(ds.values[j]), c) for j, c in zip(episode.support, labels)]
-        pairs = procam_for_support(maps, known, ProCamConfig(iterations=4), sup)
+        stack = ds.values[episode.support].astype(np.float64)
+        _, bgs, _ = mine(stack, known[labels], ProCamConfig(iterations=4))
         background = init_background(ds.channels, "random", 1, seed=derive_episode_seed(123, i, 1))
-        bgs = np.stack([b.values for _, b in pairs])
         _, report = finetune_bank(np.vstack([known, background]), 5, sup, labels, bgs, FinetuneConfig())
         if report.per_epoch_totals[-1] < report.per_epoch_totals[0]:
             descended += 1

@@ -33,6 +33,7 @@ from fsosr.featmap import spatial_avg_pool
 
 STATM = Path("/proc/self/statm")
 STATUS = Path("/proc/self/status")
+FDS = Path("/proc/self/fd")
 F32_MAX = float(np.finfo(np.float32).max)
 SRC = Path(fsosr.__file__).resolve().parents[1]
 
@@ -178,23 +179,19 @@ class TestFormatErrors:
         with pytest.raises(DatasetFormatError, match="zero-sized"):
             read_dataset(path)
 
-    def test_mixed_shapes_name_the_item(self, tmp_path, monkeypatch):
-        # every item must have item 0's shape, whichever chunk it is read in
+    def test_mixed_shapes_name_the_item(self, tmp_path):
+        # every item must have item 0's shape
         items = [(0, np.zeros((2, 2, 3))), (1, np.zeros((2, 2, 3))), (0, np.zeros((2, 3, 3)))]
         path = tmp_path / "mixed.fsof"
         path.write_bytes(pack_items(items))
         offset = 10 + 2 * (10 + 4 * 12)
-        for chunk_bytes in (1, 500, 1 << 20):
-            monkeypatch.setattr(dataset_io, "CHUNK_BYTES", chunk_bytes)
-            with pytest.raises(
-                DatasetFormatError,
-                match=rf"item 2 at byte {offset} has shape \(2, 3, 3\), item 0 has \(2, 2, 3\)",
-            ):
-                read_dataset(path)
+        with pytest.raises(
+            DatasetFormatError,
+            match=rf"item 2 at byte {offset} has shape \(2, 3, 3\), item 0 has \(2, 2, 3\)",
+        ):
+            read_dataset(path)
 
-    @pytest.mark.parametrize("chunk_bytes", [1, 1 << 20])
-    def test_first_of_two_bad_items_is_named(self, tmp_path, monkeypatch, chunk_bytes):
-        monkeypatch.setattr(dataset_io, "CHUNK_BYTES", chunk_bytes)
+    def test_first_of_two_bad_items_is_named(self, tmp_path):
         items = [(k % 2, np.zeros((2, 2, 3))) for k in range(6)]
         items[2] = (9, np.zeros((2, 2, 3)))
         items[4] = (0, np.zeros((2, 3, 3)))
@@ -203,12 +200,8 @@ class TestFormatErrors:
         with pytest.raises(DatasetFormatError, match=r"item 2 has label 9, but 6 items allow at most 5"):
             read_dataset(path)
 
-    @pytest.mark.parametrize("chunk_bytes", [1, 1 << 20])
-    def test_header_fault_is_reported_before_an_earlier_non_finite_item(
-        self, tmp_path, monkeypatch, chunk_bytes
-    ):
+    def test_header_fault_is_reported_before_an_earlier_non_finite_item(self, tmp_path):
         # headers are checked over the whole file before any item is pooled
-        monkeypatch.setattr(dataset_io, "CHUNK_BYTES", chunk_bytes)
         items = [(k % 2, np.zeros((2, 2, 3))) for k in range(6)]
         items[1] = (1, np.full((2, 2, 3), np.nan))
         items[4] = (9, np.zeros((2, 2, 3)))
@@ -217,11 +210,7 @@ class TestFormatErrors:
         with pytest.raises(DatasetFormatError, match=r"item 4 has label 9, but 6 items allow at most 5"):
             read_dataset(path)
 
-    @pytest.mark.parametrize("chunk_bytes", [1, 1 << 20])
-    def test_truncated_tail_is_reported_before_an_earlier_non_finite_item(
-        self, tmp_path, monkeypatch, chunk_bytes
-    ):
-        monkeypatch.setattr(dataset_io, "CHUNK_BYTES", chunk_bytes)
+    def test_truncated_tail_is_reported_before_an_earlier_non_finite_item(self, tmp_path):
         items = [(k % 2, np.zeros((2, 2, 3))) for k in range(6)]
         items[1] = (1, np.full((2, 2, 3), np.nan))
         path = tmp_path / "nan-then-short.fsof"
@@ -245,14 +234,13 @@ class TestFormatErrors:
         assert str(error) == f"{path}: not a regular file"
 
     def test_directory_fails_typed_and_closes_its_descriptor(self, tmp_path):
-        fds = Path("/proc/self/fd")
-        before = len(os.listdir(fds)) if fds.exists() else None
+        before = len(os.listdir(FDS)) if FDS.exists() else None
         for _ in range(5):
             with pytest.raises(DatasetFormatError) as info:
                 read_dataset(tmp_path)
             assert str(info.value) == f"{tmp_path}: not a regular file"
         if before is not None:
-            assert len(os.listdir(fds)) == before
+            assert len(os.listdir(FDS)) == before
 
 
 def pack_items(items):
@@ -265,9 +253,11 @@ def pack_items(items):
 
 
 class TestChunkedRead:
-    """write_dataset packs the payload CHUNK_BYTES at a time, and a chunk of one
-    byte still holds one item; read_dataset checks and pools the mapped file
-    whole, so no chunk size changes what it returns or raises."""
+    """Loading what write_dataset wrote. The writer packs the payload
+    CHUNK_BYTES at a time, and a chunk of one byte still holds one item; the
+    reader maps the file and checks and pools it whole, so no chunk size the
+    file was written at changes what a load returns or raises. Also what a
+    loaded dataset holds: its mapped tensor, memory and descriptors."""
 
     @pytest.mark.parametrize("chunk_bytes", [1, 250, 500, 1 << 20])
     def test_round_trip_at_any_chunk_size(self, tmp_path, monkeypatch, chunk_bytes):
@@ -327,6 +317,17 @@ class TestChunkedRead:
         assert not ds.values.flags.owndata and not ds.values.flags.writeable
         assert grown < 0.25 * ds.values.nbytes / 2**20
 
+    @pytest.mark.skipif(sys.version_info < (3, 13), reason="below Python 3.13 a mapping keeps a descriptor")
+    @pytest.mark.skipif(not FDS.exists(), reason="open descriptors are listed in /proc/self/fd")
+    def test_loaded_datasets_hold_no_descriptor(self, tmp_path):
+        ds = random_dataset()
+        write_dataset(ds, tmp_path / "data.fsof")
+        before = len(os.listdir(FDS))
+        loaded = [read_dataset(tmp_path / "data.fsof") for _ in range(5)]
+        assert len(os.listdir(FDS)) == before
+        for back in loaded:
+            np.testing.assert_array_equal(back.values, ds.values)
+
     def test_rewritten_file_leaves_a_loaded_dataset_alone(self, tmp_path):
         # in a child process, so that a fault on the mapped file (SIGBUS) fails
         # this test instead of killing the test run; the new file is smaller,
@@ -381,45 +382,6 @@ class TestChunkedRead:
             back = read_dataset(path)
             assert np.array_equal(back.embeddings[bad], np.full(5, big))
             assert np.isfinite(back.embeddings).all()
-
-    def test_more_items_per_chunk_than_one_vectored_read_takes(self, tmp_path, monkeypatch):
-        # 3000 buffers for 1500 items, beyond SC_IOV_MAX (1024 on Linux); one
-        # preadv with all of them fails with EINVAL
-        monkeypatch.setattr(dataset_io, "CHUNK_BYTES", 1 << 20)
-        ds = FeatureDataset(np.arange(1500, dtype=np.float32).reshape(1500, 1, 1, 1), np.arange(1500) % 3)
-        write_dataset(ds, tmp_path / "data.fsof")
-        back = read_dataset(tmp_path / "data.fsof")
-        np.testing.assert_array_equal(back.values, ds.values)
-        np.testing.assert_array_equal(back.labels, ds.labels)
-        assert np.array_equal(back.embeddings, ds.embeddings)
-
-    @pytest.mark.parametrize("chunk_bytes", [1, 500, 1 << 20])
-    def test_reads_alike_without_preadv(self, tmp_path, monkeypatch, chunk_bytes):
-        # platforms without os.preadv fill the same buffers one read at a time
-        monkeypatch.setattr(dataset_io, "CHUNK_BYTES", chunk_bytes)
-        path = tmp_path / "data.fsof"
-        write_dataset(random_dataset(n_items=7), path)
-        blob = path.read_bytes()
-        item_bytes = 10 + 4 * 3 * 4 * 5
-        nan, label = bytearray(blob), bytearray(blob)
-        struct.pack_into("<f", nan, 10 + 3 * item_bytes + 10 + 4 * 17, np.nan)
-        struct.pack_into("<I", label, 10 + 4 * item_bytes, 99)
-        files = [blob, blob[:-7], blob[: 10 + 5 * item_bytes + 4], nan, label, blob + b"xx"]
-
-        def outcomes():
-            for content in files:
-                path.write_bytes(bytes(content))
-                try:
-                    back = read_dataset(path)
-                except DatasetFormatError as exc:
-                    yield type(exc), str(exc)
-                else:
-                    yield back.values.tobytes(), back.labels.tobytes(), back.embeddings.tobytes()
-
-        with_preadv = list(outcomes())
-        assert [len(outcome) for outcome in with_preadv] == [3, 2, 2, 2, 2, 2]
-        monkeypatch.delattr(os, "preadv", raising=False)
-        assert list(outcomes()) == with_preadv
 
     @pytest.mark.parametrize("chunk_bytes", [1, 500])
     def test_truncation_in_a_later_chunk_names_the_item(self, tmp_path, monkeypatch, chunk_bytes):

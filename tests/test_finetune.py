@@ -7,7 +7,6 @@ import pytest
 from fsosr import finetune
 from fsosr.classifier import build_known_prototypes, init_background
 from fsosr.episode import benchmark_config, derive_episode_seed, generate_synthetic, sample_episode
-from fsosr.featmap import FeatureMap
 from fsosr.finetune import (
     FinetuneConfig,
     finetune_bank,
@@ -16,7 +15,7 @@ from fsosr.finetune import (
     prototype_batch_loss,
 )
 from fsosr.pipeline import RunConfig
-from fsosr.procam import procam_for_support
+from fsosr.procam import mine
 
 
 def _cos(w, q):
@@ -386,9 +385,7 @@ def _episode_finetune_inputs(ds, n_way, num_background, index=0):
     supports = ds.embeddings[episode.support]
     labels = episode.support_labels
     known = build_known_prototypes(supports, labels, cfg.n_way, cfg.k_shot)
-    maps = [(FeatureMap(ds.values[i]), c) for i, c in zip(episode.support, labels)]
-    pairs = procam_for_support(maps, known, cfg.procam, supports)
-    backgrounds = np.stack([bg.values for _, bg in pairs])
+    _, backgrounds, _ = mine(ds.values[episode.support].astype(np.float64), known[labels], cfg.procam)
     seed = derive_episode_seed(cfg.master_seed, index, 1)
     bank = np.vstack([known, init_background(ds.channels, "random", num_background, seed, backgrounds)])
     return bank, supports, labels, backgrounds, cfg

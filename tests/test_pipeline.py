@@ -30,13 +30,13 @@ from fsosr.episode import (
     generate_synthetic,
     sample_episode,
 )
-from fsosr.featmap import NORM_KINDS, FeatureMap, spatial_avg_pool
+from fsosr.featmap import NORM_KINDS, spatial_avg_pool
 from fsosr.finetune import FinetuneConfig, finetune_bank, gradcheck_report
 from fsosr.metrics import accuracy, auroc
 from fsosr.pipeline import RunConfig, evaluate_episode, run_eval, validate_dataset_for_config
-from fsosr.procam import cam, mask_iou, procam_for_support
+from fsosr.procam import cam, mask_iou, mine
 import fsosr
-from fsosr import cli, finetune, pipeline, procam
+from fsosr import cli, finetune, pipeline
 
 
 # JSON nested past the parser's recursion limit, and the error json.loads
@@ -227,9 +227,7 @@ class TestRunEval:
             sup = ds.embeddings[episode.support]
             labels = episode.support_labels
             known = build_known_prototypes(sup, labels, cfg.n_way, cfg.k_shot)
-            maps = [(FeatureMap(ds.values[i]), c) for i, c in zip(episode.support, labels)]
-            pairs = procam_for_support(maps, known, cfg.procam, sup)
-            bgs = np.stack([b.values for _, b in pairs])
+            _, bgs, _ = mine(ds.values[episode.support].astype(np.float64), known[labels], cfg.procam)
             init_seed = derive_episode_seed(cfg.master_seed, index, 1)
             background = init_background(ds.channels, "random", cfg.num_background, init_seed, bgs)
             bank = np.vstack([known, background])
@@ -1173,12 +1171,11 @@ class TestHeatmap:
         self, benchmark_dataset, tmp_path, monkeypatch, capsys, norm, iterations
     ):
         path, _, _ = benchmark_dataset
-        mine = procam.mine
         # every mining call of a 3-episode eval, and the pairs procam_for_support returns
         eval_mined, eval_pairs = [], []
-        monkeypatch.setattr(procam, "mine", self._recording(eval_mined, mine))
+        monkeypatch.setattr(pipeline, "mine", self._recording(eval_mined, mine))
         monkeypatch.setattr(
-            pipeline, "procam_for_support", self._recording(eval_pairs, procam_for_support)
+            pipeline, "procam_for_support", self._recording(eval_pairs, pipeline.procam_for_support)
         )
         run = tmp_path / "run"
         assert cli.main([
@@ -1248,7 +1245,7 @@ class TestHeatmap:
             "--n-way", "2", "--k-shot", "3", "--open-classes", "2", "--epochs", "2",
         ]) == 0
         mined = []
-        monkeypatch.setattr(cli, "mine", self._recording(mined, procam.mine))
+        monkeypatch.setattr(cli, "mine", self._recording(mined, mine))
         argv = ["heatmap", "--bundle", str(run), "--episode", "1", "--out", str(tmp_path / "heat")]
         capsys.readouterr()
         assert cli.main(argv) == 0

@@ -6,8 +6,9 @@ import pytest
 from fsosr import procam
 from fsosr.classifier import build_known_prototypes
 from fsosr.episode import SyntheticConfig, generate_synthetic
-from fsosr.featmap import FeatureMap, minmax_norm, spatial_avg_pool, spatial_softmax
-from fsosr.procam import ProCamConfig, cam, mask_iou, mine, procam_for_support
+from fsosr.featmap import minmax_norm, spatial_avg_pool, spatial_softmax
+from fsosr.pipeline import _Held, procam_for_support
+from fsosr.procam import ProCamConfig, cam, mask_iou, mine
 
 
 def _loop_oracle(fvals, wvals, iterations, softmax=False):
@@ -263,7 +264,7 @@ class TestBackgroundEmbedding:
     def test_zero_mask_equals_pool(self):
         # constant activation map -> degenerate range -> zero mask -> no-op
         fvals = np.ones((3, 3, 4)) * np.arange(1.0, 5.0)
-        f = FeatureMap(fvals)
+        f = _Held(fvals)
         [(_, bg)] = _mine_supports([(f, 0)], np.ones((1, 4)), ProCamConfig(iterations=2))
         np.testing.assert_allclose(bg.values, spatial_avg_pool(fvals), atol=1e-12)
 
@@ -272,13 +273,13 @@ class TestBackgroundEmbedding:
         fvals = np.zeros((2, 2, 3))
         fvals[0, 1] = np.random.default_rng(9).uniform(1.0, 2.0, size=3)
         [(_, bg)] = _mine_supports(
-            [(FeatureMap(fvals), 0)], np.ones((1, 3)), ProCamConfig(iterations=2)
+            [(_Held(fvals), 0)], np.ones((1, 3)), ProCamConfig(iterations=2)
         )
         np.testing.assert_array_equal(bg.values, np.zeros(3))
 
     def test_pooling_oracle(self):
         rng = np.random.default_rng(10)
-        f = FeatureMap(rng.normal(size=(4, 4, 5)))
+        f = _Held(rng.normal(size=(4, 4, 5)))
         w = rng.normal(size=5)
         cfg = ProCamConfig(iterations=2)
         [(_, bg)] = _mine_supports([(f, 0)], w[None], cfg)
@@ -288,7 +289,7 @@ class TestBackgroundEmbedding:
 class TestProcamForSupport:
     def test_degenerate_cam_keeps_foreground_embedding(self):
         fvals = np.ones((3, 3, 2))
-        supports = [(FeatureMap(fvals), 0)]
+        supports = [(_Held(fvals), 0)]
         pairs = _mine_supports(supports, np.array([[1.0, 1.0]]), ProCamConfig(iterations=2))
         fg, bg = pairs[0]
         np.testing.assert_allclose(fg.values, bg.values, atol=1e-12)
@@ -300,7 +301,7 @@ class TestProcamForSupport:
         for c in range(d):
             fvals = np.zeros((3, 3, d))
             fvals[c, c, c] = 4.0
-            supports.append((FeatureMap(fvals), c))
+            supports.append((_Held(fvals), c))
         pairs = _mine_supports(supports, bank_rows, ProCamConfig(iterations=1))
         for c, (fg, bg) in enumerate(pairs):
             assert fg.values[c] == pytest.approx(4.0 / 9)
@@ -309,7 +310,7 @@ class TestProcamForSupport:
     def test_pipeline_oracle(self):
         cfg = SyntheticConfig(num_classes=5, items_per_class=5, seed=3)
         ds, _ = generate_synthetic(cfg)
-        supports = [(FeatureMap(ds.values[i]), c) for c in range(5) for i in ds.class_index[c][:5]]
+        supports = [(_Held(ds.values[i]), c) for c in range(5) for i in ds.class_index[c][:5]]
         pooled = spatial_avg_pool(np.stack([f.values for f, _ in supports]))
         known = build_known_prototypes(pooled, np.array([c for _, c in supports]), 5, 5)
         pc = ProCamConfig(iterations=4)
@@ -342,7 +343,7 @@ class TestProcamForSupport:
         ]
         labels = [0, 1, 0, 2, 1]
         cfg = ProCamConfig(iterations=4, norm_kind=norm_kind)
-        pairs = _mine_supports([(FeatureMap(m), c) for m, c in zip(maps, labels)], known, cfg)
+        pairs = _mine_supports([(_Held(m), c) for m, c in zip(maps, labels)], known, cfg)
         masks, backgrounds, trace = mine(np.stack(maps), known[labels], cfg)
         assert backgrounds.shape == (len(maps), d)
         for i, (fvals, label, (fg, bg)) in enumerate(zip(maps, labels, pairs)):
@@ -361,32 +362,6 @@ class TestProcamForSupport:
         assert all(step[4][2, 3] == 1.0 for step in trace[1:])
         # the flat item is left untouched
         np.testing.assert_allclose(pairs[2][1].values, maps[2].mean(axis=(0, 1)), rtol=0, atol=1e-12)
-
-    def test_foregrounds_are_read_only_views_of_given_rows(self):
-        rng = np.random.default_rng(12)
-        supports = [(FeatureMap(rng.normal(size=(3, 3, 4))), c) for c in (0, 1, 0)]
-        rows = rng.normal(size=(3, 4))
-        pairs = procam_for_support(
-            supports, rng.normal(size=(2, 4)), ProCamConfig(iterations=2), rows
-        )
-        for row, (fg, _) in zip(rows, pairs):
-            assert np.shares_memory(fg.values, rows)
-            assert fg.values.tobytes() == row.tobytes()
-            assert not fg.values.flags.writeable
-        # the caller's own matrix is left writeable
-        assert rows.flags.writeable
-
-    @pytest.mark.parametrize("shape", [(3, 5), (2, 4), (4, 4), (3,), (3, 4, 1)])
-    def test_foregrounds_of_wrong_shape_rejected(self, shape):
-        rng = np.random.default_rng(13)
-        supports = [(FeatureMap(rng.normal(size=(3, 3, 4))), c) for c in (0, 1, 0)]
-        with pytest.raises(ValueError, match=re.escape(f"foregrounds need shape (3, 4), got {shape}")):
-            procam_for_support(supports, np.eye(2, 4), ProCamConfig(), np.ones(shape))
-
-    def test_missing_prototype_raises(self):
-        supports = [(FeatureMap(np.ones((2, 2, 2))), 5)]
-        with pytest.raises(ValueError, match="class 5"):
-            _mine_supports(supports, np.eye(2), ProCamConfig())
 
 
 class TestMaskIou:
