@@ -27,10 +27,10 @@ def build_known_prototypes(
     """The (n_way x d) class-mean prototypes of the (n x d) support embeddings,
     exactly k_shot rows per class label in [0, n_way), as float64.
 
-    Shots are summed in a canonical lexicographic order, so any permutation of the rows gives
-    bit-identical prototypes; one of zero or non-finite norm fails, naming its class.
-    Precondition: n_way, k_shot >= 1 and one label per row (EpisodeSpec); else numpy raises.
-    """
+    Shots are summed in the order given: prototypes are bit-identical on reruns and worker counts,
+    equal within rounding if a class's shots are reordered; one of zero or non-finite norm fails,
+    naming its class. Precondition: n_way, k_shot >= 1 and one label per row (EpisodeSpec); else
+    numpy raises."""
     labels = np.asarray(labels)
     embeddings = np.asarray(embeddings, dtype=np.float64)
     outside = labels[(labels < 0) | (labels >= n_way)]
@@ -41,13 +41,8 @@ def build_known_prototypes(
     if uneven.size:
         c = uneven[0]
         raise ValueError(f"class {c} has {counts[c]} support embeddings, expected {k_shot}")
-    # sort by label, then by every coordinate in turn; without a tie in column
-    # 0 inside a class, the label and column 0 alone give that order
-    order = np.lexsort((embeddings[:, 0], labels))
-    first = embeddings[order, 0].reshape(n_way, k_shot)  # row c: class c's shots, by the counts
-    if np.any(first[:, 1:] == first[:, :-1]):
-        order = np.lexsort(np.vstack([embeddings.T[::-1], labels]))
-    protos = embeddings[order].reshape(n_way, k_shot, -1).sum(axis=1) / k_shot
+    order = np.argsort(labels, kind="stable")  # class by class, each class's shots in the order given
+    protos = embeddings[order, :].reshape(n_way, k_shot, -1).sum(axis=1) / k_shot  # 1-D input raises here
     row_norms(protos, "prototype of class")
     return protos
 

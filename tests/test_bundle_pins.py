@@ -4,7 +4,8 @@ test_dataset_io.py pins): 200 episodes, seed 123, one background row unless a
 mode says otherwise. A change to what an episode samples, mines, fine-tunes or
 scores moves a digest. `summary.json` is compared only between worker counts:
 its fine-tuned bank is only tolerance-equal across code versions (README,
-Reproducibility)."""
+Reproducibility). `fsosr heatmap`'s PGMs for one episode of the `full` run are
+pinned too, so a change to what mining computes moves a digest."""
 
 import hashlib
 
@@ -51,18 +52,28 @@ MODES = {
 }
 
 
+# sha256 over the sorted names and bytes of the PGMs `fsosr heatmap --episode 2`
+# writes for the `full` mode's bundle
+HEATMAP = "a677b00a22a0a513545dda1722506376ede4adc457cb2e26c5f8804ad828f835"
+
+
 @pytest.fixture(scope="module")
-def bundles(benchmark_dataset, tmp_path_factory):
-    """Each mode's (episodes.csv, summary.json) bytes, one eval run each."""
+def runs(benchmark_dataset, tmp_path_factory):
+    """The directory holding each mode's bundle, one eval run each."""
     path, _, _ = benchmark_dataset
     root = tmp_path_factory.mktemp("pins")
     common = ["eval", "--dataset", str(path), "--num-episodes", "200", "--seed", "123",
               "--n-background", "1"]
-    out = {}
     for name, (flags, _) in MODES.items():
         assert cli.main(common + flags + ["--out", str(root / name)]) == 0
-        out[name] = ((root / name / "episodes.csv").read_bytes(), (root / name / "summary.json").read_bytes())
-    return out
+    return root
+
+
+@pytest.fixture(scope="module")
+def bundles(runs):
+    """Each mode's (episodes.csv, summary.json) bytes."""
+    return {name: ((runs / name / "episodes.csv").read_bytes(), (runs / name / "summary.json").read_bytes())
+            for name in MODES}
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -72,3 +83,12 @@ def test_episodes_csv_is_pinned(bundles, mode):
 
 def test_two_workers_write_the_one_worker_bundle(bundles):
     assert bundles["two-workers-pooled-dump"] == bundles["pooled-dump"]
+
+
+def test_heatmap_is_pinned(runs, tmp_path):
+    out = tmp_path / "heatmaps"
+    assert cli.main(["heatmap", "--bundle", str(runs / "full"), "--episode", "2", "--out", str(out)]) == 0
+    digest = hashlib.sha256()
+    for pgm in sorted(out.iterdir()):
+        digest.update(pgm.name.encode() + b"\0" + pgm.read_bytes())
+    assert digest.hexdigest() == HEATMAP

@@ -36,28 +36,26 @@ class TestBuildKnownPrototypes:
         for c in range(5):
             np.testing.assert_allclose(known[c], expected[c], atol=1e-12)
 
-    def test_permutation_gives_bit_identical_prototypes(self):
+    def test_shots_summed_class_by_class_in_the_order_given(self):
+        # sampler-ordered rows give the class-block sums exactly; moving whole
+        # classes changes no bit, reordering a class's shots only its rounding
         rng = np.random.default_rng(1)
-        shots = rng.normal(size=(10, 6))
-        labels = np.array([0, 1] * 5)
-        a = build_known_prototypes(shots, labels, 2, 5)
-        b = build_known_prototypes(shots[::-1], labels[::-1], 2, 5)
-        perm = rng.permutation(10)
-        c = build_known_prototypes(shots[perm], labels[perm], 2, 5)
-        assert a.tobytes() == b.tobytes() == c.tobytes()
-
-    def test_column_zero_tie_gives_bit_identical_prototypes(self):
-        # every shot of class 0 shares its first coordinate, so only the full
-        # coordinate order fixes the summation order
-        rng = np.random.default_rng(2)
-        shots = rng.normal(size=(10, 6))
-        labels = np.array([0, 1] * 5)
-        shots[labels == 0, 0] = 0.25
-        expected = build_known_prototypes(shots, labels, 2, 5).tobytes()
-        for _ in range(20):
-            perm = rng.permutation(10)
-            got = build_known_prototypes(shots[perm], labels[perm], 2, 5)
-            assert got.tobytes() == expected
+        n_way, k_shot, d = 4, 5, 7
+        rows = rng.uniform(0.5, 2.0, size=(n_way * k_shot, d))  # positive: rounding stays relative
+        labels = np.repeat(np.arange(n_way), k_shot)
+        expected = rows.reshape(n_way, k_shot, d).sum(axis=1) / k_shot
+        assert np.array_equal(build_known_prototypes(rows, labels, n_way, k_shot), expected)
+        blocks = np.arange(n_way * k_shot).reshape(n_way, k_shot)
+        for _ in range(10):
+            order = blocks[rng.permutation(n_way)].ravel()
+            moved = build_known_prototypes(rows[order], labels[order], n_way, k_shot)
+            assert moved.tobytes() == expected.tobytes()
+            order = blocks.copy()
+            c = rng.integers(n_way)
+            order[c] = rng.permutation(order[c])
+            order = order.ravel()
+            reordered = build_known_prototypes(rows[order], labels[order], n_way, k_shot)
+            np.testing.assert_allclose(reordered, expected, rtol=1e-15, atol=0)
 
     def test_unequal_counts_raise(self):
         with pytest.raises(ValueError, match="expected 1"):

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -133,7 +134,7 @@ PRECONDITION_BREACHES = {
     "prototypes-k-shot": (lambda: build_known_prototypes(np.zeros((0, 3)), np.zeros(0, int), 2, 0), ValueError),
     "prototypes-rank": (lambda: build_known_prototypes(np.ones(4), [0, 0, 1, 1], 2, 2), IndexError),
     "prototypes-label-count": (
-        lambda: build_known_prototypes(np.ones((3, 2)), [0, 0, 1, 1], 2, 2), ValueError
+        lambda: build_known_prototypes(np.ones((3, 2)), [0, 0, 1, 1], 2, 2), IndexError
     ),
     "init-negative": (lambda: init_background(2, "random", -1, 0), ValueError),
     "init-avg-zero": (lambda: init_background(2, "avg", 0, 0, np.ones((3, 2))), ValueError),
@@ -163,6 +164,77 @@ PRECONDITION_BREACHES = {
     "init-avg-none": (lambda: init_background(2, "avg", 1, 0, None), AttributeError),
     "init-avg-empty": (lambda: init_background(2, "avg", 1, 0, np.empty((0, 2))), ValueError),
 }
+
+
+# the map shapes the oracle's datasets take: the standard benchmark's 8 x 8
+# maps, ResNet-12's 5 x 5 x 640 and a small odd grid
+ORACLE_SHAPES = ((8, 8, 16), (5, 5, 640), (3, 4, 12))
+
+
+@st.composite
+def _oracle_runs(draw) -> tuple[SyntheticConfig, RunConfig]:
+    """A small generated dataset and a run over every episode toggle, with
+    learning rates from none to high enough that some episodes re-base."""
+    n_way, k_shot, n_query = draw(st.integers(2, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n_open, open_query = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    height, width, channels = draw(st.sampled_from(ORACLE_SHAPES))
+    data = dataclasses.replace(
+        benchmark_config(draw(st.integers(0, 3))), num_classes=n_way + n_open + draw(st.integers(0, 2)),
+        items_per_class=max(k_shot + n_query, open_query) + draw(st.integers(0, 2)),
+        height=height, width=width, channels=channels, fg_regions=None,
+    )
+    init_kind, num_background = draw(st.sampled_from(INIT_KINDS)), draw(st.integers(1, 4))
+    if init_kind == "avg":  # each row averages at least one of the n_way * k_shot mined backgrounds
+        num_background = min(num_background, n_way * k_shot)
+    return data, RunConfig(
+        dataset="in-memory", n_way=n_way, k_shot=k_shot, n_query=n_query, n_open_classes=n_open,
+        n_open_query=open_query, iterations=draw(st.integers(1, 4)),
+        norm_kind=draw(st.sampled_from(NORM_KINDS)), epochs=draw(st.integers(1, 3)),
+        learning_rate=draw(st.sampled_from([0.0, 0.002, 0.1, 0.5, 1.0])),
+        reassign_each_epoch=draw(st.booleans()), init_kind=init_kind, num_background=num_background,
+        num_episodes=draw(st.integers(1, 10)), master_seed=draw(st.integers(0, 2**16)),
+        use_background_classes=draw(st.booleans()), use_procam_finetune=draw(st.booleans()),
+        freeze_known=draw(st.booleans()), score_kind=draw(st.sampled_from(SCORE_KINDS)),
+        workers=draw(st.integers(1, 2)),
+    )
+
+
+def _scripted_records(ds: FeatureDataset, cfg: RunConfig) -> list[dict]:
+    """A run's episodes written out one by one from the stage functions: the
+    prototypes as plain class-block means of the sampler's rows, the maps
+    widened and mined, the background rows started from the episode's own
+    seed (under init=global only the first; later ones carry the previous
+    episode's final rows), fine-tuned, and the known queries scored with the
+    unknown ones after them."""
+    records, carried = [], None
+    for index in range(cfg.num_episodes):
+        seed = derive_episode_seed(cfg.master_seed, index, 0)
+        episode = sample_episode(ds, cfg.episode, seed)
+        support, labels = ds.embeddings[episode.support], episode.support_labels
+        bank = support.reshape(cfg.n_way, cfg.k_shot, -1).mean(axis=1)
+        if cfg.use_background_classes:
+            mined = None
+            if cfg.use_procam_finetune or cfg.init_kind == "avg":
+                _, mined, _ = mine(ds.values[episode.support].astype(np.float64), bank[labels], cfg.procam)
+            if carried is None or cfg.init_kind != "global":
+                init_seed = derive_episode_seed(cfg.master_seed, index, 1)
+                carried = init_background(ds.channels, cfg.init_kind, cfg.num_background, init_seed, mined)
+            bank = np.vstack([bank, carried])
+            if cfg.use_procam_finetune:
+                bank, _ = finetune_bank(bank, cfg.n_way, support, labels, mined, cfg.finetune)
+            carried = bank[cfg.n_way :]
+        n_known = len(episode.known_queries)
+        queries = ds.embeddings[np.concatenate([episode.known_queries, episode.unknown_queries])]
+        rows, scores = predict(bank, cfg.n_way, queries, cfg.score_kind)
+        records.append({
+            "seed": seed,
+            "accuracy": accuracy(rows[:n_known], episode.known_labels),
+            "auroc": auroc(scores[:n_known], scores[n_known:]),
+            "known_scores": scores[:n_known],
+            "unknown_scores": scores[n_known:],
+            "background": bank[cfg.n_way :],
+        })
+    return records
 
 
 class TestRunEval:
@@ -216,29 +288,33 @@ class TestRunEval:
         assert one.episodes_csv_text() == two.episodes_csv_text()
         assert one.summary_json_text() == two.summary_json_text()
 
-    def test_matches_scripted_pipeline(self, benchmark_dataset):
-        path, _, _ = benchmark_dataset
-        cfg = small_cfg(path, num_episodes=3)
-        bundle = run_eval(cfg)
-        ds = read_dataset(path)
-        for index in range(3):
-            seed = derive_episode_seed(cfg.master_seed, index, 0)
-            episode = sample_episode(ds, cfg.episode, seed)
-            sup = ds.embeddings[episode.support]
-            labels = episode.support_labels
-            known = build_known_prototypes(sup, labels, cfg.n_way, cfg.k_shot)
-            _, bgs, _ = mine(ds.values[episode.support].astype(np.float64), known[labels], cfg.procam)
-            init_seed = derive_episode_seed(cfg.master_seed, index, 1)
-            background = init_background(ds.channels, "random", cfg.num_background, init_seed, bgs)
-            bank = np.vstack([known, background])
-            bank, _ = finetune_bank(bank, cfg.n_way, sup, labels, bgs, cfg.finetune)
-            rows, ks = predict(bank, cfg.n_way, ds.embeddings[episode.known_queries], cfg.score_kind)
-            _, us = predict(bank, cfg.n_way, ds.embeddings[episode.unknown_queries], cfg.score_kind)
-            truths = episode.known_labels
-            row = bundle.episodes[index]
-            assert row["seed"] == seed
-            assert row["accuracy"] == accuracy(rows, truths)
-            assert row["auroc"] == auroc(ks, us)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(run=_oracle_runs())
+    def test_records_match_a_plain_per_episode_script(self, run):
+        data, cfg = run
+        ds = generate_synthetic(data)[0]
+        # every record run_eval assembles, from its own loop or back from the pool
+        records, inner = [], pipeline.evaluate_episode
+
+        def evaluate(*args):
+            records.append(inner(*args))
+            return records[-1]
+
+        class Pool(pipeline.ProcessPoolExecutor):
+            def map(self, *args, **kwargs):
+                records.extend(super().map(*args, **kwargs))
+                return iter(records)
+
+        with mock.patch.object(pipeline, "evaluate_episode", evaluate), \
+                mock.patch.object(pipeline, "ProcessPoolExecutor", Pool):
+            bundle = run_eval(cfg, ds)
+        expected = _scripted_records(ds, cfg)
+        assert [r["episode"] for r in records] == list(range(cfg.num_episodes))
+        assert bundle.episodes == [{k: r[k] for k in ("episode", "seed", "accuracy", "auroc")} for r in records]
+        for record, want in zip(records, expected, strict=True):
+            for key, value in want.items():
+                same = _same_bits(record[key], value) if isinstance(value, np.ndarray) else record[key] == value
+                assert same, key
 
     @pytest.mark.parametrize("shape", ["std", "wide"])
     def test_foregrounds_are_the_pooled_support_maps(self, benchmark_dataset, monkeypatch, shape):
