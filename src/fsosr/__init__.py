@@ -16,11 +16,11 @@ from .episode import (
     benchmark_config,
     generate_synthetic,
     sample_episode,
+    spatial_avg_pool,
 )
-from .featmap import minmax_norm, spatial_avg_pool
 from .finetune import FinetuneConfig, finetune_bank
 from .pipeline import RunConfig, run_eval
-from .procam import ProCamConfig, cam, mine
+from .procam import ProCamConfig, cam, mine, minmax_norm
 
 __all__ = [
     "EpisodeSpec",

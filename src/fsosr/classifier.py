@@ -9,8 +9,6 @@ import math
 
 import numpy as np
 
-from .featmap import EPS_NORM
-
 INIT_RANDOM = "random"
 INIT_AVG = "avg"
 INIT_GLOBAL = "global"
@@ -82,6 +80,10 @@ def init_background(
 def row_norms(matrix: np.ndarray, what: str) -> np.ndarray:
     """Euclidean norm of every row, the root of its dot with itself, through check_norms."""
     return check_norms(np.sqrt(np.vecdot(matrix, matrix)), what)
+
+
+# A norm at or below this is zero; a map whose range is below it is flat (procam.minmax_norm).
+EPS_NORM = 1e-12
 
 
 def check_norms(n: np.ndarray, what: str) -> np.ndarray:

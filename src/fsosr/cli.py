@@ -16,10 +16,9 @@ from .classifier import INIT_KINDS, SCORE_KINDS, build_known_prototypes
 from .dataset_io import export_heatmap, read_dataset, write_dataset
 from .episode import FeatureDataset, SyntheticConfig, benchmark_config, generate_synthetic
 from .episode import derive_episode_seed, sample_episode
-from .featmap import NORM_KINDS
 from .finetune import gradcheck_report
 from .pipeline import BUNDLE_FILES, BUNDLE_FORMAT_VERSION, RunConfig, run_eval, validate_dataset_for_config
-from .procam import mask_iou, mine
+from .procam import NORM_KINDS, mask_iou, mine
 
 OUTPUT_DIR_ENV = "FSOSR_OUTPUT_DIR"
 
@@ -176,7 +175,7 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     episode = sample_episode(ds, cfg.episode, derive_episode_seed(cfg.master_seed, args.episode, stream=0))
     support, labels = episode.support, episode.support_labels
     known = build_known_prototypes(ds.embeddings[support], labels, cfg.n_way, cfg.k_shot)
-    masks, _, trace = mine(ds.values[support].astype(np.float64), known[labels], cfg.procam)
+    masks, _, trace = mine(ds.values[support], known[labels], cfg.procam)
     out = Path(args.out)
     maps = {out / f"support{j:02d}_{kind}.pgm": m for j, mask in enumerate(masks)
             for kind, m in (("mask", mask), *((f"iter{t}", step[j]) for t, step in enumerate(trace)))}

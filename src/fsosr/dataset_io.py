@@ -30,14 +30,12 @@ from stat import S_ISREG
 
 import numpy as np
 
-from .episode import FeatureDataset
-from .featmap import spatial_avg_pool
+from .episode import FeatureDataset, spatial_avg_pool
 
 MAGIC = b"FSOF"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHI")
-_ITEM_HEADER = struct.Struct("<IHHH")
-_ITEM_HEADER_DTYPE = np.dtype([("label", "<u4"), ("shape", "<u2", 3)])  # as an array row
+_ITEM_HEADER_DTYPE = np.dtype([("label", "<u4"), ("shape", "<u2", 3)])  # label, height, width, channels
 CHUNK_BYTES = 1 << 18  # how much of the file write_dataset packs at a time
 # from Python 3.13 a mapping need not keep a duplicate of the descriptor it maps
 _UNTRACKED_FD = {"trackfd": False} if sys.version_info >= (3, 13) else {}
@@ -164,9 +162,10 @@ def _check_item(path, i: int, count: int, shape, mapped, offset: int, end: int) 
     """Raise the format error of item i, if it has one, else return its shape.
     Its header starts at `offset` of the mapped bytes, which end at `end`;
     shape is item 0's (None for item 0)."""
-    if offset + _ITEM_HEADER.size > end:
+    if offset + _ITEM_HEADER_DTYPE.itemsize > end:
         raise TruncatedFileError(f"{path}: item {i} header truncated at byte {offset}")
-    label, *item_shape = _ITEM_HEADER.unpack_from(mapped, offset)
+    header = np.frombuffer(mapped, _ITEM_HEADER_DTYPE, 1, offset)[0]
+    label, item_shape = int(header["label"]), tuple(header["shape"].tolist())  # Python ints: messages, sizes
     # dense labels over at most `count` items cannot exceed count - 1; checking
     # here keeps the dataset's label index bounded by the file size
     if label >= count:
@@ -174,19 +173,19 @@ def _check_item(path, i: int, count: int, shape, mapped, offset: int, end: int) 
             f"{path}: item {i} has label {label}, but {count} items allow at most {count - 1}"
         )
     if min(item_shape) < 1:
-        raise DatasetFormatError(f"{path}: item {i} has zero-sized shape {tuple(item_shape)}")
-    if shape is not None and tuple(item_shape) != shape:
+        raise DatasetFormatError(f"{path}: item {i} has zero-sized shape {item_shape}")
+    if shape is not None and item_shape != shape:
         raise DatasetFormatError(
-            f"{path}: item {i} at byte {offset} has shape {tuple(item_shape)}, item 0 has {shape}"
+            f"{path}: item {i} at byte {offset} has shape {item_shape}, item 0 has {shape}"
         )
-    offset += _ITEM_HEADER.size
+    offset += _ITEM_HEADER_DTYPE.itemsize
     n_bytes = 4 * item_shape[0] * item_shape[1] * item_shape[2]
     if offset + n_bytes > end:
         raise TruncatedFileError(
             f"{path}: item {i} payload truncated "
             f"(need {n_bytes} bytes at offset {offset}, have {end - offset})"
         )
-    return tuple(item_shape)
+    return item_shape
 
 
 def export_heatmap(m, path) -> None:

@@ -9,8 +9,6 @@ from itertools import islice
 
 import numpy as np
 
-from .featmap import spatial_avg_pool
-
 
 @dataclass(frozen=True)
 class EpisodeSpec:
@@ -42,6 +40,12 @@ class Episode:
     known_queries: np.ndarray
     known_labels: np.ndarray
     unknown_queries: np.ndarray
+
+
+def spatial_avg_pool(f: np.ndarray) -> np.ndarray:
+    """Mean of each map (..., H, W, d) over its spatial locations, one value
+    per channel: (..., d), in double precision whatever the maps' precision."""
+    return f.mean(axis=(-3, -2), dtype=np.float64)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

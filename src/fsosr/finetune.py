@@ -20,8 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .classifier import check_norms, cosine_matrix
-from .featmap import EPS_NORM
+from .classifier import EPS_NORM, check_norms, cosine_matrix
 
 
 # Largest |scale| of a moving row in weights = scale * weights0 + coef @ unit

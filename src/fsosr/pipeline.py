@@ -27,7 +27,7 @@ from .episode import EpisodeSpec, FeatureDataset, derive_episode_seed, sample_ep
 # Pooling happens once, when the dataset is built, and no episode calls this;
 # it stays importable here because the benchmark's tracer wraps every name it
 # times (perfbench/spans.py TRACED) on this module.
-from .featmap import spatial_avg_pool  # noqa: F401
+from .episode import spatial_avg_pool  # noqa: F401
 from .finetune import FinetuneConfig, finetune_bank
 from .metrics import accuracy, aggregate, auroc
 from .procam import ProCamConfig, mine

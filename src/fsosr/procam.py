@@ -1,5 +1,5 @@
-"""Class activation maps and the progressive mining loop that turns a stack of
-support feature maps into foreground masks and background embeddings."""
+"""Class activation maps, their per-map normalizations and the progressive
+mining loop that turns a stack of support maps into masks and backgrounds."""
 
 from __future__ import annotations
 
@@ -7,7 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .featmap import NORM_KINDS, NORM_MINMAX, minmax_norm, spatial_softmax
+from .classifier import EPS_NORM
+
+NORM_MINMAX = "minmax"
+NORM_SOFTMAX = "softmax"
+NORM_KINDS = (NORM_MINMAX, NORM_SOFTMAX)
 
 
 @dataclass(frozen=True)
@@ -26,6 +30,28 @@ class ProCamConfig:
             raise ValueError(f"unknown norm kind {self.norm_kind!r}, expected one of {NORM_KINDS}")
 
 
+def minmax_norm(m: np.ndarray) -> np.ndarray:
+    """Affine rescale of each map over the trailing (H, W) axes into [0, 1].
+
+    A map whose range is below EPS_NORM both absolutely and relative to its
+    largest magnitude (so the rule is scale-invariant) is flat: it maps to all
+    zeros, making the (1 - mask) suppression after it a no-op. Maps are judged alone.
+    """
+    lo, hi = m.min(axis=(-2, -1), keepdims=True), m.max(axis=(-2, -1), keepdims=True)
+    span = hi - lo
+    if not span.min() >= EPS_NORM:  # a flat map's span turns infinite, giving zeros; a NaN span stays
+        span = np.where((span < EPS_NORM) & (span <= EPS_NORM * np.maximum(-lo, hi)), np.inf, span)
+    return (m - lo) / span
+
+
+def spatial_softmax(m: np.ndarray) -> np.ndarray:
+    """Softmax of each map over its trailing (H, W) cells, rescaled so the
+    strongest cell is exactly 1: exp(m - max) per map. A sum-to-one softmax
+    makes every value tiny on large grids, which would leave the (1 - mask)
+    suppression that follows almost a no-op."""
+    return np.exp(m - m.max(axis=(-2, -1), keepdims=True))
+
+
 def cam(f: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Per-location weighted channel sum over the trailing axes, one matmul
     of each map's (H*W, d) cells: the raw activation maps (..., H, W) of
@@ -41,7 +67,7 @@ def mine(
     stack: np.ndarray, weights: np.ndarray, cfg: ProCamConfig
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Progressive activation mining of n maps (n, H, W, d) at once, map i with
-    class weights weights[i].
+    class weights weights[i], in double precision whatever the maps' precision.
 
     Each iteration normalizes the activation maps of what is left and
     suppresses the discovered regions by (1 - mask), so later passes surface
@@ -54,6 +80,7 @@ def mine(
     (n, H, W) final masks, the (n, d) background embeddings and the
     per-iteration (n, H, W) masks.
     """
+    stack = np.asarray(stack, dtype=np.float64)  # no copy of a float64 stack
     activation = cam(stack, weights)
     trace: list[np.ndarray] = []
     total = 0.0  # 0.0 + the first mask, then the rest added in place: sum(trace), bit for bit

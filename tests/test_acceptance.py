@@ -8,7 +8,6 @@ import pytest
 
 from fsosr.classifier import build_known_prototypes, init_background
 from fsosr.episode import EpisodeSpec, derive_episode_seed, sample_episode
-from fsosr.featmap import minmax_norm
 from fsosr.finetune import (
     GRADCHECK_THRESHOLD,
     FinetuneConfig,
@@ -17,7 +16,7 @@ from fsosr.finetune import (
 )
 from fsosr.metrics import auroc
 from fsosr.pipeline import RunConfig, run_eval
-from fsosr.procam import ProCamConfig, cam, mask_iou, mine
+from fsosr.procam import ProCamConfig, cam, mask_iou, mine, minmax_norm
 from fsosr.dataset_io import read_dataset, write_dataset
 from fsosr.episode import FeatureDataset
 

@@ -27,8 +27,7 @@ from fsosr.dataset_io import (
     read_dataset,
     write_dataset,
 )
-from fsosr.episode import FeatureDataset, SyntheticConfig, generate_synthetic
-from fsosr.featmap import spatial_avg_pool
+from fsosr.episode import FeatureDataset, SyntheticConfig, generate_synthetic, spatial_avg_pool
 
 
 STATM = Path("/proc/self/statm")

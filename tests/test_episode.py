@@ -14,8 +14,8 @@ from fsosr.episode import (
     generate_synthetic,
     resolve_fg_regions,
     sample_episode,
+    spatial_avg_pool,
 )
-from fsosr.featmap import spatial_avg_pool
 from fsosr.metrics import accuracy
 from fsosr.procam import cam
 

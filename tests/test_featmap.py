@@ -1,14 +1,14 @@
+"""The pooling and map-normalization primitives: episode's spatial_avg_pool
+and procam's minmax_norm and spatial_softmax."""
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fsosr.featmap import (
-    EPS_NORM,
-    minmax_norm,
-    spatial_avg_pool,
-    spatial_softmax,
-)
+from fsosr.classifier import EPS_NORM
+from fsosr.episode import spatial_avg_pool
 from fsosr.pipeline import _Held
+from fsosr.procam import minmax_norm, spatial_softmax
 
 
 def small_maps(max_side=5):

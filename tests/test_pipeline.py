@@ -30,12 +30,12 @@ from fsosr.episode import (
     derive_episode_seed,
     generate_synthetic,
     sample_episode,
+    spatial_avg_pool,
 )
-from fsosr.featmap import NORM_KINDS, spatial_avg_pool
 from fsosr.finetune import FinetuneConfig, finetune_bank, gradcheck_report
 from fsosr.metrics import accuracy, auroc
 from fsosr.pipeline import RunConfig, evaluate_episode, run_eval, validate_dataset_for_config
-from fsosr.procam import cam, mask_iou, mine
+from fsosr.procam import NORM_KINDS, cam, mask_iou, mine
 import fsosr
 from fsosr import cli, finetune, pipeline
 

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -5,10 +6,16 @@ import pytest
 
 from fsosr import procam
 from fsosr.classifier import build_known_prototypes
-from fsosr.episode import SyntheticConfig, generate_synthetic
-from fsosr.featmap import minmax_norm, spatial_avg_pool, spatial_softmax
+from fsosr.episode import (
+    EpisodeSpec,
+    SyntheticConfig,
+    benchmark_config,
+    generate_synthetic,
+    sample_episode,
+    spatial_avg_pool,
+)
 from fsosr.pipeline import _Held, procam_for_support
-from fsosr.procam import ProCamConfig, cam, mask_iou, mine
+from fsosr.procam import NORM_KINDS, ProCamConfig, cam, mask_iou, mine, minmax_norm, spatial_softmax
 
 
 def _loop_oracle(fvals, wvals, iterations, softmax=False):
@@ -121,6 +128,32 @@ class TestMineMatchesEinsum:
         if flat:
             assert not masks[3].any()
             np.testing.assert_allclose(backgrounds[3], stack[3, 0, 0], rtol=1e-13)
+
+
+class TestMineWidensFloat32:
+    @pytest.mark.parametrize("data", ["std", "wide"])
+    def test_dataset_maps_mine_as_their_float64_widening(self, benchmark_dataset, data):
+        # the dataset's float32 support maps, as `fsosr heatmap` passes them, on
+        # the benchmark's 8x8x64 maps (5-way) and the ResNet-12 shape 5x5x640 (10-way)
+        if data == "std":
+            ds, spec = benchmark_dataset[1], EpisodeSpec(n_way=5)
+        else:
+            wide = dataclasses.replace(benchmark_config(), num_classes=15, items_per_class=15,
+                                       height=5, width=5, channels=640, fg_regions=None)
+            ds, spec = generate_synthetic(wide)[0], EpisodeSpec(n_way=10)
+        for seed in range(20):
+            episode = sample_episode(ds, spec, seed)
+            labels = episode.support_labels
+            known = build_known_prototypes(ds.embeddings[episode.support], labels, spec.n_way, spec.k_shot)
+            cfg = ProCamConfig(norm_kind=NORM_KINDS[seed % 2])
+            maps = ds.values[episode.support]
+            assert maps.dtype == np.float32
+            masks, backgrounds, trace = mine(maps, known[labels], cfg)
+            want_masks, want_backgrounds, want_trace = mine(maps.astype(np.float64), known[labels], cfg)
+            assert len(trace) == len(want_trace) == cfg.iterations
+            for got, want in zip((masks, backgrounds, *trace), (want_masks, want_backgrounds, *want_trace)):
+                assert got.dtype == np.float64
+                assert got.tobytes() == want.tobytes()
 
 
 class TestProcam:
