@@ -14,8 +14,8 @@ Values are stored as 32-bit floats and used at that precision, so a round
 trip is lossless; pooling and mining widen them to double precision where they
 compute. The reader maps the file and copies no payload: the dataset's tensor
 is a read-only view of the mapped records. It checks every header in one pass,
-then pools every item in another and checks the pooled rows finite. Only the
-writer works in chunks.
+then builds the FeatureDataset on that view, which pools every item and checks
+the pooled rows finite. Only the writer works in chunks.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from stat import S_ISREG
 
 import numpy as np
 
-from .episode import FeatureDataset, spatial_avg_pool
+from .episode import FeatureDataset, NonFiniteItemError
 
 MAGIC = b"FSOF"
 FORMAT_VERSION = 1
@@ -57,7 +57,7 @@ class TruncatedFileError(DatasetFormatError):
     pass
 
 
-class NonFiniteValueError(DatasetFormatError):
+class NonFiniteValueError(DatasetFormatError, NonFiniteItemError):
     pass
 
 
@@ -96,15 +96,13 @@ def _record_dtype(shape) -> np.dtype:
     return np.dtype(_ITEM_HEADER_DTYPE.descr + [("values", "<f4", tuple(shape))])
 
 
-# inf - inf in a pooled sum is a NaN that the finiteness check reports
-@np.errstate(invalid="ignore")
 def read_dataset(path) -> FeatureDataset:
     """Map an FSOF file. Items share item 0's shape, so the dataset's float32
     tensor is a read-only view of the mapped records: no payload is copied.
-    All item headers are checked as arrays, then all items are pooled into the
-    embeddings, which are checked finite; so a header fault anywhere is
-    reported before a non-finite value anywhere. The checks cover the file as
-    it was at load."""
+    All item headers are checked as arrays, then the dataset checks its labels
+    dense and its pooled embeddings finite, then the file's trailing bytes are
+    checked; so a header fault anywhere is reported before a non-finite value
+    anywhere. The checks cover the file as it was at load."""
     path = Path(path)
     # a FIFO would block the open without O_NONBLOCK, and cannot be mapped
     fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
@@ -142,20 +140,15 @@ def read_dataset(path) -> FeatureDataset:
         # one after the last whole record
         i = int(np.argmax(np.append(bad, True)))
         _check_item(path, i, count, shape, mapped, _HEADER.size + i * item_bytes, size)
-    # an item's float64 means are finite exactly when its float32 values are:
-    # 2**32 cells of at most 3.4e38 cannot overflow a float64 sum, and an inf
-    # or NaN makes its channel's mean inf or NaN
-    embeddings = spatial_avg_pool(values)
-    finite = np.isfinite(embeddings).all(axis=1)
-    if not finite.all():
-        raise NonFiniteValueError(f"{path}: item {int(np.argmin(finite))} contains non-finite values")
+    try:
+        ds = FeatureDataset(values, labels)
+    except ValueError as exc:
+        error = NonFiniteValueError if isinstance(exc, NonFiniteItemError) else DatasetFormatError
+        raise error(f"{path}: {exc}") from exc
     end = _HEADER.size + count * item_bytes
     if end != size:
         raise DatasetFormatError(f"{path}: {size - end} trailing bytes after {count} items")
-    try:
-        return FeatureDataset(values, labels, embeddings)
-    except ValueError as exc:
-        raise DatasetFormatError(f"{path}: {exc}") from exc
+    return ds
 
 
 def _check_item(path, i: int, count: int, shape, mapped, offset: int, end: int) -> tuple[int, int, int]:

@@ -53,17 +53,21 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+class NonFiniteItemError(ValueError):
+    """A dataset item holds a non-finite value."""
+
+
 class FeatureDataset:
     """N labeled feature maps: `values`, one (N, H, W, d) float32 tensor, the
     precision FSOF stores; their (N,) dense `labels`; the (N, d) float64
-    `embeddings`, each map's spatial mean, pooled once: here, or by the caller,
-    who has checked them finite (read_dataset pools the whole mapped file); and
-    `class_index[c]`, class c's item indices in dataset order. Every array is
-    read-only. A read-only float32 tensor is kept as is; anything else is
-    converted or copied once. Given embeddings have their shape and dtype
-    checked."""
+    `embeddings`, each map's spatial mean, pooled once, here, and checked
+    finite; and `class_index[c]`, class c's item indices in dataset order.
+    Every array is read-only. A read-only float32 tensor, such as
+    read_dataset's view of a mapped file, is kept as is; anything else is
+    converted or copied once."""
 
-    def __init__(self, values, labels, embeddings=None) -> None:
+    @np.errstate(invalid="ignore")  # inf - inf in a pooled sum is a NaN that the check reports
+    def __init__(self, values, labels) -> None:
         if getattr(values, "dtype", None) != np.float32 or values.flags.writeable:
             values = _read_only(np.array(values, dtype=np.float32))
         if values.ndim != 4 or values.shape[0] < 1 or min(values.shape) < 1:
@@ -87,20 +91,12 @@ class FeatureDataset:
                 f"labels must be dense in [0, {num_classes}), "
                 f"{num_classes - len(classes)} missing, first {first}"
             )
-        if embeddings is None:
-            embeddings = spatial_avg_pool(values)
-            finite = np.isfinite(embeddings).all(axis=1)
-            if not finite.all():
-                raise ValueError(
-                    f"item {int(np.argmin(finite))} has a non-finite value or spatial mean"
-                )
-        else:
-            embeddings = np.asarray(embeddings)
-            if embeddings.dtype != np.float64 or embeddings.shape != (len(values), values.shape[3]):
-                raise ValueError(
-                    f"need ({len(values)}, {values.shape[3]}) float64 embeddings, "
-                    f"got {embeddings.dtype} of shape {embeddings.shape}"
-                )
+        # float32 cells cannot overflow a float64 sum (2**32 of at most 3.4e38),
+        # so an item's means are finite exactly when its values are
+        embeddings = spatial_avg_pool(values)
+        finite = np.isfinite(embeddings).all(axis=1)
+        if not finite.all():
+            raise NonFiniteItemError(f"item {int(np.argmin(finite))} contains non-finite values")
         order = np.argsort(labels, kind="stable")
         self.values = values
         self.labels = _read_only(labels.astype(np.intp))

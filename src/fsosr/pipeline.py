@@ -306,16 +306,17 @@ def run_eval(cfg: RunConfig, ds: FeatureDataset | None = None) -> ResultsBundle:
     """Evaluate num_episodes episodes and assemble (and optionally write) the
     results bundle. ds is cfg.dataset when the caller has read it already;
     pool workers evaluate on this same ds, which they inherit when forked (on
-    Linux; spawn or forkserver would pickle it into every worker). The pool
-    starts no more workers than there are chunks of CHUNK_EPISODES episodes
-    or CPUs this process may run on. Under init=global each episode starts
-    from the previous episode's final background rows, so it always runs on a
-    single worker."""
+    Linux; spawn or forkserver would pickle it into every worker). A run takes
+    no more workers than there are chunks of CHUNK_EPISODES episodes or CPUs
+    this process may run on, and runs in this process, with no pool, when
+    that comes to one. Under init=global each episode starts from the
+    previous episode's final background rows, so it always runs here."""
     if ds is None:
         ds = read_dataset(cfg.dataset)
     validate_dataset_for_config(ds, cfg)
 
-    workers = 1 if cfg.init_kind == INIT_GLOBAL else cfg.workers
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = 1 if cfg.init_kind == INIT_GLOBAL else min(cfg.workers, -(-cfg.num_episodes // CHUNK_EPISODES), cpus)
     if workers == 1:
         records, carried = [], None
         for i in range(cfg.num_episodes):
@@ -323,8 +324,6 @@ def run_eval(cfg: RunConfig, ds: FeatureDataset | None = None) -> ResultsBundle:
             if cfg.init_kind == INIT_GLOBAL:
                 carried = records[-1]["background"]
     else:
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        workers = min(workers, -(-cfg.num_episodes // CHUNK_EPISODES), cpus)
         context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=context, initializer=_worker_init, initargs=(cfg, ds)

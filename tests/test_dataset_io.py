@@ -159,6 +159,25 @@ class TestFormatErrors:
         with pytest.raises(NonFiniteValueError):
             read_dataset(path)
 
+    @pytest.mark.parametrize("i", [0, 4])
+    def test_one_message_for_a_non_finite_item(self, tmp_path, i):
+        values = np.ones((6, 2, 3, 4), dtype=np.float32)
+        values[i, 1, 2, 0] = np.nan
+        labels = np.arange(6) % 3
+        message = f"item {i} contains non-finite values"
+        with pytest.raises(ValueError) as built:
+            FeatureDataset(values, labels)
+        assert str(built.value) == message
+        # the same items as an FSOF file, packed by hand since the writer takes a dataset
+        records = np.zeros(6, dataset_io._record_dtype(values.shape[1:]))
+        records["label"], records["shape"], records["values"] = labels, values.shape[1:], values
+        path = tmp_path / "nan.fsof"
+        path.write_bytes(dataset_io._HEADER.pack(MAGIC, FORMAT_VERSION, 6) + records.tobytes())
+        with pytest.raises(NonFiniteValueError) as read:
+            read_dataset(path)
+        assert isinstance(read.value, ValueError)
+        assert str(read.value) == f"{path}: {message}"
+
 
     def test_label_beyond_item_count(self, tmp_path):
         path = self._write_valid(tmp_path)

@@ -83,19 +83,11 @@ class TestFeatureDataset:
             FeatureDataset(np.zeros((2, 1, 1, 1)), [0.0, 1.0])
         with pytest.raises(ValueError, match="item 1 has negative label -1"):
             FeatureDataset(np.zeros((2, 1, 1, 1)), [0, -1])
-        for wrong, got in (
-            (np.ones((2, 4)), r"float64 of shape \(2, 4\)"),
-            (np.ones((3, 3)), r"float64 of shape \(3, 3\)"),
-            (np.ones(6), r"float64 of shape \(6,\)"),
-            (np.ones((2, 3), dtype=np.float32), r"float32 of shape \(2, 3\)"),
-        ):
-            with pytest.raises(ValueError, match=r"need \(2, 3\) float64 embeddings, got " + got):
-                FeatureDataset(np.zeros((2, 1, 1, 3)), [0, 1], embeddings=wrong)
 
     def test_rejects_non_finite_item(self):
         values = np.zeros((4, 2, 2, 3))
         values[2, 1, 0, 2] = np.nan
-        with pytest.raises(ValueError, match="item 2 has a non-finite value"):
+        with pytest.raises(ValueError, match="item 2 contains non-finite values"):
             FeatureDataset(values, [0, 0, 1, 1])
 
     def test_tensor_is_read_only(self):

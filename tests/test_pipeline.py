@@ -378,9 +378,11 @@ class TestRunEval:
             assert record["accuracy"] == accuracy(known_rows, episode.known_labels)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_non_finite_norm_fails_with_episode_context(self, benchmark_dataset, workers):
+    def test_non_finite_norm_fails_with_episode_context(self, benchmark_dataset, monkeypatch, workers):
         path, _, _ = benchmark_dataset
-        cfg = small_cfg(path, learning_rate=1e300, workers=workers)
+        # two chunks on two CPUs, so that workers=2 starts a pool: one chunk would run in-process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cfg = small_cfg(path, learning_rate=1e300, workers=workers, num_episodes=pipeline.CHUNK_EPISODES + 1)
         seed = derive_episode_seed(cfg.master_seed, 0, 0)
         with np.errstate(over="ignore"), pytest.raises(RuntimeError) as info:
             run_eval(cfg)
@@ -430,7 +432,11 @@ class TestRunEval:
                 seen["chunksize"] = chunksize
                 raise Stop
 
+        def stop(*args):
+            raise Stop
+
         monkeypatch.setattr(pipeline, "ProcessPoolExecutor", StandIn)
+        monkeypatch.setattr(pipeline, "evaluate_episode", stop)  # an in-process run stops at episode 0
         if isinstance(cpus, tuple):
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: cpus[1])
@@ -438,7 +444,8 @@ class TestRunEval:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         with pytest.raises(Stop):
             run_eval(small_cfg(path, num_episodes=episodes, workers=workers), ds)
-        assert seen == {"max_workers": started, "chunksize": pipeline.CHUNK_EPISODES}
+        # a run that would start one worker runs in this process: no executor is constructed
+        assert seen == ({"max_workers": started, "chunksize": pipeline.CHUNK_EPISODES} if started > 1 else {})
 
     def test_validation_errors_before_running(self, benchmark_dataset):
         path, ds, _ = benchmark_dataset
@@ -1182,7 +1189,7 @@ def tiny_fsof(tmp_path_factory):
     gen_out=st.sampled_from(OUT_SHAPES), eval_out=st.sampled_from(OUT_SHAPES), heat_out=st.sampled_from(OUT_SHAPES),
 )
 @example(  # a failed episode in a pool worker, which few draws reach
-    gen=[], ev=["--num-episodes=2", "--n-way=2", "--k-shot=1", "--n-query=1", "--open-classes=1",
+    gen=[], ev=["--num-episodes=9", "--n-way=2", "--k-shot=1", "--n-query=1", "--open-classes=1",
                 "--open-query=1", "--learning-rate=1e300", "--workers=2"],
     masks_taken=False, episode=0, pgm_taken=None, gen_out="new", eval_out="new", heat_out="new",
 )
