@@ -31,13 +31,12 @@ def build_known_prototypes(
     numpy raises."""
     labels = np.asarray(labels)
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    outside = labels[(labels < 0) | (labels >= n_way)]
-    if outside.size:
+    if not (labels.min() >= 0 and labels.max() < n_way):
+        outside = labels[(labels < 0) | (labels >= n_way)]
         raise ValueError(f"support label {outside[0]} outside [0, {n_way})")
     counts = np.bincount(labels, minlength=n_way)
-    uneven = np.flatnonzero(counts != k_shot)
-    if uneven.size:
-        c = uneven[0]
+    if not (counts == k_shot).all():
+        c = np.flatnonzero(counts != k_shot)[0]
         raise ValueError(f"class {c} has {counts[c]} support embeddings, expected {k_shot}")
     order = np.argsort(labels, kind="stable")  # class by class, each class's shots in the order given
     protos = embeddings[order, :].reshape(n_way, k_shot, -1).sum(axis=1) / k_shot  # 1-D input raises here

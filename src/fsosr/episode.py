@@ -64,10 +64,12 @@ class FeatureDataset:
     finite; and `class_index[c]`, class c's item indices in dataset order.
     Every array is read-only. A read-only float32 tensor, such as
     read_dataset's view of a mapped file, is kept as is; anything else is
-    converted or copied once."""
+    converted or copied once, and a finite value beyond float32's range is
+    an error that names its item."""
 
-    @np.errstate(invalid="ignore")  # inf - inf in a pooled sum is a NaN that the check reports
+    @np.errstate(over="ignore", invalid="ignore")  # the check reports casts to inf and inf - inf sums
     def __init__(self, values, labels) -> None:
+        source = values
         if getattr(values, "dtype", None) != np.float32 or values.flags.writeable:
             values = _read_only(np.array(values, dtype=np.float32))
         if values.ndim != 4 or values.shape[0] < 1 or min(values.shape) < 1:
@@ -96,7 +98,10 @@ class FeatureDataset:
         embeddings = spatial_avg_pool(values)
         finite = np.isfinite(embeddings).all(axis=1)
         if not finite.all():
-            raise NonFiniteItemError(f"item {int(np.argmin(finite))} contains non-finite values")
+            i = int(np.argmin(finite))
+            if np.isfinite(source[i]).all():  # finite before the cast
+                raise ValueError(f"item {i} holds a value beyond float32's range ±3.4028235e+38")
+            raise NonFiniteItemError(f"item {i} contains non-finite values")
         order = np.argsort(labels, kind="stable")
         self.values = values
         self.labels = _read_only(labels.astype(np.intp))

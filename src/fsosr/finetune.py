@@ -76,7 +76,7 @@ def prototype_batch_loss(
     whose gradient finetune_bank steps along; gradcheck probes it with finite
     differences."""
     scores = cosine_matrix(weights, embeddings)
-    ce = _batch_ce(temperature * scores.T, _label_positions(labels), item_weights, gradient=False)
+    ce = _batch_ce(temperature * scores.T, _label_positions(labels), np.empty(len(labels)))
     return float(np.dot(item_weights, ce))
 
 
@@ -86,22 +86,21 @@ def _label_positions(labels) -> np.ndarray:
 
 
 def _batch_ce(
-    logits: np.ndarray, positions: np.ndarray, item_weights: np.ndarray, gradient: bool = True
+    logits: np.ndarray, positions: np.ndarray, out: np.ndarray, item_weights=None, target=None
 ) -> np.ndarray:
-    """Per-item cross-entropies (unweighted) of the (rows x items) logits, the
-    label of item i at flat position positions[i]. The logits are overwritten;
-    with gradient set they end as the gradient of the item-weighted sum of
-    cross-entropies with respect to them, (softmax - onehot) * item_weights,
-    which the cosine Jacobian carries on to the rows."""
+    """Per-item cross-entropies (unweighted) of the (rows x items) logits, item i's label at
+    flat position positions[i], written into out. The logits are overwritten; given item_weights
+    and their one-hot target (item_weights[i] at positions[i], zero elsewhere) they end as the
+    weighted sum's gradient, softmax * item_weights - target, which the cosine Jacobian carries on."""
     logits -= logits.max(axis=0)
     picked = logits.take(positions)
     np.exp(logits, out=logits)
     z = logits.sum(axis=0)
-    ce = np.log(z)
+    ce = np.log(z, out=out)
     ce -= picked
-    if gradient:
+    if target is not None:
         logits *= item_weights / z
-        logits.put(positions, logits.take(positions) - item_weights)
+        logits -= target
     return ce
 
 
@@ -155,8 +154,8 @@ def finetune_bank(
     # the gradient comes out of _batch_ce scaled for the step; the reported
     # curve weighs each group by its mean, one product with the cross-entropies
     n, lam, lr = n_sup + n_bkg, cfg.bkg_loss_weight, cfg.learning_rate
-    step_weights = np.concatenate([np.full(n_sup, lr), np.full(n_bkg, lr * lam)])
-    mean_weights = np.concatenate([np.full(n_sup, 1.0 / n_sup), np.full(n_bkg, lam / n_bkg)])
+    step_weights = np.repeat([lr, lr * lam], (n_sup, n_bkg))
+    mean_weights = np.repeat([1.0 / n_sup, lam / n_bkg], (n_sup, n_bkg))
 
     # Every step adds a combination of the unit batch rows to each moving
     # row and rescales it, so weights = scale * weights0 + coef @ unit holds
@@ -168,13 +167,16 @@ def finetune_bank(
     # matrix), so one multiply rescales coefficients and scale together.
     weights = np.array(bank, dtype=np.float64)  # the copy the steps write
     lo = num_known if cfg.freeze_known else 0  # rows [lo, num_rows) move
-    gram = np.zeros((n + 1, n + 1))
+    gram, proj = np.zeros((n + 1, n + 1)), np.empty((len(weights), n + 1))
     gram[:n, :n] = inv[:, None] * raw_gram * inv
-    proj = np.column_stack([(weights @ raw.T) * inv, 0.5 * np.vecdot(weights, weights)])
+    np.multiply(weights @ raw.T, inv, out=proj[:, :n])
+    np.multiply(0.5, np.vecdot(weights, weights), out=proj[:, n])
     wn = check_norms(np.sqrt(2.0 * proj[:, n]), "before fine-tuning, prototype row")
     # tw = temperature / |w| scales each row's dots into its logits
     dots, sq_now, tw, logits = proj.copy(), 2.0 * proj[:, n], np.empty_like(wn), np.empty((len(wn), n))
     positions = _label_positions(np.concatenate([sup_labels, np.full(n_bkg, num_known)]))
+    target = np.zeros(logits.shape)  # the step weights at the label positions, rebuilt on reassignment
+    target.put(positions, step_weights)
     # views made once: the moving rows of every row array, the background items'
     # logits against the background rows and their label positions (from row
     # num_known's, bkg_base); a lone background row is every item's nearest
@@ -198,10 +200,12 @@ def finetune_bank(
             np.argmax(bkg_logits, axis=0, out=nearest)
             np.multiply(nearest, n, out=bkg_positions)
             bkg_positions += bkg_base
-        last = epoch == cfg.epochs
-        ces[epoch] = _batch_ce(logits, positions, step_weights, gradient=not last)
-        if last:
+            target.fill(0.0)
+            target.put(positions, step_weights)
+        if epoch == cfg.epochs:
+            _batch_ce(logits, positions, ces[epoch])
             break
+        _batch_ce(logits, positions, ces[epoch], step_weights, target)
         # logits holds g, learning_rate times the loss gradient w.r.t. the
         # logits; a moving row w steps to
         # (1 + tw (g . dots) / |w|^2) w - tw g @ unit
@@ -216,7 +220,8 @@ def finetune_bank(
             # the rows have turned far enough that scale * weights0 and
             # coef @ unit nearly cancel; carry on from the rows themselves
             weights_m[:] = scale_col * weights_m + (coef * inv) @ raw
-            proj_m[:] = np.column_stack([(weights_m @ raw.T) * inv, 0.5 * np.vecdot(weights_m, weights_m)])
+            np.multiply(weights_m @ raw.T, inv, out=proj_m[:, :n])
+            np.multiply(0.5, np.vecdot(weights_m, weights_m), out=proj_m[:, n])
             coef[:] = 0.0
             scale[:] = 1.0
         # scaled = [scale proj | scale |w0|^2 / 2], dots = coef_scale @ gram + scaled:
@@ -235,7 +240,8 @@ def finetune_bank(
     weights_m[:] = scale_col * weights_m + (coef * inv) @ raw
 
     trace = (ces @ mean_weights).tolist()
-    report = LossReport(float(ces[-1, :n_sup].mean()), float(ces[-1, n_sup:].mean()), trace[-1], tuple(trace))
+    known_mean, bkg_mean = float(ces[-1, :n_sup].sum()) / n_sup, float(ces[-1, n_sup:].sum()) / n_bkg
+    report = LossReport(known_mean, bkg_mean, trace[-1], tuple(trace))
     return weights, report
 
 

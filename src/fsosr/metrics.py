@@ -3,6 +3,8 @@ aggregation with normal-approximation confidence intervals, all on arrays."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -16,20 +18,21 @@ def accuracy(rows, labels) -> float:
         raise ValueError(f"rows shape {rows.shape} does not match labels shape {labels.shape}")
     if rows.size == 0:
         raise ValueError("accuracy needs at least one prediction")
-    return float(np.mean(rows == labels))
+    return float(np.count_nonzero(rows == labels) / rows.size)
 
 
 def auroc(known_scores, unknown_scores) -> float:
-    """Probability that a random unknown query scores above a random known one
-    (the area under the ROC curve, unknown positive): each unknown score counts
-    the sorted known scores below it and half of those equal to it; all must be finite."""
+    """Probability that a random unknown query scores above a random known one (the area
+    under the ROC curve, unknown positive): each unknown score counts the sorted known scores below
+    it and half of those equal to it; all must be finite (sorted, -inf comes first and NaN last)."""
     known = np.sort(np.asarray(known_scores, dtype=np.float64))
     unknown = np.asarray(unknown_scores, dtype=np.float64)
     if known.size == 0 or unknown.size == 0:
         raise ValueError("auroc needs at least one known and one unknown score")
-    if not (np.isfinite(known[[0, -1]]).all() and np.isfinite(unknown).all()):
+    if not (math.isfinite(known[0]) and math.isfinite(known[-1]) and np.isfinite(unknown).all()):
         raise ValueError("auroc needs finite scores")
-    below, upto = (np.searchsorted(known, unknown, side).sum() for side in ("left", "right"))
+    below = np.searchsorted(known, unknown, "left").sum()
+    upto = np.searchsorted(known, unknown, "right").sum()
     return float(below + upto) / (2 * unknown.size * known.size)
 
 

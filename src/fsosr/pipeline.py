@@ -213,7 +213,7 @@ def procam_for_support(
     order: the maps are mined as one stack, widened to float64 as it is built,
     each with its label's row of the known prototypes, and the foregrounds are
     the caller's pooled (n, d) rows."""
-    stack = np.stack([fmap.values for fmap, _ in supports], dtype=np.float64)
+    stack = np.array([fmap.values for fmap, _ in supports], dtype=np.float64)
     _, backgrounds, _ = mine(stack, known[[label for _, label in supports]], cfg)
     return [(_Held(fg), _Held(bg)) for fg, bg in zip(foregrounds, backgrounds)]
 
@@ -248,7 +248,7 @@ def evaluate_episode(
                     for i, c in zip(episode.support.tolist(), episode.support_labels.tolist())
                 ]
                 pairs = procam_for_support(maps, bank, cfg.procam, support)
-                bg_embeddings = np.stack([bg.values for _, bg in pairs])
+                bg_embeddings = np.array([bg.values for _, bg in pairs])
             if carried is None:
                 init_seed = derive_episode_seed(cfg.master_seed, index, stream=1)
                 carried = init_background(

@@ -7,6 +7,7 @@ from fsosr.classifier import build_known_prototypes, predict
 from fsosr.episode import (
     EpisodeSpec,
     FeatureDataset,
+    NonFiniteItemError,
     SyntheticConfig,
     benchmark_config,
     derive_episode_seed,
@@ -89,6 +90,21 @@ class TestFeatureDataset:
         values[2, 1, 0, 2] = np.nan
         with pytest.raises(ValueError, match="item 2 contains non-finite values"):
             FeatureDataset(values, [0, 0, 1, 1])
+
+    @pytest.mark.filterwarnings("error")
+    def test_value_beyond_float32_range_is_named(self):
+        # finite, but cast to float32 it would be inf, which the input never held
+        with pytest.raises(ValueError, match=r"^item 0 holds a value beyond float32's range ±3\.4028235e\+38$"):
+            FeatureDataset(np.full((2, 1, 1, 1), 1e300), [0, 1])
+        values = np.zeros((3, 1, 2, 1))
+        values[2, 0, 1, 0] = -1e39
+        with pytest.raises(ValueError, match="^item 2 holds a value beyond"):
+            FeatureDataset(values, [0, 1, 1])
+        # NaN and inf are the input's own non-finite values
+        for bad in (np.nan, np.inf, -np.inf):
+            values[1, 0, 0, 0] = bad
+            with pytest.raises(NonFiniteItemError, match="^item 1 contains non-finite values$"):
+                FeatureDataset(values, [0, 1, 1])
 
     def test_tensor_is_read_only(self):
         source = np.ones((2, 1, 1, 2))

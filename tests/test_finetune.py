@@ -301,9 +301,9 @@ class TestFinetuneBank:
         # so every later step is bad in every row, row 0 first.
         core, calls = finetune._batch_ce, []
 
-        def poisoned(logits, positions, item_weights, gradient=True):
-            calls.append(gradient)
-            ce = core(logits, positions, item_weights, gradient)
+        def poisoned(logits, positions, out, *step):
+            calls.append(bool(step))
+            ce = core(logits, positions, out, *step)
             if len(calls) == 3:
                 logits[4] = np.nan
             return ce
@@ -356,9 +356,9 @@ class TestFinetuneBank:
         calls = []
         core = finetune._batch_ce
 
-        def counting(logits, positions, item_weights, gradient=True):
-            calls.append(gradient)
-            return core(logits, positions, item_weights, gradient)
+        def counting(logits, positions, out, *step):
+            calls.append(bool(step))
+            return core(logits, positions, out, *step)
 
         monkeypatch.setattr(finetune, "_batch_ce", counting)
         bank, supports, labels, backgrounds = self._toy_inputs(seed=17)

@@ -60,6 +60,10 @@ class TestAccuracy:
         with pytest.raises(ValueError):
             accuracy(np.array([], dtype=int), np.array([], dtype=int))
 
+    def test_is_a_python_float(self):
+        # episodes.csv prints it with repr, which reads np.float64(...) for a numpy scalar
+        assert type(accuracy(np.array([0, 1, 2]), np.array([0, 1, 1]))) is float
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             accuracy(np.array([0, 1, 2]), np.array([0, 1]))
@@ -140,6 +144,28 @@ class TestAuroc:
             auroc([0.1, bad, 0.3], [0.2])
         with pytest.raises(ValueError, match="finite"):
             auroc([0.1, 0.3], [0.2, bad])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("known, unknown", [
+        ([1e308, -1.5e308, 1.7e308, 0.0], [1.6e308, 1.2e308, -1e308]),
+        ([1.7e308, 1.7e308], [1.7e308, 1.79e308, -1.79e308, -1.79e308]),
+        ([-1.79e308] * 3, [1.79e308] * 3),
+    ])
+    def test_finite_scores_whose_sums_overflow_are_accepted(self, known, unknown):
+        # every score is finite, though a sum of either group overflows to inf
+        # (or reads inf - inf), so a finiteness test through a sum alone would misfire
+        assert auroc(known, unknown) == pairwise_auroc(known, unknown)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("at", [0, 3])
+    @pytest.mark.parametrize("group", ["known", "unknown"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_at_either_end_rejected(self, bad, group, at):
+        # sorted, -inf comes first and +inf and NaN last, where the known group is tested
+        scores = {"known": [0.4, 0.1, 0.3], "unknown": [0.2, 0.5, 0.25]}
+        scores[group].insert(at, bad)
+        with pytest.raises(ValueError, match="^auroc needs finite scores$"):
+            auroc(scores["known"], scores["unknown"])
 
     def test_empty_side_rejected(self):
         with pytest.raises(ValueError):
