@@ -10,12 +10,13 @@ FSOF layout (all integers little-endian):
       label u32, height u16, width u16, channels u16,
       height*width*channels float32 values in (h, w, c) row-major order
 
-Values are stored as 32-bit floats and used at that precision, so a round
-trip is lossless; pooling and mining widen them to double precision where they
-compute. The reader maps the file and copies no payload: the dataset's tensor
-is a read-only view of the mapped records. It checks every header in one pass,
-then builds the FeatureDataset on that view, which pools every item and checks
-the pooled rows finite. Only the writer works in chunks.
+A map side is a u16, so at most 65535. Values are stored as 32-bit floats and
+used at that precision, so a round trip is lossless; pooling and mining widen
+them to double precision where they compute. The reader maps the file and
+copies no payload: the dataset's tensor is a read-only view of the mapped
+records. Item 0's shape sizes one strided view of every header, the short
+item's included, checked in one pass; the FeatureDataset built on the tensor
+pools every item and checks the pooled rows finite. Only the writer chunks.
 """
 
 from __future__ import annotations
@@ -99,10 +100,11 @@ def _record_dtype(shape) -> np.dtype:
 def read_dataset(path) -> FeatureDataset:
     """Map an FSOF file. Items share item 0's shape, so the dataset's float32
     tensor is a read-only view of the mapped records: no payload is copied.
-    All item headers are checked as arrays, then the dataset checks its labels
-    dense and its pooled embeddings finite, then the file's trailing bytes are
-    checked; so a header fault anywhere is reported before a non-finite value
-    anywhere. The checks cover the file as it was at load."""
+    Item 0's shape sizes a strided view of every header, the short item's
+    included, checked in one pass; then the dataset checks its labels dense
+    and its pooled embeddings finite, then the trailing bytes are checked; so
+    a header fault anywhere is reported before a non-finite value anywhere.
+    The checks cover the file as it was at load."""
     path = Path(path)
     # a FIFO would block the open without O_NONBLOCK, and cannot be mapped
     fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
@@ -125,60 +127,47 @@ def read_dataset(path) -> FeatureDataset:
         )
     if count == 0:
         raise DatasetFormatError(f"{path}: no items")
-    # item 0 sets the shape, so it must fit the file before anything is sized by it
-    shape = _check_item(path, 0, count, None, mapped, _HEADER.size, size)
-    record = _record_dtype(shape)
-    item_bytes = record.itemsize
-    # the records the file can hold: a count beyond them fails as truncated
-    rows = min(count, (size - _HEADER.size) // item_bytes)
-    records = np.frombuffer(mapped, record, rows, _HEADER.size)
-    values, labels = records["values"], records["label"]
-    # a shape equal to item 0's has no zero dimension, since item 0's has none
-    bad = (labels >= count) | (records["shape"] != shape).any(1)
+    # item 0's shape sizes every record, so its header must fit the file first
+    if size < _HEADER.size + _ITEM_HEADER_DTYPE.itemsize:
+        raise TruncatedFileError(f"{path}: item 0 header truncated at byte {_HEADER.size}")
+    shape = tuple(np.frombuffer(mapped, _ITEM_HEADER_DTYPE, 1, _HEADER.size)["shape"][0].tolist())
+    payload = 4 * shape[0] * shape[1] * shape[2]  # Python ints, so 65535 cubed cannot overflow
+    step = _ITEM_HEADER_DTYPE.itemsize + payload
+    # every header the file holds, the short item's included: bounded by the file, not count
+    n = min(count, (size - _HEADER.size - _ITEM_HEADER_DTYPE.itemsize) // step + 1)
+    headers = np.ndarray((n,), _ITEM_HEADER_DTYPE, mapped, _HEADER.size, (step,))
+    # dense labels stay below count; checked here, they bound the dataset's label index
+    bad = (headers["label"] >= count) | (headers["shape"] != shape).any(1) | (min(shape) < 1)
+    rows = min(count, (size - _HEADER.size) // step)  # whole records
     if rows < count or bad.any():
-        # _check_item raises the error of the first bad item, or of the short
-        # one after the last whole record
-        i = int(np.argmax(np.append(bad, True)))
-        _check_item(path, i, count, shape, mapped, _HEADER.size + i * item_bytes, size)
+        # the first bad whole record, else the short item after the last one
+        i = int(np.argmax(np.append(bad[:rows], True)))
+        at = _HEADER.size + i * step
+        if i == n:
+            raise TruncatedFileError(f"{path}: item {i} header truncated at byte {at}")
+        label, item_shape = int(headers[i]["label"]), tuple(headers[i]["shape"].tolist())  # for the messages
+        if label >= count:
+            raise DatasetFormatError(
+                f"{path}: item {i} has label {label}, but {count} items allow at most {count - 1}"
+            )
+        if min(item_shape) < 1:
+            raise DatasetFormatError(f"{path}: item {i} has zero-sized shape {item_shape}")
+        if item_shape != shape:
+            raise DatasetFormatError(f"{path}: item {i} at byte {at} has shape {item_shape}, item 0 has {shape}")
+        at += _ITEM_HEADER_DTYPE.itemsize
+        raise TruncatedFileError(
+            f"{path}: item {i} payload truncated (need {payload} bytes at offset {at}, have {size - at})"
+        )
+    values = np.frombuffer(mapped, _record_dtype(shape), count, _HEADER.size)["values"]
     try:
-        ds = FeatureDataset(values, labels)
+        ds = FeatureDataset(values, headers["label"])
     except ValueError as exc:
         error = NonFiniteValueError if isinstance(exc, NonFiniteItemError) else DatasetFormatError
         raise error(f"{path}: {exc}") from exc
-    end = _HEADER.size + count * item_bytes
+    end = _HEADER.size + count * step
     if end != size:
         raise DatasetFormatError(f"{path}: {size - end} trailing bytes after {count} items")
     return ds
-
-
-def _check_item(path, i: int, count: int, shape, mapped, offset: int, end: int) -> tuple[int, int, int]:
-    """Raise the format error of item i, if it has one, else return its shape.
-    Its header starts at `offset` of the mapped bytes, which end at `end`;
-    shape is item 0's (None for item 0)."""
-    if offset + _ITEM_HEADER_DTYPE.itemsize > end:
-        raise TruncatedFileError(f"{path}: item {i} header truncated at byte {offset}")
-    header = np.frombuffer(mapped, _ITEM_HEADER_DTYPE, 1, offset)[0]
-    label, item_shape = int(header["label"]), tuple(header["shape"].tolist())  # Python ints: messages, sizes
-    # dense labels over at most `count` items cannot exceed count - 1; checking
-    # here keeps the dataset's label index bounded by the file size
-    if label >= count:
-        raise DatasetFormatError(
-            f"{path}: item {i} has label {label}, but {count} items allow at most {count - 1}"
-        )
-    if min(item_shape) < 1:
-        raise DatasetFormatError(f"{path}: item {i} has zero-sized shape {item_shape}")
-    if shape is not None and item_shape != shape:
-        raise DatasetFormatError(
-            f"{path}: item {i} at byte {offset} has shape {item_shape}, item 0 has {shape}"
-        )
-    offset += _ITEM_HEADER_DTYPE.itemsize
-    n_bytes = 4 * item_shape[0] * item_shape[1] * item_shape[2]
-    if offset + n_bytes > end:
-        raise TruncatedFileError(
-            f"{path}: item {i} payload truncated "
-            f"(need {n_bytes} bytes at offset {offset}, have {end - offset})"
-        )
-    return item_shape
 
 
 def export_heatmap(m, path) -> None:

@@ -201,6 +201,9 @@ class SyntheticConfig:
         for name in ("num_classes", "items_per_class", "height", "width", "channels"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("height", "width", "channels"):  # each is a u16 in an FSOF item header
+            if getattr(self, name) > 65535:
+                raise ValueError(f"{name} must be at most 65535, the largest map side FSOF holds")
         for name in ("signal_strength", "noise_sigma", "bkg_strength", "bkg_noise_mean",
                      "bkg_noise_scale"):
             if not 0 <= getattr(self, name) < math.inf:

@@ -236,6 +236,29 @@ class TestFormatErrors:
         with pytest.raises(TruncatedFileError, match="item 5 payload truncated"):
             read_dataset(path)
 
+    @pytest.mark.parametrize(
+        "i, label, shape, cut, message",
+        [
+            (2, 9, (2, 2, 3), -5, "item 2 has label 9, but 3 items allow at most 2"),
+            (2, 0, (2, 3, 3), -5, "item 2 at byte 126 has shape (2, 3, 3), item 0 has (2, 2, 3)"),
+            (2, 0, (2, 0, 3), None, "item 2 has zero-sized shape (2, 0, 3)"),
+            (2, 0, (2, 2, 3), 131, "item 2 header truncated at byte 126"),
+            (0, 7, (2, 2, 3), 30, "item 0 has label 7, but 3 items allow at most 2"),
+            (0, 0, (2, 0, 3), None, "item 0 has zero-sized shape (2, 0, 3)"),
+            (0, 0, (2, 2, 3), 15, "item 0 header truncated at byte 10"),
+        ],
+    )
+    def test_short_or_first_item_checks_keep_their_order(self, tmp_path, i, label, shape, cut, message):
+        # the short item after the last whole record, and item 0, whose shape
+        # sizes the records, go through a header's checks in the same order
+        items = [(k % 2, np.zeros((2, 2, 3))) for k in range(3)]
+        items[i] = (label, np.zeros(shape))
+        path = tmp_path / "data.fsof"
+        path.write_bytes(pack_items(items)[:cut])
+        with pytest.raises(DatasetFormatError) as err:
+            read_dataset(path)
+        assert str(err.value) == f"{path}: {message}"
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_fifo_fails_without_blocking(self, tmp_path):
         # a FIFO with no writer blocks a plain open, and cannot be mapped

@@ -934,6 +934,19 @@ class TestCli:
         assert err == f"fsosr {argv[0]}: error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("side", ["height", "width", "channels"])
+    def test_map_side_beyond_u16_is_a_usage_error(self, tmp_path, capsys, side):
+        # an FSOF item header holds each side as a u16; the check comes before any data is made
+        sizes = {"height": 1, "width": 1, "channels": 3, side: 70000}
+        argv = ["gen-synthetic", "--out", str(tmp_path / "d" / "x.fsof"), "--classes", "2",
+                "--items-per-class", "1", *(f"--{k}={v}" for k, v in sizes.items())]
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        message = f"{side} must be at most 65535, the largest map side FSOF holds"
+        assert capsys.readouterr().err == f"fsosr gen-synthetic: error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "argv, target, reason",
         [
