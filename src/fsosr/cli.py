@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import INIT_KINDS, SCORE_KINDS, build_known_prototypes
-from .dataset_io import export_heatmap, read_dataset, write_dataset
+from .dataset_io import DatasetFormatError, export_heatmap, read_dataset, write_dataset
 from .episode import FeatureDataset, SyntheticConfig, benchmark_config, generate_synthetic
 from .episode import derive_episode_seed, sample_episode
 from .finetune import gradcheck_report
@@ -86,10 +86,13 @@ def _writing(args: argparse.Namespace, files):
 
 def _read(args: argparse.Namespace, path, load=read_dataset, what="dataset", hint=""):
     """load(path), where a file that cannot be opened is a usage error naming
-    it as `what`, then the hint; a malformed one still raises (a dataset
-    DatasetFormatError)."""
+    it as `what`, then the hint, and a malformed dataset is one with the
+    reader's message, which names the file."""
     with _file_errors(args, f"cannot open {what} {path}", hint):
-        return load(path)
+        try:
+            return load(path)
+        except DatasetFormatError as exc:
+            raise _usage_error(args, exc) from exc
 
 
 def _cmd_gen_synthetic(args: argparse.Namespace) -> int:

@@ -3,13 +3,16 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
+import operator
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -33,7 +36,7 @@ from .metrics import accuracy, aggregate, auroc
 from .procam import ProCamConfig, mine
 
 BUNDLE_FORMAT_VERSION = 1
-CHUNK_EPISODES = 8  # episodes a pool worker takes at a time
+CHUNK_EPISODES = 8  # episodes a process of a run claims at a time
 BUNDLE_FILES = ("episodes.csv", "summary.json")  # what ResultsBundle.write writes into its directory
 
 
@@ -290,45 +293,119 @@ def evaluate_episode(
         ) from exc
 
 
-_WORKER_STATE: dict = {}
+class _ChildTraceback(Exception):
+    """The formatted traceback of a failure in a child process, as the cause
+    of the error the child sent back."""
+
+    def __str__(self) -> str:
+        return self.args[0]
 
 
-def _worker_init(cfg: RunConfig, ds: FeatureDataset) -> None:
-    _WORKER_STATE["cfg"] = cfg
-    _WORKER_STATE["ds"] = ds
+def _claim(counter) -> int:
+    with counter.get_lock():
+        chunk = counter.value
+        counter.value = chunk + 1
+    return chunk
 
 
-def _worker_run(index: int) -> dict:
-    return evaluate_episode(_WORKER_STATE["ds"], _WORKER_STATE["cfg"], index)
+def _evaluate_chunks(ds: FeatureDataset, cfg: RunConfig, counter, chunk: int) -> tuple[list[dict], tuple | None]:
+    """Evaluate chunk `chunk`, then each chunk claimed from `counter`, until
+    the chunks run out or an episode fails, which moves `counter` past the
+    last chunk so that no process claims another. Returns the fields run_eval
+    reads of each record (scores only for pooled_auroc, bank and loss only
+    where dumped) and the failure as (episode index, exception), or None."""
+    keep = ("episode", "seed", "accuracy", "auroc") + (("known_scores", "unknown_scores") if cfg.pooled_auroc else ())
+    records, carried = [], None
+    while (first := chunk * CHUNK_EPISODES) < cfg.num_episodes:
+        for index in range(first, min(first + CHUNK_EPISODES, cfg.num_episodes)):
+            try:
+                record = evaluate_episode(ds, cfg, index, carried)
+            except Exception as exc:
+                with counter.get_lock():
+                    counter.value = cfg.num_episodes
+                return records, (index, exc)
+            if cfg.init_kind == INIT_GLOBAL:
+                carried = record["background"]
+            records.append({k: record[k] for k in keep})
+            if record["bank"] is not None:
+                records[-1].update(bank=record["bank"], loss=record["loss"])
+        chunk = _claim(counter)
+    return records, None
+
+
+def _child(ds: FeatureDataset, cfg: RunConfig, counter, conn) -> None:
+    """A child process's part of a run: the records of the chunks it claims
+    and its failure, with the failure's traceback as text, sent through
+    `conn` in one message at the end."""
+    records, failure = _evaluate_chunks(ds, cfg, counter, _claim(counter))
+    if failure is not None:
+        failure = (*failure, "".join(traceback.format_exception(failure[1])))
+    conn.send((records, failure))
+
+
+def _evaluate_all(ds: FeatureDataset, cfg: RunConfig, processes: int) -> list[dict]:
+    """Every episode's record, in order, from this process, which claims
+    chunk 0 first, and processes - 1 children, forked on Linux (elsewhere
+    started by the default method, which pickles the dataset into each), all
+    claiming chunks from one shared counter. Every child is joined before
+    this returns or raises; a failed run raises the lowest-indexed failing
+    episode's error, chained in a child's case to the child's traceback."""
+    if processes == 1:  # the interface of a multiprocessing Value, unshared
+        counter = SimpleNamespace(value=0, get_lock=contextlib.nullcontext)
+    else:
+        context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+        counter = context.Value("q", 0)
+    chunk = _claim(counter)
+    children = []
+    try:
+        for _ in range(processes - 1):
+            reader, writer = context.Pipe(duplex=False)
+            child = context.Process(target=_child, args=(ds, cfg, counter, writer))
+            child.start()
+            children.append((child, reader))
+            writer.close()  # so that a child that dies leaves its reader at end of file
+        records, failure = _evaluate_chunks(ds, cfg, counter, chunk)
+        failures = [] if failure is None else [failure]
+        for child, reader in children:
+            try:
+                theirs, failure = reader.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"a worker process exited with code {child.exitcode} "
+                                   "before sending its episodes") from None
+            records += theirs
+            if failure is not None:
+                index, exc, text = failure
+                exc.__cause__ = _ChildTraceback(text)
+                failures.append((index, exc))
+    except BaseException:  # an interrupt, or a child gone: no child waits for a reader
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, reader in children:
+            child.join()
+            reader.close()
+    if failures:
+        raise min(failures, key=operator.itemgetter(0))[1]
+    return sorted(records, key=operator.itemgetter("episode"))
 
 
 def run_eval(cfg: RunConfig, ds: FeatureDataset | None = None) -> ResultsBundle:
     """Evaluate num_episodes episodes and assemble (and optionally write) the
     results bundle. ds is cfg.dataset when the caller has read it already;
-    pool workers evaluate on this same ds, which they inherit when forked (on
-    Linux; spawn or forkserver would pickle it into every worker). A run takes
-    no more workers than there are chunks of CHUNK_EPISODES episodes or CPUs
-    this process may run on, and runs in this process, with no pool, when
-    that comes to one. Under init=global each episode starts from the
-    previous episode's final background rows, so it always runs here."""
+    child processes evaluate on this same ds. A run takes as many processes
+    as cfg.workers, this one included, but no more than there are chunks of
+    CHUNK_EPISODES episodes or CPUs this process may run on. Under
+    init=global each episode starts from the previous episode's final
+    background rows, so such a run takes one process."""
     if ds is None:
         ds = read_dataset(cfg.dataset)
     validate_dataset_for_config(ds, cfg)
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = 1 if cfg.init_kind == INIT_GLOBAL else min(cfg.workers, -(-cfg.num_episodes // CHUNK_EPISODES), cpus)
-    if workers == 1:
-        records, carried = [], None
-        for i in range(cfg.num_episodes):
-            records.append(evaluate_episode(ds, cfg, i, carried))
-            if cfg.init_kind == INIT_GLOBAL:
-                carried = records[-1]["background"]
-    else:
-        context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=context, initializer=_worker_init, initargs=(cfg, ds)
-        ) as pool:
-            records = list(pool.map(_worker_run, range(cfg.num_episodes), chunksize=CHUNK_EPISODES))
+    processes = 1 if cfg.init_kind == INIT_GLOBAL else min(cfg.workers, -(-cfg.num_episodes // CHUNK_EPISODES), cpus)
+    records = _evaluate_all(ds, cfg, processes)
 
     agg = aggregate([r["accuracy"] for r in records], [r["auroc"] for r in records])
 
@@ -347,8 +424,8 @@ def run_eval(cfg: RunConfig, ds: FeatureDataset | None = None) -> ResultsBundle:
         ],
         aggregate=agg,
         pooled_auroc=pooled,
-        last_bank=records[-1]["bank"],
-        last_loss=records[-1]["loss"],
+        last_bank=records[-1].get("bank"),
+        last_loss=records[-1].get("loss"),
     )
     if cfg.output_dir is not None:
         bundle.write(cfg.output_dir)

@@ -8,6 +8,7 @@ import multiprocessing
 import operator
 import os
 import pickle
+import select
 import shutil
 import subprocess
 import sys
@@ -266,7 +267,7 @@ class TestRunEval:
         assert one.episodes_csv_text() == two.episodes_csv_text()
         assert one.summary_json_text() == two.summary_json_text()
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="pool workers are forked on Linux only")
+    @pytest.mark.skipif(sys.platform != "linux", reason="children are forked on Linux only")
     def test_pool_workers_inherit_the_dataset_whatever_the_default_start_method(
         self, benchmark_dataset, monkeypatch
     ):
@@ -293,21 +294,19 @@ class TestRunEval:
     def test_records_match_a_plain_per_episode_script(self, run):
         data, cfg = run
         ds = generate_synthetic(data)[0]
-        # every record run_eval assembles, from its own loop or back from the pool
-        records, inner = [], pipeline.evaluate_episode
+        # every record evaluate_episode returns, in this process or a forked child,
+        # kept in a file named by its episode
+        inner = pipeline.evaluate_episode
 
-        def evaluate(*args):
-            records.append(inner(*args))
-            return records[-1]
+        def evaluate(ds, cfg, index, *rest):
+            record = inner(ds, cfg, index, *rest)
+            (kept / f"{index}.pickle").write_bytes(pickle.dumps(record))
+            return record
 
-        class Pool(pipeline.ProcessPoolExecutor):
-            def map(self, *args, **kwargs):
-                records.extend(super().map(*args, **kwargs))
-                return iter(records)
-
-        with mock.patch.object(pipeline, "evaluate_episode", evaluate), \
-                mock.patch.object(pipeline, "ProcessPoolExecutor", Pool):
+        with tempfile.TemporaryDirectory() as kept, mock.patch.object(pipeline, "evaluate_episode", evaluate):
+            kept = Path(kept)
             bundle = run_eval(cfg, ds)
+            records = sorted((pickle.loads(f.read_bytes()) for f in kept.iterdir()), key=lambda r: r["episode"])
         expected = _scripted_records(ds, cfg)
         assert [r["episode"] for r in records] == list(range(cfg.num_episodes))
         assert bundle.episodes == [{k: r[k] for k in ("episode", "seed", "accuracy", "auroc")} for r in records]
@@ -380,7 +379,7 @@ class TestRunEval:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_non_finite_norm_fails_with_episode_context(self, benchmark_dataset, monkeypatch, workers):
         path, _, _ = benchmark_dataset
-        # two chunks on two CPUs, so that workers=2 starts a pool: one chunk would run in-process
+        # two chunks on two CPUs, so that workers=2 forks a child: one chunk would run in one process
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         cfg = small_cfg(path, learning_rate=1e300, workers=workers, num_episodes=pipeline.CHUNK_EPISODES + 1)
         seed = derive_episode_seed(cfg.master_seed, 0, 0)
@@ -391,9 +390,10 @@ class TestRunEval:
         assert "non-finite norm" in message
         # the fine-tune step that diverged is named
         assert "epoch 0" in message
-        # in a pool worker the chained cause arrives as the remote traceback
-        cause = info.value.__cause__
-        assert isinstance(cause, ValueError) if workers == 1 else "ValueError" in str(cause)
+        # the calling process claims chunk 0, so at either worker count episode 0
+        # fails in it, chained to the fine-tune's own error (a child's failure
+        # arrives chained to its traceback: test_lowest_failing_episode_is_reported)
+        assert isinstance(info.value.__cause__, ValueError)
 
     @pytest.mark.parametrize(
         "workers, episodes, cpus, started",
@@ -411,32 +411,20 @@ class TestRunEval:
         self, benchmark_dataset, monkeypatch, workers, episodes, cpus, started
     ):
         path, ds, _ = benchmark_dataset
-        seen = {}
 
-        class Stop(Exception):
+        class Stop(BaseException):  # not an episode failure: it ends the run at once
             pass
-
-        class StandIn:
-            """Records the pool's size and chunk size, and starts nothing."""
-
-            def __init__(self, max_workers, **kwargs):
-                seen["max_workers"] = max_workers
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize):
-                seen["chunksize"] = chunksize
-                raise Stop
 
         def stop(*args):
             raise Stop
 
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", StandIn)
-        monkeypatch.setattr(pipeline, "evaluate_episode", stop)  # an in-process run stops at episode 0
+        # a context that records what a run makes of it and starts nothing
+        context = mock.MagicMock()
+        context.Value.return_value.value = 0
+        context.Pipe.return_value = (mock.MagicMock(), mock.MagicMock())
+        get_context = mock.MagicMock(return_value=context)
+        monkeypatch.setattr(multiprocessing, "get_context", get_context)
+        monkeypatch.setattr(pipeline, "evaluate_episode", stop)  # the calling process stops at episode 0
         if isinstance(cpus, tuple):
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: cpus[1])
@@ -444,8 +432,92 @@ class TestRunEval:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         with pytest.raises(Stop):
             run_eval(small_cfg(path, num_episodes=episodes, workers=workers), ds)
-        # a run that would start one worker runs in this process: no executor is constructed
-        assert seen == ({"max_workers": started, "chunksize": pipeline.CHUNK_EPISODES} if started > 1 else {})
+        # the calling process is one of the run's `started` processes and starts
+        # the others, each joined; a one-process run makes no multiprocessing object
+        child = context.Process.return_value
+        assert child.start.call_count == child.join.call_count == started - 1
+        assert get_context.called == (started > 1)
+
+    @pytest.mark.parametrize("command", ["run_eval", "eval"])
+    def test_lowest_failing_episode_is_reported(self, benchmark_dataset, tmp_path, monkeypatch, capsys, command):
+        # episodes 9 and 17 fail, on two processes, in the order that tempts a
+        # first-come report: the calling process holds chunk 0 and waits in
+        # episode 0 until episode 8 has begun, so chunk 1 is the child's; the
+        # child waits in episode 9 until the calling process, on chunk 2, has
+        # reached episode 17, so that 17 fails first
+        path, ds, _ = benchmark_dataset
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        inner, began, reached = pipeline.evaluate_episode, os.pipe(), os.pipe()
+
+        def evaluate(ds, cfg, index, *rest):
+            for waits, signals, pipe in ((0, 8, began), (9, 17, reached)):
+                if index == waits:
+                    assert select.select([pipe[0]], [], [], 60)[0], f"episode {signals} never began"
+                elif index == signals:
+                    os.write(pipe[1], b".")
+            failing = dataclasses.replace(cfg, learning_rate=1e300)
+            return inner(ds, failing if index in (9, 17) else cfg, index, *rest)
+
+        monkeypatch.setattr(pipeline, "evaluate_episode", evaluate)
+        cfg = small_cfg(path, num_episodes=3 * pipeline.CHUNK_EPISODES, workers=2)
+        out = tmp_path / "out"
+        try:
+            with np.errstate(over="ignore"):
+                if command == "run_eval":
+                    with pytest.raises(RuntimeError) as info:
+                        run_eval(cfg, ds)
+                else:
+                    assert cli.main(["eval", "--dataset", str(path), "--out", str(out), "--seed", "77",
+                                     "--num-episodes", "24", "--workers", "2"]) == 1
+        finally:
+            for fd in began + reached:
+                os.close(fd)
+        assert multiprocessing.active_children() == []
+        message = f"episode 9 (sample seed {derive_episode_seed(77, 9, 0)}) failed: ValueError: after the fine-tune"
+        if command == "run_eval":
+            assert str(info.value).startswith(message)
+            # the child's error arrives chained to its traceback, which names the fine-tune's error
+            cause = info.value.__cause__
+            assert type(cause) is not ValueError and "ValueError: after the fine-tune step" in str(cause)
+        else:
+            assert capsys.readouterr().err.startswith(f"fsosr eval: error: {message}")
+            assert not out.exists()
+
+    def test_many_processes_claim_each_chunk_once(self, benchmark_dataset, monkeypatch):
+        # more processes than this host's cores, over a run that ends mid-chunk:
+        # a chunk claimed twice or never would add or drop bundle rows
+        path, ds, _ = benchmark_dataset
+        one = run_eval(small_cfg(path, num_episodes=13 * pipeline.CHUNK_EPISODES + 3), ds)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        many = run_eval(small_cfg(path, num_episodes=13 * pipeline.CHUNK_EPISODES + 3, workers=8), ds)
+        assert [row["episode"] for row in many.episodes] == list(range(13 * pipeline.CHUNK_EPISODES + 3))
+        assert many.episodes_csv_text() == one.episodes_csv_text()
+        assert many.summary_json_text() == one.summary_json_text()
+        assert multiprocessing.active_children() == []
+
+    def test_failure_ends_every_claim(self, benchmark_dataset, monkeypatch):
+        # a process whose episode fails moves the shared counter past the last
+        # chunk, so that the others stop at the end of their chunks
+        path, ds, _ = benchmark_dataset
+        cfg = small_cfg(path, num_episodes=5 * pipeline.CHUNK_EPISODES)
+        inner = pipeline.evaluate_episode
+        failing = dataclasses.replace(cfg, learning_rate=1e300)
+        monkeypatch.setattr(pipeline, "evaluate_episode",
+                            lambda ds, cfg, index, *rest: inner(ds, failing if index == 11 else cfg, index, *rest))
+        counter = multiprocessing.get_context().Value("q", 2)  # chunks 0 and 1 claimed
+        with np.errstate(over="ignore"):
+            records, (index, exc) = pipeline._evaluate_chunks(ds, cfg, counter, 1)
+        assert [r["episode"] for r in records] == [8, 9, 10] and index == 11 and "episode 11" in str(exc)
+        assert pipeline._claim(counter) * pipeline.CHUNK_EPISODES >= cfg.num_episodes
+
+    def test_child_that_dies_fails_the_run(self, benchmark_dataset, monkeypatch):
+        # a child killed before it sends its episodes (say, out of memory)
+        path, ds, _ = benchmark_dataset
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(pipeline, "_child", lambda *args: os._exit(3))
+        with pytest.raises(RuntimeError, match="^a worker process exited with code 3 before sending its episodes$"):
+            run_eval(small_cfg(path, num_episodes=3 * pipeline.CHUNK_EPISODES, workers=2), ds)
+        assert multiprocessing.active_children() == []
 
     def test_validation_errors_before_running(self, benchmark_dataset):
         path, ds, _ = benchmark_dataset
@@ -469,7 +541,7 @@ class TestRunEval:
         assert "pooled_auroc" in bundle.summary_json_text()
 
     def test_dump_last_bank(self, benchmark_dataset, tmp_path):
-        # 10 episodes put the last one in the pool's second chunk of 8
+        # 10 episodes put the last one in the second chunk of 8, which a child may run at 2 workers
         path, _, _ = benchmark_dataset
         summaries = []
         for workers in (1, 2):
@@ -1009,13 +1081,13 @@ class TestCli:
         assert not any((tmp_path / "kept").iterdir())
 
     # a warning (numpy's overflow) would print a second line outside pytest; as
-    # an error, in forked workers too, it replaces the message
+    # an error, in a forked child too, it replaces the message
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_failed_episode_is_one_error_line_and_exit_code_1(
         self, benchmark_dataset, tmp_path, capfd, workers
     ):
-        # capfd: a forked worker writes to the inherited descriptor, not to sys.stderr
+        # capfd: a forked child writes to the inherited descriptor, not to sys.stderr
         path, _, _ = benchmark_dataset
         out = tmp_path / "out"
         argv = ["eval", "--dataset", str(path), "--out", str(out), "--num-episodes", "16",
@@ -1050,11 +1122,35 @@ class TestCli:
         assert err == f"fsosr {command}: error: cannot open dataset {missing}: No such file or directory\n"
         assert not (tmp_path / "out").exists()
 
-    def test_bad_dataset_is_not_a_usage_error(self, tmp_path):
+    @pytest.mark.parametrize("command", ["inspect", "eval", "heatmap", "heatmap-masks"])
+    def test_bad_dataset_is_a_usage_error(self, benchmark_dataset, heatmap_bundles, tmp_path, capsys, command):
+        # a malformed file is one error line naming it, exit 2 and no output; the
+        # heatmap reads two files, the run's dataset and the masks beside it
         bad = tmp_path / "bad.fsof"
         bad.write_bytes(b"NOPE")
-        with pytest.raises(DatasetFormatError):
-            cli.main(["eval", "--dataset", str(bad), "--out", str(tmp_path / "out")])
+        out = tmp_path / "out"
+        bundle = tmp_path / "run"
+        bundle.mkdir()
+        summary = json.loads((heatmap_bundles / "run" / "summary.json").read_text())
+        if command == "heatmap":
+            summary["config"]["dataset"] = str(bad)
+        elif command == "heatmap-masks":
+            bad = cli.masks_path(tmp_path / "data.fsof")
+            shutil.copyfile(benchmark_dataset[0], tmp_path / "data.fsof")
+            bad.write_bytes(b"NOPE")
+            summary["config"]["dataset"] = str(tmp_path / "data.fsof")
+        (bundle / "summary.json").write_text(json.dumps(summary))
+        argv = {
+            "inspect": ["inspect", str(bad)],
+            "eval": ["eval", "--dataset", str(bad), "--out", str(out)],
+        }.get(command, ["heatmap", "--bundle", str(bundle), "--episode", "0", "--out", str(out)])
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        with pytest.raises(DatasetFormatError) as reader:
+            read_dataset(bad)
+        assert capsys.readouterr().err == f"fsosr {argv[0]}: error: {reader.value}\n"
+        assert not out.exists()
 
     def test_output_dir_env_default(self, monkeypatch):
         monkeypatch.setenv(cli.OUTPUT_DIR_ENV, "/some/dir")
@@ -1077,7 +1173,7 @@ _POSITIVE = (st.sampled_from(["1e-3", "0.5", "2", "10", "1e300"]), st.sampled_fr
 # per flag, values its config accepts and values it rejects. Small sizes keep
 # a generated dataset tiny (the benchmark preset's 6 MB file is left to
 # test_gen_synthetic_benchmark_preset); every run has at most 5 episodes and
-# 2 workers, so it starts at most one pool process
+# 2 workers, so it forks at most one child
 GEN_FLAGS = {
     "--classes": (st.integers(1, 8), st.integers(-1, 0)),
     "--items-per-class": (st.integers(1, 8), st.integers(-1, 0)),
@@ -1193,7 +1289,7 @@ def tiny_fsof(tmp_path_factory):
 
 
 # a numpy warning (an overflow, say) would print more lines outside pytest; as
-# an error, in a forked worker too, it takes the place of the message
+# an error, in a forked child too, it takes the place of the message
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
@@ -1201,7 +1297,7 @@ def tiny_fsof(tmp_path_factory):
     episode=st.integers(0, 5), pgm_taken=st.sampled_from([None, "support00_mask.pgm", "support01_iter0.pgm"]),
     gen_out=st.sampled_from(OUT_SHAPES), eval_out=st.sampled_from(OUT_SHAPES), heat_out=st.sampled_from(OUT_SHAPES),
 )
-@example(  # a failed episode in a pool worker, which few draws reach
+@example(  # a failed episode on two processes, which few draws reach
     gen=[], ev=["--num-episodes=9", "--n-way=2", "--k-shot=1", "--n-query=1", "--open-classes=1",
                 "--open-query=1", "--learning-rate=1e300", "--workers=2"],
     masks_taken=False, episode=0, pgm_taken=None, gen_out="new", eval_out="new", heat_out="new",
@@ -1248,6 +1344,41 @@ def test_cli_run_ends_one_of_three_ways(
             num_episodes = int(ev[0].split("=")[1])  # the first flag given, always --num-episodes
             ok = episode < num_episodes and heat_out in DIR_SHAPES and not pgm_taken
             assert _ends_as_contracted(argv, heat, tmp / "h")[0] == (0 if ok else 2)
+
+
+def test_corrupted_files_end_one_of_three_ways(tmp_path):
+    """Seeded corrupted copies of a tiny dataset, each read by `fsosr inspect`
+    and by `fsosr eval --dataset`, and of its masks file, each beside the good
+    dataset for `fsosr heatmap`, end as every command must: exit 0, a usage
+    error or (eval) a failed episode, one line and nothing left; never a
+    traceback."""
+    from test_dataset_io import corrupted_copies
+
+    good = tmp_path / "good" / "data.fsof"
+    good.parent.mkdir()
+    ds, masks = generate_synthetic(SyntheticConfig(num_classes=4, items_per_class=3, height=2, width=2, channels=6))
+    write_dataset(ds, good)
+    truth = FeatureDataset(masks[..., None].astype(np.float32), ds.labels)
+    ev = ["--n-way", "2", "--k-shot", "1", "--n-query", "1", "--open-classes", "1", "--open-query", "1",
+          "--num-episodes", "2", "--n-background", "1"]
+    bundle = tmp_path / "good" / "run"
+    assert cli.main(["eval", "--dataset", str(good), "--out", str(bundle), *ev]) == 0
+    runs = [(blob, "data", ["inspect"], ["eval", *ev, "--out", "run", "--dataset"])
+            for blob in corrupted_copies(good.read_bytes(), 10 + 4 * 24, per_kind=6, seed=5)]
+    write_dataset(truth, cli.masks_path(good))
+    runs += [(blob, "masks", ["heatmap", "--bundle", str(bundle), "--episode", "0", "--out", "heat"])
+             for blob in corrupted_copies(cli.masks_path(good).read_bytes(), 10 + 4 * 4, per_kind=6, seed=5)]
+    codes = set()
+    for i, (blob, kind, *commands) in enumerate(runs):
+        path = cli.masks_path(good) if kind == "masks" else tmp_path / "bad.fsof"
+        path.write_bytes(blob)
+        for argv in commands:
+            cwd = tmp_path / f"{i}-{argv[0]}"
+            cwd.mkdir()
+            argv = argv + [str(path)] if kind == "data" else argv
+            out = {"inspect": str(path), "eval": "run", "heatmap": "heat"}[argv[0]]
+            codes.add(_ends_as_contracted(argv, out, cwd)[0])
+    assert codes >= {0, 2}
 
 
 class TestHeatmap:
