@@ -229,11 +229,11 @@ def evaluate_episode(
     background rows, then score the known queries and the unknown ones after
     them as one matrix. The background rows start from `carried` when given
     (the previous episode's rows under init=global), else from init_background
-    with the episode's own seed; the record's "background" holds their final
-    values in an array of its own. Only the last episode of a run with
-    dump_last_bank serialises its bank and loss report. Any failure is
-    re-raised as a RuntimeError naming the episode index and sample seed,
-    chained to the original exception."""
+    with the episode's own seed. The record holds the episode's index, seed,
+    accuracy, AUROC and both score arrays, its final float64 "bank" with the
+    known rows first, and its fine-tune "loss" report (None when nothing was
+    fine-tuned). Any failure is re-raised as a RuntimeError naming the
+    episode index and sample seed, chained to the original exception."""
     sample_seed = derive_episode_seed(cfg.master_seed, index, stream=0)
     try:
         episode = sample_episode(ds, cfg.episode, sample_seed)
@@ -263,13 +263,10 @@ def evaluate_episode(
                     bank, cfg.n_way, support, episode.support_labels, bg_embeddings, cfg.finetune
                 )
 
-        # a copy: a view would keep every episode's whole bank alive in the records
-        background = bank[cfg.n_way :].copy()
         n_known = len(episode.known_queries)
         queries = np.concatenate([episode.known_queries, episode.unknown_queries])
         rows, scores = predict(bank, cfg.n_way, ds.embeddings[queries], cfg.score_kind)
         known_scores, unknown_scores = scores[:n_known], scores[n_known:]
-        dump = cfg.dump_last_bank and index == cfg.num_episodes - 1
         return {
             "episode": index,
             "seed": sample_seed,
@@ -277,15 +274,8 @@ def evaluate_episode(
             "auroc": auroc(known_scores, unknown_scores),
             "known_scores": known_scores,
             "unknown_scores": unknown_scores,
-            "background": background,
-            "bank": {
-                "dim": bank.shape[1],
-                "num_known": cfg.n_way,
-                "num_background": len(background),
-                "known_weights": bank[: cfg.n_way].tolist(),
-                "background_weights": background.tolist(),
-            } if dump else None,
-            "loss": asdict(loss_report) if dump and loss_report else None,
+            "bank": bank,
+            "loss": loss_report,
         }
     except Exception as exc:
         raise RuntimeError(
@@ -313,7 +303,8 @@ def _evaluate_chunks(ds: FeatureDataset, cfg: RunConfig, counter, chunk: int) ->
     the chunks run out or an episode fails, which moves `counter` past the
     last chunk so that no process claims another. Returns the fields run_eval
     reads of each record (scores only for pooled_auroc, bank and loss only
-    where dumped) and the failure as (episode index, exception), or None."""
+    for a dump_last_bank run's last episode) and the failure as (episode
+    index, exception), or None."""
     keep = ("episode", "seed", "accuracy", "auroc") + (("known_scores", "unknown_scores") if cfg.pooled_auroc else ())
     records, carried = [], None
     while (first := chunk * CHUNK_EPISODES) < cfg.num_episodes:
@@ -325,9 +316,9 @@ def _evaluate_chunks(ds: FeatureDataset, cfg: RunConfig, counter, chunk: int) ->
                     counter.value = cfg.num_episodes
                 return records, (index, exc)
             if cfg.init_kind == INIT_GLOBAL:
-                carried = record["background"]
+                carried = record["bank"][cfg.n_way :]
             records.append({k: record[k] for k in keep})
-            if record["bank"] is not None:
+            if cfg.dump_last_bank and index == cfg.num_episodes - 1:
                 records[-1].update(bank=record["bank"], loss=record["loss"])
         chunk = _claim(counter)
     return records, None
@@ -416,6 +407,7 @@ def run_eval(cfg: RunConfig, ds: FeatureDataset | None = None) -> ResultsBundle:
             np.concatenate([r["unknown_scores"] for r in records]),
         )
 
+    bank, loss = records[-1].get("bank"), records[-1].get("loss")
     bundle = ResultsBundle(
         config=cfg.snapshot(),
         episodes=[
@@ -424,8 +416,14 @@ def run_eval(cfg: RunConfig, ds: FeatureDataset | None = None) -> ResultsBundle:
         ],
         aggregate=agg,
         pooled_auroc=pooled,
-        last_bank=records[-1].get("bank"),
-        last_loss=records[-1].get("loss"),
+        last_bank=None if bank is None else {
+            "dim": bank.shape[1],
+            "num_known": cfg.n_way,
+            "num_background": len(bank) - cfg.n_way,
+            "known_weights": bank[: cfg.n_way].tolist(),
+            "background_weights": bank[cfg.n_way :].tolist(),
+        },
+        last_loss=None if loss is None else asdict(loss),
     )
     if cfg.output_dir is not None:
         bundle.write(cfg.output_dir)

@@ -196,7 +196,8 @@ def _oracle_runs(draw) -> tuple[SyntheticConfig, RunConfig]:
         num_episodes=draw(st.integers(1, 10)), master_seed=draw(st.integers(0, 2**16)),
         use_background_classes=draw(st.booleans()), use_procam_finetune=draw(st.booleans()),
         freeze_known=draw(st.booleans()), score_kind=draw(st.sampled_from(SCORE_KINDS)),
-        workers=draw(st.integers(1, 2)),
+        workers=draw(st.integers(1, 2)), dump_last_bank=draw(st.booleans()),
+        pooled_auroc=draw(st.booleans()),
     )
 
 
@@ -206,13 +207,15 @@ def _scripted_records(ds: FeatureDataset, cfg: RunConfig) -> list[dict]:
     widened and mined, the background rows started from the episode's own
     seed (under init=global only the first; later ones carry the previous
     episode's final rows), fine-tuned, and the known queries scored with the
-    unknown ones after them."""
+    unknown ones after them. Each record holds the episode's final bank and
+    its fine-tune loss report, or None."""
     records, carried = [], None
     for index in range(cfg.num_episodes):
         seed = derive_episode_seed(cfg.master_seed, index, 0)
         episode = sample_episode(ds, cfg.episode, seed)
         support, labels = ds.embeddings[episode.support], episode.support_labels
         bank = support.reshape(cfg.n_way, cfg.k_shot, -1).mean(axis=1)
+        loss = None
         if cfg.use_background_classes:
             mined = None
             if cfg.use_procam_finetune or cfg.init_kind == "avg":
@@ -222,7 +225,7 @@ def _scripted_records(ds: FeatureDataset, cfg: RunConfig) -> list[dict]:
                 carried = init_background(ds.channels, cfg.init_kind, cfg.num_background, init_seed, mined)
             bank = np.vstack([bank, carried])
             if cfg.use_procam_finetune:
-                bank, _ = finetune_bank(bank, cfg.n_way, support, labels, mined, cfg.finetune)
+                bank, loss = finetune_bank(bank, cfg.n_way, support, labels, mined, cfg.finetune)
             carried = bank[cfg.n_way :]
         n_known = len(episode.known_queries)
         queries = ds.embeddings[np.concatenate([episode.known_queries, episode.unknown_queries])]
@@ -233,7 +236,8 @@ def _scripted_records(ds: FeatureDataset, cfg: RunConfig) -> list[dict]:
             "auroc": auroc(scores[:n_known], scores[n_known:]),
             "known_scores": scores[:n_known],
             "unknown_scores": scores[n_known:],
-            "background": bank[cfg.n_way :],
+            "bank": bank,
+            "loss": loss,
         })
     return records
 
@@ -291,6 +295,13 @@ class TestRunEval:
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(run=_oracle_runs())
+    @example(run=(  # a dumped, fine-tuned last episode and pooled scores in chunk 1, which a child usually runs
+        dataclasses.replace(benchmark_config(0), num_classes=4, items_per_class=4, height=3, width=4,
+                            channels=12, fg_regions=None),
+        RunConfig(dataset="in-memory", n_way=2, k_shot=2, n_query=2, n_open_classes=2, n_open_query=2,
+                  epochs=2, num_episodes=pipeline.CHUNK_EPISODES + 2, workers=2, dump_last_bank=True,
+                  pooled_auroc=True),
+    ))
     def test_records_match_a_plain_per_episode_script(self, run):
         data, cfg = run
         ds = generate_synthetic(data)[0]
@@ -314,6 +325,23 @@ class TestRunEval:
             for key, value in want.items():
                 same = _same_bits(record[key], value) if isinstance(value, np.ndarray) else record[key] == value
                 assert same, key
+        # what the run keeps of them: the last episode's bank and loss report, and the pooled scores
+        last = expected[-1]
+        if cfg.dump_last_bank:
+            dumped = bundle.last_bank
+            assert (dumped["dim"], dumped["num_known"], dumped["num_background"]) == (
+                ds.channels, cfg.n_way, len(last["bank"]) - cfg.n_way
+            )
+            rows = np.array(dumped["known_weights"] + dumped["background_weights"])
+            assert _same_bits(rows, last["bank"])
+            assert bundle.last_loss == (None if last["loss"] is None else dataclasses.asdict(last["loss"]))
+        else:
+            assert bundle.last_bank is None and bundle.last_loss is None
+        if cfg.pooled_auroc:
+            pooled = [np.concatenate([r[key] for r in expected]) for key in ("known_scores", "unknown_scores")]
+            assert bundle.pooled_auroc == auroc(*pooled)
+        else:
+            assert bundle.pooled_auroc is None
 
     @pytest.mark.parametrize("shape", ["std", "wide"])
     def test_foregrounds_are_the_pooled_support_maps(self, benchmark_dataset, monkeypatch, shape):
@@ -557,29 +585,43 @@ class TestRunEval:
             summaries.append((out / "summary.json").read_bytes())
         assert summaries[0] == summaries[1]
 
+    def test_dumped_last_episode_from_a_child_is_byte_identical(self, benchmark_dataset, tmp_path, monkeypatch):
+        # the calling process holds chunk 0 and waits in episode 0 until episode 8
+        # has begun, so chunk 1, which holds the last episode, is the child's
+        path, ds, _ = benchmark_dataset
+        cfg = small_cfg(path, num_episodes=12, dump_last_bank=True)
+        one = run_eval(dataclasses.replace(cfg, output_dir=str(tmp_path / "one")), ds)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        inner, began = pipeline.evaluate_episode, os.pipe()
+
+        def evaluate(ds, cfg, index, *rest):
+            if index == 0:
+                assert select.select([began[0]], [], [], 60)[0], "episode 8 never began"
+            elif index == 8:
+                os.write(began[1], b".")
+            return inner(ds, cfg, index, *rest)
+
+        monkeypatch.setattr(pipeline, "evaluate_episode", evaluate)
+        try:
+            two = run_eval(dataclasses.replace(cfg, workers=2, output_dir=str(tmp_path / "two")), ds)
+        finally:
+            for fd in began:
+                os.close(fd)
+        assert two.last_bank is not None and two.last_loss is not None
+        for name in pipeline.BUNDLE_FILES:
+            assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+        assert multiprocessing.active_children() == []
+
     def test_only_last_episode_serialises_its_bank(self, benchmark_dataset):
+        # every episode returns its bank and loss report; the run dumps episode 1's, not episode 0's
         path, ds, _ = benchmark_dataset
         cfg = small_cfg(path, num_episodes=2, dump_last_bank=True)
+        bundle = run_eval(cfg, ds)
         first, last = evaluate_episode(ds, cfg, 0), evaluate_episode(ds, cfg, 1)
-        assert first["bank"] is None and first["loss"] is None
-        assert last["bank"]["background_weights"] == last["background"].tolist()
-        assert len(last["loss"]["per_epoch_totals"]) == 21
-
-    @pytest.mark.parametrize(
-        "setting",
-        [{}, dict(use_procam_finetune=False), dict(init_kind="global")],
-        ids=["full", "no-finetune", "global"],
-    )
-    def test_record_background_owns_its_data(self, benchmark_dataset, setting):
-        # a view of the episode's bank would keep the whole bank alive with
-        # every record a run holds
-        path, ds, _ = benchmark_dataset
-        cfg = small_cfg(path, num_background=3, **setting)
-        first = evaluate_episode(ds, cfg, 0)
-        second = evaluate_episode(ds, cfg, 1, first["background"])
-        for record in (first, second):
-            assert record["background"].shape == (3, ds.channels)
-            assert record["background"].base is None
+        rows = np.array(bundle.last_bank["known_weights"] + bundle.last_bank["background_weights"])
+        assert rows.tobytes() == last["bank"].tobytes() != first["bank"].tobytes()
+        assert bundle.last_loss == dataclasses.asdict(last["loss"]) != dataclasses.asdict(first["loss"])
+        assert len(bundle.last_loss["per_epoch_totals"]) == 21
 
     def test_ablation_ladder_all_rungs_run(self, benchmark_dataset):
         path, _, _ = benchmark_dataset
@@ -603,8 +645,8 @@ class TestRunEval:
     def test_global_strategy_weights_carry_over(self, benchmark_dataset):
         path, ds, _ = benchmark_dataset
         cfg = small_cfg(path, init_kind="global")
-        after_first = evaluate_episode(ds, cfg, 0)["background"]
-        after_second = evaluate_episode(ds, cfg, 1, after_first)["background"]
+        after_first = evaluate_episode(ds, cfg, 0)["bank"][cfg.n_way :]
+        after_second = evaluate_episode(ds, cfg, 1, after_first)["bank"][cfg.n_way :]
         # fine-tuning moved the carried rows on between episodes
         assert not np.array_equal(after_first, after_second)
 
@@ -620,10 +662,10 @@ class TestRunEval:
         for index in range(cfg.num_episodes):
             record = evaluate_episode(ds, cfg, index, carried)
             chain.append({k: record[k] for k in ("episode", "seed", "accuracy", "auroc")})
-            carried = record["background"]
+            carried = record["bank"][cfg.n_way :]
         assert bundle.episodes == chain
         assert bundle.last_bank["background_weights"] == carried.tolist()
-        first = evaluate_episode(ds, cfg, 0)["background"]
+        first = evaluate_episode(ds, cfg, 0)["bank"][cfg.n_way :]
         if finetune:
             assert not np.array_equal(carried, first)
         else:  # nothing moves the rows, so every episode keeps episode 0's
@@ -635,7 +677,7 @@ class TestRunEval:
         rand = small_cfg(path, init_kind="random", num_episodes=1)
         assert run_eval(glob).episodes == run_eval(rand).episodes
         a, b = evaluate_episode(ds, glob, 0), evaluate_episode(ds, rand, 0)
-        assert a["background"].tobytes() == b["background"].tobytes()
+        assert a["bank"][glob.n_way :].tobytes() == b["bank"][rand.n_way :].tobytes()
 
     def test_snapshot_excludes_execution_details(self, benchmark_dataset):
         path, _, _ = benchmark_dataset
@@ -661,7 +703,7 @@ class TestRunEval:
             small_cfg(path, init_kind="avg", num_background=26)
         # the most it allows runs; without background rows the count is unused
         cfg = small_cfg(path, init_kind="avg", num_background=25, num_episodes=1)
-        assert evaluate_episode(ds, cfg, 0)["background"].shape == (25, ds.channels)
+        assert evaluate_episode(ds, cfg, 0)["bank"][cfg.n_way :].shape == (25, ds.channels)
         small_cfg(path, init_kind="avg", num_background=26, use_background_classes=False)
 
     def test_stage_configs_built_once(self, benchmark_dataset):
